@@ -2,8 +2,8 @@
 
 The pipeline, bottom to top:
 
-- :mod:`affdim.exterior_algebra` — blades, wedge products, Hodge star and
-  compound matrices in small ambient dimension;
+- :mod:`affdim.exterior_algebra` — blades, wedge products and compound
+  matrices in small ambient dimension;
 - :mod:`affdim.singular_values` — singular spectra and the interpolated
   singular value function ``phi``;
 - :mod:`affdim.fs_checker` — spanning conditions C(m) / C(s), the two-map
@@ -24,12 +24,10 @@ from .code_tree import (
     GraphSystem,
     IfsFamily,
     build_code_tree,
-    compose,
     count_full_blocks,
     detect_necks,
     deterministic_tree,
     enumerate_points,
-    partition_sum,
     partition_sum_mc,
     partition_sums,
     sample_graph_sequence,
@@ -51,10 +49,7 @@ from .exterior_algebra import (
     CompoundMatrix,
     ExteriorVector,
     MultiIndex,
-    apply_map,
     compound_matrix,
-    exterior_inner,
-    hodge_star,
     multi_indices,
     wedge,
 )
@@ -111,14 +106,12 @@ __all__ = [
     "UnsupportedEigenstructure",
     "Verdict",
     "VerdictKind",
-    "apply_map",
     "bind_translations",
     "box_dimension",
     "build_code_tree",
     "check_cm",
     "check_cs",
     "cli",
-    "compose",
     "compound_matrix",
     "count_full_blocks",
     "criterion_cscm",
@@ -127,13 +120,10 @@ __all__ = [
     "dimension_report",
     "enumerate_points",
     "estimate_fullness",
-    "exterior_inner",
-    "hodge_star",
     "iterate_closure",
     "main",
     "multi_indices",
     "parse_system",
-    "partition_sum",
     "partition_sum_mc",
     "partition_sums",
     "phi",

@@ -14,11 +14,19 @@ all of whose edges return to the root vertex; every node alive at a neck
 has the same future.  ``shift_first_neck`` reroots the tree at its first
 neck, which shortens the neck list accordingly.
 
-Partition sums S(k, s) = sum over level-k words of phi_s of the composed
-linear parts are evaluated by streamed enumeration in lexicographic word
-order: the tree of words is split into bounded blocks, each block is
-expanded vectorized, and block results are combined in a fixed order, so
-the result is bit-identical no matter how many worker threads are used.
+Every walk that composes maps along words goes through one level step,
+``_advance``: a batch of rows, each a (state, linear part, point), moves
+one level down to a chosen child per row.  Exact enumeration expands every
+child (``_expand_block``), the Monte Carlo estimator one random child per
+row.  Full enumeration runs through one block map, ``_map_words``: the
+level-k words are split, in lexicographic word order, into bounded blocks;
+each block is expanded, its singular spectra are taken in one batched SVD,
+and a caller's reduction is applied per block.  Partition sums S(k, s)
+(the sum over level-k words of phi_s of the composed linear part), the
+weighted cylinder points and the pressure zero-finder's spectrum cache are
+all such reductions.  Block results come back in word order and are
+combined in that fixed order, so results are bit-identical no matter how
+many worker threads are used.
 """
 
 from __future__ import annotations
@@ -45,8 +53,6 @@ __all__ = [
     "sample_graph_sequence",
     "build_code_tree",
     "detect_necks",
-    "compose",
-    "partition_sum",
     "partition_sums",
     "partition_sum_mc",
     "shift_first_neck",
@@ -342,6 +348,8 @@ class CodeTreeRealization:
     # -- node access -------------------------------------------------------
 
     def state_at(self, word: tuple[int, ...]) -> int:
+        if len(word) > self.depth:
+            raise ValueError(f"word length must lie in 0..{self.depth}, got {len(word)}")
         state = self.root_state
         for lev, letter in enumerate(word):
             tbl = self.levels[lev]
@@ -501,50 +509,34 @@ def shift_first_neck(tree: CodeTreeRealization) -> CodeTreeRealization:
     )
 
 
-def compose(tree: CodeTreeRealization, word: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Left-to-right product of the word's linear parts and the point f_word(0).
-
-    The empty word composes to the identity and the origin.
-    """
-    if not len(word) <= tree.depth:
-        raise ValueError(f"word length must lie in 0..{tree.depth}")
-    maps = []
-    state = tree.root_state
-    for lev, letter in enumerate(word):
-        tbl = tree.levels[lev]
-        if not 0 <= letter < int(tbl._sizes[state]):
-            raise ValueError(f"invalid word {word}: letter {letter} at level {lev}")
-        maps.append(tree.levels[lev].families[state].maps[letter])
-        state = int(tbl._child[state, letter])
-    T = np.eye(tree.d)
-    for m in maps:
-        T = T @ m.T
-    x = np.zeros(tree.d)
-    for m in reversed(maps):
-        x = m.T @ x + m.a
-    return T, x
-
-
 # ---------------------------------------------------------------------------
 # streamed enumeration
 
 
+def _advance(tbl, states, mats, points, rows, branch):
+    """One level step: row ``rows[i]`` moves to child ``branch[i]`` of its state.
+
+    ``points`` may be None when only the linear parts are wanted.
+    """
+    ps = states[rows]
+    if points is not None:
+        points = points[rows] + np.einsum("nij,nj->ni", mats[rows], tbl._a[ps, branch])
+    mats = np.einsum("nij,njk->nik", mats[rows], tbl._T[ps, branch])
+    return tbl._child[ps, branch], mats, points
+
+
 def _expand_block(tree, level0, state0, mat0, point0, k, want_points):
+    """All level-k descendants of one node, in word order, as (mats, points)."""
     states = np.array([state0], dtype=np.intp)
     mats = mat0[None]
-    points = point0[None]
+    points = point0[None] if want_points else None
     for lev in range(level0, k):
         tbl = tree.levels[lev]
         sz = tbl._sizes[states]
-        total = int(sz.sum())
-        rep = np.repeat(np.arange(states.shape[0]), sz)
+        rows = np.repeat(np.arange(states.shape[0]), sz)
         offs = np.cumsum(sz) - sz
-        branch = np.arange(total) - np.repeat(offs, sz)
-        ps = states[rep]
-        if want_points:
-            points = points[rep] + np.einsum("nij,nj->ni", mats[rep], tbl._a[ps, branch])
-        mats = np.einsum("nij,njk->nik", mats[rep], tbl._T[ps, branch])
-        states = tbl._child[ps, branch]
+        branch = np.arange(int(sz.sum())) - np.repeat(offs, sz)
+        states, mats, points = _advance(tbl, states, mats, points, rows, branch)
     return mats, points
 
 
@@ -569,21 +561,33 @@ def _blocks(tree, k, limit):
     return out
 
 
-def _map_blocks(work, blocks, threads):
-    if threads <= 1 or len(blocks) <= 1:
-        return [work(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, blocks))
+def _map_words(tree, k, reduce, threads=1, want_points=False, cap=ENUMERATION_CAP):
+    """``reduce(spectra, points)`` of every block of level-k words, in word order.
 
-
-def _checked_count(tree, k, cap):
+    ``spectra`` holds the singular values of the block's composed linear
+    parts, one descending row per word; ``points`` holds the words' points
+    f_word(0), or is None unless ``want_points``.  Blocks are reduced as they
+    are expanded, so at most ``threads`` blocks are expanded at a time.
+    """
+    if not 1 <= k <= tree.depth:
+        raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
     total = tree.word_count(k)
     if total > cap:
         raise EnumerationCapExceeded(
             f"level {k} holds {total} words, above the cap {cap}; "
             "use partition_sum_mc for a Monte Carlo estimate"
         )
-    return total
+
+    def work(block):
+        lev, st, mat, pt = block
+        mats, points = _expand_block(tree, lev, st, mat, pt, k, want_points)
+        return reduce(np.linalg.svd(mats, compute_uv=False), points)
+
+    blocks = _blocks(tree, k, _BLOCK_LIMIT)
+    if threads <= 1 or len(blocks) <= 1:
+        return [work(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, blocks))
 
 
 def partition_sums(
@@ -593,36 +597,22 @@ def partition_sums(
     cap: int = ENUMERATION_CAP,
     threads: int = 1,
 ) -> np.ndarray:
-    """S(k, s) for every s in ``s_values`` in one streamed enumeration."""
+    """S(k, s) for every s in ``s_values`` in one streamed enumeration.
+
+    S(k, s) is the sum over level-k words of phi_s of the composed linear
+    part; the empty level k = 0 sums to 1.
+    """
     s_values = [float(s) for s in s_values]
     if k == 0:
         return np.ones(len(s_values))
-    if not 1 <= k <= tree.depth:
-        raise ValueError(f"k must lie in 0..{tree.depth}, got {k}")
-    _checked_count(tree, k, cap)
 
-    def work(block):
-        lev, st, mat, pt = block
-        mats, _ = _expand_block(tree, lev, st, mat, pt, k, want_points=False)
-        sv = np.linalg.svd(mats, compute_uv=False)
-        return np.array([float(np.sum(phi_from_singular_values(sv, s))) for s in s_values])
+    def block_sums(spectra, _):
+        return np.array([float(np.sum(phi_from_singular_values(spectra, s))) for s in s_values])
 
-    parts = _map_blocks(work, _blocks(tree, k, _BLOCK_LIMIT), threads)
     out = np.zeros(len(s_values))
-    for p in parts:  # fixed order, independent of scheduling
-        out += p
+    for part in _map_words(tree, k, block_sums, threads, cap=cap):
+        out += part  # fixed order, independent of scheduling
     return out
-
-
-def partition_sum(
-    tree: CodeTreeRealization,
-    k: int,
-    s: float,
-    cap: int = ENUMERATION_CAP,
-    threads: int = 1,
-) -> float:
-    """S(k, s) = sum over level-k words of phi_s of the composed linear part."""
-    return float(partition_sums(tree, k, [s], cap=cap, threads=threads)[0])
 
 
 def partition_sum_mc(
@@ -646,14 +636,14 @@ def partition_sum_mc(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     states = np.full(samples, tree.root_state, dtype=np.intp)
     mats = np.broadcast_to(np.eye(tree.d), (samples, tree.d, tree.d)).copy()
+    rows = np.arange(samples)
     logw = np.zeros(samples)
     for lev in range(k):
         tbl = tree.levels[lev]
         sz = tbl._sizes[states]
         pick = np.floor(rng.random(samples) * sz).astype(np.intp)
-        mats = np.einsum("nij,njk->nik", mats, tbl._T[states, pick])
         logw += np.log(sz)
-        states = tbl._child[states, pick]
+        states, mats, _ = _advance(tbl, states, mats, None, rows, pick)
     sv = np.linalg.svd(mats, compute_uv=False)
     vals = phi_from_singular_values(sv, float(s)) * np.exp(logw)
     est = float(np.mean(vals))
@@ -668,23 +658,24 @@ def enumerate_points(
     cap: int = ENUMERATION_CAP,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All level-k cylinder points f_word(0) with normalized phi_s weights."""
-    if not 1 <= k <= tree.depth:
-        raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
-    _checked_count(tree, k, cap)
+    """All level-k cylinder points f_word(0) with normalized phi_s weights.
+
+    Raises ValueError when the phi_s weights underflow: their sum must be
+    positive and finite to be normalized.
+    """
     s = float(s)
-
-    def work(block):
-        lev, st, mat, pt = block
-        mats, points = _expand_block(tree, lev, st, mat, pt, k, want_points=True)
-        sv = np.linalg.svd(mats, compute_uv=False)
-        return points, phi_from_singular_values(sv, s)
-
-    parts = _map_blocks(work, _blocks(tree, k, _BLOCK_LIMIT), threads)
+    parts = _map_words(
+        tree, k, lambda spectra, points: (points, phi_from_singular_values(spectra, s)),
+        threads, want_points=True, cap=cap,
+    )
     points = np.concatenate([p for p, _ in parts], axis=0)
     weights = np.concatenate([w for _, w in parts])
-    weights = weights / np.sum(weights)
-    return points, weights
+    total = np.sum(weights)
+    if not (np.isfinite(total) and total > 0.0):
+        raise ValueError(
+            f"phi_{s:g} weights of the level-{k} cylinders underflowed: their sum is {total}"
+        )
+    return points, weights / total
 
 
 def sample_measure_points(

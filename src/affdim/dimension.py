@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_tree import CodeTreeRealization, enumerate_points, partition_sums
+from .code_tree import CodeTreeRealization, _map_words, enumerate_points, partition_sums
+from .singular_values import phi_from_singular_values
 
 __all__ = [
     "HypothesisViolation",
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 _MONOTONE_TOL = 1e-10
+# pressure_zero keeps every word's spectrum in memory up to this many words
+_SPECTRUM_CACHE_WORDS = 10**6
 
 
 class HypothesisViolation(RuntimeError):
@@ -55,6 +58,12 @@ class PressureCurve:
             raise ValueError("grid, values and diagnostics must be equal-length vectors")
         if np.any(np.diff(s) <= 0):
             raise ValueError("s grid must be strictly increasing")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(diag))):
+            bad = float(s[~(np.isfinite(p) & np.isfinite(diag))][0])
+            raise ValueError(
+                f"pressure is not finite at s = {bad!r}: the partition sum underflowed "
+                "to 0 in double precision"
+            )
         if np.any(np.diff(p) > _MONOTONE_TOL):
             raise ValueError(
                 "pressure values are not decreasing along the grid; "
@@ -78,9 +87,14 @@ def pressure_curve(
     if k < 1:
         raise ValueError("k must be >= 1")
     k_half = max(1, k // 2)
-    p = np.log(partition_sums(tree, k, s_grid, threads=threads)) / k
-    p_half = np.log(partition_sums(tree, k_half, s_grid, threads=threads)) / k_half
-    return PressureCurve(s=s_grid, p=p, k=k, k_half=k_half, diagnostic=np.abs(p - p_half))
+    S = partition_sums(tree, k, s_grid, threads=threads)
+    S_half = partition_sums(tree, k_half, s_grid, threads=threads)
+    # an underflowed sum gives a non-finite p, which PressureCurve rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.log(S) / k
+        p_half = np.log(S_half) / k_half
+        diagnostic = np.abs(p - p_half)
+    return PressureCurve(s=s_grid, p=p, k=k, k_half=k_half, diagnostic=diagnostic)
 
 
 @dataclass(frozen=True)
@@ -111,21 +125,14 @@ def pressure_zero(
 
     # cache the word spectra once when affordable: bisection then costs
     # nothing beyond vector arithmetic
-    count = tree.word_count(k)
     cache = None
-    if count <= 10**6:
-        from .code_tree import _blocks, _expand_block, _BLOCK_LIMIT
-
-        parts = []
-        for lev, st, mat, pt in _blocks(tree, k, _BLOCK_LIMIT):
-            mats, _ = _expand_block(tree, lev, st, mat, pt, k, want_points=False)
-            parts.append(np.linalg.svd(mats, compute_uv=False))
-        cache = np.concatenate(parts, axis=0)
+    if tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
+        cache = np.concatenate(
+            _map_words(tree, k, lambda spectra, _: spectra, threads), axis=0
+        )
 
     def p(s: float) -> float:
         if cache is not None:
-            from .singular_values import phi_from_singular_values
-
             return math.log(float(np.sum(phi_from_singular_values(cache, s)))) / k
         return float(np.log(partition_sums(tree, k, [s], threads=threads))[0]) / k
 

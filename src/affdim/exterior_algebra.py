@@ -9,9 +9,8 @@ ordered lexicographically.  In this basis:
 * a matrix S acts through its m-th compound matrix, whose (J, I) entry is the
   minor of S with rows J and columns I, so compounds compose functorially
   (Cauchy-Binet);
-* the Hodge star carries the sign of the permutation that sorts (J, J^c), so
-  the blade basis is orthonormal for ``<v|w> omega = v ^ *w`` and the star of
-  an orthonormal frame wedge is the complementary frame wedge, sign included.
+* the blade basis is orthonormal for the coordinate inner product
+  ``v.coords @ w.coords``.
 
 Everything is computed with explicit dense minors.  That is exact enough, and
 fast, for the ambient dimensions this package targets; blade counts grow like
@@ -34,10 +33,7 @@ __all__ = [
     "CompoundMatrix",
     "multi_indices",
     "wedge",
-    "hodge_star",
-    "exterior_inner",
     "compound_matrix",
-    "apply_map",
 ]
 
 MAX_DIM = 12
@@ -81,28 +77,6 @@ def _rows_array(d: int, m: int) -> np.ndarray:
     for r, J in enumerate(idx):
         out[r] = np.asarray(J, dtype=np.intp) - 1
     return out
-
-
-def _perm_sign(J: tuple[int, ...], K: tuple[int, ...]) -> int:
-    # sign of the permutation sorting the concatenation (J, K), both ascending
-    inversions = 0
-    for j in J:
-        inversions += sum(1 for k in K if k < j)
-    return -1 if inversions % 2 else 1
-
-
-@functools.lru_cache(maxsize=None)
-def _star_table(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    src = multi_indices(d, m)
-    pos_c = _positions(d, d - m)
-    targets = np.zeros(len(src), dtype=np.intp)
-    signs = np.zeros(len(src))
-    full = set(range(1, d + 1))
-    for r, J in enumerate(src):
-        K = tuple(sorted(full.difference(J)))
-        targets[r] = pos_c[K]
-        signs[r] = _perm_sign(J, K)
-    return targets, signs
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,11 +126,6 @@ class MultiIndex:
     def position(self) -> int:
         """Lexicographic rank among all grade-m multi-indices."""
         return _positions(self.d, self.m)[self.entries]
-
-    def complement(self) -> "MultiIndex":
-        rest = sorted(set(range(1, self.d + 1)).difference(self.entries))
-        return MultiIndex(self.d, tuple(rest))
-
 
 @dataclass(frozen=True, eq=False)
 class ExteriorVector:
@@ -259,26 +228,6 @@ def wedge(vectors) -> ExteriorVector:
     return ExteriorVector(d, m, coords)
 
 
-def hodge_star(v: ExteriorVector) -> ExteriorVector:
-    """Signed complement: star of the blade e_J is sgn(J, J^c) e_{J^c}."""
-    targets, signs = _star_table(v.d, v.m)
-    out = np.zeros(math.comb(v.d, v.d - v.m))
-    out[targets] = signs * v.coords
-    return ExteriorVector(v.d, v.d - v.m, out)
-
-
-def exterior_inner(v: ExteriorVector, w: ExteriorVector) -> float:
-    """Inner product in which the lexicographic blade basis is orthonormal.
-
-    Equals the coefficient of the volume form in ``v ^ *w``.
-    """
-    if (v.d, v.m) != (w.d, w.m):
-        raise ValueError(
-            f"grade/dimension mismatch: ({v.d}, {v.m}) vs ({w.d}, {w.m})"
-        )
-    return float(v.coords @ w.coords)
-
-
 def _wedge_with_vector(v: ExteriorVector, x) -> ExteriorVector:
     # append a single vector on the right: v ^ x, grade m -> m+1
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -315,11 +264,3 @@ def compound_matrix(S, m: int) -> CompoundMatrix:
         R = rows[lo:hi, None, :, None]
         entries[lo:hi] = np.linalg.det(S[R, C])
     return CompoundMatrix(d, m, entries)
-
-
-def apply_map(S, v: ExteriorVector) -> ExteriorVector:
-    """Push a grade-m element forward through the linear map S."""
-    S = np.asarray(S, dtype=float)
-    if S.shape != (v.d, v.d):
-        raise ValueError(f"map shape {S.shape} does not match ambient R^{v.d}")
-    return compound_matrix(S, v.m).apply(v)

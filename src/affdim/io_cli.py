@@ -548,7 +548,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=None, help="random sample count")
     common.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for enumeration")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker threads for enumeration (at least 1)")
 
     parser = argparse.ArgumentParser(
         prog="affdim",
@@ -617,7 +618,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cli(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         return args.handler(args)
     except UnsupportedEigenstructure as exc:

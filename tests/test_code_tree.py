@@ -2,9 +2,12 @@
 
 Oracles: constant trees have closed-form partition sums S(k, s) =
 (sum_i phi_s(T_i))^k for equal-shape maps, word counts are products of
-branching numbers, and compositions can be folded by hand.
+branching numbers, and compositions can be folded by hand: enumeration
+returns each word's point f_word(0) in lexicographic word order, and for
+d = 1 the partition sum at s = 1 is the sum of |T_word|.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,12 +22,10 @@ from affdim import (
     GraphSystem,
     IfsFamily,
     build_code_tree,
-    compose,
     count_full_blocks,
     detect_necks,
     deterministic_tree,
     enumerate_points,
-    partition_sum,
     partition_sum_mc,
     partition_sums,
     sample_graph_sequence,
@@ -282,18 +283,31 @@ class TestDeterministicTree:
         assert math.isclose(tree.sigma_min(), 0.45)
 
 
+def word_index(word, branching: int) -> int:
+    """Position of a word in the lexicographic order of a constant tree."""
+    index = 0
+    for letter in word:
+        index = index * branching + int(letter)
+    return index
+
+
 class TestCompose:
+    """Maps composed along words, read off the enumeration."""
+
     def test_empty_word(self):
+        # level-1 words start from the identity and the origin, so their
+        # points are the translations and their sums the maps' own |T|
         tree = deterministic_tree(thirds_family(), 2)
-        T, x = compose(tree, ())
-        np.testing.assert_array_equal(T, np.eye(1))
-        np.testing.assert_array_equal(x, np.zeros(1))
+        points, _ = enumerate_points(tree, 1)
+        np.testing.assert_array_equal(points, [[0.0], [2.0 / 3.0]])
+        assert math.isclose(partition_sums(tree, 1, [1.0])[0], 2.0 / 3.0)
 
     def test_cantor_endpoints(self):
         tree = deterministic_tree(thirds_family(), 2)
-        T, x = compose(tree, (1, 1))
-        assert math.isclose(T[0, 0], 1.0 / 9.0)
-        assert math.isclose(x[0], 8.0 / 9.0)
+        points, _ = enumerate_points(tree, 2)
+        assert math.isclose(points[word_index((1, 1), 2), 0], 8.0 / 9.0)
+        # all four words compose to |T| = 1/9
+        assert math.isclose(partition_sums(tree, 2, [1.0])[0], 4.0 / 9.0)
 
     def test_scaled_rotation_powers(self):
         theta = 0.3
@@ -302,21 +316,29 @@ class TestCompose:
         )
         fam = IfsFamily("turn", (AffineMap(0.8 * R, 0, [0.1, 0.0]),))
         tree = deterministic_tree(fam, 5)
-        T, _ = compose(tree, (0,) * 5)
-        k5 = np.array(
-            [
-                [math.cos(5 * theta), -math.sin(5 * theta)],
-                [math.sin(5 * theta), math.cos(5 * theta)],
-            ]
+        points, _ = enumerate_points(tree, 5)
+        # f^5(0) = sum_j (0.8 R)^j a, and R^j turns by j theta
+        x_ref = sum(
+            0.8**j * np.array([0.1 * math.cos(j * theta), 0.1 * math.sin(j * theta)])
+            for j in range(5)
         )
-        np.testing.assert_allclose(T, 0.8**5 * k5, atol=1e-12)
+        np.testing.assert_allclose(points[0], x_ref, atol=1e-14)
+        # (0.8 R)^5 has both singular values 0.8^5
+        np.testing.assert_allclose(
+            partition_sums(tree, 5, [1.0, 2.0]), [0.8**5, 0.8**10], rtol=1e-12
+        )
 
     def test_fold_oracle(self, rng):
-        fam = corner_family()
+        mats = [random_contraction(rng, 2, 0.2, 0.45) for _ in range(3)]
+        fam = IfsFamily(
+            "rand", tuple(AffineMap(T, c, rng.uniform(size=2)) for c, T in enumerate(mats))
+        )
         tree = deterministic_tree(fam, 4)
-        for _ in range(10):
-            word = tuple(rng.integers(0, 3, size=4))
-            T, x = compose(tree, word)
+        s = 1.5
+        points, weights = enumerate_points(tree, 4, s=s)
+        words = list(itertools.product(range(3), repeat=4))
+        phis = []
+        for word in words:
             T_ref = np.eye(2)
             x_ref = np.zeros(2)
             for letter in word:
@@ -324,15 +346,18 @@ class TestCompose:
             for letter in reversed(word):
                 m = fam.maps[letter]
                 x_ref = m.T @ x_ref + m.a
-            np.testing.assert_allclose(T, T_ref, atol=1e-14)
-            np.testing.assert_allclose(x, x_ref, atol=1e-14)
+            np.testing.assert_allclose(points[word_index(word, 3)], x_ref, atol=1e-14)
+            sigma = np.linalg.svd(T_ref, compute_uv=False)
+            phis.append(sigma[0] * math.sqrt(sigma[1]))
+        np.testing.assert_allclose(weights, np.array(phis) / sum(phis), rtol=1e-12)
+        assert partition_sums(tree, 4, [s])[0] == pytest.approx(sum(phis), rel=1e-12)
 
     def test_invalid_words(self):
         tree = deterministic_tree(thirds_family(), 2)
         with pytest.raises(ValueError, match="letter"):
-            compose(tree, (2,))
+            tree.state_at((2,))
         with pytest.raises(ValueError, match="length"):
-            compose(tree, (0, 0, 0))
+            tree.state_at((0, 0, 0))
 
 
 class TestBuildCodeTree:
@@ -369,10 +394,12 @@ class TestBuildCodeTree:
         # root walks 1 -> 2 under 'a', back to 1 under 'b'
         assert tree.state_at((0,)) == 1
         assert tree.family_at((0,)).label == "b@v2"
-        T, x = compose(tree, (0, 0, 0, 0))
-        assert math.isclose(T[0, 0], 0.5 * 0.25 * 0.5 * 0.25)
+        # the one level-4 word is (0, 0, 0, 0); at s = 1 its sum is |T|
+        assert math.isclose(partition_sums(tree, 4, [1.0])[0], 0.5 * 0.25 * 0.5 * 0.25)
+        points, weights = enumerate_points(tree, 4)
         # fold 0 through b@v2, a@v1, b@v2, a@v1
-        assert math.isclose(x[0], 0.5 * (0.25 * (0.5 * 0.3) + 0.3))
+        assert math.isclose(points[0, 0], 0.5 * (0.25 * (0.5 * 0.3) + 0.3))
+        assert weights.tolist() == [1.0]
 
     def test_word_counts_follow_out_degrees(self):
         gs = walk_graph()
@@ -438,7 +465,7 @@ class TestShiftFirstNeck:
 class TestPartitionSums:
     def test_cantor_closed_form(self):
         tree = deterministic_tree(thirds_family(), 4)
-        assert partition_sum(tree, 4, 1.0) == pytest.approx(16.0 / 81.0, rel=1e-12)
+        assert partition_sums(tree, 4, [1.0])[0] == pytest.approx(16.0 / 81.0, rel=1e-12)
 
     def test_fractional_closed_form(self):
         T = np.diag([0.4, 0.2])
@@ -447,37 +474,37 @@ class TestPartitionSums:
         )
         tree = deterministic_tree(fam, 2)
         expected = (3.0 * 0.4 * math.sqrt(0.2)) ** 2
-        assert partition_sum(tree, 2, 1.5) == pytest.approx(expected, rel=1e-12)
+        assert partition_sums(tree, 2, [1.5])[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.288, rel=1e-12)
 
     def test_s_zero_counts_words(self):
         tree = deterministic_tree(corner_family(), 3)
         for k in (1, 2, 3):
-            assert partition_sum(tree, k, 0.0) == pytest.approx(3.0**k, rel=1e-12)
+            assert partition_sums(tree, k, [0.0])[0] == pytest.approx(3.0**k, rel=1e-12)
 
     def test_level_zero_is_one(self):
         tree = deterministic_tree(thirds_family(), 2)
-        assert partition_sum(tree, 0, 1.7) == 1.0
+        assert partition_sums(tree, 0, [1.7])[0] == 1.0
 
     def test_vectorized_matches_scalar(self):
         tree = deterministic_tree(corner_family(), 3)
         grid = [0.5, 1.0, 1.5, 2.0]
         vec = partition_sums(tree, 3, grid)
         np.testing.assert_allclose(
-            vec, [partition_sum(tree, 3, s) for s in grid], rtol=1e-14
+            vec, [partition_sums(tree, 3, [s])[0] for s in grid], rtol=1e-14
         )
 
     def test_level_out_of_range(self):
         tree = deterministic_tree(thirds_family(), 2)
         with pytest.raises(ValueError, match="k must"):
-            partition_sum(tree, 3, 1.0)
+            partition_sums(tree, 3, [1.0])[0]
 
     def test_fekete_submultiplicativity(self, rng):
         mats = [random_contraction(rng, 2, 0.15, 0.45) for _ in range(3)]
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 6)
         for s in (0.7, 1.5, 2.3):
-            S = {k: partition_sum(tree, k, s) for k in range(1, 7)}
+            S = {k: partition_sums(tree, k, [s])[0] for k in range(1, 7)}
             for j, k in ((1, 4), (2, 3), (3, 3), (2, 4)):
                 assert S[j + k] <= S[j] * S[k] * (1 + 1e-9)
 
@@ -491,7 +518,7 @@ class TestPartitionSums:
     def test_cap_exceeded_points_to_monte_carlo(self):
         tree = deterministic_tree(corner_family(), 4)
         with pytest.raises(EnumerationCapExceeded, match="partition_sum_mc"):
-            partition_sum(tree, 4, 1.0, cap=80)
+            partition_sums(tree, 4, [1.0], cap=80)[0]
 
 
 class TestPartitionSumMc:
@@ -499,13 +526,13 @@ class TestPartitionSumMc:
         tree = deterministic_tree(thirds_family(), 6)
         est, err = partition_sum_mc(tree, 6, 1.0, samples=500, seed=0)
         assert err == 0.0
-        assert est == pytest.approx(partition_sum(tree, 6, 1.0), rel=1e-12)
+        assert est == pytest.approx(partition_sums(tree, 6, [1.0])[0], rel=1e-12)
 
     def test_agrees_within_four_stderr(self, rng):
         mats = [random_contraction(rng, 2, 0.2, 0.45) for _ in range(3)]
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 5)
-        exact = partition_sum(tree, 5, 1.2)
+        exact = partition_sums(tree, 5, [1.2])[0]
         est, err = partition_sum_mc(tree, 5, 1.2, samples=20_000, seed=1)
         assert err > 0.0
         assert abs(est - exact) <= 4 * err
@@ -562,6 +589,12 @@ class TestEnumeratePoints:
         tree = deterministic_tree(thirds_family(), 2)
         with pytest.raises(ValueError, match="k must"):
             enumerate_points(tree, 3)
+
+    def test_underflowing_weights_are_refused(self):
+        fam = IfsFamily("tiny", tuple(AffineMap([[0.001]], c) for c in range(2)))
+        tree = deterministic_tree(fam, 3)
+        with pytest.raises(ValueError, match="underflowed"):
+            enumerate_points(tree, 3, s=200.0)
 
 
 class TestSampleMeasurePoints:

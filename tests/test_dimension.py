@@ -23,6 +23,9 @@ from affdim import (
     pressure_curve,
     pressure_zero,
 )
+from affdim import code_tree, dimension
+
+from conftest import random_contraction
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 DIAG_ZERO = 1.0 + math.log(1.2) / math.log(5.0)
@@ -120,6 +123,22 @@ class TestPressureCurve:
         with pytest.raises(ValueError, match="k must"):
             pressure_curve(thirds_tree(), [0.0, 1.0], k=0)
 
+    def test_rejects_non_finite_values(self):
+        for p, diag in (([0.0, -np.inf], [0.0, 0.0]), ([0.0, -1.0], [0.0, np.nan])):
+            with pytest.raises(ValueError, match="underflow"):
+                PressureCurve(
+                    s=np.array([0.0, 1.0]),
+                    p=np.array(p),
+                    k=2,
+                    k_half=1,
+                    diagnostic=np.array(diag),
+                )
+
+    def test_underflowing_sums_are_refused(self):
+        fam = IfsFamily("tiny", tuple(AffineMap([[0.001]], c) for c in range(2)))
+        with pytest.raises(ValueError, match="s = 30.0: the partition sum underflow"):
+            pressure_curve(deterministic_tree(fam, 12), [5.0, 30.0], k=12)
+
 
 # ---------------------------------------------------------------------------
 # the zero of the pressure
@@ -156,6 +175,31 @@ class TestPressureZero:
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError, match="k must"):
             pressure_zero(thirds_tree(), 0)
+
+    def test_re_enumerating_path_matches_the_spectrum_cache(self, rng, monkeypatch):
+        mats = [random_contraction(rng, 2, 0.2, 0.45) for _ in range(3)]
+        tree = deterministic_tree(
+            IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats))), 6
+        )
+        # small blocks, so that worker threads get several blocks to share
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 50)
+        passes = []
+        counted = dimension.partition_sums
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(dimension, "partition_sums", counting)
+        cached = [pressure_zero(tree, 6, threads=t) for t in (1, 4)]
+        assert not passes
+        monkeypatch.setattr(dimension, "_SPECTRUM_CACHE_WORDS", tree.word_count(6) - 1)
+        streamed = [pressure_zero(tree, 6, threads=t) for t in (1, 4)]
+        assert passes
+        assert cached[0] == cached[1] and streamed[0] == streamed[1]
+        assert cached[0].flag is None and streamed[0].flag is None
+        assert streamed[0].s0 == pytest.approx(cached[0].s0, rel=1e-12)
+        assert streamed[0].iterations == cached[0].iterations
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,7 @@ from affdim.exterior_algebra import (
     CompoundMatrix,
     ExteriorVector,
     MultiIndex,
-    apply_map,
     compound_matrix,
-    exterior_inner,
-    hodge_star,
     multi_indices,
     wedge,
 )
@@ -43,36 +40,11 @@ def minor_oracle(S, rows, cols) -> float:
     return float(np.linalg.det(sub)) if len(rows) else 1.0
 
 
-def perm_sign_oracle(seq) -> int:
-    """Sign by explicit inversion count; no reuse of package code."""
-    inv = 0
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def wedge_oracle(vectors) -> np.ndarray:
     """Plucker coordinates as raw minors of the stacked column matrix."""
     M = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
     d, m = M.shape
     return np.array([minor_oracle(M, rows, range(1, m + 1)) for rows in lex_indices(d, m)])
-
-
-def volume_coefficient_oracle(v: ExteriorVector, w: ExteriorVector) -> float:
-    """Coefficient of e_1^...^e_d in v ^ star(w), expanded blade by blade."""
-    d, m = v.d, v.m
-    sw = hodge_star(w)
-    total = 0.0
-    blades_m = lex_indices(d, m)
-    blades_c = lex_indices(d, d - m)
-    for J, vj in zip(blades_m, v.coords):
-        comp = tuple(i for i in range(1, d + 1) if i not in J)
-        # v_J e_J ^ (sw)_{J^c} e_{J^c} = v_J (sw)_{J^c} sgn(J, J^c) omega
-        total += vj * sw.coords[blades_c.index(comp)] * perm_sign_oracle(J + comp)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +67,6 @@ def test_multi_index_validation():
         MultiIndex(4, (2, 5))
     with pytest.raises(ValueError):
         MultiIndex(4, (2, 2))
-
-
-def test_multi_index_complement():
-    assert MultiIndex(5, (1, 4)).complement().entries == (2, 3, 5)
-    assert MultiIndex(3, ()).complement().entries == (1, 2, 3)
 
 
 def test_exterior_vector_validation():
@@ -161,47 +128,6 @@ def test_wedge_errors():
 
 
 # ---------------------------------------------------------------------------
-# hodge star
-
-
-def test_star_of_e1e2_in_r3():
-    v = ExteriorVector.basis_blade(3, (1, 2))
-    sv = hodge_star(v)
-    assert sv.m == 1
-    # grade-1 basis order: (e1, e2, e3); (1,2,3) is an even permutation
-    assert np.array_equal(sv.coords, [0.0, 0.0, 1.0])
-
-
-def test_star_of_e2_in_r3_is_minus_e1e3():
-    v = ExteriorVector.basis_blade(3, (2,))
-    sv = hodge_star(v)
-    assert sv.m == 2
-    # grade-2 basis order: (e1^e2, e1^e3, e2^e3)
-    assert np.array_equal(sv.coords, [0.0, -1.0, 0.0])
-
-
-@given(st.integers(1, 6), st.integers(0, 10**6))
-def test_star_table_matches_permutation_oracle(d, seed):
-    for m in range(d + 1):
-        for J in lex_indices(d, m):
-            comp = tuple(i for i in range(1, d + 1) if i not in J)
-            sv = hodge_star(ExteriorVector.basis_blade(d, J))
-            want = np.zeros(math.comb(d, d - m))
-            want[lex_indices(d, d - m).index(comp)] = perm_sign_oracle(J + comp)
-            assert np.array_equal(sv.coords, want), (d, m, J)
-
-
-@given(st.integers(0, 10**6), st.integers(1, 6))
-def test_double_star_sign(seed, d):
-    rng = rng_for(seed)
-    m = int(rng.integers(0, d + 1))
-    v = ExteriorVector(d, m, rng.standard_normal(math.comb(d, m)))
-    vv = hodge_star(hodge_star(v))
-    sign = (-1) ** (m * (d - m))
-    assert np.allclose(vv.coords, sign * v.coords, atol=1e-14 * max(1.0, np.abs(v.coords).max()))
-
-
-# ---------------------------------------------------------------------------
 # inner product
 
 
@@ -211,34 +137,11 @@ def test_inner_orthonormal_blades_exactly():
             blades = lex_indices(d, m)
             for J in blades:
                 for K in blades:
-                    val = exterior_inner(
-                        ExteriorVector.basis_blade(d, J), ExteriorVector.basis_blade(d, K)
+                    val = (
+                        ExteriorVector.basis_blade(d, J).coords
+                        @ ExteriorVector.basis_blade(d, K).coords
                     )
                     assert val == (1.0 if J == K else 0.0)
-
-
-@given(st.integers(0, 10**6), st.integers(1, 6))
-def test_inner_equals_wedge_star_route(seed, d):
-    rng = rng_for(seed)
-    m = int(rng.integers(0, d + 1))
-    n = math.comb(d, m)
-    v = ExteriorVector(d, m, rng.standard_normal(n))
-    w = ExteriorVector(d, m, rng.standard_normal(n))
-    direct = exterior_inner(v, w)
-    via_volume = volume_coefficient_oracle(v, w)
-    scale = max(1.0, abs(direct))
-    assert abs(direct - via_volume) <= 1e-12 * scale
-    assert abs(direct - float(v.coords @ w.coords)) <= 1e-12 * scale
-
-
-def test_inner_mismatch_errors():
-    a = ExteriorVector.basis_blade(3, (1,))
-    b = ExteriorVector.basis_blade(3, (1, 2))
-    c = ExteriorVector.basis_blade(4, (1,))
-    with pytest.raises(ValueError):
-        exterior_inner(a, b)
-    with pytest.raises(ValueError):
-        exterior_inner(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +194,8 @@ def test_compound_adjoint(seed, d):
     n = math.comb(d, m)
     v = ExteriorVector(d, m, rng.standard_normal(n))
     w = ExteriorVector(d, m, rng.standard_normal(n))
-    lhs = exterior_inner(apply_map(A, v), w)
-    rhs = exterior_inner(v, apply_map(A.T, w))
+    lhs = float(compound_matrix(A, m).apply(v).coords @ w.coords)
+    rhs = float(v.coords @ compound_matrix(A.T, m).apply(w).coords)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -315,14 +218,14 @@ def test_compound_apply_grade_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# induced action
+# induced action: a map acts on grade m through its m-th compound
 
 
 def test_apply_map_identity_and_determinant():
     v = ExteriorVector(2, 1, [1.0, -2.0])
-    assert np.array_equal(apply_map(np.eye(2), v).coords, v.coords)
+    assert np.array_equal(compound_matrix(np.eye(2), 1).apply(v).coords, v.coords)
     top = ExteriorVector.basis_blade(2, (1, 2))
-    got = apply_map(np.diag([2.0, 3.0]), top)
+    got = compound_matrix(np.diag([2.0, 3.0]), 2).apply(top)
     assert np.allclose(got.coords, [6.0], atol=1e-14)
 
 
@@ -333,6 +236,6 @@ def test_apply_map_commutes_with_wedge(seed, d):
     S = random_nonsingular(rng, d)
     m = int(rng.integers(1, d + 1))
     vectors = [rng.standard_normal(d) for _ in range(m)]
-    lhs = apply_map(S, wedge(vectors)).coords
+    lhs = compound_matrix(S, m).apply(wedge(vectors)).coords
     rhs = wedge([S @ x for x in vectors]).coords
     assert np.allclose(lhs, rhs, atol=1e-9 * max(1.0, np.abs(rhs).max()))

@@ -16,12 +16,11 @@ from affdim import (
     LinearFamily,
     UnsupportedEigenstructure,
     VerdictKind,
-    apply_map,
     check_cm,
     check_cs,
+    compound_matrix,
     criterion_cscm,
     estimate_fullness,
-    exterior_inner,
     iterate_closure,
 )
 
@@ -38,8 +37,12 @@ def annihilation_residual(fam, witness):
     scale = v.norm() * w.norm()
     worst = 0.0
     for S in fam:
-        img = apply_map(S, v)
-        worst = max(worst, abs(exterior_inner(w, img)) / (scale * max(img.norm() / v.norm(), 1e-300)))
+        img = compound_matrix(S, v.m).entries @ v.coords
+        worst = max(
+            worst,
+            abs(float(w.coords @ img))
+            / (scale * max(float(np.linalg.norm(img)) / v.norm(), 1e-300)),
+        )
     return worst
 
 
@@ -165,11 +168,13 @@ class TestCheckCm:
         conj = LinearFamily.from_matrices([P @ UPPER_A @ P_inv, P @ UPPER_B @ P_inv])
         verdict = check_cm(conj, 1)
         assert verdict.kind is VerdictKind.FAIL
-        v_back = apply_map(P_inv, verdict.witness.v)
-        w_back = apply_map(P.T, verdict.witness.w)
-        scale = v_back.norm() * w_back.norm()
+        m = verdict.witness.v.m
+        v_back = compound_matrix(P_inv, m).entries @ verdict.witness.v.coords
+        w_back = compound_matrix(P.T, m).entries @ verdict.witness.w.coords
+        scale = float(np.linalg.norm(v_back) * np.linalg.norm(w_back))
         worst = max(
-            abs(exterior_inner(w_back, apply_map(S, v_back))) for S in (UPPER_A, UPPER_B)
+            abs(float(w_back @ (compound_matrix(S, m).entries @ v_back)))
+            for S in (UPPER_A, UPPER_B)
         )
         assert worst <= 1e-10 * scale
 

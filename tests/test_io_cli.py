@@ -114,6 +114,22 @@ GRAPH_DOC = {
     },
 }
 
+# two 1-D maps so strong that phi_s of a deep word underflows double precision
+TINY_DOC = {
+    "d": 1,
+    "bounds": {"sigma_lo": 0.001, "sigma_hi": 0.001},
+    "families": [
+        {
+            "label": "tiny",
+            "maps": [
+                {"T": [[0.001]], "translation_class": 0},
+                {"T": [[0.001]], "translation_class": 1},
+            ],
+        }
+    ],
+    "translations": {"0": [0.0], "1": [0.5]},
+}
+
 WIDE_DOC = {
     "d": 2,
     "bounds": {"sigma_lo": 0.3, "sigma_hi": 0.6},
@@ -548,6 +564,31 @@ class TestCli:
                         "--threads", threads, "--out", target]) == 0
             outs.append(open(target, "rb").read())
         assert outs[0] == outs[1]
+
+    def test_pressure_underflow_is_an_error(self, tmp_path, capsys):
+        # S(12, s) = 2^12 * 0.001^(12 s) is below the smallest double for s >= 20
+        rc = cli(["pressure", doc_path(tmp_path, TINY_DOC), "--k", "12",
+                  "--s-min", "20", "--s-max", "40"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "underflow" in captured.err
+
+    def test_points_weight_underflow_is_an_error(self, tmp_path, capsys):
+        rc = cli(["points", doc_path(tmp_path, TINY_DOC), "--depth", "3", "--s", "200"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "underflow" in captured.err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as info:
+            cli(["pressure", doc_path(tmp_path, THIRDS_DOC), "--threads", threads])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threads" in captured.err
 
     def test_unknown_family_is_a_document_error(self, tmp_path, capsys):
         rc = cli(["check-fs", doc_path(tmp_path, CERT_DOC), "--family", "nope"])
