@@ -76,7 +76,7 @@ from .io_cli import (
     parse_system,
     serialize_system,
 )
-from .singular_values import SingularSpectrum, phi, phi_from_singular_values, singular_values
+from .singular_values import phi, phi_from_singular_values, singular_values
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "MultiIndex",
     "PressureCurve",
     "PressureZeroResult",
-    "SingularSpectrum",
     "SystemSpec",
     "SystemSpecError",
     "UnsupportedEigenstructure",

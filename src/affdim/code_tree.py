@@ -88,10 +88,10 @@ class AffineMap:
         T = np.array(self.T, dtype=float)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError(f"linear part must be square, got shape {T.shape}")
-        spec = singular_values(T)  # rejects singular parts
-        if spec.sigma[0] > 1.0 + 1e-12:
+        sigma = singular_values(T)  # rejects singular parts
+        if sigma[0] > 1.0 + 1e-12:
             raise ValueError(
-                f"linear part must satisfy norm(T) <= 1, got sigma_1 = {spec.sigma[0]:.6g}"
+                f"linear part must satisfy norm(T) <= 1, got sigma_1 = {sigma[0]:.6g}"
             )
         T.setflags(write=False)
         a = self.a

@@ -192,6 +192,8 @@ def box_dimension(points, j_min: int, j_max: int) -> BoxCountFit:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite; the cloud holds a nan or inf coordinate")
     n, _ = points.shape
     if n < 1000:
         raise ValueError(f"box counting needs at least 1000 points, got {n}")

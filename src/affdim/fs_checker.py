@@ -8,7 +8,15 @@ at grade m and grade m+1 for compatible extensions v ^ v', w ^ w'.
 
 Sampling can only falsify these conditions or support them empirically, so
 ``check_cm`` / ``check_cs`` return three-valued verdicts with normalized
-margins.  The certifying route is ``criterion_cscm``: a pair (F, G) with
+margins.  ``check_cm`` scans candidate blades once, in a fixed order: a
+structured pool (the coordinate blades, then wedges of each map's real
+eigenvectors), then ceil(samples / 1024) seeded Gaussian batches.  Each batch
+is scored by one rank-margin call; the first batch with a margin at or below
+tol gives the Fail verdict, whose annihilating partner w is sought in the same
+pool.  A family with fewer maps than C(d, m) can never span, so its scan stops
+after the pool.  ``check_cs`` runs ``check_cm`` at grades m and m + 1 as
+prefilters, lifting a grade fail to a quadruple witness, and then samples
+quadruples.  The certifying route is ``criterion_cscm``: a pair (F, G) with
 distinct-product real eigenvalue tuples whose eigenbasis change matrix has
 every minor nonzero guarantees that the family of all compositions of F and
 G up to depth 2 * n0^2 satisfies C(s) for every 0 <= s <= d, where
@@ -208,8 +216,6 @@ def _candidate_factors(fam: LinearFamily, m: int) -> list[np.ndarray]:
 
 def _coords_of_factors(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Unit blade coordinates for each factor stack, dropping degenerate ones."""
-    if not factors:
-        return np.zeros((0, 0)), []
     stack = np.stack(factors)
     coords = _wedge_batch(stack)
     norms = np.linalg.norm(coords, axis=1)
@@ -223,11 +229,11 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
     CC is (k, n, n), vs is (N, n); the margin is zero exactly when the images
     fail to span, and is invariant under rescaling any single map.
     """
+    k, n = CC.shape[:2]
+    if k < n:  # fewer maps than the blade count: can never span
+        return np.zeros(vs.shape[0])
     W = np.einsum("kij,tj->tki", CC, vs)
     sv = np.linalg.svd(W, compute_uv=False)
-    n = CC.shape[1]
-    if sv.shape[1] < n:  # fewer maps than the blade count: can never span
-        return np.zeros(vs.shape[0])
     return sv[:, n - 1] / sv[:, 0]
 
 
@@ -237,46 +243,53 @@ def _rng_for(seed, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _search_annihilated_pair(
-    CC: np.ndarray, fam: LinearFamily, m: int, vs: np.ndarray, factors: list[np.ndarray], tol: float
-) -> tuple[int, FailWitness] | None:
-    """Find a candidate v whose images do not span, plus an annihilating w."""
-    margins = _rank_margins(CC, vs)
-    bad = np.flatnonzero(margins <= tol)
-    if bad.size == 0:
-        return None
-    t = int(bad[np.argmin(margins[bad])])
-    v = vs[t]
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _sampled_blades(d: int, m: int, samples: int, seed):
+    """Seeded Gaussian candidate batches: (draws before the batch, coords, factors)."""
+    done = 0
+    batch_index = 0
+    while done < samples:
+        b = min(_BATCH, samples - done)
+        factors = _rng_for(seed, batch_index).standard_normal((b, d, m))
+        yield (done, *_coords_of_factors(list(factors)))
+        done += b
+        batch_index += 1
+
+
+def _annihilating_witness(
+    CC: np.ndarray,
+    d: int,
+    m: int,
+    v: np.ndarray,
+    v_factors: np.ndarray,
+    pool_coords: np.ndarray,
+    pool_factors: list[np.ndarray],
+    tol: float,
+) -> FailWitness:
+    """Witness for a candidate v whose images do not span: v plus an
+    annihilating w, taken from the structured pool when one pairs to within
+    tol, else the null direction of the images."""
     images = np.einsum("kij,j->ki", CC, v)
-    # direction annihilating every image
-    u = np.linalg.svd(images)[2][-1]
-    d = fam.d
-    # prefer a decomposable annihilator from the same deterministic pool
-    pool_coords, pool_factors = _coords_of_factors(_candidate_factors(fam, m))
-    if pool_coords.shape[0]:
-        pairing = np.max(np.abs(images @ pool_coords.T), axis=0)
-        j = int(np.argmin(pairing))
-        if pairing[j] <= tol:
-            wit = FailWitness(
-                m=m,
-                v=ExteriorVector(d, m, v),
-                w=ExteriorVector(d, m, pool_coords[j]),
-                w_decomposable=True,
-                v_factors=factors[t] if t < len(factors) else None,
-                w_factors=pool_factors[j],
-            )
-            return t, wit
-    # fall back to the raw null direction; decomposability is automatic only
-    # at the extreme grades
-    wit = FailWitness(
+    pairing = np.max(np.abs(images @ pool_coords.T), axis=0)
+    j = int(np.argmin(pairing))
+    if pairing[j] <= tol:
+        w, w_factors, decomposable = pool_coords[j], pool_factors[j], True
+    else:
+        # the raw null direction is decomposable automatically only at the
+        # extreme grades
+        w, w_factors, decomposable = np.linalg.svd(images)[2][-1], None, m in (1, d - 1)
+    return FailWitness(
         m=m,
         v=ExteriorVector(d, m, v),
-        w=ExteriorVector(d, m, u),
-        w_decomposable=m in (1, d - 1),
-        v_factors=factors[t] if t < len(factors) else None,
-        w_factors=None,
+        w=ExteriorVector(d, m, w),
+        w_decomposable=decomposable,
+        v_factors=v_factors,
+        w_factors=w_factors,
     )
-    return t, wit
 
 
 def check_cm(
@@ -289,10 +302,10 @@ def check_cm(
     """Test condition C(m) on sampled and structured decomposable elements.
 
     Never returns a certified pass for 1 <= m <= d-1: a clean run of samples
-    is only empirical evidence.  Fails are genuine and come with a witness
-    whenever one can be constructed.
+    is only empirical evidence.  Fails are genuine and come with a witness.
     """
     d = fam.d
+    _check_tol(tol)
     if not 0 <= m <= d:
         raise ValueError(f"grade must satisfy 0 <= m <= {d}, got {m}")
     if m in (0, d):
@@ -306,66 +319,38 @@ def check_cm(
         raise ValueError("samples must be nonnegative")
     n = math.comb(d, m)
     CC = _normalized_compounds(fam, m)
+    pool_coords, pool_factors = _coords_of_factors(_candidate_factors(fam, m))
+    pool = pool_coords.shape[0]
 
-    det_factors = _candidate_factors(fam, m)
-    det_coords, det_factors = _coords_of_factors(det_factors)
-
-    if len(fam) < n:
-        hit = _search_annihilated_pair(CC, fam, m, det_coords, det_factors, tol)
-        witness = hit[1] if hit else None
-        return Verdict(
-            kind=VerdictKind.FAIL,
-            m=m,
-            samples=det_coords.shape[0],
-            margin=0.0,
-            witness=witness,
-            reason=f"cardinality: {len(fam)} maps < C({d},{m}) = {n}, images cannot span",
-        )
-
+    # one scan in a fixed order: the structured pool (drawn=None), then the
+    # sampled batches; with too few maps every margin is zero, so the pool
+    # alone decides
+    scan = [(None, pool_coords, pool_factors)]
+    if len(fam) >= n:
+        scan = itertools.chain(scan, _sampled_blades(d, m, samples, seed))
     worst = math.inf
-    hit = _search_annihilated_pair(CC, fam, m, det_coords, det_factors, tol)
-    if hit is not None:
-        t, witness = hit
+    for drawn, coords, factors in scan:
+        margins = _rank_margins(CC, coords)
+        bad = np.flatnonzero(margins <= tol)
+        if bad.size == 0:
+            worst = min(worst, float(np.min(margins, initial=math.inf)))
+            continue
+        t = int(bad[np.argmin(margins[bad])])
+        if len(fam) < n:
+            reason = f"cardinality: {len(fam)} maps < C({d},{m}) = {n}, images cannot span"
+        elif drawn is None:
+            reason = "rank deficiency at a structured candidate"
+        else:
+            reason = "rank deficiency at a sampled decomposable element"
         return Verdict(
             kind=VerdictKind.FAIL,
             m=m,
-            samples=det_coords.shape[0],
-            margin=float(_rank_margins(CC, det_coords[t : t + 1])[0]),
-            witness=witness,
-            reason="rank deficiency at a structured candidate",
+            samples=pool if drawn is None else pool + drawn + t + 1,
+            margin=float(margins[t]),
+            witness=_annihilating_witness(CC, d, m, coords[t], factors[t], pool_coords, pool_factors, tol),
+            reason=reason,
         )
-    if det_coords.shape[0]:
-        worst = float(np.min(_rank_margins(CC, det_coords)))
-
-    done = 0
-    batch_index = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        rng = _rng_for(seed, batch_index)
-        factors = rng.standard_normal((b, d, m))
-        coords, kept = _coords_of_factors(list(factors))
-        hit = _search_annihilated_pair(CC, fam, m, coords, kept, tol)
-        if hit is not None:
-            t, witness = hit
-            return Verdict(
-                kind=VerdictKind.FAIL,
-                m=m,
-                samples=done + det_coords.shape[0] + t + 1,
-                margin=float(_rank_margins(CC, coords[t : t + 1])[0]),
-                witness=witness,
-                reason="rank deficiency at a sampled decomposable element",
-            )
-        if coords.shape[0]:
-            worst = min(worst, float(np.min(_rank_margins(CC, coords))))
-        done += b
-        batch_index += 1
-
-    return Verdict(
-        kind=VerdictKind.EMPIRICAL_PASS,
-        m=m,
-        samples=samples + det_coords.shape[0],
-        margin=worst,
-    )
+    return Verdict(kind=VerdictKind.EMPIRICAL_PASS, m=m, samples=samples + pool, margin=worst)
 
 
 def _extend_to_quadruple(d: int, m: int, wit: FailWitness) -> FailWitness:
@@ -389,24 +374,25 @@ def _extend_to_quadruple(d: int, m: int, wit: FailWitness) -> FailWitness:
         w_decomposable=wit.w_decomposable,
         v_factors=wit.v_factors,
         w_factors=wit.w_factors,
-        v_wedge=best_extension(wit.v) if wit.v is not None else None,
-        w_wedge=best_extension(wit.w) if wit.w is not None else None,
+        v_wedge=best_extension(wit.v),
+        w_wedge=best_extension(wit.w),
     )
 
 
 def _split_quadruple(d: int, m: int, wit: FailWitness) -> FailWitness:
-    """Turn a grade-(m+1) witness into a quadruple, splitting factors if known."""
-    v = w = None
-    v_f = w_f = None
-    if wit.v_factors is not None and m >= 1:
-        v_f = wit.v_factors[:, :m]
-        v = ExteriorVector(d, m, _wedge_batch(v_f[None])[0])
-    if wit.w_factors is not None and m >= 1:
-        w_f = wit.w_factors[:, :m]
-        w = ExteriorVector(d, m, _wedge_batch(w_f[None])[0])
-    if m == 0:
-        v = ExteriorVector(d, 0, [1.0])
-        w = ExteriorVector(d, 0, [1.0])
+    """Turn a grade-(m+1) witness into a quadruple: each grade-m part wedges
+    the first m factors (the scalar 1 at m = 0), and stays unknown where the
+    factors are."""
+
+    def lower(factors):
+        if m == 0:
+            return ExteriorVector(d, 0, [1.0]), None
+        if factors is None:
+            return None, None
+        f = factors[:, :m]
+        return ExteriorVector(d, m, _wedge_batch(f[None])[0]), f
+
+    (v, v_f), (w, w_f) = lower(wit.v_factors), lower(wit.w_factors)
     return FailWitness(
         m=m,
         v=v,
@@ -417,6 +403,13 @@ def _split_quadruple(d: int, m: int, wit: FailWitness) -> FailWitness:
         v_wedge=wit.v,
         w_wedge=wit.w,
     )
+
+
+def _pairings(CC: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """|<w_t | C_k v_t>| over the maps k, with v_t and w_t scaled to unit norm."""
+    vs = vs / np.linalg.norm(vs, axis=1)[:, None]
+    ws = ws / np.linalg.norm(ws, axis=1)[:, None]
+    return np.abs(np.einsum("tm,kmn,tn->tk", ws, CC, vs))
 
 
 def check_cs(
@@ -433,6 +426,7 @@ def check_cs(
     pair both grades above the tolerance.
     """
     d = fam.d
+    _check_tol(tol)
     s = float(s)
     if not 0 < s < d:
         raise ValueError(f"s must lie in (0, {d}), got {s}")
@@ -440,28 +434,25 @@ def check_cs(
         raise ValueError(f"s = {s} is an integer; condition C({int(s)}) is check_cm's job")
     m = int(math.floor(s))
 
-    for grade, tag in ((m, 1), ((m + 1), 2)):
+    for grade, tag, lift in ((m, 1, _extend_to_quadruple), (m + 1, 2, _split_quadruple)):
         sub = check_cm(fam, grade, samples=samples, tol=tol, seed=(seed, tag))
         if not sub.passed:
-            if grade == m:
-                witness = _extend_to_quadruple(d, m, sub.witness) if sub.witness else None
-            else:
-                witness = _split_quadruple(d, m, sub.witness) if sub.witness else None
             return Verdict(
                 kind=VerdictKind.FAIL,
                 m=m,
                 s=s,
                 samples=sub.samples,
                 margin=sub.margin,
-                witness=witness,
+                witness=lift(d, m, sub.witness),
                 reason=f"necessary condition C({grade}) fails: {sub.reason}",
             )
 
-    CC_lo = _normalized_compounds(fam, m) if m >= 1 else None
-    CC_hi = _normalized_compounds(fam, m + 1)
+    # at m = 0 the grade-0 blades and compounds are all [1], so the low
+    # pairing is identically 1 and only grade m + 1 decides
+    grades = (m, m + 1)
+    CCs = [_normalized_compounds(fam, g) for g in grades]
 
     worst = math.inf
-    worst_data = None
     done = 0
     batch_index = 0
     while done < samples:
@@ -469,53 +460,30 @@ def check_cs(
         rng = _rng_for(seed, batch_index)
         X = rng.standard_normal((b, d, m + 1))
         Y = rng.standard_normal((b, d, m + 1))
-        hi_v = _wedge_batch(X)
-        hi_w = _wedge_batch(Y)
-        nv, nw = np.linalg.norm(hi_v, axis=1), np.linalg.norm(hi_w, axis=1)
-        keep = (nv > 1e-12) & (nw > 1e-12)
-        if m >= 1:
-            lo_v = _wedge_batch(X[:, :, :m])
-            lo_w = _wedge_batch(Y[:, :, :m])
-            lv, lw = np.linalg.norm(lo_v, axis=1), np.linalg.norm(lo_w, axis=1)
-            keep &= (lv > 1e-12) & (lw > 1e-12)
-        X, Y, hi_v, hi_w = X[keep], Y[keep], hi_v[keep], hi_w[keep]
-        hi_v /= np.linalg.norm(hi_v, axis=1)[:, None]
-        hi_w /= np.linalg.norm(hi_w, axis=1)[:, None]
-        b_pair = np.abs(np.einsum("tm,kmn,tn->tk", hi_w, CC_hi, hi_v))
-        if m >= 1:
-            lo_v, lo_w = lo_v[keep], lo_w[keep]
-            lo_v /= np.linalg.norm(lo_v, axis=1)[:, None]
-            lo_w /= np.linalg.norm(lo_w, axis=1)[:, None]
-            a_pair = np.abs(np.einsum("tm,kmn,tn->tk", lo_w, CC_lo, lo_v))
-        else:
-            a_pair = np.ones_like(b_pair)
-        joint = np.max(np.minimum(a_pair, b_pair), axis=1)
-        if joint.size:
-            t = int(np.argmin(joint))
-            if joint[t] < worst:
-                worst = float(joint[t])
-                worst_data = (X[t], Y[t])
-            if worst <= tol:
-                Xt, Yt = worst_data
-                witness = FailWitness(
-                    m=m,
-                    v=ExteriorVector(d, m, _wedge_batch(Xt[None, :, :m])[0]) if m >= 1 else ExteriorVector(d, 0, [1.0]),
-                    w=ExteriorVector(d, m, _wedge_batch(Yt[None, :, :m])[0]) if m >= 1 else ExteriorVector(d, 0, [1.0]),
-                    w_decomposable=True,
-                    v_factors=Xt[:, :m] if m >= 1 else None,
-                    w_factors=Yt[:, :m] if m >= 1 else None,
-                    v_wedge=ExteriorVector(d, m + 1, _wedge_batch(Xt[None])[0]),
-                    w_wedge=ExteriorVector(d, m + 1, _wedge_batch(Yt[None])[0]),
-                )
-                return Verdict(
-                    kind=VerdictKind.FAIL,
-                    m=m,
-                    s=s,
-                    samples=done + joint.size,
-                    margin=worst,
-                    witness=witness,
-                    reason="no single map pairs both grades for a sampled quadruple",
-                )
+        vs = [_wedge_batch(X[:, :, :g]) for g in grades]
+        ws = [_wedge_batch(Y[:, :, :g]) for g in grades]
+        keep = np.all([np.linalg.norm(x, axis=1) > 1e-12 for x in vs + ws], axis=0)
+        pairs = [_pairings(CC, v[keep], w[keep]) for CC, v, w in zip(CCs, vs, ws)]
+        joint = np.max(np.minimum(*pairs), axis=1)
+        t = int(np.argmin(joint))
+        if joint[t] <= tol:
+            quad = FailWitness(
+                m=m + 1,
+                v=ExteriorVector(d, m + 1, vs[1][keep][t]),
+                w=ExteriorVector(d, m + 1, ws[1][keep][t]),
+                v_factors=X[keep][t],
+                w_factors=Y[keep][t],
+            )
+            return Verdict(
+                kind=VerdictKind.FAIL,
+                m=m,
+                s=s,
+                samples=done + joint.size,
+                margin=float(joint[t]),
+                witness=_split_quadruple(d, m, quad),
+                reason="no single map pairs both grades for a sampled quadruple",
+            )
+        worst = min(worst, float(joint[t]))
         done += b
         batch_index += 1
 
@@ -619,6 +587,7 @@ def criterion_cscm(F, G, tol: float = DEFAULT_TOL) -> CriterionReport:
     compared to tol after normalizing by sigma_max(A)^order, so the verdict
     does not depend on how eigenvectors are scaled.
     """
+    _check_tol(tol)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1] or F.shape != G.shape:

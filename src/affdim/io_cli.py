@@ -433,12 +433,11 @@ def _cmd_check_fs(args) -> int:
             (f"C({m})", check_cm(fam, m, samples=samples, tol=tol, seed=args.seed))
             for m in grades
         ]
-    elif float(args.s) == int(float(args.s)):
-        m = int(float(args.s))
+    elif args.s.is_integer():
+        m = int(args.s)
         verdicts = [(f"C({m})", check_cm(fam, m, samples=samples, tol=tol, seed=args.seed))]
     else:
-        s = float(args.s)
-        verdicts = [(f"C({s})", check_cs(fam, s, samples=samples, tol=tol, seed=args.seed))]
+        verdicts = [(f"C({args.s})", check_cs(fam, args.s, samples=samples, tol=tol, seed=args.seed))]
 
     for tag, v in verdicts:
         _print_verdict(tag, v)
@@ -562,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="test the spanning condition C(m) / C(s) for a family")
     p.add_argument("system", help="system JSON (path or literal text)")
     p.add_argument("--family", default=None, help="family label or index (default: first)")
-    p.add_argument("--s", default=None,
+    p.add_argument("--s", type=float, default=None,
                    help="grade to test; integer -> C(m), fractional -> C(s); "
                         "default: every integer grade")
     p.set_defaults(handler=_cmd_check_fs)
@@ -620,8 +619,10 @@ def cli(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+    for flag in ("threads", "depth", "grid"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            parser.error(f"argument --{flag}: must be at least 1, got {value}")
     try:
         return args.handler(args)
     except UnsupportedEigenstructure as exc:

@@ -20,13 +20,11 @@ rounding of s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SINGULARITY_RTOL",
-    "SingularSpectrum",
     "singular_values",
     "phi",
     "phi_from_singular_values",
@@ -36,33 +34,9 @@ __all__ = [
 SINGULARITY_RTOL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class SingularSpectrum:
-    """Descending positive singular values of a nonsingular matrix."""
-
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        sigma = np.array(self.sigma, dtype=float).reshape(-1)
-        if sigma.size == 0:
-            raise ValueError("empty spectrum")
-        if np.any(sigma <= 0):
-            raise ValueError(f"singular values must be positive, got {sigma}")
-        if np.any(np.diff(sigma) > 0):
-            raise ValueError(f"singular values must be nonincreasing, got {sigma}")
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def d(self) -> int:
-        return self.sigma.shape[0]
-
-    def phi(self, s: float) -> float:
-        return float(phi_from_singular_values(self.sigma, s))
-
-
-def singular_values(T) -> SingularSpectrum:
-    """Full singular spectrum of a square nonsingular matrix, descending.
+def singular_values(T) -> np.ndarray:
+    """Full singular spectrum of a square nonsingular matrix, as a read-only
+    descending array.
 
     Accuracy is that of LAPACK SVD: ~1e-10 relative for the small, decently
     conditioned (cond <= 1e8) matrices this package works with.  Inputs whose
@@ -79,7 +53,8 @@ def singular_values(T) -> SingularSpectrum:
             f"{np.array2string(sigma, precision=4)}, "
             f"|det| = {float(np.prod(sigma)):.3e} vs scale {float(sigma[0] ** len(sigma)):.3e}"
         )
-    return SingularSpectrum(sigma)
+    sigma.setflags(write=False)
+    return sigma
 
 
 def phi_from_singular_values(sigma, s: float):
@@ -107,4 +82,4 @@ def phi_from_singular_values(sigma, s: float):
 
 def phi(T, s: float) -> float:
     """phi_s of a nonsingular square matrix."""
-    return float(phi_from_singular_values(singular_values(T).sigma, s))
+    return float(phi_from_singular_values(singular_values(T), s))

@@ -246,6 +246,14 @@ class TestBoxDimension:
             with pytest.raises(ValueError, match="j_min"):
                 box_dimension(points, j_min, j_max)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # a nan cast to an int64 box key used to count as one more box
+        points = np.random.default_rng(0).uniform(size=(2000, 2))
+        points[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            box_dimension(points, 2, 6)
+
     def test_rejects_non_planar_input(self):
         with pytest.raises(ValueError, match="points"):
             box_dimension(np.zeros(2000), 2, 6)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from affdim import fs_checker
 from affdim import (
     LinearFamily,
     UnsupportedEigenstructure,
@@ -22,9 +23,10 @@ from affdim import (
     criterion_cscm,
     estimate_fullness,
     iterate_closure,
+    wedge,
 )
 
-from conftest import random_nonsingular
+from conftest import random_nonsingular, rng_for
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 UPPER_A = np.array([[0.9, 0.3], [0.0, 0.7]])
@@ -44,6 +46,12 @@ def annihilation_residual(fam, witness):
             / (scale * max(float(np.linalg.norm(img)) / v.norm(), 1e-300)),
         )
     return worst
+
+
+def generic_family():
+    """Four seeded Gaussian maps of R^3: C(1) holds, with margins spread out."""
+    rng = rng_for(0)
+    return LinearFamily.from_matrices([random_nonsingular(rng, 3) for _ in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +137,14 @@ class TestCheckCm:
 
     def test_cardinality_quick_reject(self, rng):
         mats = [random_nonsingular(rng, 4) for _ in range(5)]
-        verdict = check_cm(LinearFamily.from_matrices(mats), 2)
+        fam = LinearFamily.from_matrices(mats)
+        verdict = check_cm(fam, 2)
         assert verdict.kind is VerdictKind.FAIL
         assert "cardinality" in verdict.reason
+        # a cardinality fail scans the structured pool only and counts all of it
+        assert verdict.samples == len(fs_checker._candidate_factors(fam, 2))
+        assert verdict.margin == 0.0
+        assert annihilation_residual(fam, verdict.witness) < 1e-12
 
     def test_trivial_grades_certify(self):
         fam = LinearFamily.from_matrices([np.eye(3)])
@@ -184,6 +197,83 @@ class TestCheckCm:
         assert "Fail" in text and "m=1" in text
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # a negative or nan tol made every margin look healthy: the triangular
+    # pair passed C(1) and two equal maps passed the certificate
+    upper = LinearFamily.from_matrices([[[0.81, 0.27], [0.0, 0.63]], UPPER_B])
+    for run in (
+        lambda: check_cm(upper, 1, tol=tol),
+        lambda: check_cs(upper, 0.5, tol=tol),
+        lambda: criterion_cscm(TestCriterion.F, TestCriterion.F, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol"):
+            run()
+
+
+class TestCandidateScan:
+    """check_cm scores the structured pool, then each sampled batch, once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(fs_checker, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fs_checker, name, counted)
+        return calls
+
+    def test_pass_scores_each_batch_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "_rank_margins")
+        verdict = check_cm(LinearFamily.from_matrices([np.eye(2), ROT90]), 1, samples=3000)
+        assert verdict.kind is VerdictKind.EMPIRICAL_PASS
+        # the pool, then ceil(3000 / 1024) Gaussian batches
+        assert len(calls) == 1 + 3
+
+    def test_fail_builds_the_pool_once(self, monkeypatch):
+        generic = generic_family()
+        # tol at the worst margin of a clean run makes a sampled draw fail
+        worst = check_cm(generic, 1, samples=3000).margin
+        calls = self.count_calls(monkeypatch, "_candidate_factors")
+        cases = [
+            (LinearFamily.from_matrices([np.eye(2)]), fs_checker.DEFAULT_TOL, "cardinality"),
+            (LinearFamily.from_matrices([UPPER_A, UPPER_B]), fs_checker.DEFAULT_TOL, "structured"),
+            (generic, worst, "sampled"),
+        ]
+        for fam, tol, where in cases:
+            before = len(calls)
+            verdict = check_cm(fam, 1, samples=3000, tol=tol)
+            assert verdict.kind is VerdictKind.FAIL and where in verdict.reason
+            assert len(calls) == before + 1
+
+    def test_structured_fail_counts_the_pool(self):
+        # 2 coordinate blades plus the 2 real eigenvectors of each map
+        verdict = check_cm(LinearFamily.from_matrices([UPPER_A, UPPER_B]), 1, samples=5000)
+        assert verdict.reason == "rank deficiency at a structured candidate"
+        assert verdict.samples == 6
+
+    def test_sampled_fail_and_pass_count_draws(self):
+        fam = generic_family()
+        pool = len(fs_checker._candidate_factors(fam, 1))
+        clean = check_cm(fam, 1, samples=3000)
+        assert clean.kind is VerdictKind.EMPIRICAL_PASS
+        assert clean.samples == pool + 3000
+        # with tol at the worst margin, exactly the draw attaining it fails
+        hit = check_cm(fam, 1, samples=3000, tol=clean.margin)
+        assert hit.reason == "rank deficiency at a sampled decomposable element"
+        assert hit.margin == clean.margin
+        drawn = hit.samples - pool
+        assert 2048 < drawn <= 3000  # in the third batch
+        # the count is the number of draws up to and including the failing one
+        before = check_cm(fam, 1, samples=drawn - 1, tol=clean.margin)
+        assert before.kind is VerdictKind.EMPIRICAL_PASS
+        assert before.samples == pool + drawn - 1
+        assert check_cm(fam, 1, samples=drawn, tol=clean.margin).samples == hit.samples
+
+
 # ---------------------------------------------------------------------------
 # condition C(s) for fractional s
 
@@ -219,6 +309,34 @@ class TestCheckCs:
         verdict = check_cs(fam, 1.5, samples=200)
         assert verdict.kind is VerdictKind.FAIL
         assert "C(" in verdict.reason
+
+    def test_quadruple_stage_fail(self):
+        # both prefilters pass at tol 0.1, but a sampled quadruple finds no
+        # single map pairing both grades
+        rng = rng_for(14)
+        mats = [0.3 * np.eye(3) + 0.15 * rng.standard_normal((3, 3)) for _ in range(6)]
+        fam = LinearFamily.from_matrices(mats)
+        tol = 0.1
+        verdict = check_cs(fam, 1.5, samples=1000, tol=tol)
+        assert verdict.kind is VerdictKind.FAIL
+        assert verdict.reason == "no single map pairs both grades for a sampled quadruple"
+        assert verdict.margin <= tol
+        wit = verdict.witness
+        m = verdict.m
+        assert wit.v.m == m and wit.v_wedge.m == m + 1 and wit.w_wedge.m == m + 1
+        np.testing.assert_array_equal(wit.v.coords, wedge(list(wit.v_factors.T)).coords)
+        np.testing.assert_array_equal(wit.w.coords, wedge(list(wit.w_factors.T)).coords)
+
+        def pairing(S, x, y):
+            C = compound_matrix(S, x.m).entries
+            return abs(float(y.coords @ C @ x.coords)) / (
+                np.linalg.norm(C, 2) * x.norm() * y.norm()
+            )
+
+        joint = max(
+            min(pairing(S, wit.v, wit.w), pairing(S, wit.v_wedge, wit.w_wedge)) for S in fam
+        )
+        assert math.isclose(joint, verdict.margin, rel_tol=1e-9)
 
     def test_integer_s_is_rejected(self):
         fam = LinearFamily.from_matrices([np.eye(2), ROT90])

@@ -590,6 +590,63 @@ class TestCli:
         assert captured.out == ""
         assert "--threads" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["--depth", "0"], ["--depth", "-1"], ["--grid", "0"], ["--grid", "-1"],
+    ])
+    def test_depth_and_grid_below_one_exit_two(self, tmp_path, capsys, argv):
+        commands = ["pressure"] if argv[0] == "--grid" else ["pressure", "check-fs"]
+        for command in commands:
+            with pytest.raises(SystemExit) as info:
+                cli([command, doc_path(tmp_path, CERT_DOC)] + argv)
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert argv[0] in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
+        # both used to report a pass: the equal pair certified and the
+        # triangular pair passed C(1) with margin 0
+        equal = {
+            "d": 2,
+            "bounds": {"sigma_lo": 0.3, "sigma_hi": 0.4},
+            "families": [{"label": "equal", "maps": [{"T": [[0.4, 0.0], [0.0, 0.3]]}] * 2}],
+        }
+        upper = {
+            "d": 2,
+            "bounds": {"sigma_lo": 0.3, "sigma_hi": 0.95},
+            "families": [{"label": "up", "maps": [
+                {"T": [[0.81, 0.27], [0.0, 0.63]]}, {"T": [[0.6, -0.2], [0.0, 0.8]]},
+            ]}],
+        }
+        for argv in (["certify", doc_text(equal)], ["check-fs", doc_text(upper)]):
+            rc = cli(argv + ["--tol", tol])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert "tol" in captured.err
+
+    @pytest.mark.parametrize("s", ["inf", "nan"])
+    def test_non_finite_grade_exits_two(self, tmp_path, capsys, s):
+        rc = cli(["check-fs", doc_path(tmp_path, SPIN_DOC), "--s", s])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "s must lie in" in captured.err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_boxdim_rejects_non_finite_points(self, tmp_path, capsys, cell):
+        rows = np.random.default_rng(0).uniform(size=(2000, 2)).tolist()
+        lines = ["x1,x2"] + [f"{x!r},{y!r}" for x, y in rows]
+        lines[18] = f"{rows[17][0]!r},{cell}"
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("\n".join(lines) + "\n")
+        rc = cli(["boxdim", str(cloud)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_unknown_family_is_a_document_error(self, tmp_path, capsys):
         rc = cli(["check-fs", doc_path(tmp_path, CERT_DOC), "--family", "nope"])
         err = capsys.readouterr().err

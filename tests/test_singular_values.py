@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affdim.singular_values import (
-    SingularSpectrum,
-    phi,
-    phi_from_singular_values,
-    singular_values,
-)
+from affdim.singular_values import phi, phi_from_singular_values, singular_values
 from conftest import random_contraction, random_nonsingular, rng_for
 
 # ---------------------------------------------------------------------------
@@ -50,15 +45,16 @@ def spectrum_oracle(T: np.ndarray) -> np.ndarray:
 
 
 def test_diagonal_spectrum():
-    spec = singular_values(np.diag([0.5, 0.25]))
-    assert np.array_equal(spec.sigma, [0.5, 0.25])
+    sigma = singular_values(np.diag([0.5, 0.25]))
+    assert np.array_equal(sigma, [0.5, 0.25])
+    with pytest.raises(ValueError):
+        sigma[0] = 1.0  # read-only
 
 
 def test_rotation_spectrum():
     theta = 0.7
     R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    spec = singular_values(R)
-    assert np.allclose(spec.sigma, [1.0, 1.0], atol=1e-14)
+    assert np.allclose(singular_values(R), [1.0, 1.0], atol=1e-14)
 
 
 def test_singular_matrix_rejected():
@@ -77,7 +73,7 @@ def test_nonsquare_rejected():
 def test_spectrum_matches_charpoly_oracle(seed, d):
     rng = rng_for(seed)
     T = random_nonsingular(rng, d, cond_cap=1e4)
-    got = singular_values(T).sigma
+    got = singular_values(T)
     want = spectrum_oracle(T)
     assert np.allclose(got, want, rtol=1e-8, atol=1e-10 * want[0])
 
@@ -86,17 +82,8 @@ def test_spectrum_matches_charpoly_oracle(seed, d):
 def test_sigma_product_equals_abs_det(seed, d):
     rng = rng_for(seed)
     T = random_nonsingular(rng, d, cond_cap=1e5)
-    spec = singular_values(T)
     det = abs(float(np.linalg.det(T)))
-    assert math.isclose(float(np.prod(spec.sigma)), det, rel_tol=1e-10)
-
-
-def test_spectrum_type_validation():
-    SingularSpectrum(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, 2.0]))  # ascending
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, 0.0]))  # not strictly positive
+    assert math.isclose(float(np.prod(singular_values(T))), det, rel_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +151,7 @@ def test_phi_submultiplicative(seed, d):
 def test_phi_strictly_decreasing_for_contractions(seed, d):
     rng = rng_for(seed)
     T = random_contraction(rng, d, 0.15, 0.85)
-    sigma = singular_values(T).sigma
+    sigma = singular_values(T)
     vals = np.array([phi_from_singular_values(sigma, float(s)) for s in np.linspace(0.0, d + 1.0, 40)])
     assert np.all(np.diff(vals) < 0)
 
