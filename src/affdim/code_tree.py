@@ -737,7 +737,7 @@ def count_full_blocks(
             mats, _ = _expand_block(
                 current, 0, current.root_state, np.eye(current.d), np.zeros(current.d), n1, False
             )
-            fam = LinearFamily(current.d, tuple(mats))
+            fam = LinearFamily(current.d, mats)
             est = estimate_fullness(fam, s, sample_count=samples, seed=(seed, j))
             if est.c_hat > c:
                 count += 1

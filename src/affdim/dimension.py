@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code_tree import CodeTreeRealization, _map_words, enumerate_points, partition_sums
+from .fs_checker import _check_tol
 from .singular_values import phi_from_singular_values
 
 __all__ = [
@@ -122,6 +123,7 @@ def pressure_zero(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_tol(tol)
 
     # cache the word spectra once when affordable: bisection then costs
     # nothing beyond vector arithmetic

@@ -200,11 +200,15 @@ def _wedge_batch(factors: np.ndarray) -> np.ndarray:
 
     ``factors`` has shape (N, d, m), columns are the vectors to be wedged;
     the result has shape (N, C(d, m)) and row r of the selection table picks
-    the minor with rows J_r.
+    the minor with rows J_r.  This is the only place minors are computed.
     """
     N, d, m = factors.shape
     rows = _rows_array(d, m)
-    return np.linalg.det(factors[:, rows, :])
+    # chunk the batch so the (chunk, C(d, m), m, m) scratch block stays small
+    step = max(1, 2**22 // max(rows.shape[0] * m * m, 1))
+    if N <= step:  # det's own output layout: later row norms depend on it in the last bit
+        return np.linalg.det(factors[:, rows, :])
+    return np.concatenate([np.linalg.det(factors[lo : lo + step, rows, :]) for lo in range(0, N, step)])
 
 
 def wedge(vectors) -> ExteriorVector:
@@ -240,6 +244,18 @@ def _wedge_with_vector(v: ExteriorVector, x) -> ExteriorVector:
     return ExteriorVector(v.d, v.m + 1, coords)
 
 
+def _compounds(stack: np.ndarray, m: int) -> np.ndarray:
+    """m-th compounds of a (k, d, d) stack, shape (k, C(d, m), C(d, m)), in C
+    order (einsums over them depend on the layout in the last bit).  Column I
+    of a compound is the wedge of the columns I of its matrix.
+    """
+    k, d = stack.shape[:2]
+    cols = _rows_array(d, m)
+    n = cols.shape[0]
+    factors = stack[:, :, cols].transpose(0, 2, 1, 3).reshape(k * n, d, m)
+    return np.ascontiguousarray(_wedge_batch(factors).reshape(k, n, n).transpose(0, 2, 1))
+
+
 def compound_matrix(S, m: int) -> CompoundMatrix:
     """m-th compound of a square matrix: entry (J, I) is minor(S; rows J, cols I).
 
@@ -251,16 +267,4 @@ def compound_matrix(S, m: int) -> CompoundMatrix:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
     d = _require_dim(S.shape[0])
     m = _require_grade(d, m)
-    if m == 0:
-        return CompoundMatrix(d, 0, np.ones((1, 1)))
-    rows = _rows_array(d, m)
-    n = rows.shape[0]
-    entries = np.empty((n, n))
-    # chunk the row axis so the (chunk, n, m, m) scratch block stays small
-    step = max(1, int(2**22 // max(n * m * m, 1)))
-    C = rows[None, :, None, :]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        R = rows[lo:hi, None, :, None]
-        entries[lo:hi] = np.linalg.det(S[R, C])
-    return CompoundMatrix(d, m, entries)
+    return CompoundMatrix(d, m, _compounds(S[None], m)[0])

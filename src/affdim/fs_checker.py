@@ -4,7 +4,9 @@ A finite family {S_i} of nonsingular d x d matrices satisfies condition C(m)
 if for every pair of nonzero decomposable grade-m elements v, w some member
 pairs them nontrivially: <S_i v | w> != 0.  For non-integral s in (m, m+1)
 the condition C(s) additionally requires a *single* i to work simultaneously
-at grade m and grade m+1 for compatible extensions v ^ v', w ^ w'.
+at grade m and grade m+1 for compatible extensions v ^ v', w ^ w'.  A
+``LinearFamily`` keeps its maps as one read-only (k, d, d) stack, and
+closures, compounds, norms and eigenvectors are computed batched over it.
 
 Sampling can only falsify these conditions or support them empirically, so
 ``check_cm`` / ``check_cs`` return three-valued verdicts with normalized
@@ -38,12 +40,12 @@ import numpy as np
 
 from .exterior_algebra import (
     ExteriorVector,
+    _compounds,
     _wedge_batch,
     _wedge_with_vector,
     compound_matrix,
-    multi_indices,
 )
-from .singular_values import phi_from_singular_values, singular_values
+from .singular_values import _nonsingular_spectra, phi_from_singular_values
 
 __all__ = [
     "DEFAULT_TOL",
@@ -71,33 +73,25 @@ class UnsupportedEigenstructure(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LinearFamily:
-    """A finite indexed family of nonsingular d x d matrices."""
+    """A family of nonsingular d x d matrices, ``maps``: one read-only (k, d, d) array."""
 
     d: int
-    maps: tuple[np.ndarray, ...]
+    maps: np.ndarray
 
     def __post_init__(self):
-        if not self.maps:
+        maps = np.array(self.maps, dtype=float)
+        if maps.size == 0:
             raise ValueError("family must contain at least one map")
-        mats = []
-        for i, S in enumerate(self.maps):
-            S = np.array(S, dtype=float)
-            if S.shape != (self.d, self.d):
-                raise ValueError(f"maps[{i}] has shape {S.shape}, expected ({self.d}, {self.d})")
-            try:
-                singular_values(S)
-            except ValueError as exc:
-                raise ValueError(f"maps[{i}] is singular: {exc}") from exc
-            S.setflags(write=False)
-            mats.append(S)
-        object.__setattr__(self, "maps", tuple(mats))
+        if maps.shape[1:] != (self.d, self.d):
+            raise ValueError(f"maps has shape {maps.shape}, expected (k, {self.d}, {self.d})")
+        _nonsingular_spectra(maps, "maps")
+        maps.setflags(write=False)
+        object.__setattr__(self, "maps", maps)
 
     @classmethod
     def from_matrices(cls, mats) -> "LinearFamily":
-        mats = [np.asarray(S, dtype=float) for S in mats]
-        if not mats:
-            raise ValueError("family must contain at least one map")
-        return cls(mats[0].shape[0], tuple(mats))
+        mats = np.asarray(mats, dtype=float)
+        return cls(mats.shape[-1], mats)
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -168,12 +162,11 @@ def iterate_closure(fam: LinearFamily, depth: int, cap: int = 10**6) -> LinearFa
             f"closure would contain {total} maps, above the cap {cap}; "
             "lower the depth or raise the cap explicitly"
         )
-    out: list[np.ndarray] = list(fam.maps)
-    level = list(fam.maps)
+    # level j + 1 is every map times every level-j word: (k, L) -> k * L
+    levels = [fam.maps]
     for _ in range(2, depth + 1):
-        level = [A @ B for A in fam.maps for B in level]
-        out.extend(level)
-    return LinearFamily(fam.d, tuple(out))
+        levels.append((fam.maps[:, None] @ levels[-1][None]).reshape(-1, fam.d, fam.d))
+    return LinearFamily(fam.d, np.concatenate(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -182,35 +175,23 @@ def iterate_closure(fam: LinearFamily, depth: int, cap: int = 10**6) -> LinearFa
 
 def _normalized_compounds(fam: LinearFamily, m: int) -> np.ndarray:
     """Stack of grade-m compounds, each divided by its spectral norm."""
-    mats = []
-    for S in fam.maps:
-        C = compound_matrix(S, m).entries
-        mats.append(C / np.linalg.norm(C, 2))
-    return np.stack(mats)
-
-
-def _real_eigvectors(S: np.ndarray) -> np.ndarray:
-    """Unit real eigenvectors of S, one column per real eigenvalue."""
-    lam, vec = np.linalg.eig(S)
-    scale = float(np.max(np.abs(lam))) or 1.0
-    keep = np.abs(lam.imag) <= 1e-9 * scale
-    cols = vec[:, keep].real
-    norms = np.linalg.norm(cols, axis=0)
-    good = norms > 1e-12
-    return cols[:, good] / norms[good]
+    C = _compounds(fam.maps, m)
+    return C / np.linalg.norm(C, 2, axis=(1, 2))[:, None, None]
 
 
 def _candidate_factors(fam: LinearFamily, m: int) -> list[np.ndarray]:
     """Deterministic decomposable candidates: coordinate blades, then wedges
-    of each map's real eigenvectors."""
+    of each map's unit real eigenvectors."""
     d = fam.d
     eye = np.eye(d)
     out = [eye[:, list(c)] for c in itertools.combinations(range(d), m)]
-    for S in fam.maps:
-        vecs = _real_eigvectors(S)
-        if vecs.shape[1] >= m:
-            for c in itertools.combinations(range(vecs.shape[1]), m):
-                out.append(vecs[:, list(c)])
+    lam, vec = np.linalg.eig(fam.maps)
+    real = np.abs(lam.imag) <= 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
+    for keep, V in zip(real, vec):
+        cols = V[:, keep].real
+        norms = np.linalg.norm(cols, axis=0)
+        vecs = cols[:, norms > 1e-12] / norms[norms > 1e-12]
+        out.extend(vecs[:, list(c)] for c in itertools.combinations(range(vecs.shape[1]), m))
     return out
 
 
@@ -697,13 +678,12 @@ def estimate_fullness(
         raise ValueError("sample_count must be positive")
     s = float(s)
     d = fam.d
-    maps = np.stack(fam.maps)
     c_hat = math.inf
     worst = None
     for t in range(sample_count):
         rng = _rng_for(seed, t)
         U, V = _fullness_pair(rng, d, t)
-        prods = np.einsum("ij,kjl,lm->kim", U, maps, V)
+        prods = np.einsum("ij,kjl,lm->kim", U, fam.maps, V)
         sv = np.linalg.svd(prods, compute_uv=False)
         total = float(np.sum(phi_from_singular_values(sv, s)))
         denom = float(

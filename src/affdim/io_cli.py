@@ -393,20 +393,17 @@ def _float_cell(x) -> str:
     return repr(float(x))
 
 
-def _print_verdict(tag: str, v: Verdict) -> None:
-    sys.stdout.write(f"{tag}: {v}\n")
+def _verdict_text(tag: str, v: Verdict) -> str:
+    lines = [f"{tag}: {v}"]
     wit = v.witness
     if wit is not None:
-        if wit.v is not None:
-            sys.stdout.write(f"  witness v = {[float(x) for x in wit.v.coords]}\n")
-        if wit.w is not None:
-            sys.stdout.write(f"  witness w = {[float(x) for x in wit.w.coords]}\n")
-        if wit.v_wedge is not None:
-            sys.stdout.write(f"  witness v_wedge = {[float(x) for x in wit.v_wedge.coords]}\n")
-        if wit.w_wedge is not None:
-            sys.stdout.write(f"  witness w_wedge = {[float(x) for x in wit.w_wedge.coords]}\n")
+        for name in ("v", "w", "v_wedge", "w_wedge"):
+            x = getattr(wit, name)
+            if x is not None:
+                lines.append(f"  witness {name} = {[float(c) for c in x.coords]}")
         if not wit.w_decomposable:
-            sys.stdout.write("  (w is a rank-deficiency direction, not necessarily a blade)\n")
+            lines.append("  (w is a rank-deficiency direction, not necessarily a blade)")
+    return "".join(line + "\n" for line in lines)
 
 
 def _linear_family(spec: SystemSpec, key, depth: int) -> LinearFamily:
@@ -439,8 +436,7 @@ def _cmd_check_fs(args) -> int:
     else:
         verdicts = [(f"C({args.s})", check_cs(fam, args.s, samples=samples, tol=tol, seed=args.seed))]
 
-    for tag, v in verdicts:
-        _print_verdict(tag, v)
+    _emit("".join(_verdict_text(tag, v) for tag, v in verdicts), args.out)
     return 0 if all(v.passed for _, v in verdicts) else 1
 
 
@@ -623,6 +619,10 @@ def cli(argv=None) -> int:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             parser.error(f"argument --{flag}: must be at least 1, got {value}")
+    for flag in ("s_min", "s_max"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"argument --{flag.replace('_', '-')}: must be finite, got {value}")
     try:
         return args.handler(args)
     except UnsupportedEigenstructure as exc:

@@ -34,6 +34,25 @@ __all__ = [
 SINGULARITY_RTOL = 1e-14
 
 
+def _nonsingular_spectra(stack: np.ndarray, name: str | None = None) -> np.ndarray:
+    """Descending singular spectra of a (k, d, d) stack, from one batched SVD.
+
+    The first map whose prod(sigma_i / sigma_1) is at most ``SINGULARITY_RTOL``
+    is rejected; with a ``name`` the error calls it ``name[i]``.
+    """
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    top = sigma[:, :1]
+    ratio = np.divide(sigma, top, out=np.zeros_like(sigma), where=top > 0)
+    bad = np.flatnonzero(np.prod(ratio, axis=1) <= SINGULARITY_RTOL)
+    if bad.size:
+        i, sv = int(bad[0]), sigma[bad[0]]
+        msg = (f"matrix is numerically singular: singular values {np.array2string(sv, precision=4)}, "
+               f"|det| = {float(np.prod(sv)):.3e} vs scale {float(sv[0] ** len(sv)):.3e}")
+        raise ValueError(msg if name is None else f"{name}[{i}] is singular: {msg}")
+    sigma.setflags(write=False)
+    return sigma
+
+
 def singular_values(T) -> np.ndarray:
     """Full singular spectrum of a square nonsingular matrix, as a read-only
     descending array.
@@ -46,15 +65,7 @@ def singular_values(T) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    sigma = np.linalg.svd(T, compute_uv=False)
-    if sigma[0] <= 0 or float(np.prod(sigma / sigma[0])) <= SINGULARITY_RTOL:
-        raise ValueError(
-            "matrix is numerically singular: singular values "
-            f"{np.array2string(sigma, precision=4)}, "
-            f"|det| = {float(np.prod(sigma)):.3e} vs scale {float(sigma[0] ** len(sigma)):.3e}"
-        )
-    sigma.setflags(write=False)
-    return sigma
+    return _nonsingular_spectra(T[None])[0]
 
 
 def phi_from_singular_values(sigma, s: float):

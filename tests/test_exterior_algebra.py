@@ -18,6 +18,7 @@ from affdim.exterior_algebra import (
     CompoundMatrix,
     ExteriorVector,
     MultiIndex,
+    _wedge_batch,
     compound_matrix,
     multi_indices,
     wedge,
@@ -156,6 +157,16 @@ def test_compound_identity_and_scalars():
     S = rng_for(5).standard_normal((3, 3))
     assert np.allclose(compound_matrix(S, 3).entries, [[np.linalg.det(S)]], rtol=1e-12)
     assert np.array_equal(compound_matrix(S, 0).entries, [[1.0]])
+
+
+def test_wedge_batch_chunks_match_single_wedges():
+    # d = 12, m = 6: each factor stack needs 924 * 36 scratch entries, so a
+    # batch of 200 splits into two chunks under the 2**22 bound
+    factors = rng_for(12).standard_normal((200, 12, 6))
+    got = _wedge_batch(factors)
+    assert got.shape == (200, math.comb(12, 6))
+    for t in (0, 125, 126, 199):
+        assert np.array_equal(got[t], _wedge_batch(factors[t : t + 1])[0])
 
 
 def test_compound_of_diagonal():

@@ -70,6 +70,10 @@ class TestLinearFamily:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
             LinearFamily.from_matrices([np.array([[1.0, 0.0], [0.0, 0.0]])])
+        # the first singular map of the stack is the one named
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(ValueError, match=r"^maps\[2\] is singular: matrix is numerically singular"):
+            LinearFamily.from_matrices([np.eye(2), ROT90, singular, np.zeros((2, 2))])
 
     def test_len_and_iter(self):
         fam = LinearFamily.from_matrices([np.eye(2), ROT90])
@@ -77,7 +81,11 @@ class TestLinearFamily:
         assert all(M.shape == (2, 2) for M in fam)
 
     def test_maps_are_read_only(self):
-        fam = LinearFamily.from_matrices([np.eye(2)])
+        mats = [np.eye(2), ROT90, UPPER_A]
+        fam = LinearFamily.from_matrices(mats)
+        assert fam.maps.shape == (3, 2, 2) and fam.maps.dtype == float
+        assert np.array_equal(fam.maps, np.stack(mats))
+        assert not fam.maps.flags.writeable
         with pytest.raises(ValueError):
             fam.maps[0][0, 0] = 5.0
 
@@ -110,6 +118,35 @@ class TestIterateClosure:
         fam = LinearFamily.from_matrices([UPPER_A, UPPER_B])
         with pytest.raises(ValueError, match="cap"):
             iterate_closure(fam, 4, cap=10)
+
+    @pytest.mark.parametrize("d, k, depth", [(1, 3, 4), (2, 2, 6), (3, 3, 4), (4, 1, 5)])
+    def test_matches_the_nested_list_fold(self, d, k, depth):
+        # reference: level j + 1 is [A @ B for A in maps for B in level j]
+        rng = rng_for(d * 100 + k)
+        maps = [random_nonsingular(rng, d) for _ in range(k)]
+        out, level = list(maps), list(maps)
+        for _ in range(2, depth + 1):
+            level = [A @ B for A in maps for B in level]
+            out.extend(level)
+        clo = iterate_closure(LinearFamily.from_matrices(maps), depth)
+        assert np.array_equal(clo.maps, np.stack(out))
+
+
+# ---------------------------------------------------------------------------
+# normalized compounds
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_normalized_compounds_match_the_per_map_form(d):
+    rng = rng_for(d)
+    fam = LinearFamily.from_matrices([random_nonsingular(rng, d) for _ in range(7)])
+    for m in range(d + 1):
+        ref = []
+        for S in fam.maps:
+            C = compound_matrix(S, m).entries
+            ref.append(C / np.linalg.norm(C, 2))
+        got = fs_checker._normalized_compounds(fam, m)
+        assert np.array_equal(got, np.stack(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -619,12 +619,34 @@ class TestCli:
                 {"T": [[0.81, 0.27], [0.0, 0.63]]}, {"T": [[0.6, -0.2], [0.0, 0.8]]},
             ]}],
         }
-        for argv in (["certify", doc_text(equal)], ["check-fs", doc_text(upper)]):
+        for argv in (["certify", doc_text(equal)], ["check-fs", doc_text(upper)],
+                     ["dim", doc_text(equal)]):
             rc = cli(argv + ["--tol", tol])
             captured = capsys.readouterr()
             assert rc == 2
             assert captured.out == ""
             assert "tol" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--s-min", "--s-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_pressure_range_exits_two(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            cli(["pressure", doc_path(tmp_path, THIRDS_DOC), f"{flag}={value}", "--grid", "3"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be finite" in captured.err
+        assert "RuntimeWarning" not in captured.err
+
+    def test_check_fs_out_writes_the_verdicts(self, tmp_path, capsys):
+        system = doc_path(tmp_path, IDENTITY_DOC)
+        rc = cli(["check-fs", system])
+        printed = capsys.readouterr().out
+        target = tmp_path / "verdicts.txt"
+        assert cli(["check-fs", system, "--out", str(target)]) == rc == 1
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.encode()
+        assert "witness v" in printed
 
     @pytest.mark.parametrize("s", ["inf", "nan"])
     def test_non_finite_grade_exits_two(self, tmp_path, capsys, s):
