@@ -24,7 +24,9 @@ each block is expanded, its singular spectra are taken in one batched SVD,
 and a caller's reduction is applied per block.  Partition sums S(k, s)
 (the sum over level-k words of phi_s of the composed linear part), the
 weighted cylinder points and the pressure zero-finder's spectrum cache are
-all such reductions.  Block results come back in word order and are
+all such reductions.  Spectra are taken only when the reduction needs them:
+the cylinder points at s = 0 carry uniform weights (phi_0 is 1), so they
+run no SVD.  Block results come back in word order and are
 combined in that fixed order, so results are bit-identical no matter how
 many worker threads are used.
 """
@@ -561,12 +563,15 @@ def _blocks(tree, k, limit):
     return out
 
 
-def _map_words(tree, k, reduce, threads=1, want_points=False, cap=ENUMERATION_CAP):
+def _map_words(
+    tree, k, reduce, threads=1, want_points=False, want_spectra=True, cap=ENUMERATION_CAP
+):
     """``reduce(spectra, points)`` of every block of level-k words, in word order.
 
     ``spectra`` holds the singular values of the block's composed linear
-    parts, one descending row per word; ``points`` holds the words' points
-    f_word(0), or is None unless ``want_points``.  Blocks are reduced as they
+    parts, one descending row per word, or is None unless ``want_spectra``;
+    ``points`` holds the words' points f_word(0), or is None unless
+    ``want_points``.  Blocks are reduced as they
     are expanded, so at most ``threads`` blocks are expanded at a time.
     """
     if not 1 <= k <= tree.depth:
@@ -581,7 +586,8 @@ def _map_words(tree, k, reduce, threads=1, want_points=False, cap=ENUMERATION_CA
     def work(block):
         lev, st, mat, pt = block
         mats, points = _expand_block(tree, lev, st, mat, pt, k, want_points)
-        return reduce(np.linalg.svd(mats, compute_uv=False), points)
+        spectra = np.linalg.svd(mats, compute_uv=False) if want_spectra else None
+        return reduce(spectra, points)
 
     blocks = _blocks(tree, k, _BLOCK_LIMIT)
     if threads <= 1 or len(blocks) <= 1:
@@ -660,13 +666,19 @@ def enumerate_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All level-k cylinder points f_word(0) with normalized phi_s weights.
 
+    At s = 0 the weights are uniform (phi_0 is 1) and no spectra are taken.
     Raises ValueError when the phi_s weights underflow: their sum must be
     positive and finite to be normalized.
     """
     s = float(s)
+    uniform = s == 0.0
+
+    def weigh(spectra, points):
+        w = np.ones(points.shape[0]) if uniform else phi_from_singular_values(spectra, s)
+        return points, w
+
     parts = _map_words(
-        tree, k, lambda spectra, points: (points, phi_from_singular_values(spectra, s)),
-        threads, want_points=True, cap=cap,
+        tree, k, weigh, threads, want_points=True, want_spectra=not uniform, cap=cap
     )
     points = np.concatenate([p for p, _ in parts], axis=0)
     weights = np.concatenate([w for _, w in parts])

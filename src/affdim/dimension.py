@@ -167,6 +167,15 @@ def pressure_zero(
     return PressureZeroResult(float(mid), (float(lo), float(hi)), float(p_mid), iterations, flag)
 
 
+def _distinct_rows(keys: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, d) integer array, sorted."""
+    keys = keys[np.lexsort(keys.T)]
+    fresh = np.empty(keys.shape[0], dtype=bool)
+    fresh[0] = True
+    np.any(keys[1:] != keys[:-1], axis=1, out=fresh[1:])
+    return keys[fresh]
+
+
 @dataclass(frozen=True, eq=False)
 class BoxCountFit:
     estimate: float
@@ -190,6 +199,15 @@ def box_dimension(points, j_min: int, j_max: int) -> BoxCountFit:
 
     N counts occupied boxes of the grid of side 2^-j anchored at the origin.
     Needs at least 1000 points and a nondegenerate cloud.
+
+    The boxes nest: x * 2^j is exact in binary floating point, so the int64
+    box key floor(x * 2^j) equals floor(x * 2^j_max) >> (j_max - j), negative
+    coordinates included.  The keys are therefore built and deduplicated once
+    at j_max, and each coarser scale shifts the previous scale's distinct
+    boxes right by one bit and deduplicates those.  Every finest key must fit
+    in int64, i.e. max |coordinate| * 2^j_max < 2^63; a larger ``j_max`` is
+    rejected with the largest usable one, since one overflowed key would
+    corrupt every scale.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -203,11 +221,20 @@ def box_dimension(points, j_min: int, j_max: int) -> BoxCountFit:
         raise ValueError(f"need 1 <= j_min < j_max, got ({j_min}, {j_max})")
     if float(np.max(np.ptp(points, axis=0))) == 0.0:
         raise ValueError("degenerate point cloud: all points identical")
+    # max |x| = m * 2^e with 1/2 <= m < 1, so |x| * 2^j < 2^63 iff j <= 63 - e
+    j_top = 63 - math.frexp(float(np.max(np.abs(points))))[1]
+    if j_max > j_top:
+        raise ValueError(
+            f"j_max = {j_max} overflows the int64 box keys of this cloud: "
+            f"max |coordinate| * 2^j_max must stay below 2^63, so j_max can be at most {j_top}"
+        )
     js = list(range(j_min, j_max + 1))
-    counts = []
-    for j in js:
-        keys = np.floor(points * float(2**j)).astype(np.int64)
-        counts.append(int(np.unique(keys, axis=0).shape[0]))
+    boxes = _distinct_rows(np.floor(np.ldexp(points, j_max)).astype(np.int64))
+    counts = [boxes.shape[0]]
+    for _ in range(j_max - j_min):
+        boxes = _distinct_rows(boxes >> 1)
+        counts.append(boxes.shape[0])
+    counts.reverse()
     x = np.array(js, dtype=float) * math.log(2.0)
     y = np.log(np.array(counts, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)

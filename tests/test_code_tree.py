@@ -33,6 +33,8 @@ from affdim import (
     shift_first_neck,
 )
 
+from affdim import code_tree
+
 from conftest import random_contraction
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -584,6 +586,30 @@ class TestEnumeratePoints:
         p1, w1 = enumerate_points(tree, 17, s=0.63, threads=1)
         p4, w4 = enumerate_points(tree, 17, s=0.63, threads=4)
         assert np.array_equal(p1, p4) and np.array_equal(w1, w4)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_uniform_weights_take_no_svd(self, monkeypatch, threads):
+        # phi_0 is 1, so s = 0 needs no spectra; s = 1.3 takes one SVD per block
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**4)
+        tree = deterministic_tree(corner_family(), 7)
+        blocks = len(code_tree._blocks(tree, 7, code_tree._BLOCK_LIMIT))
+        assert blocks == 27
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        points, weights = enumerate_points(tree, 7, 0.0, threads=threads)
+        assert calls == []
+        n = 3**7
+        assert points.shape == (n, 2)
+        assert weights.tobytes() == np.full(n, 1 / n).tobytes()
+        _, weights = enumerate_points(tree, 7, 1.3, threads=threads)
+        assert len(calls) == blocks
+        assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
 
     def test_level_must_be_realized(self):
         tree = deterministic_tree(thirds_family(), 2)

@@ -13,6 +13,7 @@ import pytest
 
 from affdim import (
     AffineMap,
+    BoxCountFit,
     HypothesisViolation,
     IfsFamily,
     PressureCurve,
@@ -206,6 +207,35 @@ class TestPressureZero:
 # box counting
 
 
+def per_scale_fit(points, j_min, j_max):
+    """The box count with one np.unique per scale, kept as the reference."""
+    js = list(range(j_min, j_max + 1))
+    counts = [
+        int(np.unique(np.floor(points * float(2**j)).astype(np.int64), axis=0).shape[0])
+        for j in js
+    ]
+    x = np.array(js, dtype=float) * math.log(2.0)
+    y = np.log(np.array(counts, dtype=float))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    stderr = math.sqrt(
+        float(np.sum(resid**2)) / max(len(js) - 2, 1) / float(np.sum((x - x.mean()) ** 2))
+    )
+    return BoxCountFit(
+        estimate=float(slope),
+        slope_stderr=stderr,
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        scales=tuple(js),
+        counts=tuple(counts),
+    )
+
+
+def assert_same_fit(got, want):
+    for field in ("estimate", "slope_stderr", "residual_rms", "scales", "counts"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert all(type(c) is int for c in got.counts)
+
+
 class TestBoxDimension:
     def test_planar_grid_has_dimension_two(self):
         xs = np.arange(64) / 64.0
@@ -262,6 +292,31 @@ class TestBoxDimension:
         points = np.random.default_rng(1).uniform(size=(3000, 2))
         payload = box_dimension(points, 2, 6).to_json_dict()
         json.dumps(payload, allow_nan=False)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("j_min, j_max", [(1, 9), (2, 3), (5, 6), (1, 20)])
+    def test_matches_per_scale_unique(self, d, j_min, j_max):
+        # signed coordinates, a shifted copy that straddles zero, and repeats
+        rng = np.random.default_rng(np.random.SeedSequence([31, d]))
+        cloud = rng.normal(scale=2.0, size=(1500, d))
+        points = np.concatenate([cloud, cloud[:400], cloud[:300] - 0.75, -cloud[:200]])
+        rng.shuffle(points)
+        assert np.any(points < 0)
+        assert_same_fit(box_dimension(points, j_min, j_max), per_scale_fit(points, j_min, j_max))
+
+    def test_matches_per_scale_unique_on_the_corner_cloud(self):
+        points, _ = enumerate_points(corner_tree(9), 9)
+        for j_min, j_max in ((1, 12), (2, 9), (7, 8)):
+            assert_same_fit(box_dimension(points, j_min, j_max), per_scale_fit(points, j_min, j_max))
+
+    def test_rejects_scales_that_overflow_int64_keys(self):
+        # max |x| = 2.5 = 0.625 * 2^2, so x * 2^j fits in int64 up to j = 61
+        points = np.random.default_rng(2).uniform(-2.0, 2.0, size=(2000, 2))
+        points[5, 0] = -2.5
+        assert_same_fit(box_dimension(points, 59, 61), per_scale_fit(points, 59, 61))
+        for j_max in (62, 70, 2000):
+            with pytest.raises(ValueError, match="j_max can be at most 61"):
+                box_dimension(points, 2, j_max)
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,27 @@ class TestCli:
         assert rc == 0
         assert 1.2 <= json.loads(out)["estimate"] <= 1.7
 
+        # dim's box estimate is reproduced bit for bit from the written cloud
+        assert cli(["dim", system, "--depth", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        scales = report["box_scales"]
+        rc = cli(["boxdim", cloud, "--j-min", str(scales[0]), "--j-max", str(scales[-1])])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["estimate"] == report["box_estimate"]
+
+    def test_overflowing_box_scales_exit_two(self, tmp_path, capsys):
+        # floor(x * 2^70) does not fit in int64: the counts used to collapse
+        # from 6561 to 18 above j = 63 behind a numpy RuntimeWarning
+        system = doc_path(tmp_path, CORNER_DOC)
+        cloud = str(tmp_path / "cloud.csv")
+        assert cli(["points", system, "--depth", "8", "--out", cloud]) == 0
+        for argv in (["boxdim", cloud, "--j-min", "2"], ["dim", system, "--depth", "8"]):
+            rc = cli(argv + ["--j-max", "70"])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert "j_max can be at most 63" in captured.err
+
     def test_points_bytes_stable_across_threads(self, tmp_path):
         system = doc_path(tmp_path, CORNER_DOC)
         outs = []
