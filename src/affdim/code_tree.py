@@ -20,27 +20,28 @@ one level down to a chosen child per row.  Exact enumeration expands every
 child (``_expand_block``), the Monte Carlo estimator one random child per
 row.  Full enumeration runs through one block map, ``_map_words``: the
 level-k words are split, in lexicographic word order, into bounded blocks;
-each block is expanded, its singular spectra are taken in one batched SVD,
-and a caller's reduction is applied per block.  Partition sums S(k, s)
-(the sum over level-k words of phi_s of the composed linear part), the
-weighted cylinder points and the pressure zero-finder's spectrum cache are
-all such reductions.  Spectra are taken only when the reduction needs them:
-the cylinder points at s = 0 carry uniform weights (phi_0 is 1), so they
-run no SVD.  Block results come back in word order and are
-combined in that fixed order, so results are bit-identical no matter how
-many worker threads are used.
+each block is expanded, the logs of its singular spectra are taken after
+one batched SVD, and a caller's reduction is applied per block.  The log
+partition sums log S(k, s) (S sums phi_s of the composed linear parts over
+the level-k words), the weighted cylinder points and the pressure
+zero-finder's cache are such reductions, all in log form over
+``singular_values._log_phi``, so values far below the smallest double stay
+finite.  The points at s = 0 carry uniform weights (phi_0 is 1) and run no
+SVD.  Block results are folded in word order, so results are bit-identical
+no matter how many worker threads are used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fs_checker import LinearFamily, estimate_fullness
-from .singular_values import phi_from_singular_values, singular_values
+from .singular_values import _log_phi, singular_values
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -563,16 +564,36 @@ def _blocks(tree, k, limit):
     return out
 
 
+def _log_spectra(mats, k):
+    """Log singular values of level-k products, one descending row each; a zero
+    one can only be an underflow (the maps are nonsingular) and is refused."""
+    sigma = np.linalg.svd(mats, compute_uv=False)
+    if not np.all(sigma[:, -1] > 0.0):
+        raise ValueError(f"the linear part of a level-{k} word underflowed to a singular matrix")
+    return np.log(sigma)
+
+
+def _log_sums(log_sigma, s_values):
+    """Per s, log sum of phi_s over the rows, one max-shifted log-sum-exp at a time."""
+    out = np.empty(len(s_values))
+    for i, s in enumerate(s_values):
+        log_phi = _log_phi(log_sigma, s)
+        top = np.max(log_phi)
+        out[i] = top + np.log(np.sum(np.exp(log_phi - top)))
+    return out
+
+
+_fold = functools.partial(functools.reduce, np.logaddexp)  # block log sums, in word order
+
+
 def _map_words(
     tree, k, reduce, threads=1, want_points=False, want_spectra=True, cap=ENUMERATION_CAP
 ):
-    """``reduce(spectra, points)`` of every block of level-k words, in word order.
+    """``reduce(log_sigma, points)`` of every block of level-k words, in word order.
 
-    ``spectra`` holds the singular values of the block's composed linear
-    parts, one descending row per word, or is None unless ``want_spectra``;
-    ``points`` holds the words' points f_word(0), or is None unless
-    ``want_points``.  Blocks are reduced as they
-    are expanded, so at most ``threads`` blocks are expanded at a time.
+    ``log_sigma`` is ``_log_spectra`` of the block's composed linear parts (None
+    unless ``want_spectra``), ``points`` the words' points f_word(0) (None unless
+    ``want_points``).  At most ``threads`` blocks are expanded at a time.
     """
     if not 1 <= k <= tree.depth:
         raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
@@ -586,8 +607,7 @@ def _map_words(
     def work(block):
         lev, st, mat, pt = block
         mats, points = _expand_block(tree, lev, st, mat, pt, k, want_points)
-        spectra = np.linalg.svd(mats, compute_uv=False) if want_spectra else None
-        return reduce(spectra, points)
+        return reduce(_log_spectra(mats, k) if want_spectra else None, points)
 
     blocks = _blocks(tree, k, _BLOCK_LIMIT)
     if threads <= 1 or len(blocks) <= 1:
@@ -603,22 +623,15 @@ def partition_sums(
     cap: int = ENUMERATION_CAP,
     threads: int = 1,
 ) -> np.ndarray:
-    """S(k, s) for every s in ``s_values`` in one streamed enumeration.
+    """log S(k, s) for every s in ``s_values`` in one streamed enumeration.
 
     S(k, s) is the sum over level-k words of phi_s of the composed linear
-    part; the empty level k = 0 sums to 1.
+    part (1 at the empty level k = 0); its log is finite however small S is.
     """
     s_values = [float(s) for s in s_values]
     if k == 0:
-        return np.ones(len(s_values))
-
-    def block_sums(spectra, _):
-        return np.array([float(np.sum(phi_from_singular_values(spectra, s))) for s in s_values])
-
-    out = np.zeros(len(s_values))
-    for part in _map_words(tree, k, block_sums, threads, cap=cap):
-        out += part  # fixed order, independent of scheduling
-    return out
+        return np.zeros(len(s_values))
+    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values), threads, cap=cap))
 
 
 def partition_sum_mc(
@@ -650,8 +663,7 @@ def partition_sum_mc(
         pick = np.floor(rng.random(samples) * sz).astype(np.intp)
         logw += np.log(sz)
         states, mats, _ = _advance(tbl, states, mats, None, rows, pick)
-    sv = np.linalg.svd(mats, compute_uv=False)
-    vals = phi_from_singular_values(sv, float(s)) * np.exp(logw)
+    vals = np.exp(_log_phi(_log_spectra(mats, k), s)) * np.exp(logw)
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return est, err
@@ -667,27 +679,22 @@ def enumerate_points(
     """All level-k cylinder points f_word(0) with normalized phi_s weights.
 
     At s = 0 the weights are uniform (phi_0 is 1) and no spectra are taken.
-    Raises ValueError when the phi_s weights underflow: their sum must be
-    positive and finite to be normalized.
+    Weights are normalized from exp(log phi_s - max), whose largest entry is 1.
     """
     s = float(s)
     uniform = s == 0.0
 
-    def weigh(spectra, points):
-        w = np.ones(points.shape[0]) if uniform else phi_from_singular_values(spectra, s)
-        return points, w
+    def weigh(log_sigma, points):
+        return points, np.zeros(len(points)) if uniform else _log_phi(log_sigma, s)
 
-    parts = _map_words(
-        tree, k, weigh, threads, want_points=True, want_spectra=not uniform, cap=cap
-    )
+    parts = _map_words(tree, k, weigh, threads, want_points=True, want_spectra=not uniform, cap=cap)
     points = np.concatenate([p for p, _ in parts], axis=0)
-    weights = np.concatenate([w for _, w in parts])
-    total = np.sum(weights)
-    if not (np.isfinite(total) and total > 0.0):
-        raise ValueError(
-            f"phi_{s:g} weights of the level-{k} cylinders underflowed: their sum is {total}"
-        )
-    return points, weights / total
+    log_w = np.concatenate([w for _, w in parts])
+    top = np.max(log_w)
+    if not np.isfinite(top):
+        raise ValueError(f"log phi_{s:g} of the level-{k} words is not finite: {top}")
+    weights = np.exp(log_w - top)
+    return points, weights / np.sum(weights)
 
 
 def sample_measure_points(

@@ -2,7 +2,8 @@
 
 The finite-level pressure p_k(s) = log S(k, s) / k is strictly decreasing in
 s for a tree of strict contractions, so its zero is found by doubling out a
-bracket and bisecting.  Under the standard hypotheses (all singular values in
+bracket and bisecting; both read log S(k, s) from the log-domain word sums of
+``code_tree``.  Under the standard hypotheses (all singular values in
 (0, 1/2)) the attractor dimension equals min(s0, d) for typical translation
 assignments, which the box-counting estimate of an enumerated cylinder cloud
 is expected to reproduce; a large disagreement is flagged as a possibly
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_tree import CodeTreeRealization, _map_words, enumerate_points, partition_sums
+from .code_tree import (CodeTreeRealization, _fold, _log_sums, _map_words, enumerate_points,
+                        partition_sums)
 from .fs_checker import _check_tol
-from .singular_values import phi_from_singular_values
 
 __all__ = [
     "HypothesisViolation",
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 _MONOTONE_TOL = 1e-10
-# pressure_zero keeps every word's spectrum in memory up to this many words
+# pressure_zero keeps every word's log spectrum in memory up to this many words
 _SPECTRUM_CACHE_WORDS = 10**6
 
 
@@ -59,12 +60,10 @@ class PressureCurve:
             raise ValueError("grid, values and diagnostics must be equal-length vectors")
         if np.any(np.diff(s) <= 0):
             raise ValueError("s grid must be strictly increasing")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(diag))):
-            bad = float(s[~(np.isfinite(p) & np.isfinite(diag))][0])
-            raise ValueError(
-                f"pressure is not finite at s = {bad!r}: the partition sum underflowed "
-                "to 0 in double precision"
-            )
+        finite = np.isfinite(p) & np.isfinite(diag)
+        if not finite.all():
+            raise ValueError(f"pressure is not finite at s = {float(s[~finite][0])!r}: "
+                             "log phi_s of a word underflowed past the double range")
         if np.any(np.diff(p) > _MONOTONE_TOL):
             raise ValueError(
                 "pressure values are not decreasing along the grid; "
@@ -88,13 +87,9 @@ def pressure_curve(
     if k < 1:
         raise ValueError("k must be >= 1")
     k_half = max(1, k // 2)
-    S = partition_sums(tree, k, s_grid, threads=threads)
-    S_half = partition_sums(tree, k_half, s_grid, threads=threads)
-    # an underflowed sum gives a non-finite p, which PressureCurve rejects
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.log(S) / k
-        p_half = np.log(S_half) / k_half
-        diagnostic = np.abs(p - p_half)
+    p = partition_sums(tree, k, s_grid, threads=threads) / k
+    p_half = partition_sums(tree, k_half, s_grid, threads=threads) / k_half
+    diagnostic = np.abs(p - p_half)
     return PressureCurve(s=s_grid, p=p, k=k, k_half=k_half, diagnostic=diagnostic)
 
 
@@ -125,18 +120,15 @@ def pressure_zero(
         raise ValueError("k must be >= 1")
     _check_tol(tol)
 
-    # cache the word spectra once when affordable: bisection then costs
-    # nothing beyond vector arithmetic
+    # per-block log spectra when affordable, folded exactly as a streamed pass
     cache = None
     if tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
-        cache = np.concatenate(
-            _map_words(tree, k, lambda spectra, _: spectra, threads), axis=0
-        )
+        cache = _map_words(tree, k, lambda log_sigma, _: log_sigma, threads)
 
     def p(s: float) -> float:
         if cache is not None:
-            return math.log(float(np.sum(phi_from_singular_values(cache, s)))) / k
-        return float(np.log(partition_sums(tree, k, [s], threads=threads))[0]) / k
+            return float(_fold([_log_sums(block, [s]) for block in cache])[0]) / k
+        return float(partition_sums(tree, k, [s], threads=threads)[0]) / k
 
     p0 = p(0.0)
     if p0 <= 0.0:

@@ -63,7 +63,6 @@ from .code_tree import (
     GraphLabel,
     GraphSystem,
     IfsFamily,
-    build_code_tree,
     detect_necks,
     deterministic_tree,
     enumerate_points,
@@ -389,8 +388,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _float_cell(x) -> str:
-    return repr(float(x))
+def _csv_text(header: str, columns) -> str:
+    """The header, then one row per line, each cell the ``repr`` of its number."""
+    rows = np.column_stack(columns)
+    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
 
 
 def _verdict_text(tag: str, v: Verdict) -> str:
@@ -463,10 +464,7 @@ def _cmd_pressure(args) -> int:
     grid = np.linspace(args.s_min, s_max, args.grid)
     tree = deterministic_tree(fam, depth)
     curve = pressure_curve(tree, grid, k, threads=args.threads)
-    lines = ["s,p,diag"]
-    for s, p, diag in zip(curve.s, curve.p, curve.diagnostic):
-        lines.append(f"{_float_cell(s)},{_float_cell(p)},{_float_cell(diag)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv_text("s,p,diag", (curve.s, curve.p, curve.diagnostic)), args.out)
     return 0
 
 
@@ -505,8 +503,7 @@ def _cmd_simulate(args) -> int:
         f"necks realized: {len(necks)}\n"
         + (f"mean gap: {float(np.mean(gaps))!r}\n" if len(gaps) else "")
     )
-    lines = ["index,gap"] + [f"{i + 1},{int(gap)}" for i, gap in enumerate(gaps)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv_text("index,gap", (np.arange(1, len(gaps) + 1), gaps)), args.out)
     return 0
 
 
@@ -517,10 +514,7 @@ def _cmd_points(args) -> int:
     tree = deterministic_tree(fam, depth)
     points, weights = enumerate_points(tree, depth, args.s, threads=args.threads)
     header = ",".join(f"x{i + 1}" for i in range(spec.d)) + ",weight"
-    lines = [header]
-    for row, w in zip(points, weights):
-        lines.append(",".join(_float_cell(x) for x in row) + f",{_float_cell(w)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv_text(header, (points, weights)), args.out)
     return 0
 
 

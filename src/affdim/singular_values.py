@@ -14,7 +14,10 @@ s_d^(s-d+1) fails submultiplicativity because the smallest singular value is
 supermultiplicative: sd(TU) >= sd(T) sd(U)).  Both continuations agree at
 s = d, so phi stays continuous.  At integer s both one-sided branches agree;
 we evaluate the left limit so the branch never flips under floating point
-rounding of s.
+rounding of s.  One kernel, ``_log_phi``, evaluates log phi_s from log
+spectra: ``phi_from_singular_values`` exponentiates it, and the word sums of
+``code_tree`` reduce it in log form, where phi_s far below the smallest
+double stays finite.
 """
 
 from __future__ import annotations
@@ -68,27 +71,29 @@ def singular_values(T) -> np.ndarray:
     return _nonsingular_spectra(T[None])[0]
 
 
+def _log_phi(log_sigma: np.ndarray, s: float) -> np.ndarray:
+    """log phi_s, shape (...), from log spectra of shape (..., d), each row the
+    logs of a descending positive spectrum."""
+    d = log_sigma.shape[-1]
+    s = float(s)
+    if not s >= 0:
+        raise ValueError(f"exponent must be nonnegative, got {s}")
+    if s >= d:
+        return (s / d) * np.sum(log_sigma, axis=-1)
+    if s == math.floor(s):
+        # integer grade: plain product of the top s values (left limit)
+        return np.sum(log_sigma[..., : int(s)], axis=-1)
+    m = math.floor(s) + 1
+    return np.sum(log_sigma[..., : m - 1], axis=-1) + (s - m + 1) * log_sigma[..., m - 1]
+
+
 def phi_from_singular_values(sigma, s: float):
     """Vectorized phi_s over trailing-axis spectra.
 
     ``sigma`` has shape (..., d), each row descending positive; returns the
     interpolated singular value product with shape (...).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    d = sigma.shape[-1]
-    s = float(s)
-    if not s >= 0:
-        raise ValueError(f"exponent must be nonnegative, got {s}")
-    logs = np.log(sigma)
-    if s >= d:
-        out = (s / d) * np.sum(logs, axis=-1)
-    elif s == math.floor(s):
-        # integer grade: plain product of the top s values (left limit)
-        out = np.sum(logs[..., : int(s)], axis=-1)
-    else:
-        m = math.floor(s) + 1
-        out = np.sum(logs[..., : m - 1], axis=-1) + (s - m + 1) * logs[..., m - 1]
-    return np.exp(out)
+    return np.exp(_log_phi(np.log(np.asarray(sigma, dtype=float)), s))
 
 
 def phi(T, s: float) -> float:

@@ -302,14 +302,14 @@ class TestCompose:
         tree = deterministic_tree(thirds_family(), 2)
         points, _ = enumerate_points(tree, 1)
         np.testing.assert_array_equal(points, [[0.0], [2.0 / 3.0]])
-        assert math.isclose(partition_sums(tree, 1, [1.0])[0], 2.0 / 3.0)
+        assert math.isclose(partition_sums(tree, 1, [1.0])[0], math.log(2.0 / 3.0))
 
     def test_cantor_endpoints(self):
         tree = deterministic_tree(thirds_family(), 2)
         points, _ = enumerate_points(tree, 2)
         assert math.isclose(points[word_index((1, 1), 2), 0], 8.0 / 9.0)
         # all four words compose to |T| = 1/9
-        assert math.isclose(partition_sums(tree, 2, [1.0])[0], 4.0 / 9.0)
+        assert math.isclose(partition_sums(tree, 2, [1.0])[0], math.log(4.0 / 9.0))
 
     def test_scaled_rotation_powers(self):
         theta = 0.3
@@ -327,7 +327,7 @@ class TestCompose:
         np.testing.assert_allclose(points[0], x_ref, atol=1e-14)
         # (0.8 R)^5 has both singular values 0.8^5
         np.testing.assert_allclose(
-            partition_sums(tree, 5, [1.0, 2.0]), [0.8**5, 0.8**10], rtol=1e-12
+            partition_sums(tree, 5, [1.0, 2.0]), np.log([0.8**5, 0.8**10]), rtol=1e-12
         )
 
     def test_fold_oracle(self, rng):
@@ -352,7 +352,7 @@ class TestCompose:
             sigma = np.linalg.svd(T_ref, compute_uv=False)
             phis.append(sigma[0] * math.sqrt(sigma[1]))
         np.testing.assert_allclose(weights, np.array(phis) / sum(phis), rtol=1e-12)
-        assert partition_sums(tree, 4, [s])[0] == pytest.approx(sum(phis), rel=1e-12)
+        assert partition_sums(tree, 4, [s])[0] == pytest.approx(math.log(sum(phis)), rel=1e-12)
 
     def test_invalid_words(self):
         tree = deterministic_tree(thirds_family(), 2)
@@ -397,7 +397,7 @@ class TestBuildCodeTree:
         assert tree.state_at((0,)) == 1
         assert tree.family_at((0,)).label == "b@v2"
         # the one level-4 word is (0, 0, 0, 0); at s = 1 its sum is |T|
-        assert math.isclose(partition_sums(tree, 4, [1.0])[0], 0.5 * 0.25 * 0.5 * 0.25)
+        assert math.isclose(partition_sums(tree, 4, [1.0])[0], math.log(0.5 * 0.25 * 0.5 * 0.25))
         points, weights = enumerate_points(tree, 4)
         # fold 0 through b@v2, a@v1, b@v2, a@v1
         assert math.isclose(points[0, 0], 0.5 * (0.25 * (0.5 * 0.3) + 0.3))
@@ -467,7 +467,7 @@ class TestShiftFirstNeck:
 class TestPartitionSums:
     def test_cantor_closed_form(self):
         tree = deterministic_tree(thirds_family(), 4)
-        assert partition_sums(tree, 4, [1.0])[0] == pytest.approx(16.0 / 81.0, rel=1e-12)
+        assert partition_sums(tree, 4, [1.0])[0] == pytest.approx(math.log(16.0 / 81.0), rel=1e-12)
 
     def test_fractional_closed_form(self):
         T = np.diag([0.4, 0.2])
@@ -476,17 +476,17 @@ class TestPartitionSums:
         )
         tree = deterministic_tree(fam, 2)
         expected = (3.0 * 0.4 * math.sqrt(0.2)) ** 2
-        assert partition_sums(tree, 2, [1.5])[0] == pytest.approx(expected, rel=1e-12)
+        assert partition_sums(tree, 2, [1.5])[0] == pytest.approx(math.log(expected), rel=1e-12)
         assert expected == pytest.approx(0.288, rel=1e-12)
 
     def test_s_zero_counts_words(self):
         tree = deterministic_tree(corner_family(), 3)
         for k in (1, 2, 3):
-            assert partition_sums(tree, k, [0.0])[0] == pytest.approx(3.0**k, rel=1e-12)
+            assert partition_sums(tree, k, [0.0])[0] == pytest.approx(k * math.log(3.0), rel=1e-12)
 
     def test_level_zero_is_one(self):
         tree = deterministic_tree(thirds_family(), 2)
-        assert partition_sums(tree, 0, [1.7])[0] == 1.0
+        assert partition_sums(tree, 0, [1.7])[0] == 0.0
 
     def test_vectorized_matches_scalar(self):
         tree = deterministic_tree(corner_family(), 3)
@@ -506,9 +506,9 @@ class TestPartitionSums:
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 6)
         for s in (0.7, 1.5, 2.3):
-            S = {k: partition_sums(tree, k, [s])[0] for k in range(1, 7)}
+            log_S = {k: partition_sums(tree, k, [s])[0] for k in range(1, 7)}
             for j, k in ((1, 4), (2, 3), (3, 3), (2, 4)):
-                assert S[j + k] <= S[j] * S[k] * (1 + 1e-9)
+                assert log_S[j + k] <= log_S[j] + log_S[k] + math.log1p(1e-9)
 
     def test_threads_do_not_change_the_result(self):
         tree = deterministic_tree(thirds_family(), 17)
@@ -516,6 +516,17 @@ class TestPartitionSums:
         one = partition_sums(tree, 17, grid, threads=1)
         four = partition_sums(tree, 17, grid, threads=4)
         assert np.array_equal(one, four)
+
+    def test_one_dimensional_oracle_below_the_smallest_double(self):
+        # for d = 1, S(k, s) = (sum_i |t_i|^s)^k exactly; at s = 20 and k = 10
+        # that is about 1e-340, below the smallest double
+        t = [0.01, -0.02, 0.005]
+        fam = IfsFamily("line", tuple(AffineMap([[x]], c) for c, x in enumerate(t)))
+        tree = deterministic_tree(fam, 10)
+        grid = np.linspace(0.0, 20.0, 41)
+        oracle = [10 * math.log(sum(abs(x) ** s for x in t)) for s in grid]
+        assert math.exp(oracle[-1]) == 0.0
+        np.testing.assert_allclose(partition_sums(tree, 10, grid), oracle, rtol=1e-12)
 
     def test_cap_exceeded_points_to_monte_carlo(self):
         tree = deterministic_tree(corner_family(), 4)
@@ -528,13 +539,13 @@ class TestPartitionSumMc:
         tree = deterministic_tree(thirds_family(), 6)
         est, err = partition_sum_mc(tree, 6, 1.0, samples=500, seed=0)
         assert err == 0.0
-        assert est == pytest.approx(partition_sums(tree, 6, [1.0])[0], rel=1e-12)
+        assert math.log(est) == pytest.approx(partition_sums(tree, 6, [1.0])[0], rel=1e-12)
 
     def test_agrees_within_four_stderr(self, rng):
         mats = [random_contraction(rng, 2, 0.2, 0.45) for _ in range(3)]
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 5)
-        exact = partition_sums(tree, 5, [1.2])[0]
+        exact = math.exp(partition_sums(tree, 5, [1.2])[0])
         est, err = partition_sum_mc(tree, 5, 1.2, samples=20_000, seed=1)
         assert err > 0.0
         assert abs(est - exact) <= 4 * err
@@ -616,11 +627,18 @@ class TestEnumeratePoints:
         with pytest.raises(ValueError, match="k must"):
             enumerate_points(tree, 3)
 
-    def test_underflowing_weights_are_refused(self):
+    def test_weights_below_the_smallest_double_are_normalized(self):
+        # phi_200 of every level-3 word is 1e-1800; the largest log weight sets the scale
         fam = IfsFamily("tiny", tuple(AffineMap([[0.001]], c) for c in range(2)))
         tree = deterministic_tree(fam, 3)
-        with pytest.raises(ValueError, match="underflowed"):
-            enumerate_points(tree, 3, s=200.0)
+        _, weights = enumerate_points(tree, 3, s=200.0)
+        assert weights.tolist() == [1.0 / 8.0] * 8
+        mixed = IfsFamily("mixed", (AffineMap([[0.001]], 0), AffineMap([[0.002]], 1)))
+        _, weights = enumerate_points(deterministic_tree(mixed, 3), 3, s=200.0)
+        # word weights are proportional to 2^(200 * number of 0.002 letters)
+        ones = np.array([bin(i).count("1") for i in range(8)])
+        expected = np.exp(200.0 * math.log(2.0) * (ones - 3))
+        np.testing.assert_allclose(weights, expected / expected.sum(), rtol=1e-12)
 
 
 class TestSampleMeasurePoints:

@@ -16,9 +16,13 @@ from affdim import (
     SystemSpecError,
     bind_translations,
     cli,
+    deterministic_tree,
+    enumerate_points,
     parse_system,
+    pressure_curve,
     serialize_system,
 )
+from affdim import io_cli
 
 from conftest import random_contraction
 
@@ -114,7 +118,7 @@ GRAPH_DOC = {
     },
 }
 
-# two 1-D maps so strong that phi_s of a deep word underflows double precision
+# two 1-D maps so strong that phi_s of a deep word lies far below the smallest double
 TINY_DOC = {
     "d": 1,
     "bounds": {"sigma_lo": 0.001, "sigma_hi": 0.001},
@@ -566,6 +570,27 @@ class TestCli:
             assert captured.out == ""
             assert "j_max can be at most 63" in captured.err
 
+    def test_csv_writer_matches_the_per_cell_formula(self, tmp_path, capsys):
+        # every cell is repr(float(x)), as the per-cell writer wrote it
+        def per_cell(header, rows):
+            lines = [header] + [",".join(repr(float(x)) for x in row) for row in rows]
+            return "\n".join(lines) + "\n"
+
+        spec = parse_system(json.dumps(CORNER_DOC))
+        tree = deterministic_tree(spec.family(None), 5)
+        points, weights = enumerate_points(tree, 5, 1.3)
+        assert cli(["points", doc_path(tmp_path, CORNER_DOC), "--depth", "5", "--s", "1.3"]) == 0
+        expected = per_cell("x1,x2,weight", np.column_stack([points, weights]))
+        assert capsys.readouterr().out == expected
+
+        curve = pressure_curve(deterministic_tree(spec.family(None), 6), np.linspace(0, 2, 9), 6)
+        assert cli(["pressure", doc_path(tmp_path, CORNER_DOC), "--grid", "9"]) == 0
+        expected = per_cell("s,p,diag", zip(curve.s, curve.p, curve.diagnostic))
+        assert capsys.readouterr().out == expected
+
+        odd = np.array([[-0.0, 5e-324, 1e300], [0.1, -2.5, 1e-7], [3.0, np.nextafter(1.0, 2.0), -1e22]])
+        assert io_cli._csv_text("a,b,c", (odd[:, :2], odd[:, 2])) == per_cell("a,b,c", odd)
+
     def test_points_bytes_stable_across_threads(self, tmp_path):
         system = doc_path(tmp_path, CORNER_DOC)
         outs = []
@@ -586,21 +611,54 @@ class TestCli:
             outs.append(open(target, "rb").read())
         assert outs[0] == outs[1]
 
-    def test_pressure_underflow_is_an_error(self, tmp_path, capsys):
-        # S(12, s) = 2^12 * 0.001^(12 s) is below the smallest double for s >= 20
+    def test_pressure_below_the_smallest_double(self, tmp_path, capsys):
+        # S(12, s) = 2^12 * 0.001^(12 s) is below the smallest double for s >= 20,
+        # yet p(s) = log 2 - 3 s log 10 is an ordinary number
         rc = cli(["pressure", doc_path(tmp_path, TINY_DOC), "--k", "12",
                   "--s-min", "20", "--s-max", "40"])
         captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert "underflow" in captured.err
+        assert rc == 0
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert len(rows) == 21
+        for s, p, _ in rows:
+            expected = math.log(2.0) - 3.0 * float(s) * math.log(10.0)
+            assert float(p) == pytest.approx(expected, rel=1e-12)
+        assert float(rows[0][1]) == pytest.approx(math.log(2.0) - 60.0 * math.log(10.0), rel=1e-12)
 
-    def test_points_weight_underflow_is_an_error(self, tmp_path, capsys):
+    def test_points_weights_below_the_smallest_double(self, tmp_path, capsys):
+        # every level-3 word has phi_200 = 1e-1800, so the weights are uniform
         rc = cli(["points", doc_path(tmp_path, TINY_DOC), "--depth", "3", "--s", "200"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        weights = [float(line.split(",")[-1]) for line in captured.out.splitlines()[1:]]
+        assert weights == [1.0 / 8.0] * 8
+
+    @pytest.mark.parametrize("argv", [["pressure", "--k", "120", "--grid", "3"],
+                                      ["points", "--depth", "120", "--s", "1.5"]])
+    def test_underflowed_composed_matrix_exits_two(self, tmp_path, capsys, argv):
+        # diag(0.3, 0.001)^120 has a second singular value of 1e-360, which is 0.0
+        # in double precision: the word's matrix itself is singular
+        flat = {
+            "d": 2,
+            "bounds": {"sigma_lo": 0.001, "sigma_hi": 0.3},
+            "families": [{"label": "flat", "maps": [{"T": [[0.3, 0.0], [0.0, 0.001]]}]}],
+            "translations": {"0": [0.1, 0.2]},
+        }
+        rc = cli(argv[:1] + [doc_path(tmp_path, flat)] + argv[1:])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert "underflow" in captured.err
+        assert "level-120 word underflowed to a singular matrix" in captured.err
+        assert "Warning" not in captured.err
+
+    def test_points_with_infinite_exponent_exits_two(self, tmp_path, capsys):
+        rc = cli(["points", doc_path(tmp_path, TINY_DOC), "--depth", "3", "--s", "inf"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "not finite" in captured.err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affdim.singular_values import phi, phi_from_singular_values, singular_values
@@ -137,6 +137,7 @@ def test_phi_continuous_at_integers(seed, d):
 
 
 @given(st.integers(0, 10**6), st.integers(1, 5))
+@example(seed=496, d=4)
 def test_phi_submultiplicative(seed, d):
     rng = rng_for(seed)
     A = random_nonsingular(rng, d, cond_cap=1e4)
@@ -144,7 +145,13 @@ def test_phi_submultiplicative(seed, d):
     for s in np.linspace(0.0, d + 1.0, 21):
         lhs = phi(A @ B, float(s))
         rhs = phi(A, float(s)) * phi(B, float(s))
-        assert lhs <= rhs * (1.0 + 1e-12), s
+        if s < d:
+            assert lhs <= rhs * (1.0 + 1e-12), s
+        else:
+            # phi_s = |det|^(s/d) is multiplicative here, and the rounding of
+            # A @ B alone can exceed 1e-12: check the identity to the spectrum
+            # accuracy singular_values documents, raised to the power s/d
+            assert abs(lhs - rhs) <= 1e-10 * (s / d) * rhs, s
 
 
 @given(st.integers(0, 10**6), st.integers(1, 4))
