@@ -34,9 +34,10 @@ no matter how many worker threads are used.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,12 +81,15 @@ class AffineMap:
     formula) is enforced where it matters: at tree construction and in
     ``dimension_report``.  The translation ``a`` defaults to zero; distinct
     translation classes mark entries of the translation vector that must be
-    drawn independently when an assignment is sampled.
+    drawn independently when an assignment is sampled.  ``sigma`` is the
+    read-only descending singular spectrum of T, taken once by the
+    construction gate.
     """
 
     T: np.ndarray
     translation_class: int = 0
     a: np.ndarray | None = None
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         T = np.array(self.T, dtype=float)
@@ -107,6 +111,7 @@ class AffineMap:
         a.setflags(write=False)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "translation_class", int(self.translation_class))
 
     @property
@@ -114,10 +119,10 @@ class AffineMap:
         return self.T.shape[0]
 
     def sigma_max(self) -> float:
-        return float(np.linalg.norm(self.T, 2))
+        return float(self.sigma[0])
 
     def sigma_min(self) -> float:
-        return float(np.linalg.svd(self.T, compute_uv=False)[-1])
+        return float(self.sigma[-1])
 
     def with_translation(self, a) -> "AffineMap":
         return AffineMap(self.T, self.translation_class, a)
@@ -215,13 +220,14 @@ class GraphSystem:
                 d = e.map.d if d is None else d
                 if e.map.d != d:
                     raise ValueError("graph labels mix ambient dimensions")
-            if g.prob > 0:
-                covered = {e.source for e in g.edges}
-                missing = set(range(1, self.V + 1)) - covered
-                if missing:
-                    raise ValueError(
-                        f"labels[{li}] ({g.name!r}) has no outgoing edge from vertices {sorted(missing)}"
-                    )
+            covered = {e.source for e in g.edges}
+            if g.prob > 0 and len(covered) < self.V:
+                first = list(itertools.islice(
+                    (v for v in range(1, self.V + 1) if v not in covered), 5))
+                raise ValueError(
+                    f"labels[{li}] ({g.name!r}) has no outgoing edge from "
+                    f"{self.V - len(covered)} of the {self.V} vertices, first {first}"
+                )
         if not self.neck_label_indices():
             raise ValueError(
                 "no positive-probability label returns every edge to the root vertex; "
@@ -399,18 +405,13 @@ class CodeTreeRealization:
 
 
 def deterministic_tree(family: IfsFamily, depth: int) -> CodeTreeRealization:
-    """The constant code tree: one label everywhere, every level is a neck."""
+    """The constant code tree, one label everywhere and every level a neck: the
+    tree of a one-vertex graph whose one label loops every map back to the root."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _require_contractions(family.maps, f"family {family.label!r}")
-    table = _LevelTable((family,), ((0,) * family.size,))
-    return CodeTreeRealization(
-        d=family.d,
-        depth=depth,
-        levels=(table,) * depth,
-        root_state=0,
-        necks=tuple(range(1, depth + 1)),
-    )
+    loop = GraphLabel(family.label, 1.0, tuple(GraphEdge(1, 1, m) for m in family.maps))
+    return build_code_tree(GraphSystem(1, 1, (loop,)), np.zeros(depth))
 
 
 def _require_contractions(maps, what: str) -> None:
@@ -579,6 +580,8 @@ def _log_sums(log_sigma, s_values):
     for i, s in enumerate(s_values):
         log_phi = _log_phi(log_sigma, s)
         top = np.max(log_phi)
+        if top == -np.inf:
+            raise ValueError(f"log phi_s at s = {s!r} overflows the double range")
         out[i] = top + np.log(np.sum(np.exp(log_phi - top)))
     return out
 
@@ -692,7 +695,8 @@ def enumerate_points(
     log_w = np.concatenate([w for _, w in parts])
     top = np.max(log_w)
     if not np.isfinite(top):
-        raise ValueError(f"log phi_{s:g} of the level-{k} words is not finite: {top}")
+        raise ValueError(f"log phi_s at s = {s!r} of the level-{k} words is not finite: "
+                         "it overflows the double range")
     weights = np.exp(log_w - top)
     return points, weights / np.sum(weights)
 

@@ -51,7 +51,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import jsonschema
 import numpy as np
@@ -108,6 +109,10 @@ class SystemSpec:
 
     ``translations`` is None until vectors are bound (explicitly in the file
     or via :func:`bind_translations`); maps then carry their bound ``a``.
+    ``doc`` is the canonical document the spec was built from: float
+    matrices, an explicit translation class per map, translations keyed by
+    class in class order, and edges by map index.  Serialization writes it
+    and equality compares it.
     """
 
     d: int
@@ -115,6 +120,7 @@ class SystemSpec:
     bounds: tuple[float, float]
     translations: dict[int, np.ndarray] | None = None
     graph: GraphSystem | None = None
+    doc: dict | None = field(default=None, repr=False)
 
     @property
     def bound(self) -> bool:
@@ -140,27 +146,7 @@ class SystemSpec:
     def __eq__(self, other):
         if not isinstance(other, SystemSpec):
             return NotImplemented
-        if self.d != other.d or tuple(self.bounds) != tuple(other.bounds):
-            return False
-        if self.families != other.families:
-            return False
-        if (self.translations is None) != (other.translations is None):
-            return False
-        if self.translations is not None:
-            if set(self.translations) != set(other.translations):
-                return False
-            if any(
-                not np.array_equal(self.translations[c], other.translations[c])
-                for c in self.translations
-            ):
-                return False
-        if (self.graph is None) != (other.graph is None):
-            return False
-        if self.graph is not None:
-            a, b = self.graph, other.graph
-            if (a.V, a.v0) != (b.V, b.v0) or a.labels != b.labels:
-                return False
-        return True
+        return self.doc == other.doc
 
     __hash__ = None
 
@@ -178,11 +164,15 @@ def _json_path(parts) -> str:
     return out or "(document)"
 
 
-def _as_matrix(raw, d: int, where: str) -> np.ndarray:
-    T = np.array(raw, dtype=float)
-    if T.shape != (d, d):
-        raise SystemSpecError(where, f"expected a {d}x{d} row-major matrix, got shape {T.shape}")
-    return T
+def _numbers(raw, where: str) -> np.ndarray:
+    """``raw`` as a float array, every entry a finite double."""
+    try:
+        x = np.array(raw, dtype=float)
+    except OverflowError:
+        raise SystemSpecError(where, "a number lies outside the double range") from None
+    if not np.all(np.isfinite(x)):
+        raise SystemSpecError(where, f"numbers must be finite, got {raw!r}")
+    return x
 
 
 def parse_system(source) -> SystemSpec:
@@ -199,34 +189,35 @@ def parse_system(source) -> SystemSpec:
         text = open(os.fspath(source), "r", encoding="utf-8").read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SystemSpecError("(document)", f"not valid JSON: {exc}") from exc
 
     validator = jsonschema.Draft202012Validator(_schema())
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path)))
     if errors:
-        e = errors[0]
-        raise SystemSpecError(_json_path(e.absolute_path), e.message)
+        raise SystemSpecError(_json_path(errors[0].absolute_path), errors[0].message)
+    return _build(doc)
 
+
+def _build(doc: dict) -> SystemSpec:
+    """The spec of a schema-valid document, with its canonical form as ``doc``."""
     d = int(doc["d"])
-    lo = float(doc["bounds"]["sigma_lo"])
-    hi = float(doc["bounds"]["sigma_hi"])
+    lo, hi = (float(_numbers(doc["bounds"][b], f"bounds.{b}")) for b in ("sigma_lo", "sigma_hi"))
     if not lo <= hi:
         raise SystemSpecError("bounds", f"sigma_lo = {lo!r} exceeds sigma_hi = {hi!r}")
+    canon: dict = {"d": d, "bounds": {"sigma_lo": lo, "sigma_hi": hi}, "families": []}
 
     translations = None
     if "translations" in doc:
         translations = {}
         for key, vec in doc["translations"].items():
-            a = np.array(vec, dtype=float)
+            a = _numbers(vec, f"translations.{key}")
             if a.shape != (d,):
                 raise SystemSpecError(f"translations.{key}", f"expected a vector in R^{d}, got shape {a.shape}")
             a.setflags(write=False)
             translations[int(key)] = a
 
-    families = []
-    labels_seen = set()
-    classes_used = set()
+    families, labels_seen, classes_used = [], set(), set()
     for i, fdoc in enumerate(doc["families"]):
         label = fdoc["label"]
         if label in labels_seen:
@@ -235,18 +226,19 @@ def parse_system(source) -> SystemSpec:
         maps = []
         for j, mdoc in enumerate(fdoc["maps"]):
             where = f"families[{i}].maps[{j}]"
-            T = _as_matrix(mdoc["T"], d, where + ".T")
+            T = _numbers(mdoc["T"], where + ".T")
+            if T.shape != (d, d):
+                raise SystemSpecError(
+                    where + ".T", f"expected a {d}x{d} row-major matrix, got shape {T.shape}"
+                )
             cls = int(mdoc.get("translation_class", j))
             classes_used.add(cls)
-            a = None
-            if translations is not None:
-                if cls not in translations:
-                    raise SystemSpecError(
-                        f"translations", f"no vector for translation class {cls} used by {where}"
-                    )
-                a = translations[cls]
+            if translations is not None and cls not in translations:
+                raise SystemSpecError(
+                    "translations", f"no vector for translation class {cls} used by {where}"
+                )
             try:
-                amap = AffineMap(T, cls, a)
+                amap = AffineMap(T, cls, None if translations is None else translations[cls])
             except ValueError as exc:
                 raise SystemSpecError(where + ".T", str(exc)) from exc
             s_max, s_min = amap.sigma_max(), amap.sigma_min()
@@ -261,13 +253,15 @@ def parse_system(source) -> SystemSpec:
             families.append(IfsFamily(label, tuple(maps)))
         except ValueError as exc:
             raise SystemSpecError(f"families[{i}]", str(exc)) from exc
+        canon["families"].append({"label": label, "maps": [
+            {"T": m.T.tolist(), "translation_class": m.translation_class} for m in maps
+        ]})
 
     if translations is not None:
         stray = sorted(set(translations) - classes_used)
         if stray:
-            raise SystemSpecError(
-                "translations", f"classes {stray} are not used by any map (typo?)"
-            )
+            raise SystemSpecError("translations", f"classes {stray} are not used by any map (typo?)")
+        canon["translations"] = {str(c): translations[c].tolist() for c in sorted(translations)}
 
     graph = None
     if "graph" in doc:
@@ -277,10 +271,11 @@ def parse_system(source) -> SystemSpec:
                 "graph.labels",
                 f"expected one label per family ({len(families)}), got {len(gdoc['labels'])}",
             )
-        glabels = []
+        glabels, canon_labels = [], []
         for i, ldoc in enumerate(gdoc["labels"]):
             fam = families[i]
-            edges = []
+            prob = float(_numbers(ldoc["prob"], f"graph.labels[{i}].prob"))
+            edges, canon_edges = [], []
             for j, edoc in enumerate(ldoc["edges"]):
                 idx = int(edoc["map"])
                 if not 0 <= idx < fam.size:
@@ -288,56 +283,24 @@ def parse_system(source) -> SystemSpec:
                         f"graph.labels[{i}].edges[{j}].map",
                         f"map index {idx} outside 0..{fam.size - 1} of family {fam.label!r}",
                     )
-                edges.append(GraphEdge(int(edoc["from"]), int(edoc["to"]), fam.maps[idx]))
-            glabels.append(GraphLabel(fam.label, float(ldoc["prob"]), tuple(edges)))
+                edge = GraphEdge(int(edoc["from"]), int(edoc["to"]), fam.maps[idx])
+                edges.append(edge)
+                canon_edges.append({"from": edge.source, "to": edge.target, "map": idx})
+            glabels.append(GraphLabel(fam.label, prob, tuple(edges)))
+            canon_labels.append({"prob": prob, "edges": canon_edges})
         try:
             graph = GraphSystem(int(gdoc["V"]), int(gdoc["v0"]), tuple(glabels))
         except ValueError as exc:
             raise SystemSpecError("graph", str(exc)) from exc
+        canon["graph"] = {"V": graph.V, "v0": graph.v0, "labels": canon_labels}
 
     return SystemSpec(d=d, families=tuple(families), bounds=(lo, hi),
-                      translations=translations, graph=graph)
+                      translations=translations, graph=graph, doc=canon)
 
 
 def serialize_system(spec: SystemSpec) -> str:
     """Canonical JSON text; ``parse_system(serialize_system(s)) == s``."""
-    doc: dict = {
-        "d": spec.d,
-        "bounds": {"sigma_lo": float(spec.bounds[0]), "sigma_hi": float(spec.bounds[1])},
-        "families": [
-            {
-                "label": fam.label,
-                "maps": [
-                    {"T": [[float(x) for x in row] for row in m.T],
-                     "translation_class": m.translation_class}
-                    for m in fam.maps
-                ],
-            }
-            for fam in spec.families
-        ],
-    }
-    if spec.translations is not None:
-        doc["translations"] = {
-            str(c): [float(x) for x in spec.translations[c]] for c in sorted(spec.translations)
-        }
-    if spec.graph is not None:
-        gs = spec.graph
-        doc["graph"] = {
-            "V": gs.V,
-            "v0": gs.v0,
-            "labels": [
-                {
-                    "prob": float(g.prob),
-                    "edges": [
-                        {"from": e.source, "to": e.target,
-                         "map": spec.families[i].maps.index(e.map)}
-                        for e in g.edges
-                    ],
-                }
-                for i, g in enumerate(gs.labels)
-            ],
-        }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(spec.doc, indent=2) + "\n"
 
 
 def bind_translations(spec: SystemSpec, seed=0) -> SystemSpec:
@@ -348,32 +311,10 @@ def bind_translations(spec: SystemSpec, seed=0) -> SystemSpec:
     """
     if spec.translations is not None:
         return spec
-    classes = sorted({m.translation_class for fam in spec.families for m in fam.maps})
+    classes = sorted({m["translation_class"] for fam in spec.doc["families"] for m in fam["maps"]})
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
-    translations = {}
-    for c in classes:
-        a = rng.random(spec.d)
-        a.setflags(write=False)
-        translations[c] = a
-
-    bound_families = tuple(
-        IfsFamily(fam.label, tuple(m.with_translation(translations[m.translation_class])
-                                   for m in fam.maps))
-        for fam in spec.families
-    )
-    graph = None
-    if spec.graph is not None:
-        gs = spec.graph
-        glabels = []
-        for i, g in enumerate(gs.labels):
-            old = spec.families[i].maps
-            new = bound_families[i].maps
-            edges = tuple(
-                GraphEdge(e.source, e.target, new[old.index(e.map)]) for e in g.edges
-            )
-            glabels.append(GraphLabel(g.name, g.prob, edges))
-        graph = GraphSystem(gs.V, gs.v0, tuple(glabels))
-    return SystemSpec(spec.d, bound_families, spec.bounds, translations, graph)
+    drawn = {str(c): rng.random(spec.d).tolist() for c in classes}
+    return _build({**spec.doc, "translations": drawn})
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +462,14 @@ def _cmd_points(args) -> int:
 def _cmd_boxdim(args) -> int:
     with open(args.points, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
-    if header and header[-1].strip() == "weight":
+    with warnings.catch_warnings():  # a header-only file is refused below, without numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"{args.points}: no data rows below the header")
+    if data.shape[1] != len(header):
+        raise ValueError(f"{args.points}: rows have {data.shape[1]} columns, the header {len(header)}")
+    if header[-1].strip() == "weight":
         data = data[:, :-1]
     fit = box_dimension(data, args.j_min, args.j_max)
     _emit(json.dumps(fit.to_json_dict(), indent=2) + "\n", args.out)

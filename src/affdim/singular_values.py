@@ -79,7 +79,8 @@ def _log_phi(log_sigma: np.ndarray, s: float) -> np.ndarray:
     if not s >= 0:
         raise ValueError(f"exponent must be nonnegative, got {s}")
     if s >= d:
-        return (s / d) * np.sum(log_sigma, axis=-1)
+        with np.errstate(over="ignore"):  # a huge s gives -inf, which the word sums refuse
+            return (s / d) * np.sum(log_sigma, axis=-1)
     if s == math.floor(s):
         # integer grade: plain product of the top s values (left limit)
         return np.sum(log_sigma[..., : int(s)], axis=-1)

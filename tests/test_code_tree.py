@@ -284,6 +284,62 @@ class TestDeterministicTree:
         assert math.isclose(tree.sigma_max(), 0.45)
         assert math.isclose(tree.sigma_min(), 0.45)
 
+    def test_is_the_one_vertex_graph_tree(self):
+        fam = corner_family()
+        loop = GraphLabel(fam.label, 1.0, tuple(GraphEdge(1, 1, m) for m in fam.maps))
+        graph_tree = build_code_tree(GraphSystem(1, 1, (loop,)), np.zeros(5))
+        tree = deterministic_tree(fam, 5)
+        assert tree == graph_tree
+        # reference: the constant tree laid out directly, one level table shared by all levels
+        table = code_tree._LevelTable((fam,), ((0,) * fam.size,))
+        by_hand = CodeTreeRealization(d=2, depth=5, levels=(table,) * 5, necks=(1, 2, 3, 4, 5))
+        s_values = [0.0, 0.7, 1.0, 1.3, 2.0, 2.5]
+        for other in (graph_tree, by_hand):
+            for k in (1, 3, 5):
+                np.testing.assert_array_equal(partition_sums(tree, k, s_values),
+                                              partition_sums(other, k, s_values))
+            for s in (0.0, 1.3):
+                for mine, theirs in zip(enumerate_points(tree, 5, s), enumerate_points(other, 5, s)):
+                    np.testing.assert_array_equal(mine, theirs)
+
+
+class TestOneSpectrumPerMap:
+    """Spectrum reads come from the construction gate's SVD, not from LAPACK."""
+
+    def test_sigma_reads_run_no_lapack(self, rng, monkeypatch):
+        maps = [AffineMap(random_contraction(rng, d, 0.05, 0.95), c) for d in (1, 2, 3, 4, 5)
+                for c in range(4)]
+        trees = [deterministic_tree(IfsFamily("f", tuple(maps[i:i + 4])), 3)
+                 for i in range(0, len(maps), 4)]
+        expected = [(float(np.linalg.norm(m.T, 2)), float(np.linalg.svd(m.T, compute_uv=False)[-1]))
+                    for m in maps]
+        calls = []
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "norm"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        got = [(m.sigma_max(), m.sigma_min()) for m in maps]
+        got_trees = [(t.sigma_max(), t.sigma_min()) for t in trees]
+        monkeypatch.undo()
+        assert calls == []
+        assert got == expected
+        for i, pair in enumerate(got_trees):
+            chunk = expected[4 * i:4 * i + 4]
+            assert pair == (max(hi for hi, _ in chunk), min(lo for _, lo in chunk))
+
+    def test_spectrum_is_read_only(self):
+        m = AffineMap(np.diag([0.5, 0.2]))
+        np.testing.assert_array_equal(m.sigma, [0.5, 0.2])
+        with pytest.raises(ValueError):
+            m.sigma[0] = 0.1
+
 
 def word_index(word, branching: int) -> int:
     """Position of a word in the lexicographic order of a constant tree."""

@@ -149,6 +149,10 @@ WIDE_DOC = {
 }
 
 
+# an integer literal past the largest double
+HUGE_INT = "1" + "0" * 400
+
+
 def doc_text(doc) -> str:
     return json.dumps(doc)
 
@@ -405,6 +409,113 @@ class TestBindTranslations:
     def test_round_trip_after_binding(self):
         spec = bind_translations(parse_system(doc_text(GRAPH_DOC)), seed=3)
         assert parse_system(serialize_system(spec)) == spec
+
+
+def reference_serialize(spec) -> str:
+    """The per-field walker that serialized specs before they carried ``doc``."""
+    doc: dict = {
+        "d": spec.d,
+        "bounds": {"sigma_lo": float(spec.bounds[0]), "sigma_hi": float(spec.bounds[1])},
+        "families": [
+            {
+                "label": fam.label,
+                "maps": [
+                    {"T": [[float(x) for x in row] for row in m.T],
+                     "translation_class": m.translation_class}
+                    for m in fam.maps
+                ],
+            }
+            for fam in spec.families
+        ],
+    }
+    if spec.translations is not None:
+        doc["translations"] = {
+            str(c): [float(x) for x in spec.translations[c]] for c in sorted(spec.translations)
+        }
+    if spec.graph is not None:
+        gs = spec.graph
+        doc["graph"] = {
+            "V": gs.V,
+            "v0": gs.v0,
+            "labels": [
+                {
+                    "prob": float(g.prob),
+                    "edges": [
+                        {"from": e.source, "to": e.target,
+                         "map": spec.families[i].maps.index(e.map)}
+                        for e in g.edges
+                    ],
+                }
+                for i, g in enumerate(gs.labels)
+            ],
+        }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_eq(a, b) -> bool:
+    """The field-by-field equality specs had before they compared documents."""
+    if a.d != b.d or tuple(a.bounds) != tuple(b.bounds) or a.families != b.families:
+        return False
+    if (a.translations is None) != (b.translations is None):
+        return False
+    if a.translations is not None:
+        if set(a.translations) != set(b.translations):
+            return False
+        if any(not np.array_equal(a.translations[c], b.translations[c]) for c in a.translations):
+            return False
+    if (a.graph is None) != (b.graph is None):
+        return False
+    if a.graph is not None:
+        ga, gb = a.graph, b.graph
+        if (ga.V, ga.v0) != (gb.V, gb.v0) or ga.labels != gb.labels:
+            return False
+    return True
+
+
+class TestBuildPath:
+    """parse, bind, serialize and == all go through one canonical document."""
+
+    @staticmethod
+    def specs():
+        specs = [parse_system(doc_text(doc))
+                 for doc in (CERT_DOC, CORNER_DOC, THIRDS_DOC, GRAPH_DOC, SPIN_DOC)]
+        graph = parse_system(doc_text(GRAPH_DOC))
+        return specs + [bind_translations(graph, seed=seed) for seed in (2, 3)]
+
+    def test_serialization_matches_the_field_walker(self):
+        for spec in self.specs():
+            text = serialize_system(spec)
+            assert text == reference_serialize(spec)
+            assert json.loads(text) == spec.doc
+
+    def test_equality_matches_the_field_walker(self):
+        specs = self.specs()
+        specs += [parse_system(serialize_system(spec)) for spec in specs]
+        verdicts = [(a == b, reference_eq(a, b)) for a in specs for b in specs]
+        assert all(new == old for new, old in verdicts)
+        assert sum(new for new, _ in verdicts) == 2 * len(specs)
+
+    @pytest.mark.parametrize("doc", [CERT_DOC, GRAPH_DOC, WIDE_DOC])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bound_vectors_are_draws_in_class_order(self, doc, seed):
+        spec = parse_system(doc_text(doc))
+        bound = bind_translations(spec, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
+        classes = sorted({m.translation_class for fam in spec.families for m in fam.maps})
+        drawn = {c: rng.random(spec.d) for c in classes}
+        assert list(bound.translations) == classes
+        for c in classes:
+            np.testing.assert_array_equal(bound.translations[c], drawn[c])
+        for fam, old in zip(bound.families, spec.families):
+            for m, m_old in zip(fam.maps, old.maps):
+                np.testing.assert_array_equal(m.a, drawn[m.translation_class])
+                np.testing.assert_array_equal(m.T, m_old.T)
+        if spec.graph is not None:
+            for i, (g, g_old) in enumerate(zip(bound.graph.labels, spec.graph.labels)):
+                maps, old_maps = bound.families[i].maps, spec.families[i].maps
+                assert [(e.source, e.target, maps.index(e.map)) for e in g.edges] == [
+                    (e.source, e.target, old_maps.index(e.map)) for e in g_old.edges
+                ]
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +858,89 @@ class TestCli:
         assert rc == 2
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("field, before, after", [
+        ("translations.1", '"1": [0.5]', '"1": [1e999]'),
+        ("translations.1", '"1": [0.5]', '"1": [NaN]'),
+        ("translations.1", '"1": [0.5]', '"1": [-Infinity]'),
+        ("families[0].maps[1].T", '[[0.001]], "translation_class": 1',
+         '[[NaN]], "translation_class": 1'),
+        ("bounds.sigma_lo", '"sigma_lo": 0.001', '"sigma_lo": NaN'),
+    ])
+    def test_non_finite_document_numbers_exit_two(self, capsys, field, before, after):
+        # Python's json reads 1e999 as inf and accepts NaN and Infinity literals
+        text = doc_text(TINY_DOC)
+        assert before in text
+        rc = cli(["points", text.replace(before, after), "--depth", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"error: {field}: numbers must be finite" in captured.err
+
+    def test_non_finite_label_probability_exits_two(self, capsys):
+        text = doc_text(GRAPH_DOC).replace('"prob": 0.3', '"prob": NaN')
+        rc = cli(["simulate", text])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: graph.labels[0].prob: numbers must be finite" in captured.err
+
+    @pytest.mark.parametrize("field, before, after", [
+        ("families[0].maps[1].T", '[[0.001]], "translation_class": 1',
+         f'[[{HUGE_INT}]], "translation_class": 1'),
+        ("translations.1", '"1": [0.5]', f'"1": [{HUGE_INT}]'),
+    ])
+    def test_integers_past_the_double_range_exit_two(self, capsys, field, before, after):
+        text = doc_text(TINY_DOC)
+        assert before in text
+        rc = cli(["points", text.replace(before, after), "--depth", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"error: {field}: a number lies outside the double range" in captured.err
+
+    def test_more_vertices_than_edges_exits_two(self, capsys):
+        # label 'n' has edges from vertices 1 and 2 only
+        text = mutate(GRAPH_DOC, lambda d: d["graph"].update(V=10**6))
+        rc = cli(["simulate", text])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert len(captured.err) < 300
+        assert "no outgoing edge from 999998 of the 1000000 vertices, first [3, 4, 5, 6, 7]" in captured.err
+
+    @pytest.mark.parametrize("argv, s", [
+        (["pressure", "--s-max", "1e308", "--grid", "3"], "5e+307"),
+        (["points", "--s", "1e308", "--depth", "3"], "1e+308"),
+    ])
+    def test_overflowing_exponent_exits_two(self, tmp_path, capsys, argv, s):
+        # (s / d) * log|det| of a word is past -1.8e308: log phi_s overflows to -inf
+        rc = cli(argv[:1] + [doc_path(tmp_path, TINY_DOC)] + argv[1:])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"s = {s}" in captured.err
+        assert "overflows the double range" in captured.err
+        assert "Warning" not in captured.err
+
+    def test_boxdim_refuses_a_header_only_file(self, tmp_path, capsys):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("x1,x2,weight\n")
+        rc = cli(["boxdim", str(cloud)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "no data rows below the header" in captured.err
+
+    def test_boxdim_refuses_rows_wider_than_the_header(self, tmp_path, capsys):
+        rows = np.random.default_rng(0).uniform(size=(2000, 3)).tolist()
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("x1,x2\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows))
+        rc = cli(["boxdim", str(cloud)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "rows have 3 columns, the header 2" in captured.err
 
     def test_unknown_family_is_a_document_error(self, tmp_path, capsys):
         rc = cli(["check-fs", doc_path(tmp_path, CERT_DOC), "--family", "nope"])
