@@ -409,7 +409,6 @@ def deterministic_tree(family: IfsFamily, depth: int) -> CodeTreeRealization:
     tree of a one-vertex graph whose one label loops every map back to the root."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _require_contractions(family.maps, f"family {family.label!r}")
     loop = GraphLabel(family.label, 1.0, tuple(GraphEdge(1, 1, m) for m in family.maps))
     return build_code_tree(GraphSystem(1, 1, (loop,)), np.zeros(depth))
 

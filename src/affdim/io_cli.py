@@ -112,7 +112,8 @@ class SystemSpec:
     ``doc`` is the canonical document the spec was built from: float
     matrices, an explicit translation class per map, translations keyed by
     class in class order, and edges by map index.  Serialization writes it
-    and equality compares it.
+    and equality compares it.  Only the document builder sets it, so a spec
+    constructed directly has no ``doc`` and cannot be compared or serialized.
     """
 
     d: int
@@ -120,7 +121,7 @@ class SystemSpec:
     bounds: tuple[float, float]
     translations: dict[int, np.ndarray] | None = None
     graph: GraphSystem | None = None
-    doc: dict | None = field(default=None, repr=False)
+    doc: dict = field(init=False, repr=False)
 
     @property
     def bound(self) -> bool:
@@ -195,14 +196,16 @@ def parse_system(source) -> SystemSpec:
     validator = jsonschema.Draft202012Validator(_schema())
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path)))
     if errors:
-        raise SystemSpecError(_json_path(errors[0].absolute_path), errors[0].message)
+        e = errors[0]
+        raise SystemSpecError(_json_path(e.absolute_path), e.message)
     return _build(doc)
 
 
 def _build(doc: dict) -> SystemSpec:
     """The spec of a schema-valid document, with its canonical form as ``doc``."""
     d = int(doc["d"])
-    lo, hi = (float(_numbers(doc["bounds"][b], f"bounds.{b}")) for b in ("sigma_lo", "sigma_hi"))
+    lo = float(_numbers(doc["bounds"]["sigma_lo"], "bounds.sigma_lo"))
+    hi = float(_numbers(doc["bounds"]["sigma_hi"], "bounds.sigma_hi"))
     if not lo <= hi:
         raise SystemSpecError("bounds", f"sigma_lo = {lo!r} exceeds sigma_hi = {hi!r}")
     canon: dict = {"d": d, "bounds": {"sigma_lo": lo, "sigma_hi": hi}, "families": []}
@@ -217,7 +220,9 @@ def _build(doc: dict) -> SystemSpec:
             a.setflags(write=False)
             translations[int(key)] = a
 
-    families, labels_seen, classes_used = [], set(), set()
+    families = []
+    labels_seen = set()
+    classes_used = set()
     for i, fdoc in enumerate(doc["families"]):
         label = fdoc["label"]
         if label in labels_seen:
@@ -233,12 +238,15 @@ def _build(doc: dict) -> SystemSpec:
                 )
             cls = int(mdoc.get("translation_class", j))
             classes_used.add(cls)
-            if translations is not None and cls not in translations:
-                raise SystemSpecError(
-                    "translations", f"no vector for translation class {cls} used by {where}"
-                )
+            a = None
+            if translations is not None:
+                if cls not in translations:
+                    raise SystemSpecError(
+                        "translations", f"no vector for translation class {cls} used by {where}"
+                    )
+                a = translations[cls]
             try:
-                amap = AffineMap(T, cls, None if translations is None else translations[cls])
+                amap = AffineMap(T, cls, a)
             except ValueError as exc:
                 raise SystemSpecError(where + ".T", str(exc)) from exc
             s_max, s_min = amap.sigma_max(), amap.sigma_min()
@@ -260,7 +268,9 @@ def _build(doc: dict) -> SystemSpec:
     if translations is not None:
         stray = sorted(set(translations) - classes_used)
         if stray:
-            raise SystemSpecError("translations", f"classes {stray} are not used by any map (typo?)")
+            raise SystemSpecError(
+                "translations", f"classes {stray} are not used by any map (typo?)"
+            )
         canon["translations"] = {str(c): translations[c].tolist() for c in sorted(translations)}
 
     graph = None
@@ -271,11 +281,13 @@ def _build(doc: dict) -> SystemSpec:
                 "graph.labels",
                 f"expected one label per family ({len(families)}), got {len(gdoc['labels'])}",
             )
-        glabels, canon_labels = [], []
+        glabels = []
+        canon_labels = []
         for i, ldoc in enumerate(gdoc["labels"]):
             fam = families[i]
             prob = float(_numbers(ldoc["prob"], f"graph.labels[{i}].prob"))
-            edges, canon_edges = [], []
+            edges = []
+            canon_edges = []
             for j, edoc in enumerate(ldoc["edges"]):
                 idx = int(edoc["map"])
                 if not 0 <= idx < fam.size:
@@ -294,8 +306,10 @@ def _build(doc: dict) -> SystemSpec:
             raise SystemSpecError("graph", str(exc)) from exc
         canon["graph"] = {"V": graph.V, "v0": graph.v0, "labels": canon_labels}
 
-    return SystemSpec(d=d, families=tuple(families), bounds=(lo, hi),
-                      translations=translations, graph=graph, doc=canon)
+    spec = SystemSpec(d=d, families=tuple(families), bounds=(lo, hi),
+                      translations=translations, graph=graph)
+    object.__setattr__(spec, "doc", canon)
+    return spec
 
 
 def serialize_system(spec: SystemSpec) -> str:
@@ -311,7 +325,7 @@ def bind_translations(spec: SystemSpec, seed=0) -> SystemSpec:
     """
     if spec.translations is not None:
         return spec
-    classes = sorted({m["translation_class"] for fam in spec.doc["families"] for m in fam["maps"]})
+    classes = sorted({m.translation_class for fam in spec.families for m in fam.maps})
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     drawn = {str(c): rng.random(spec.d).tolist() for c in classes}
     return _build({**spec.doc, "translations": drawn})

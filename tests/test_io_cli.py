@@ -517,6 +517,21 @@ class TestBuildPath:
                     (e.source, e.target, old_maps.index(e.map)) for e in g_old.edges
                 ]
 
+    def test_directly_constructed_specs_do_not_compare_equal(self):
+        # only the document builder sets ``doc``; a spec made by hand has none,
+        # so ==, != and serialization fail loudly instead of agreeing on a missing document
+        one, two = (parse_system(doc_text(doc)) for doc in (THIRDS_DOC, CORNER_DOC))
+        a = SystemSpec(one.d, one.families, one.bounds)
+        b = SystemSpec(two.d, two.families, two.bounds)
+        assert "doc" not in repr(a)
+        for compare in (lambda: a == b, lambda: a != b, lambda: a == one, lambda: a == a):
+            with pytest.raises(AttributeError, match="doc"):
+                compare()
+        with pytest.raises(AttributeError, match="doc"):
+            serialize_system(a)
+        with pytest.raises(TypeError):
+            SystemSpec(one.d, one.families, one.bounds, doc=one.doc)
+
 
 # ---------------------------------------------------------------------------
 # the command line
