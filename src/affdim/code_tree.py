@@ -15,20 +15,23 @@ has the same future.  ``shift_first_neck`` reroots the tree at its first
 neck, which shortens the neck list accordingly.
 
 Every walk that composes maps along words goes through one level step,
-``_advance``: a batch of rows, each a (state, linear part, point), moves
-one level down to a chosen child per row.  Exact enumeration expands every
-child (``_expand_block``), the Monte Carlo estimator one random child per
-row.  Full enumeration runs through one block map, ``_map_words``: the
-level-k words are split, in lexicographic word order, into bounded blocks;
-each block is expanded, the logs of its singular spectra are taken after
-one batched SVD, and a caller's reduction is applied per block.  The log
-partition sums log S(k, s) (S sums phi_s of the composed linear parts over
-the level-k words), the weighted cylinder points and the pressure
-zero-finder's cache are such reductions, all in log form over
-``singular_values._log_phi``, so values far below the smallest double stay
-finite.  The points at s = 0 carry uniform weights (phi_0 is 1) and run no
-SVD.  Block results are folded in word order, so results are bit-identical
-no matter how many worker threads are used.
+``_advance``: a batch of rows, each a (state, linear part, log|det| of the
+linear part, point), moves one level down to a chosen child per row; the
+log|det| is the letters' log|det T_i| summed from the left.  Exact
+enumeration expands every child (``_expand_block``), the Monte Carlo
+estimator one random child per row.  Full enumeration runs through one
+block map, ``_map_words``: the level-k words are split, in lexicographic
+word order, into bounded blocks; each block is expanded, the logs of its
+singular spectra are taken (``_log_spectra``: |t| for d = 1, a closed-form
+sigma_1 and the summed log|det| for d = 2, one batched SVD for d >= 3), and
+a caller's reduction is applied per block.  The log partition sums
+log S(k, s) (S sums phi_s of the composed linear parts over the level-k
+words), the weighted cylinder points and the pressure zero-finder's cache
+are such reductions, all in log form over ``singular_values._log_phi``, so
+values far below the smallest double stay finite.  The points at s = 0
+carry uniform weights (phi_0 is 1) and take no spectra.  Block results are
+folded in word order, so results are bit-identical no matter how many
+worker threads are used.
 """
 
 from __future__ import annotations
@@ -270,7 +273,11 @@ class GraphSystem:
 
 @dataclass(frozen=True, eq=False)
 class _LevelTable:
-    """Transition table for one level: per state, a family and child states."""
+    """Transition table for one level: per state, a family and child states.
+
+    Besides the maps' linear parts and translations it holds each map's
+    log|det T|, the sum of the logs of its singular spectrum.
+    """
 
     families: tuple[IfsFamily, ...]
     children: tuple[tuple[int, ...], ...]
@@ -287,17 +294,20 @@ class _LevelTable:
         n = len(self.families)
         T = np.zeros((n, maxb, d, d))
         a = np.zeros((n, maxb, d))
+        log_det = np.zeros((n, maxb))
         child = np.zeros((n, maxb), dtype=np.intp)
         for s, (fam, ch) in enumerate(zip(self.families, self.children)):
             for b, mp in enumerate(fam.maps):
                 T[s, b] = mp.T
                 a[s, b] = mp.a
+                log_det[s, b] = np.sum(np.log(mp.sigma))
                 child[s, b] = ch[b]
-        for arr in (sizes, T, a, child):
+        for arr in (sizes, T, a, log_det, child):
             arr.setflags(write=False)
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_T", T)
         object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_log_det", log_det)
         object.__setattr__(self, "_child", child)
 
     def __eq__(self, other):
@@ -516,22 +526,26 @@ def shift_first_neck(tree: CodeTreeRealization) -> CodeTreeRealization:
 # streamed enumeration
 
 
-def _advance(tbl, states, mats, points, rows, branch):
+def _advance(tbl, states, mats, log_det, points, rows, branch):
     """One level step: row ``rows[i]`` moves to child ``branch[i]`` of its state.
 
-    ``points`` may be None when only the linear parts are wanted.
+    ``log_det`` is each row's log|det| of the linear part, summed letter by
+    letter from the left.  ``points`` may be None when only the linear parts
+    are wanted.
     """
     ps = states[rows]
     if points is not None:
         points = points[rows] + np.einsum("nij,nj->ni", mats[rows], tbl._a[ps, branch])
     mats = np.einsum("nij,njk->nik", mats[rows], tbl._T[ps, branch])
-    return tbl._child[ps, branch], mats, points
+    log_det = log_det[rows] + tbl._log_det[ps, branch]
+    return tbl._child[ps, branch], mats, log_det, points
 
 
-def _expand_block(tree, level0, state0, mat0, point0, k, want_points):
-    """All level-k descendants of one node, in word order, as (mats, points)."""
+def _expand_block(tree, level0, state0, mat0, log_det0, point0, k, want_points):
+    """All level-k descendants of one node, in word order, as (mats, log_det, points)."""
     states = np.array([state0], dtype=np.intp)
     mats = mat0[None]
+    log_det = np.array([log_det0])
     points = point0[None] if want_points else None
     for lev in range(level0, k):
         tbl = tree.levels[lev]
@@ -539,20 +553,21 @@ def _expand_block(tree, level0, state0, mat0, point0, k, want_points):
         rows = np.repeat(np.arange(states.shape[0]), sz)
         offs = np.cumsum(sz) - sz
         branch = np.arange(int(sz.sum())) - np.repeat(offs, sz)
-        states, mats, points = _advance(tbl, states, mats, points, rows, branch)
-    return mats, points
+        states, mats, log_det, points = _advance(tbl, states, mats, log_det, points, rows, branch)
+    return mats, log_det, points
 
 
 def _blocks(tree, k, limit):
     """Split the level-k word set into lexicographically ordered blocks of at
-    most ``limit`` words, each a (level, state, prefix matrix, prefix point)."""
+    most ``limit`` words, each a (level, state, prefix matrix, prefix log|det|,
+    prefix point)."""
     counts = tree._suffix_counts(k)
     out = []
-    stack = [(0, tree.root_state, np.eye(tree.d), np.zeros(tree.d))]
+    stack = [(0, tree.root_state, np.eye(tree.d), 0.0, np.zeros(tree.d))]
     while stack:
-        lev, st, mat, pt = stack.pop()
+        lev, st, mat, ld, pt = stack.pop()
         if lev == k or counts[lev][st] <= limit:
-            out.append((lev, st, mat, pt))
+            out.append((lev, st, mat, ld, pt))
             continue
         tbl = tree.levels[lev]
         b = int(tbl._sizes[st])
@@ -560,17 +575,35 @@ def _blocks(tree, k, limit):
             child = int(tbl._child[st, letter])
             T = tbl._T[st, letter]
             a = tbl._a[st, letter]
-            stack.append((lev + 1, child, mat @ T, pt + mat @ a))
+            stack.append((lev + 1, child, mat @ T, ld + tbl._log_det[st, letter], pt + mat @ a))
     return out
 
 
-def _log_spectra(mats, k):
-    """Log singular values of level-k products, one descending row each; a zero
-    one can only be an underflow (the maps are nonsingular) and is refused."""
-    sigma = np.linalg.svd(mats, compute_uv=False)
-    if not np.all(sigma[:, -1] > 0.0):
+def _log_spectra(mats, log_det, k):
+    """Log singular values of level-k products, one descending row each.
+
+    d = 1 takes log|t|.  d = 2 takes sigma_1 = (p + q) / 2 with p = |(a + e,
+    c - b)| and q = |(a - e, c + b)| for the product [[a, b], [c, e]], and
+    log sigma_2 = log|det| - log sigma_1 from the word's summed ``log_det``,
+    which stays exact where the product's own sigma_2 or det is lost to
+    cancellation.  d >= 3 takes one batched SVD.  A zero sigma_1 (sigma_d
+    through the SVD) can only be an underflow (the maps are nonsingular) and
+    is refused.
+    """
+    d = mats.shape[-1]
+    if d == 1:
+        sigma = np.abs(mats[:, 0])
+    elif d == 2:
+        a, b, c, e = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+        sigma = 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, c + b))
+    else:
+        sigma = np.linalg.svd(mats, compute_uv=False)
+    if not np.all(sigma[..., -1] > 0.0):
         raise ValueError(f"the linear part of a level-{k} word underflowed to a singular matrix")
-    return np.log(sigma)
+    log_sigma = np.log(sigma)
+    if d == 2:
+        log_sigma = np.stack([log_sigma, log_det - log_sigma], axis=1)
+    return log_sigma
 
 
 def _log_sums(log_sigma, s_values):
@@ -607,9 +640,8 @@ def _map_words(
         )
 
     def work(block):
-        lev, st, mat, pt = block
-        mats, points = _expand_block(tree, lev, st, mat, pt, k, want_points)
-        return reduce(_log_spectra(mats, k) if want_spectra else None, points)
+        mats, log_det, points = _expand_block(tree, *block, k, want_points)
+        return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
 
     blocks = _blocks(tree, k, _BLOCK_LIMIT)
     if threads <= 1 or len(blocks) <= 1:
@@ -657,6 +689,7 @@ def partition_sum_mc(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     states = np.full(samples, tree.root_state, dtype=np.intp)
     mats = np.broadcast_to(np.eye(tree.d), (samples, tree.d, tree.d)).copy()
+    log_det = np.zeros(samples)
     rows = np.arange(samples)
     logw = np.zeros(samples)
     for lev in range(k):
@@ -664,8 +697,8 @@ def partition_sum_mc(
         sz = tbl._sizes[states]
         pick = np.floor(rng.random(samples) * sz).astype(np.intp)
         logw += np.log(sz)
-        states, mats, _ = _advance(tbl, states, mats, None, rows, pick)
-    vals = np.exp(_log_phi(_log_spectra(mats, k), s)) * np.exp(logw)
+        states, mats, log_det, _ = _advance(tbl, states, mats, log_det, None, rows, pick)
+    vals = np.exp(_log_phi(_log_spectra(mats, log_det, k), s)) * np.exp(logw)
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return est, err
@@ -756,9 +789,8 @@ def count_full_blocks(
     for j in range(1, n_to + 1):
         if j > n_from:
             n1 = current.necks[0]
-            mats, _ = _expand_block(
-                current, 0, current.root_state, np.eye(current.d), np.zeros(current.d), n1, False
-            )
+            mats, _, _ = _expand_block(current, 0, current.root_state, np.eye(current.d), 0.0,
+                                       np.zeros(current.d), n1, False)
             fam = LinearFamily(current.d, mats)
             est = estimate_fullness(fam, s, sample_count=samples, seed=(seed, j))
             if est.c_hat > c:

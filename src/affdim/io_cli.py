@@ -171,6 +171,8 @@ def _numbers(raw, where: str) -> np.ndarray:
         x = np.array(raw, dtype=float)
     except OverflowError:
         raise SystemSpecError(where, "a number lies outside the double range") from None
+    except ValueError:  # the schema admits only numbers, so only a ragged nesting gets here
+        raise SystemSpecError(where, f"rows must all have the same length, got {raw!r}") from None
     if not np.all(np.isfinite(x)):
         raise SystemSpecError(where, f"numbers must be finite, got {raw!r}")
     return x
@@ -212,13 +214,18 @@ def _build(doc: dict) -> SystemSpec:
 
     translations = None
     if "translations" in doc:
-        translations = {}
+        translations, keys = {}, {}
         for key, vec in doc["translations"].items():
             a = _numbers(vec, f"translations.{key}")
             if a.shape != (d,):
                 raise SystemSpecError(f"translations.{key}", f"expected a vector in R^{d}, got shape {a.shape}")
+            cls = int(key)
+            if cls in keys:
+                raise SystemSpecError(
+                    "translations", f"keys {keys[cls]!r} and {key!r} both name translation class {cls}"
+                )
             a.setflags(write=False)
-            translations[int(key)] = a
+            translations[cls], keys[cls] = a, key
 
     families = []
     labels_seen = set()

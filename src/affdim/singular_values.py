@@ -60,10 +60,13 @@ def singular_values(T) -> np.ndarray:
     """Full singular spectrum of a square nonsingular matrix, as a read-only
     descending array.
 
-    Accuracy is that of LAPACK SVD: ~1e-10 relative for the small, decently
-    conditioned (cond <= 1e8) matrices this package works with.  Inputs whose
-    determinant is below ``SINGULARITY_RTOL`` relative to sigma_1^d are
-    rejected as numerically singular.
+    Accuracy is that of LAPACK SVD: sigma_1 to a few ulps, and sigma_i to
+    about eps * sigma_1 absolute, so the relative error of the smallest
+    value grows with the condition number.  That is ample for a single map,
+    whose determinant must exceed ``SINGULARITY_RTOL`` relative to
+    sigma_1^d (smaller ones are rejected as numerically singular), but not
+    for deep products of maps: their spectra are taken by
+    ``code_tree._log_spectra``, which for d <= 2 needs no SVD of the product.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:

@@ -590,6 +590,75 @@ class TestPartitionSums:
             partition_sums(tree, 4, [1.0], cap=80)[0]
 
 
+def word_spectra(tree, k) -> np.ndarray:
+    """Every level-k word's log spectrum, in word order, as the block map hands them out."""
+    return np.concatenate(code_tree._map_words(tree, k, lambda log_sigma, _: log_sigma))
+
+
+def expand_words(tree, k) -> tuple[np.ndarray, np.ndarray]:
+    """Every level-k word's composed linear part and log|det|, in word order, as one block."""
+    mats, log_det, _ = code_tree._expand_block(
+        tree, 0, tree.root_state, np.eye(tree.d), 0.0, np.zeros(tree.d), k, False
+    )
+    return mats, log_det
+
+
+class TestLogSpectra:
+    def test_codiagonal_oracle_where_the_product_loses_sigma_2(self):
+        # R diag(a, b) R^T words have spectrum (prod a, prod b); at k = 12 the
+        # products' condition numbers reach 1e30, so their own sigma_2 is noise
+        theta = 0.7
+        R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        ab = [(0.4, 0.001), (0.35, 0.002)]
+        fam = IfsFamily("co", tuple(AffineMap(R @ np.diag(x) @ R.T, c) for c, x in enumerate(ab)))
+        k = 12
+        log_sigma = word_spectra(deterministic_tree(fam, k), k)
+        log_ab = np.log(np.array(ab))
+        expected = np.array([log_ab[list(w)].sum(axis=0)
+                             for w in itertools.product(range(2), repeat=k)])
+        np.testing.assert_allclose(log_sigma, expected, rtol=1e-12, atol=0)
+
+    def test_well_conditioned_products_match_the_svd(self, rng):
+        mats = [random_contraction(rng, 2, 0.3, 0.6) for _ in range(3)]
+        fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
+        tree = deterministic_tree(fam, 5)
+        reference = np.log(np.linalg.svd(expand_words(tree, 5)[0], compute_uv=False))
+        np.testing.assert_allclose(word_spectra(tree, 5), reference, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_dimensions_equal_the_svd_bit_for_bit(self, rng, d):
+        if d == 1:
+            mats = [np.array([[x]]) for x in (0.3, -0.45, 0.2)]
+        else:
+            mats = [random_contraction(rng, 3, 0.2, 0.6) for _ in range(3)]
+        fam = IfsFamily("mixed", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
+        tree = deterministic_tree(fam, 6)
+        reference = np.log(np.linalg.svd(expand_words(tree, 6)[0], compute_uv=False))
+        assert word_spectra(tree, 6).tobytes() == reference.tobytes()
+
+    def test_block_split_does_not_change_log_det(self, rng):
+        # log|det| sums run left to right along each word, through block
+        # prefixes and block expansion alike
+        mats = [random_contraction(rng, 2, 0.2, 0.6) for _ in range(3)]
+        fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
+        tree = deterministic_tree(fam, 7)
+        _, whole = expand_words(tree, 7)
+        blocks = code_tree._blocks(tree, 7, 3**2)
+        assert len(blocks) == 3**5
+        split = np.concatenate([code_tree._expand_block(tree, *b, 7, False)[1] for b in blocks])
+        assert split.tobytes() == whole.tobytes()
+
+    def test_threads_do_not_change_planar_sums(self, monkeypatch, rng):
+        mats = [random_contraction(rng, 2, 0.2, 0.6) for _ in range(3)]
+        fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
+        tree = deterministic_tree(fam, 7)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**3)
+        grid = [0.4, 1.0, 1.7, 2.5]
+        one = partition_sums(tree, 7, grid, threads=1)
+        four = partition_sums(tree, 7, grid, threads=4)
+        assert np.array_equal(one, four)
+
+
 class TestPartitionSumMc:
     def test_similarity_tree_is_exact(self):
         tree = deterministic_tree(thirds_family(), 6)
@@ -656,11 +725,14 @@ class TestEnumeratePoints:
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_uniform_weights_take_no_svd(self, monkeypatch, threads):
-        # phi_0 is 1, so s = 0 needs no spectra; s = 1.3 takes one SVD per block
+        # phi_0 is 1, so s = 0 needs no spectra; at s = 1.3 the d = 2 spectra
+        # take no SVD either, and d = 3 takes one SVD per block
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**4)
         tree = deterministic_tree(corner_family(), 7)
         blocks = len(code_tree._blocks(tree, 7, code_tree._BLOCK_LIMIT))
         assert blocks == 27
+        solid = IfsFamily("cube", tuple(AffineMap(0.4 * np.eye(3), c) for c in range(3)))
+        solid_tree = deterministic_tree(solid, 7)
         calls = []
         svd = np.linalg.svd
 
@@ -675,6 +747,9 @@ class TestEnumeratePoints:
         assert points.shape == (n, 2)
         assert weights.tobytes() == np.full(n, 1 / n).tobytes()
         _, weights = enumerate_points(tree, 7, 1.3, threads=threads)
+        assert calls == []
+        assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
+        _, weights = enumerate_points(solid_tree, 7, 1.3, threads=threads)
         assert len(calls) == blocks
         assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
 

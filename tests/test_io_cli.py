@@ -288,6 +288,21 @@ class TestParseErrors:
             "not used",
         )
 
+    def test_translation_keys_naming_one_class(self):
+        # "01" and "1" are both class 1; neither may silently replace the other
+        self.expect(
+            mutate(CORNER_DOC, lambda d: d["translations"].update({"01": [0.9, 0.0]})),
+            "translations",
+            "keys '1' and '01' both name translation class 1",
+        )
+
+    def test_ragged_matrix(self):
+        self.expect(
+            mutate(CERT_DOC, lambda d: d["families"][0]["maps"][0].update(T=[[0.25, 0.0], [0.25]])),
+            "families[0].maps[0].T",
+            "rows must all have the same length",
+        )
+
     def test_translation_wrong_dimension(self):
         self.expect(
             mutate(CORNER_DOC, lambda d: d["translations"].update({"1": [0.55]})),
@@ -764,20 +779,55 @@ class TestCli:
     @pytest.mark.parametrize("argv", [["pressure", "--k", "120", "--grid", "3"],
                                       ["points", "--depth", "120", "--s", "1.5"]])
     def test_underflowed_composed_matrix_exits_two(self, tmp_path, capsys, argv):
-        # diag(0.3, 0.001)^120 has a second singular value of 1e-360, which is 0.0
-        # in double precision: the word's matrix itself is singular
+        # diag(0.001, 0.001)^120 has sigma_1 = 1e-360, which is 0.0 in double
+        # precision; diag(0.3, 0.3, 0.001)^120 goes through the SVD, whose
+        # sigma_3 = 1e-360 is 0.0 too
+        for d, diagonal in ((2, [0.001, 0.001]), (3, [0.3, 0.3, 0.001])):
+            small = {
+                "d": d,
+                "bounds": {"sigma_lo": min(diagonal), "sigma_hi": max(diagonal)},
+                "families": [{"label": "small", "maps": [{"T": np.diag(diagonal).tolist()}]}],
+                "translations": {"0": [0.1] * d},
+            }
+            rc = cli(argv[:1] + [doc_path(tmp_path, small)] + argv[1:])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert "level-120 word underflowed to a singular matrix" in captured.err
+            assert "Warning" not in captured.err
+
+    def test_second_singular_value_below_the_smallest_double(self, tmp_path, capsys):
+        # diag(0.3, 0.001)^120 has sigma_2 = 1e-360, below the smallest double,
+        # but log sigma_2 is the sum of the letters' log|det| less log sigma_1
         flat = {
             "d": 2,
             "bounds": {"sigma_lo": 0.001, "sigma_hi": 0.3},
             "families": [{"label": "flat", "maps": [{"T": [[0.3, 0.0], [0.0, 0.001]]}]}],
             "translations": {"0": [0.1, 0.2]},
         }
-        rc = cli(argv[:1] + [doc_path(tmp_path, flat)] + argv[1:])
+        system = doc_path(tmp_path, flat)
+        rc = cli(["pressure", system, "--k", "120", "--s-min", "0", "--s-max", "2", "--grid", "3"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]]
+        assert [s for s, _, _ in rows] == [0.0, 1.0, 2.0]
+        assert rows[1][1] == pytest.approx(math.log(0.3), rel=1e-12)
+        assert rows[2][1] == pytest.approx(math.log(3e-4), rel=1e-12)
+        rc = cli(["points", system, "--depth", "120", "--s", "1.5"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].split(",")[-1] == "1.0"
+
+    def test_ragged_matrix_exits_two(self, capsys):
+        ragged = mutate(CERT_DOC,
+                        lambda d: d["families"][0]["maps"][0].update(T=[[0.25, 0.0], [0.25]]))
+        rc = cli(["check-fs", ragged])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert "level-120 word underflowed to a singular matrix" in captured.err
-        assert "Warning" not in captured.err
+        assert "error: families[0].maps[0].T: rows must all have the same length" in captured.err
 
     def test_points_with_infinite_exponent_exits_two(self, tmp_path, capsys):
         rc = cli(["points", doc_path(tmp_path, TINY_DOC), "--depth", "3", "--s", "inf"])
