@@ -530,8 +530,9 @@ def _advance(tbl, states, mats, log_det, points, rows, branch):
     """One level step: row ``rows[i]`` moves to child ``branch[i]`` of its state.
 
     ``log_det`` is each row's log|det| of the linear part, summed letter by
-    letter from the left.  ``points`` may be None when only the linear parts
-    are wanted.
+    letter from the left; only the d = 2 spectra read it so far, and it is
+    carried for every d so that a d >= 3 log|det| can use it.  ``points`` may
+    be None when only the linear parts are wanted.
     """
     ps = states[rows]
     if points is not None:
@@ -598,7 +599,7 @@ def _log_spectra(mats, log_det, k):
         sigma = 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, c + b))
     else:
         sigma = np.linalg.svd(mats, compute_uv=False)
-    if not np.all(sigma[..., -1] > 0.0):
+    if not np.all(sigma > 0.0):
         raise ValueError(f"the linear part of a level-{k} word underflowed to a singular matrix")
     log_sigma = np.log(sigma)
     if d == 2:

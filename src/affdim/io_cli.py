@@ -189,7 +189,8 @@ def parse_system(source) -> SystemSpec:
     if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
-        text = open(os.fspath(source), "r", encoding="utf-8").read()
+        with open(os.fspath(source), "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
         doc = json.loads(text)
     except ValueError as exc:

@@ -658,6 +658,18 @@ class TestLogSpectra:
         four = partition_sums(tree, 7, grid, threads=4)
         assert np.array_equal(one, four)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_underflow_in_any_word_is_refused(self, d):
+        # word 00 underflows to the zero matrix; the later words do not
+        fam = IfsFamily("mixed", (AffineMap(1e-170 * np.eye(d), 0), AffineMap(0.5 * np.eye(d), 1)))
+        tree = deterministic_tree(fam, 2)
+        with pytest.raises(ValueError, match="level-2 word underflowed"):
+            word_spectra(tree, 2)
+        with pytest.raises(ValueError, match="level-2 word underflowed"):
+            partition_sums(tree, 2, [1.0])
+        with pytest.raises(ValueError, match="level-2 word underflowed"):
+            partition_sum_mc(tree, 2, 1.0, samples=64, seed=0)
+
 
 class TestPartitionSumMc:
     def test_similarity_tree_is_exact(self):

@@ -796,6 +796,27 @@ class TestCli:
             assert "level-120 word underflowed to a singular matrix" in captured.err
             assert "Warning" not in captured.err
 
+    @pytest.mark.parametrize("argv", [["pressure", "--k", "2", "--grid", "3"],
+                                      ["points", "--depth", "2", "--s", "1.5"]])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_underflow_before_the_last_word_exits_two(self, tmp_path, capsys, argv, d):
+        # word 00 is 1e-170 squared, 0.0 in double precision, while the last
+        # word 11 is 0.5 squared; every word is checked, not only the last
+        mixed = {
+            "d": d,
+            "bounds": {"sigma_lo": 1e-170, "sigma_hi": 0.5},
+            "families": [{"label": "mixed",
+                          "maps": [{"T": (1e-170 * np.eye(d)).tolist(), "translation_class": 0},
+                                   {"T": (0.5 * np.eye(d)).tolist(), "translation_class": 1}]}],
+            "translations": {"0": [0.1] * d, "1": [0.6] * d},
+        }
+        rc = cli(argv[:1] + [doc_path(tmp_path, mixed)] + argv[1:])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "level-2 word underflowed to a singular matrix" in captured.err
+        assert "Warning" not in captured.err
+
     def test_second_singular_value_below_the_smallest_double(self, tmp_path, capsys):
         # diag(0.3, 0.001)^120 has sigma_2 = 1e-360, below the smallest double,
         # but log sigma_2 is the sum of the letters' log|det| less log sigma_1
