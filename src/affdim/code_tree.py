@@ -22,16 +22,17 @@ enumeration expands every child (``_expand_block``), the Monte Carlo
 estimator one random child per row.  Full enumeration runs through one
 block map, ``_map_words``: the level-k words are split, in lexicographic
 word order, into bounded blocks; each block is expanded, the logs of its
-singular spectra are taken (``_log_spectra``: |t| for d = 1, a closed-form
-sigma_1 and the summed log|det| for d = 2, one batched SVD for d >= 3), and
-a caller's reduction is applied per block.  The log partition sums
-log S(k, s) (S sums phi_s of the composed linear parts over the level-k
-words), the weighted cylinder points and the pressure zero-finder's cache
-are such reductions, all in log form over ``singular_values._log_phi``, so
-values far below the smallest double stay finite.  The points at s = 0
-carry uniform weights (phi_0 is 1) and take no spectra.  Block results are
-folded in word order, so results are bit-identical no matter how many
-worker threads are used.
+singular spectra are taken (``_log_spectra``: |t| for d = 1; a closed-form
+sigma_1 for d = 2, closed-form sigma_1 and sigma_1 sigma_2 for d = 3, each
+with the smallest singular value from the summed log|det|; one batched SVD
+for d >= 4), and a caller's reduction is applied per block.  The log
+partition sums log S(k, s) (S sums phi_s of the composed linear parts over
+the level-k words), the weighted cylinder points and the pressure
+zero-finder's cache are such reductions, all in log form over
+``singular_values._log_phi``, so values far below the smallest double stay
+finite.  The points at s = 0 carry uniform weights (phi_0 is 1) and take no
+spectra.  Block results are folded in word order, so results are
+bit-identical no matter how many worker threads are used.
 """
 
 from __future__ import annotations
@@ -530,14 +531,18 @@ def _advance(tbl, states, mats, log_det, points, rows, branch):
     """One level step: row ``rows[i]`` moves to child ``branch[i]`` of its state.
 
     ``log_det`` is each row's log|det| of the linear part, summed letter by
-    letter from the left; only the d = 2 spectra read it so far, and it is
-    carried for every d so that a d >= 3 log|det| can use it.  ``points`` may
-    be None when only the linear parts are wanted.
+    letter from the left; the d = 2 and d = 3 spectra read it, and d = 1 and
+    d >= 4 carry it unread.  ``points`` may be None when only the linear parts
+    are wanted.  Linear parts compose with ``@`` for d >= 2 and with ``*`` for
+    d = 1, where ``@``'s per-product overhead outweighs one multiplication;
+    points keep the einsum, which is faster there than ``@`` for every d.
     """
     ps = states[rows]
+    parent = mats[rows]
     if points is not None:
-        points = points[rows] + np.einsum("nij,nj->ni", mats[rows], tbl._a[ps, branch])
-    mats = np.einsum("nij,njk->nik", mats[rows], tbl._T[ps, branch])
+        points = points[rows] + np.einsum("nij,nj->ni", parent, tbl._a[ps, branch])
+    T = tbl._T[ps, branch]
+    mats = parent * T if T.shape[-1] == 1 else parent @ T
     log_det = log_det[rows] + tbl._log_det[ps, branch]
     return tbl._child[ps, branch], mats, log_det, points
 
@@ -580,6 +585,100 @@ def _blocks(tree, k, limit):
     return out
 
 
+# Rows whose two largest Gram eigenvalues nearly meet (1 + r below this in
+# ``_gram_top``) take sigma_1 and sigma_2 from the SVD: the closed form loses
+# half the digits where the arccos argument r reaches -1.
+_CLOSED_FORM_GAP = 1e-3
+# d = 3 spectra are taken this many rows at a time, which keeps the closed
+# form's temporaries in cache and the block's peak memory that of its expansion
+_SPECTRUM_CHUNK = 1 << 13
+_LN2 = math.log(2.0)
+
+
+def _underflow(k):
+    return ValueError(f"the linear part of a level-{k} word underflowed to a singular matrix")
+
+
+def _scaled(x):
+    """Columns of ``x`` scaled in place by powers of two (exactly) so that each
+    largest |entry| lies in [0.5, 1), and the exponents taken out; 0 for a zero
+    column."""
+    _, e = np.frexp(np.max(np.abs(x), axis=0))
+    np.ldexp(x, -e, out=x)
+    return e
+
+
+def _gram_top(x):
+    """Largest eigenvalue of X Xᵀ for each column of ``x`` (9, n), the row-major
+    entries of a 3×3 X, and 1 + r, which is 0 where the top two eigenvalues meet.
+
+    Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,
+    p² = |G - qI|_F² / 6 and r = det(G - qI) / (2p³) in [-1, 1], the largest
+    eigenvalue is q + 2p cos(arccos(r) / 3).  A scalar G (p = 0) takes r = 1.
+    """
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    g00 = x0 * x0 + x1 * x1 + x2 * x2
+    g11 = x3 * x3 + x4 * x4 + x5 * x5
+    g22 = x6 * x6 + x7 * x7 + x8 * x8
+    g01 = x0 * x3 + x1 * x4 + x2 * x5
+    g02 = x0 * x6 + x1 * x7 + x2 * x8
+    g12 = x3 * x6 + x4 * x7 + x5 * x8
+    q = (g00 + g11 + g22) / 3.0
+    g00 -= q
+    g11 -= q
+    g22 -= q
+    p = np.sqrt((g00 * g00 + g11 * g11 + g22 * g22
+                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+           + g02 * (g01 * g12 - g11 * g02))
+    r = np.divide(det, 2.0 * p * p * p, out=np.ones_like(p), where=p > 0.0)
+    np.clip(r, -1.0, 1.0, out=r)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0), 1.0 + r
+
+
+def _cofactors(x):
+    """Cofactor matrices of the 3×3 columns of ``x`` (9, n), row-major: row i is
+    the cross product of the other two rows of X, and its singular values are
+    sigma_1 sigma_2 >= sigma_1 sigma_3 >= sigma_2 sigma_3 of X."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    return np.stack([
+        x4 * x8 - x5 * x7, x5 * x6 - x3 * x8, x3 * x7 - x4 * x6,
+        x7 * x2 - x8 * x1, x8 * x0 - x6 * x2, x6 * x1 - x7 * x0,
+        x1 * x5 - x2 * x4, x2 * x3 - x0 * x5, x0 * x4 - x1 * x3,
+    ])
+
+
+def _log_spectra3(mats, log_det, k):
+    """``_log_spectra`` of a (n, 3, 3) stack.
+
+    Each product X is scaled by a power of two; sigma_1² is then the largest
+    eigenvalue of its Gram matrix, (sigma_1 sigma_2)² that of its (again
+    scaled) cofactor matrix's, and log sigma_3 is log|det| - log sigma_1 sigma_2.
+    Rows where either top pair of eigenvalues nearly meets take sigma_1 and
+    sigma_2 from the SVD of those scaled rows.
+    """
+    x = np.ascontiguousarray(mats.reshape(-1, 9).T)
+    e = _scaled(x)
+    top1, gap1 = _gram_top(x)
+    c = _cofactors(x)
+    f = _scaled(c)
+    top12, gap12 = _gram_top(c)
+    log_sigma = np.empty((len(e), 3))
+    with np.errstate(divide="ignore"):  # a lost sigma_1 sigma_2 gives -inf, refused below
+        log_sigma[:, 0] = 0.5 * np.log(top1) + e * _LN2
+        log_sigma[:, 1] = 0.5 * np.log(top12) + (2 * e + f) * _LN2
+        near = np.flatnonzero((gap1 < _CLOSED_FORM_GAP) | (gap12 < _CLOSED_FORM_GAP))
+        if near.size:
+            sv = np.log(np.linalg.svd(x[:, near].T.reshape(-1, 3, 3), compute_uv=False)[:, :2])
+            log_sigma[near, 0] = sv[:, 0] + e[near] * _LN2
+            log_sigma[near, 1] = sv[:, 0] + sv[:, 1] + 2 * e[near] * _LN2
+    if not np.all(log_sigma[:, 1] > -np.inf):  # a zero sigma_1 zeroes the cofactors too
+        raise _underflow(k)
+    log_sigma[:, 2] = log_det - log_sigma[:, 1]
+    log_sigma[:, 1] -= log_sigma[:, 0]
+    return log_sigma
+
+
 def _log_spectra(mats, log_det, k):
     """Log singular values of level-k products, one descending row each.
 
@@ -587,11 +686,18 @@ def _log_spectra(mats, log_det, k):
     c - b)| and q = |(a - e, c + b)| for the product [[a, b], [c, e]], and
     log sigma_2 = log|det| - log sigma_1 from the word's summed ``log_det``,
     which stays exact where the product's own sigma_2 or det is lost to
-    cancellation.  d >= 3 takes one batched SVD.  A zero sigma_1 (sigma_d
-    through the SVD) can only be an underflow (the maps are nonsingular) and
+    cancellation.  d = 3 takes sigma_1 and sigma_1 sigma_2 in closed form and
+    log sigma_3 from ``log_det`` the same way (``_log_spectra3``), and d >= 4
+    one batched SVD.  A zero sigma_1, or sigma_1 sigma_2 for d = 3 (sigma_d
+    through the SVD), can only be an underflow (the maps are nonsingular) and
     is refused.
     """
     d = mats.shape[-1]
+    if d == 3:
+        return np.concatenate([
+            _log_spectra3(mats[lo:lo + _SPECTRUM_CHUNK], log_det[lo:lo + _SPECTRUM_CHUNK], k)
+            for lo in range(0, len(mats), _SPECTRUM_CHUNK)
+        ])
     if d == 1:
         sigma = np.abs(mats[:, 0])
     elif d == 2:
@@ -600,7 +706,7 @@ def _log_spectra(mats, log_det, k):
     else:
         sigma = np.linalg.svd(mats, compute_uv=False)
     if not np.all(sigma > 0.0):
-        raise ValueError(f"the linear part of a level-{k} word underflowed to a singular matrix")
+        raise _underflow(k)
     log_sigma = np.log(sigma)
     if d == 2:
         log_sigma = np.stack([log_sigma, log_det - log_sigma], axis=1)

@@ -66,7 +66,12 @@ def singular_values(T) -> np.ndarray:
     whose determinant must exceed ``SINGULARITY_RTOL`` relative to
     sigma_1^d (smaller ones are rejected as numerically singular), but not
     for deep products of maps: their spectra are taken by
-    ``code_tree._log_spectra``, which for d <= 2 needs no SVD of the product.
+    ``code_tree._log_spectra``.  For d = 2 and d = 3 it takes the smallest
+    singular value from the letters' summed log|det|, which stays accurate
+    however ill-conditioned the product is; the d = 3 sigma_2 is still known
+    to about eps * sigma_1 only.  It takes no SVD of a product for d <= 3,
+    except for the d = 3 words whose sigma_1 and sigma_2, or sigma_2 and
+    sigma_3, nearly meet.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:

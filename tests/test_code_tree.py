@@ -625,16 +625,70 @@ class TestLogSpectra:
         reference = np.log(np.linalg.svd(expand_words(tree, 5)[0], compute_uv=False))
         np.testing.assert_allclose(word_spectra(tree, 5), reference, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 4])
     def test_other_dimensions_equal_the_svd_bit_for_bit(self, rng, d):
         if d == 1:
             mats = [np.array([[x]]) for x in (0.3, -0.45, 0.2)]
         else:
-            mats = [random_contraction(rng, 3, 0.2, 0.6) for _ in range(3)]
+            mats = [random_contraction(rng, 4, 0.2, 0.6) for _ in range(3)]
         fam = IfsFamily("mixed", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 6)
         reference = np.log(np.linalg.svd(expand_words(tree, 6)[0], compute_uv=False))
         assert word_spectra(tree, 6).tobytes() == reference.tobytes()
+
+    @staticmethod
+    def block_diagonal_tree(rng, params, k):
+        """The depth-k tree of Q (a R(theta) ⊕ b) Q^T maps, one per (a, theta, b),
+        and its words' oracle pairs (sum log a, sum log b), in word order."""
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        maps = []
+        for c, (a, theta, b) in enumerate(params):
+            M = np.zeros((3, 3))
+            M[:2, :2] = a * np.array([[math.cos(theta), -math.sin(theta)],
+                                      [math.sin(theta), math.cos(theta)]])
+            M[2, 2] = b
+            maps.append(AffineMap(Q @ M @ Q.T, c))
+        log_ab = np.log(np.array([(a, b) for a, _, b in params]))
+        oracle = np.array([log_ab[list(w)].sum(axis=0)
+                           for w in itertools.product(range(len(params)), repeat=k)])
+        return deterministic_tree(IfsFamily("block", tuple(maps)), k), oracle
+
+    def test_block_diagonal_oracle_with_equal_top_pair(self, rng, monkeypatch):
+        # a > b: sigma_1 = sigma_2 = prod a, where the closed form is least
+        # accurate, so every word takes the SVD of its scaled product
+        tree, oracle = self.block_diagonal_tree(rng, [(0.5, 0.3, 0.2), (0.4, 1.1, 0.1)], 8)
+        svd = np.linalg.svd
+        seen = []
+
+        def counted(a, *args, **kwargs):
+            seen.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        log_sigma = word_spectra(tree, 8)
+        assert seen == [2**8]
+        expected = np.stack([oracle[:, 0], oracle[:, 0], oracle[:, 1]], axis=1)
+        np.testing.assert_allclose(log_sigma, expected, rtol=0, atol=1e-12)
+
+    def test_block_diagonal_oracle_with_equal_bottom_pair(self, rng):
+        # a < b: sigma_1 = prod b and sigma_2 = sigma_3 = prod a.  The lower
+        # pair is as far from the oracle as LAPACK's, up to the rounding of
+        # the summed log|det| that log sigma_3 is taken from
+        tree, oracle = self.block_diagonal_tree(rng, [(0.2, 0.3, 0.5), (0.1, 1.1, 0.4)], 8)
+        log_sigma = word_spectra(tree, 8)
+        lapack = np.log(np.linalg.svd(expand_words(tree, 8)[0], compute_uv=False))
+        expected = np.stack([oracle[:, 1], oracle[:, 0], oracle[:, 0]], axis=1)
+        np.testing.assert_allclose(log_sigma[:, 0], expected[:, 0], rtol=0, atol=1e-12)
+        ours = np.max(np.abs(log_sigma[:, 1:] - expected[:, 1:]))
+        theirs = np.max(np.abs(lapack[:, 1:] - expected[:, 1:]))
+        assert ours <= theirs + 1e-13
+
+    def test_well_conditioned_3x3_products_match_the_svd(self, rng):
+        mats = [random_contraction(rng, 3, 0.2, 0.6) for _ in range(3)]
+        fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
+        tree = deterministic_tree(fam, 6)
+        reference = np.log(np.linalg.svd(expand_words(tree, 6)[0], compute_uv=False))
+        np.testing.assert_allclose(word_spectra(tree, 6), reference, rtol=0, atol=1e-13)
 
     def test_block_split_does_not_change_log_det(self, rng):
         # log|det| sums run left to right along each word, through block
@@ -648,19 +702,22 @@ class TestLogSpectra:
         split = np.concatenate([code_tree._expand_block(tree, *b, 7, False)[1] for b in blocks])
         assert split.tobytes() == whole.tobytes()
 
-    def test_threads_do_not_change_planar_sums(self, monkeypatch, rng):
-        mats = [random_contraction(rng, 2, 0.2, 0.6) for _ in range(3)]
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_threads_do_not_change_sums(self, monkeypatch, rng, d):
+        mats = [random_contraction(rng, d, 0.2, 0.6) for _ in range(3)]
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 7)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**3)
-        grid = [0.4, 1.0, 1.7, 2.5]
+        grid = [0.4, 1.0, 1.7, 2.5, 3.2]
         one = partition_sums(tree, 7, grid, threads=1)
         four = partition_sums(tree, 7, grid, threads=4)
         assert np.array_equal(one, four)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_underflow_in_any_word_is_refused(self, d):
-        # word 00 underflows to the zero matrix; the later words do not
+    def test_underflow_in_any_word_is_refused(self, monkeypatch, d):
+        # word 00 underflows to the zero matrix; the later words do not.  One
+        # word per d = 3 chunk puts it in a chunk other than the last
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", 1)
         fam = IfsFamily("mixed", (AffineMap(1e-170 * np.eye(d), 0), AffineMap(0.5 * np.eye(d), 1)))
         tree = deterministic_tree(fam, 2)
         with pytest.raises(ValueError, match="level-2 word underflowed"):
@@ -669,6 +726,12 @@ class TestLogSpectra:
             partition_sums(tree, 2, [1.0])
         with pytest.raises(ValueError, match="level-2 word underflowed"):
             partition_sum_mc(tree, 2, 1.0, samples=64, seed=0)
+
+    def test_lost_second_singular_value_is_refused(self):
+        # sigma_1 survives in the rank-one product, but sigma_1 sigma_2 is lost
+        mats = np.array([np.diag([0.5, 0.0, 0.0]), 0.5 * np.eye(3)])
+        with pytest.raises(ValueError, match="level-5 word underflowed"):
+            code_tree._log_spectra(mats, np.zeros(2), 5)
 
 
 class TestPartitionSumMc:
@@ -736,14 +799,15 @@ class TestEnumeratePoints:
         assert np.array_equal(p1, p4) and np.array_equal(w1, w4)
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_uniform_weights_take_no_svd(self, monkeypatch, threads):
-        # phi_0 is 1, so s = 0 needs no spectra; at s = 1.3 the d = 2 spectra
-        # take no SVD either, and d = 3 takes one SVD per block
+    def test_uniform_weights_take_no_svd(self, monkeypatch, threads, rng):
+        # phi_0 is 1, so s = 0 needs no spectra; at s = 1.3 the d = 2 and d = 3
+        # spectra of distinct singular values take no SVD either
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**4)
         tree = deterministic_tree(corner_family(), 7)
         blocks = len(code_tree._blocks(tree, 7, code_tree._BLOCK_LIMIT))
         assert blocks == 27
-        solid = IfsFamily("cube", tuple(AffineMap(0.4 * np.eye(3), c) for c in range(3)))
+        solid = IfsFamily("solid", tuple(AffineMap(random_contraction(rng, 3, 0.2, 0.6), c)
+                                         for c in range(3)))
         solid_tree = deterministic_tree(solid, 7)
         calls = []
         svd = np.linalg.svd
@@ -762,7 +826,7 @@ class TestEnumeratePoints:
         assert calls == []
         assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
         _, weights = enumerate_points(solid_tree, 7, 1.3, threads=threads)
-        assert len(calls) == blocks
+        assert calls == []
         assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
 
     def test_level_must_be_realized(self):

@@ -779,10 +779,11 @@ class TestCli:
     @pytest.mark.parametrize("argv", [["pressure", "--k", "120", "--grid", "3"],
                                       ["points", "--depth", "120", "--s", "1.5"]])
     def test_underflowed_composed_matrix_exits_two(self, tmp_path, capsys, argv):
-        # diag(0.001, 0.001)^120 has sigma_1 = 1e-360, which is 0.0 in double
-        # precision; diag(0.3, 0.3, 0.001)^120 goes through the SVD, whose
-        # sigma_3 = 1e-360 is 0.0 too
-        for d, diagonal in ((2, [0.001, 0.001]), (3, [0.3, 0.3, 0.001])):
+        # diag(0.001, 0.001)^120 and diag(0.001, 0.001, 0.001)^120 have
+        # sigma_1 = 1e-360, which is 0.0 in double precision; diag(0.5, 0.001,
+        # 0.001)^120 keeps sigma_1 but loses sigma_1 sigma_2
+        for d, diagonal in ((2, [0.001, 0.001]), (3, [0.001, 0.001, 0.001]),
+                            (3, [0.5, 0.001, 0.001])):
             small = {
                 "d": d,
                 "bounds": {"sigma_lo": min(diagonal), "sigma_hi": max(diagonal)},
@@ -798,7 +799,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["pressure", "--k", "2", "--grid", "3"],
                                       ["points", "--depth", "2", "--s", "1.5"]])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_underflow_before_the_last_word_exits_two(self, tmp_path, capsys, argv, d):
         # word 00 is 1e-170 squared, 0.0 in double precision, while the last
         # word 11 is 0.5 squared; every word is checked, not only the last
@@ -836,6 +837,32 @@ class TestCli:
         assert rows[1][1] == pytest.approx(math.log(0.3), rel=1e-12)
         assert rows[2][1] == pytest.approx(math.log(3e-4), rel=1e-12)
         rc = cli(["points", system, "--depth", "120", "--s", "1.5"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].split(",")[-1] == "1.0"
+
+    def test_third_singular_value_below_the_smallest_double(self, tmp_path, capsys):
+        # diag(0.3, 0.3, 0.001)^120 has sigma_3 = 1e-360, below the smallest
+        # double, but log sigma_3 is the sum of the letters' log|det| less
+        # log sigma_1 sigma_2
+        flat = {
+            "d": 3,
+            "bounds": {"sigma_lo": 0.001, "sigma_hi": 0.3},
+            "families": [{"label": "flat", "maps": [{"T": np.diag([0.3, 0.3, 0.001]).tolist()}]}],
+            "translations": {"0": [0.1, 0.2, 0.3]},
+        }
+        system = doc_path(tmp_path, flat)
+        rc = cli(["pressure", system, "--k", "120", "--s-min", "0", "--s-max", "3", "--grid", "4"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]]
+        assert [s for s, _, _ in rows] == [0.0, 1.0, 2.0, 3.0]
+        assert rows[1][1] == pytest.approx(math.log(0.3), rel=1e-12)
+        assert rows[2][1] == pytest.approx(2.0 * math.log(0.3), rel=1e-12)
+        assert rows[3][1] == pytest.approx(math.log(9e-5), rel=1e-12)
+        rc = cli(["points", system, "--depth", "120", "--s", "2.5"])
         captured = capsys.readouterr()
         assert rc == 0
         assert captured.err == ""
