@@ -340,6 +340,154 @@ class TestParseErrors:
         self.expect(mutate(GRAPH_DOC, reroute), "graph", "neck")
 
 
+DROP = object()  # ``edit`` removes the key instead of setting it
+
+MAP0 = ("families", 0, "maps", 0)
+LABEL0 = ("graph", "labels", 0)
+EDGE0 = LABEL0 + ("edges", 0)
+
+
+def edit(doc, path, value) -> str:
+    """The document's text with the entry at ``path`` set to ``value`` (or dropped)."""
+    if not path:
+        return json.dumps(value)
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for part in path[:-1]:
+        parent = parent[part]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(copy)
+
+
+def refusal(doc, path, value, field):
+    label = "/".join(map(str, path)) + "=" + ("drop" if value is DROP else repr(value))
+    return pytest.param(doc, path, value, field, id=label)
+
+
+# One malformed document per structural rule: a missing or unknown key at
+# each object level, a wrong JSON type for each kind of field, an empty array
+# or label, and each range; each is refused at the field that breaks the rule.
+REFUSALS = [
+    refusal(CERT_DOC, (), [], "(document)"),
+    refusal(CERT_DOC, ("d",), DROP, "(document)"),
+    refusal(CERT_DOC, ("extra",), 1, "(document)"),
+    refusal(CERT_DOC, ("bounds", "sigma_hi"), DROP, "bounds"),
+    refusal(CERT_DOC, ("bounds", "extra"), 1, "bounds"),
+    refusal(CERT_DOC, ("bounds",), [0.2, 0.45], "bounds"),
+    refusal(CERT_DOC, ("families", 0, "label"), DROP, "families[0]"),
+    refusal(CERT_DOC, ("families", 0, "extra"), 1, "families[0]"),
+    refusal(CERT_DOC, MAP0 + ("T",), DROP, "families[0].maps[0]"),
+    refusal(CERT_DOC, MAP0 + ("extra",), 1, "families[0].maps[0]"),
+    refusal(GRAPH_DOC, ("graph", "v0"), DROP, "graph"),
+    refusal(GRAPH_DOC, ("graph", "extra"), 1, "graph"),
+    refusal(GRAPH_DOC, ("graph",), [], "graph"),
+    refusal(GRAPH_DOC, LABEL0 + ("prob",), DROP, "graph.labels[0]"),
+    refusal(GRAPH_DOC, LABEL0 + ("extra",), 1, "graph.labels[0]"),
+    refusal(GRAPH_DOC, EDGE0 + ("map",), DROP, "graph.labels[0].edges[0]"),
+    refusal(GRAPH_DOC, EDGE0 + ("extra",), 1, "graph.labels[0].edges[0]"),
+    refusal(GRAPH_DOC, EDGE0, [1, 1, 0], "graph.labels[0].edges[0]"),
+    # a string, boolean or null where a number is expected
+    refusal(CERT_DOC, MAP0 + ("T", 0, 0), "0.4", "families[0].maps[0].T[0][0]"),
+    refusal(CERT_DOC, MAP0 + ("T", 0, 0), True, "families[0].maps[0].T[0][0]"),
+    refusal(CERT_DOC, MAP0 + ("T", 0, 1), None, "families[0].maps[0].T[0][1]"),
+    refusal(CERT_DOC, MAP0 + ("T", 1), 0.3, "families[0].maps[0].T[1]"),
+    refusal(CERT_DOC, MAP0 + ("T",), 0.4, "families[0].maps[0].T"),
+    refusal(CERT_DOC, MAP0 + ("T", 1, 1), [0.3], "families[0].maps[0].T[1][1]"),
+    refusal(CERT_DOC, ("bounds", "sigma_lo"), "0.2", "bounds.sigma_lo"),
+    refusal(CERT_DOC, ("bounds", "sigma_hi"), None, "bounds.sigma_hi"),
+    refusal(CERT_DOC, ("bounds", "sigma_hi"), True, "bounds.sigma_hi"),
+    refusal(CORNER_DOC, ("translations", "0", 0), None, "translations.0[0]"),
+    refusal(CORNER_DOC, ("translations", "0", 1), "0", "translations.0[1]"),
+    refusal(CORNER_DOC, ("translations", "0"), 0.0, "translations.0"),
+    refusal(GRAPH_DOC, LABEL0 + ("prob",), False, "graph.labels[0].prob"),
+    refusal(GRAPH_DOC, LABEL0 + ("prob",), "0.3", "graph.labels[0].prob"),
+    # a string, boolean or non-integral float where an integer is expected
+    refusal(CERT_DOC, ("d",), "2", "d"),
+    refusal(CERT_DOC, ("d",), 2.5, "d"),
+    refusal(CERT_DOC, ("d",), True, "d"),
+    refusal(CERT_DOC, MAP0 + ("translation_class",), "0", "families[0].maps[0].translation_class"),
+    refusal(CERT_DOC, MAP0 + ("translation_class",), 0.5, "families[0].maps[0].translation_class"),
+    refusal(GRAPH_DOC, ("graph", "V"), 1.5, "graph.V"),
+    refusal(GRAPH_DOC, ("graph", "v0"), "1", "graph.v0"),
+    refusal(GRAPH_DOC, EDGE0 + ("from",), "1", "graph.labels[0].edges[0].from"),
+    refusal(GRAPH_DOC, EDGE0 + ("to",), 1.5, "graph.labels[0].edges[0].to"),
+    refusal(GRAPH_DOC, EDGE0 + ("map",), True, "graph.labels[0].edges[0].map"),
+    refusal(CERT_DOC, ("families", 0, "label"), 3, "families[0].label"),
+    refusal(CERT_DOC, ("families",), {"label": "pair"}, "families"),
+    refusal(CERT_DOC, ("families", 0), "pair", "families[0]"),
+    refusal(CERT_DOC, ("families", 0, "maps"), {"T": [[0.4]]}, "families[0].maps"),
+    refusal(GRAPH_DOC, ("graph", "labels"), {"prob": 1.0}, "graph.labels"),
+    refusal(GRAPH_DOC, LABEL0 + ("edges",), {"from": 1}, "graph.labels[0].edges"),
+    # empty arrays and an empty label
+    refusal(CERT_DOC, ("families",), [], "families"),
+    refusal(CERT_DOC, ("families", 0, "maps"), [], "families[0].maps"),
+    refusal(CERT_DOC, MAP0 + ("T",), [], "families[0].maps[0].T"),
+    refusal(CERT_DOC, MAP0 + ("T", 0), [], "families[0].maps[0].T[0]"),
+    refusal(CORNER_DOC, ("translations", "0"), [], "translations.0"),
+    refusal(GRAPH_DOC, ("graph", "labels"), [], "graph.labels"),
+    refusal(GRAPH_DOC, LABEL0 + ("edges",), [], "graph.labels[0].edges"),
+    refusal(CERT_DOC, ("families", 0, "label"), "", "families[0].label"),
+    # integer ranges, and non-finite numbers in integer fields
+    refusal(CERT_DOC, ("d",), 0, "d"),
+    refusal(CERT_DOC, ("d",), 13, "d"),
+    refusal(CERT_DOC, ("d",), math.inf, "d"),
+    refusal(CERT_DOC, ("d",), math.nan, "d"),
+    refusal(CERT_DOC, ("d",), int(HUGE_INT), "d"),
+    refusal(CERT_DOC, MAP0 + ("translation_class",), -1, "families[0].maps[0].translation_class"),
+    refusal(CERT_DOC, MAP0 + ("translation_class",), math.inf,
+            "families[0].maps[0].translation_class"),
+    refusal(GRAPH_DOC, EDGE0 + ("map",), -1, "graph.labels[0].edges[0].map"),
+    refusal(GRAPH_DOC, EDGE0 + ("map",), math.nan, "graph.labels[0].edges[0].map"),
+    refusal(GRAPH_DOC, ("graph", "V"), 0, "graph.V"),
+    refusal(GRAPH_DOC, ("graph", "V"), -math.inf, "graph.V"),
+    refusal(GRAPH_DOC, ("graph", "v0"), 0, "graph.v0"),
+    refusal(GRAPH_DOC, ("graph", "v0"), math.nan, "graph.v0"),
+    refusal(GRAPH_DOC, EDGE0 + ("from",), 0, "graph.labels[0].edges[0].from"),
+    refusal(GRAPH_DOC, EDGE0 + ("from",), math.inf, "graph.labels[0].edges[0].from"),
+    refusal(GRAPH_DOC, EDGE0 + ("to",), 0, "graph.labels[0].edges[0].to"),
+    refusal(GRAPH_DOC, EDGE0 + ("to",), math.inf, "graph.labels[0].edges[0].to"),
+    # number ranges
+    refusal(CERT_DOC, ("bounds", "sigma_lo"), 0, "bounds.sigma_lo"),
+    refusal(CERT_DOC, ("bounds", "sigma_lo"), -0.1, "bounds.sigma_lo"),
+    refusal(CERT_DOC, ("bounds", "sigma_hi"), 1.5, "bounds.sigma_hi"),
+    refusal(GRAPH_DOC, LABEL0 + ("prob",), -0.1, "graph.labels[0].prob"),
+    # translation keys are decimal digits, in an object
+    refusal(CORNER_DOC, ("translations", "a"), [0.0, 0.0], "translations"),
+    refusal(CORNER_DOC, ("translations", "-1"), [0.0, 0.0], "translations"),
+    refusal(CORNER_DOC, ("translations", "1.0"), [0.0, 0.0], "translations"),
+    refusal(CORNER_DOC, ("translations",), [[0.0, 0.0]], "translations"),
+]
+
+
+@pytest.mark.parametrize("doc, path, value, field", REFUSALS)
+def test_structural_refusals(tmp_path, doc, path, value, field):
+    text = edit(doc, path, value)
+    system = tmp_path / "system.json"  # a file, so a non-object document is read too
+    system.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemSpecError) as info:
+        parse_system(str(system))
+    assert info.value.field == field
+
+
+# An integral float is an integer, and a zero probability is a probability
+@pytest.mark.parametrize("doc, path, value, plain", [
+    (CERT_DOC, ("d",), 2.0, 2),
+    (CERT_DOC, MAP0 + ("translation_class",), 0.0, 0),
+    (GRAPH_DOC, ("graph", "V"), 2.0, 2),
+    (GRAPH_DOC, EDGE0 + ("map",), 0.0, 0),
+    (GRAPH_DOC, EDGE0 + ("from",), 1.0, 1),
+    (GRAPH_DOC, ("graph", "labels", 1, "prob"), 0, 0.0),
+])
+def test_structural_acceptances(doc, path, value, plain):
+    if path[-1] == "prob":  # the neck label then carries all the mass
+        doc = json.loads(edit(GRAPH_DOC, ("graph", "labels", 0, "prob"), 1.0))
+    spec = parse_system(edit(doc, path, value))
+    assert serialize_system(spec) == serialize_system(parse_system(edit(doc, path, plain)))
+
+
 # ---------------------------------------------------------------------------
 # round trips and binding
 
