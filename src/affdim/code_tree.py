@@ -128,9 +128,6 @@ class AffineMap:
     def sigma_min(self) -> float:
         return float(self.sigma[-1])
 
-    def with_translation(self, a) -> "AffineMap":
-        return AffineMap(self.T, self.translation_class, a)
-
     def __eq__(self, other):
         if not isinstance(other, AffineMap):
             return NotImplemented
@@ -614,7 +611,9 @@ def _gram_top(x):
 
     Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,
     p² = |G - qI|_F² / 6 and r = det(G - qI) / (2p³) in [-1, 1], the largest
-    eigenvalue is q + 2p cos(arccos(r) / 3).  A scalar G (p = 0) takes r = 1.
+    eigenvalue is q + 2p cos(arccos(r) / 3).  A G within rounding of scalar
+    (p <= 64 eps q) takes r = 1: the computed and the true eigenvalue then both
+    lie in [q + p, q + 2p], so the error is at most p.
     """
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
     g00 = x0 * x0 + x1 * x1 + x2 * x2
@@ -631,7 +630,7 @@ def _gram_top(x):
                  + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
     det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
            + g02 * (g01 * g12 - g11 * g02))
-    r = np.divide(det, 2.0 * p * p * p, out=np.ones_like(p), where=p > 0.0)
+    r = np.divide(det, 2.0 * p * p * p, out=np.ones_like(p), where=p > 2.0**-46 * q)
     np.clip(r, -1.0, 1.0, out=r)
     return q + 2.0 * p * np.cos(np.arccos(r) / 3.0), 1.0 + r
 

@@ -156,10 +156,6 @@ class ExteriorVector:
         coords[J.position] = 1.0
         return cls(d, J.m, coords)
 
-    @classmethod
-    def zero(cls, d: int, m: int) -> "ExteriorVector":
-        return cls(d, m, np.zeros(math.comb(d, m)))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 

@@ -45,8 +45,6 @@ function of ``--seed`` and never of ``--threads`` or scheduling.
 from __future__ import annotations
 
 import argparse
-import functools
-import importlib.resources
 import json
 import math
 import os
@@ -54,7 +52,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from .code_tree import (
@@ -92,7 +89,7 @@ __all__ = [
 
 
 class SystemSpecError(ValueError):
-    """A system document failed schema or invariant validation.
+    """A system document is malformed or breaks an invariant.
 
     ``field`` holds a dotted path into the document (e.g.
     ``families[0].maps[1].T``) so errors point at the offending entry.
@@ -152,26 +149,52 @@ class SystemSpec:
     __hash__ = None
 
 
-@functools.lru_cache(maxsize=1)
-def _schema() -> dict:
-    text = importlib.resources.files("affdim").joinpath("system_spec.schema.json").read_text()
-    return json.loads(text)
+def _object(raw, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """``raw`` as a JSON object with every ``required`` key and no key outside
+    ``required + optional``."""
+    if not isinstance(raw, dict):
+        raise SystemSpecError(where, f"expected an object, got {raw!r:.60}")
+    for key in required:
+        if key not in raw:
+            raise SystemSpecError(where, f"missing required key {key!r}")
+    for key in raw:
+        if key not in required + optional:
+            raise SystemSpecError(where, f"unknown key {key!r} (allowed: {', '.join(required + optional)})")
+    return raw
 
 
-def _json_path(parts) -> str:
-    out = ""
-    for p in parts:
-        out += f"[{p}]" if isinstance(p, int) else (f".{p}" if out else str(p))
-    return out or "(document)"
+def _array(raw, where: str) -> list:
+    """``raw`` as a nonempty JSON array."""
+    if not isinstance(raw, list) or not raw:
+        raise SystemSpecError(where, f"expected a nonempty array, got {raw!r:.60}")
+    return raw
 
 
-def _numbers(raw, where: str) -> np.ndarray:
-    """``raw`` as a float array, every entry a finite double."""
+def _integer(raw, where: str, lo: int, hi: float = math.inf) -> int:
+    """``raw`` as an integer in ``lo..hi``; an integral float counts, a boolean does not."""
+    if isinstance(raw, float) and raw.is_integer():  # False for inf and nan
+        raw = int(raw)
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise SystemSpecError(where, f"expected an integer, got {raw!r:.60}")
+    if not lo <= raw <= hi:
+        raise SystemSpecError(where, f"{raw} is outside {lo}..{hi}")
+    return raw
+
+
+def _numbers(raw, where: str, depth: int) -> np.ndarray:
+    """``raw`` as a float array: ``depth`` levels of nonempty JSON arrays (0 for
+    a single number), every entry a finite double and none a boolean."""
+    items = [(raw, where)]
+    for _ in range(depth):
+        items = [(y, f"{at}[{i}]") for x, at in items for i, y in enumerate(_array(x, at))]
+    for x, at in items:
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise SystemSpecError(at, f"expected a number, got {x!r:.60}")
     try:
         x = np.array(raw, dtype=float)
     except OverflowError:
         raise SystemSpecError(where, "a number lies outside the double range") from None
-    except ValueError:  # the schema admits only numbers, so only a ragged nesting gets here
+    except ValueError:  # every entry is a number, so only a ragged nesting gets here
         raise SystemSpecError(where, f"rows must all have the same length, got {raw!r}") from None
     if not np.all(np.isfinite(x)):
         raise SystemSpecError(where, f"numbers must be finite, got {raw!r}")
@@ -183,8 +206,8 @@ def parse_system(source) -> SystemSpec:
 
     A string whose first non-space character is ``{`` is treated as the
     document itself; anything else (including path objects) is read from disk.
-    Raises :class:`SystemSpecError` with a field-precise message on any
-    schema or invariant violation.
+    Raises :class:`SystemSpecError` at the first malformed field, or the first
+    broken invariant, met in reading order.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
@@ -195,20 +218,24 @@ def parse_system(source) -> SystemSpec:
         doc = json.loads(text)
     except ValueError as exc:
         raise SystemSpecError("(document)", f"not valid JSON: {exc}") from exc
-
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path)))
-    if errors:
-        e = errors[0]
-        raise SystemSpecError(_json_path(e.absolute_path), e.message)
     return _build(doc)
 
 
 def _build(doc: dict) -> SystemSpec:
-    """The spec of a schema-valid document, with its canonical form as ``doc``."""
-    d = int(doc["d"])
-    lo = float(_numbers(doc["bounds"]["sigma_lo"], "bounds.sigma_lo"))
-    hi = float(_numbers(doc["bounds"]["sigma_hi"], "bounds.sigma_hi"))
+    """The spec of a decoded JSON document, with its canonical form as ``doc``.
+
+    Every field is read through ``_object``, ``_array``, ``_integer`` or
+    ``_numbers``, so a malformed document is refused at the field being read.
+    """
+    _object(doc, "(document)", ("d", "families", "bounds"), ("translations", "graph"))
+    d = _integer(doc["d"], "d", 1, 12)
+    bounds = _object(doc["bounds"], "bounds", ("sigma_lo", "sigma_hi"))
+    lo = float(_numbers(bounds["sigma_lo"], "bounds.sigma_lo", 0))
+    if lo <= 0.0:
+        raise SystemSpecError("bounds.sigma_lo", f"must be positive, got {lo!r}")
+    hi = float(_numbers(bounds["sigma_hi"], "bounds.sigma_hi", 0))
+    if hi > 1.0:
+        raise SystemSpecError("bounds.sigma_hi", f"must be at most 1, got {hi!r}")
     if not lo <= hi:
         raise SystemSpecError("bounds", f"sigma_lo = {lo!r} exceeds sigma_hi = {hi!r}")
     canon: dict = {"d": d, "bounds": {"sigma_lo": lo, "sigma_hi": hi}, "families": []}
@@ -216,8 +243,13 @@ def _build(doc: dict) -> SystemSpec:
     translations = None
     if "translations" in doc:
         translations, keys = {}, {}
-        for key, vec in doc["translations"].items():
-            a = _numbers(vec, f"translations.{key}")
+        tdoc = doc["translations"]
+        if not isinstance(tdoc, dict):
+            raise SystemSpecError("translations", f"expected an object, got {tdoc!r:.60}")
+        for key, vec in tdoc.items():
+            if not (key.isascii() and key.isdigit()):
+                raise SystemSpecError("translations", f"key {key!r} is not a class number (digits only)")
+            a = _numbers(vec, f"translations.{key}", 1)
             if a.shape != (d,):
                 raise SystemSpecError(f"translations.{key}", f"expected a vector in R^{d}, got shape {a.shape}")
             cls = int(key)
@@ -231,20 +263,24 @@ def _build(doc: dict) -> SystemSpec:
     families = []
     labels_seen = set()
     classes_used = set()
-    for i, fdoc in enumerate(doc["families"]):
+    for i, fdoc in enumerate(_array(doc["families"], "families")):
+        fdoc = _object(fdoc, f"families[{i}]", ("label", "maps"))
         label = fdoc["label"]
+        if not isinstance(label, str) or not label:
+            raise SystemSpecError(f"families[{i}].label", f"expected a nonempty string, got {label!r:.60}")
         if label in labels_seen:
             raise SystemSpecError(f"families[{i}].label", f"duplicate family label {label!r}")
         labels_seen.add(label)
         maps = []
-        for j, mdoc in enumerate(fdoc["maps"]):
+        for j, mdoc in enumerate(_array(fdoc["maps"], f"families[{i}].maps")):
             where = f"families[{i}].maps[{j}]"
-            T = _numbers(mdoc["T"], where + ".T")
+            mdoc = _object(mdoc, where, ("T",), ("translation_class",))
+            T = _numbers(mdoc["T"], where + ".T", 2)
             if T.shape != (d, d):
                 raise SystemSpecError(
                     where + ".T", f"expected a {d}x{d} row-major matrix, got shape {T.shape}"
                 )
-            cls = int(mdoc.get("translation_class", j))
+            cls = _integer(mdoc.get("translation_class", j), where + ".translation_class", 0)
             classes_used.add(cls)
             a = None
             if translations is not None:
@@ -283,8 +319,9 @@ def _build(doc: dict) -> SystemSpec:
 
     graph = None
     if "graph" in doc:
-        gdoc = doc["graph"]
-        if len(gdoc["labels"]) != len(families):
+        gdoc = _object(doc["graph"], "graph", ("V", "v0", "labels"))
+        V, v0 = _integer(gdoc["V"], "graph.V", 1), _integer(gdoc["v0"], "graph.v0", 1)
+        if len(_array(gdoc["labels"], "graph.labels")) != len(families):
             raise SystemSpecError(
                 "graph.labels",
                 f"expected one label per family ({len(families)}), got {len(gdoc['labels'])}",
@@ -293,23 +330,24 @@ def _build(doc: dict) -> SystemSpec:
         canon_labels = []
         for i, ldoc in enumerate(gdoc["labels"]):
             fam = families[i]
-            prob = float(_numbers(ldoc["prob"], f"graph.labels[{i}].prob"))
+            ldoc = _object(ldoc, f"graph.labels[{i}]", ("prob", "edges"))
+            prob = float(_numbers(ldoc["prob"], f"graph.labels[{i}].prob", 0))
+            if prob < 0.0:
+                raise SystemSpecError(f"graph.labels[{i}].prob", f"must be nonnegative, got {prob!r}")
             edges = []
             canon_edges = []
-            for j, edoc in enumerate(ldoc["edges"]):
-                idx = int(edoc["map"])
-                if not 0 <= idx < fam.size:
-                    raise SystemSpecError(
-                        f"graph.labels[{i}].edges[{j}].map",
-                        f"map index {idx} outside 0..{fam.size - 1} of family {fam.label!r}",
-                    )
-                edge = GraphEdge(int(edoc["from"]), int(edoc["to"]), fam.maps[idx])
+            for j, edoc in enumerate(_array(ldoc["edges"], f"graph.labels[{i}].edges")):
+                where = f"graph.labels[{i}].edges[{j}]"
+                edoc = _object(edoc, where, ("from", "to", "map"))
+                idx = _integer(edoc["map"], where + ".map", 0, fam.size - 1)
+                source = _integer(edoc["from"], where + ".from", 1)
+                edge = GraphEdge(source, _integer(edoc["to"], where + ".to", 1), fam.maps[idx])
                 edges.append(edge)
                 canon_edges.append({"from": edge.source, "to": edge.target, "map": idx})
             glabels.append(GraphLabel(fam.label, prob, tuple(edges)))
             canon_labels.append({"prob": prob, "edges": canon_edges})
         try:
-            graph = GraphSystem(int(gdoc["V"]), int(gdoc["v0"]), tuple(glabels))
+            graph = GraphSystem(V, v0, tuple(glabels))
         except ValueError as exc:
             raise SystemSpecError("graph", str(exc)) from exc
         canon["graph"] = {"V": graph.V, "v0": graph.v0, "labels": canon_labels}

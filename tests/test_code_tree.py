@@ -122,7 +122,7 @@ class TestAffineMap:
 
     def test_with_translation_and_eq(self):
         m = AffineMap(0.5 * np.eye(2), 3)
-        shifted = m.with_translation([1.0, -1.0])
+        shifted = AffineMap(0.5 * np.eye(2), 3, [1.0, -1.0])
         assert shifted.translation_class == 3
         assert shifted != m
         assert shifted == AffineMap(0.5 * np.eye(2), 3, [1.0, -1.0])
@@ -682,6 +682,27 @@ class TestLogSpectra:
         ours = np.max(np.abs(log_sigma[:, 1:] - expected[:, 1:]))
         theirs = np.max(np.abs(lapack[:, 1:] - expected[:, 1:]))
         assert ours <= theirs + 1e-13
+
+    @pytest.mark.parametrize("axes", [[(0, 1, 0.0)] * 3, [(0, 1, 0.3), (1, 2, 1.1), (0, 2, 2.0)]])
+    def test_similarity_words_take_no_svd(self, monkeypatch, axes):
+        # 0.4 I, then 0.4 times three rotations in coordinate planes.  Every
+        # Gram matrix is scalar up to rounding, so r is noise; taking r = 1
+        # there costs at most p <= 64 eps q, and no row needs the SVD
+        rotations = []
+        for i, j, theta in axes:
+            R = np.eye(3)
+            R[[i, i, j, j], [i, j, i, j]] = [math.cos(theta), -math.sin(theta),
+                                             math.sin(theta), math.cos(theta)]
+            rotations.append(R)
+        fam = IfsFamily("similar", tuple(AffineMap(0.4 * R, c) for c, R in enumerate(rotations)))
+        tree = deterministic_tree(fam, 7)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        log_sigma = word_spectra(tree, 7)
+        assert calls == []
+        assert log_sigma.shape == (3**7, 3)
+        np.testing.assert_allclose(log_sigma, 7 * math.log(0.4), rtol=0, atol=1e-13)
 
     def test_well_conditioned_3x3_products_match_the_svd(self, rng):
         mats = [random_contraction(rng, 3, 0.2, 0.6) for _ in range(3)]

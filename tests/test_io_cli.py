@@ -7,6 +7,10 @@ thread count.
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +300,12 @@ class TestParseErrors:
             "keys '1' and '01' both name translation class 1",
         )
 
+    def test_translation_key_with_a_trailing_newline(self):
+        # "^[0-9]+$" also matches "1\n", since "$" matches before a final newline
+        text = doc_text(CORNER_DOC).replace('"1": [0.55', '"1\\n": [0.55')
+        assert '"1\\n"' in text
+        self.expect(text, "translations", "not a class number")
+
     def test_ragged_matrix(self):
         self.expect(
             mutate(CERT_DOC, lambda d: d["families"][0]["maps"][0].update(T=[[0.25, 0.0], [0.25]])),
@@ -486,6 +496,26 @@ def test_structural_acceptances(doc, path, value, plain):
         doc = json.loads(edit(GRAPH_DOC, ("graph", "labels", 0, "prob"), 1.0))
     spec = parse_system(edit(doc, path, value))
     assert serialize_system(spec) == serialize_system(parse_system(edit(doc, path, plain)))
+
+
+def test_document_layer_needs_numpy_only():
+    # a fresh interpreter: nothing imported by the test run leaks in
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from affdim import cli, parse_system\n"
+        "parse_system('docs/examples/graph_system.json')\n"
+        "cli(['certify', 'docs/examples/corner_system.json'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------
