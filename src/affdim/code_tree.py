@@ -21,8 +21,12 @@ log|det| is the letters' log|det T_i| summed from the left.  Exact
 enumeration expands every child (``_expand_block``), the Monte Carlo
 estimator one random child per row.  Full enumeration runs through one
 block map, ``_map_words``: the level-k words are split, in lexicographic
-word order, into bounded blocks; each block is expanded, the logs of its
-singular spectra are taken (``_log_spectra``: |t| for d = 1; a closed-form
+word order, into bounded blocks, each a prefix word ending at a node and
+every suffix word below it.  A node's subtree depends only on its (level,
+state), so each key met, in order of first appearance, has its suffix table
+expanded once from the identity, and every block at that key is its prefix
+times that table in one broadcast product.  The logs of a block's singular
+spectra are taken (``_log_spectra``: |t| for d = 1; a closed-form
 sigma_1 for d = 2, closed-form sigma_1 and sigma_1 sigma_2 for d = 3, each
 with the smallest singular value from the summed log|det|; one batched SVD
 for d >= 4), and a caller's reduction is applied per block.  The log
@@ -544,12 +548,14 @@ def _advance(tbl, states, mats, log_det, points, rows, branch):
     return tbl._child[ps, branch], mats, log_det, points
 
 
-def _expand_block(tree, level0, state0, mat0, log_det0, point0, k, want_points):
-    """All level-k descendants of one node, in word order, as (mats, log_det, points)."""
+def _expand_block(tree, level0, state0, k, want_points):
+    """All level-k descendants of the node at (``level0``, ``state0``), in word
+    order, as (mats, log_det, points) of the suffix words from that node, so
+    composed from the identity."""
     states = np.array([state0], dtype=np.intp)
-    mats = mat0[None]
-    log_det = np.array([log_det0])
-    points = point0[None] if want_points else None
+    mats = np.eye(tree.d)[None]
+    log_det = np.zeros(1)
+    points = np.zeros((1, tree.d)) if want_points else None
     for lev in range(level0, k):
         tbl = tree.levels[lev]
         sz = tbl._sizes[states]
@@ -580,6 +586,17 @@ def _blocks(tree, k, limit):
             a = tbl._a[st, letter]
             stack.append((lev + 1, child, mat @ T, ld + tbl._log_det[st, letter], pt + mat @ a))
     return out
+
+
+def _prefixed(block, mats, log_det, points):
+    """The block's words from its prefix (mat, ld, pt) and its node's suffix
+    table: linear parts mat · T, log|det| ld + log|det T| and points
+    pt + mat · f_suffix(0); ``*`` composes for d = 1 as in ``_advance``."""
+    _, _, mat, ld, pt = block
+    mats = mat * mats if mat.shape[-1] == 1 else mat @ mats
+    if points is not None:
+        points = pt + np.einsum("ij,nj->ni", mat, points)
+    return mats, ld + log_det, points
 
 
 # Rows whose two largest Gram eigenvalues nearly meet (1 + r below this in
@@ -732,9 +749,16 @@ def _map_words(
 ):
     """``reduce(log_sigma, points)`` of every block of level-k words, in word order.
 
+    A block's words are its ``_blocks`` prefix followed by every suffix word
+    from the (level, state) node it hangs at, and that node's subtree depends
+    on the key alone.  Keys are handled in order of first appearance: the
+    key's suffix table is expanded once (``_expand_block``), and each block at
+    the key is formed from it in one broadcast product (``_prefixed``).  Only
+    one suffix table is alive at a time; a deterministic tree has one key.
     ``log_sigma`` is ``_log_spectra`` of the block's composed linear parts (None
     unless ``want_spectra``), ``points`` the words' points f_word(0) (None unless
-    ``want_points``).  At most ``threads`` blocks are expanded at a time.
+    ``want_points``).  At most ``threads`` blocks of a key are formed at a time;
+    each result is stored at its block's index.
     """
     if not 1 <= k <= tree.depth:
         raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
@@ -745,15 +769,30 @@ def _map_words(
             "use partition_sum_mc for a Monte Carlo estimate"
         )
 
-    def work(block):
-        mats, log_det, points = _expand_block(tree, *block, k, want_points)
-        return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
-
     blocks = _blocks(tree, k, _BLOCK_LIMIT)
+    keys: dict[tuple[int, int], list[int]] = {}
+    for i, (lev, st, *_) in enumerate(blocks):
+        keys.setdefault((lev, st), []).append(i)
+    out = [None] * len(blocks)
+
+    def run(key, mapper):
+        suffix = _expand_block(tree, *key, k, want_points)
+
+        def work(i):
+            mats, log_det, points = _prefixed(blocks[i], *suffix)
+            return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
+
+        for i, result in zip(keys[key], mapper(work, keys[key])):
+            out[i] = result
+
     if threads <= 1 or len(blocks) <= 1:
-        return [work(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, blocks))
+        for key in keys:
+            run(key, map)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for key in keys:
+                run(key, pool.map)
+    return out
 
 
 def partition_sums(
@@ -895,8 +934,7 @@ def count_full_blocks(
     for j in range(1, n_to + 1):
         if j > n_from:
             n1 = current.necks[0]
-            mats, _, _ = _expand_block(current, 0, current.root_state, np.eye(current.d), 0.0,
-                                       np.zeros(current.d), n1, False)
+            mats, _, _ = _expand_block(current, 0, current.root_state, n1, False)
             fam = LinearFamily(current.d, mats)
             est = estimate_fullness(fam, s, sample_count=samples, seed=(seed, j))
             if est.c_hat > c:

@@ -34,6 +34,7 @@ from affdim import (
 )
 
 from affdim import code_tree
+from affdim.singular_values import _log_phi
 
 from conftest import random_contraction
 
@@ -595,12 +596,10 @@ def word_spectra(tree, k) -> np.ndarray:
     return np.concatenate(code_tree._map_words(tree, k, lambda log_sigma, _: log_sigma))
 
 
-def expand_words(tree, k) -> tuple[np.ndarray, np.ndarray]:
-    """Every level-k word's composed linear part and log|det|, in word order, as one block."""
-    mats, log_det, _ = code_tree._expand_block(
-        tree, 0, tree.root_state, np.eye(tree.d), 0.0, np.zeros(tree.d), k, False
-    )
-    return mats, log_det
+def expand_words(tree, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every level-k word's composed linear part, log|det| and point f_word(0),
+    in word order, as one block expanded from the root."""
+    return code_tree._expand_block(tree, 0, tree.root_state, k, True)
 
 
 class TestLogSpectra:
@@ -711,17 +710,25 @@ class TestLogSpectra:
         reference = np.log(np.linalg.svd(expand_words(tree, 6)[0], compute_uv=False))
         np.testing.assert_allclose(word_spectra(tree, 6), reference, rtol=0, atol=1e-13)
 
-    def test_block_split_does_not_change_log_det(self, rng):
-        # log|det| sums run left to right along each word, through block
-        # prefixes and block expansion alike
+    def test_block_log_det_is_prefix_plus_suffix(self, rng, monkeypatch):
+        # a block's log|det| is its prefix's left-to-right sum plus its suffix
+        # table's, so it differs from the one-block sum by rounding only
         mats = [random_contraction(rng, 2, 0.2, 0.6) for _ in range(3)]
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 7)
-        _, whole = expand_words(tree, 7)
+        _, whole, _ = expand_words(tree, 7)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**2)
         blocks = code_tree._blocks(tree, 7, 3**2)
         assert len(blocks) == 3**5
-        split = np.concatenate([code_tree._expand_block(tree, *b, 7, False)[1] for b in blocks])
-        assert split.tobytes() == whole.tobytes()
+        _, suffix, _ = code_tree._expand_block(tree, 5, tree.root_state, 7, False)
+        seen = []
+        log_spectra = code_tree._log_spectra
+        monkeypatch.setattr(code_tree, "_log_spectra",
+                            lambda m, log_det, k: seen.append(log_det) or log_spectra(m, log_det, k))
+        word_spectra(tree, 7)
+        split = np.concatenate(seen)
+        assert split.tobytes() == np.concatenate([ld + suffix for _, _, _, ld, _ in blocks]).tobytes()
+        np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_threads_do_not_change_sums(self, monkeypatch, rng, d):
@@ -753,6 +760,71 @@ class TestLogSpectra:
         mats = np.array([np.diag([0.5, 0.0, 0.0]), 0.5 * np.eye(3)])
         with pytest.raises(ValueError, match="level-5 word underflowed"):
             code_tree._log_spectra(mats, np.zeros(2), 5)
+
+
+class TestSharedSuffixes:
+    @staticmethod
+    def two_vertex_tree(rng, d):
+        """A depth-7 tree of a two-vertex graph whose vertices have different
+        out-degrees under each label.  Maps and translations are positive, so
+        points sum without cancellation."""
+
+        def out(source, targets):
+            return [GraphEdge(source, t, AffineMap(0.3 * np.eye(d) + 0.05 * rng.uniform(size=(d, d)),
+                                                   c, rng.uniform(size=d)))
+                    for c, t in enumerate(targets)]
+
+        gs = GraphSystem(2, 1, (
+            GraphLabel("n", 0.4, tuple(out(1, [1, 1, 1]) + out(2, [1, 1]))),
+            GraphLabel("w", 0.6, tuple(out(1, [2, 1]) + out(2, [1, 2, 2]))),
+        ))
+        return build_code_tree(gs, [1, 0, 1, 1, 0, 1, 1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_at_several_keys_match_one_block(self, rng, monkeypatch, d):
+        tree = self.two_vertex_tree(rng, d)
+        k = tree.depth
+        mats, log_det, points = expand_words(tree, k)
+        spectra = code_tree._log_spectra(mats, log_det, k)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
+        blocks = code_tree._blocks(tree, k, 20)
+        keys = list(dict.fromkeys((lev, st) for lev, st, *_ in blocks))
+        assert len(keys) >= 2
+        expanded = []
+        expand = code_tree._expand_block
+        monkeypatch.setattr(code_tree, "_expand_block",
+                            lambda tree, lev, st, *rest: expanded.append((lev, st))
+                            or expand(tree, lev, st, *rest))
+
+        np.testing.assert_allclose(word_spectra(tree, k), spectra, rtol=1e-13, atol=0)
+        assert expanded == keys
+        grid = [0.4, 1.0, 2.2]
+        sums = partition_sums(tree, k, grid)
+        np.testing.assert_allclose(sums, code_tree._log_sums(spectra, grid), rtol=1e-13, atol=0)
+        assert expanded == 2 * keys
+        got_points, got_weights = enumerate_points(tree, k, s=0.7)
+        log_w = _log_phi(spectra, 0.7)
+        weights = np.exp(log_w - np.max(log_w))
+        np.testing.assert_allclose(got_points, points, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got_weights, weights / np.sum(weights), rtol=1e-13, atol=0)
+        assert expanded == 3 * keys
+        assert np.array_equal(partition_sums(tree, k, grid, threads=2), sums)
+        assert expanded == 4 * keys
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_underflow_only_the_product_shows_is_refused(self, monkeypatch, d):
+        # every block hangs at level 3: prefix 000 (1e-300 I) and suffix 0
+        # (1e-100 I) are representable, but their product, word 0000, is not
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 2)
+        fam = IfsFamily("tiny", (AffineMap(1e-100 * np.eye(d), 0), AffineMap(0.5 * np.eye(d), 1)))
+        tree = deterministic_tree(fam, 4)
+        blocks = code_tree._blocks(tree, 4, 2)
+        assert {(lev, st) for lev, st, *_ in blocks} == {(3, 0)}
+        assert np.all(np.diag(blocks[0][2]) > 0.0)
+        with pytest.raises(ValueError, match="level-4 word underflowed"):
+            partition_sums(tree, 4, [1.0])
+        with pytest.raises(ValueError, match="level-4 word underflowed"):
+            word_spectra(tree, 4)
 
 
 class TestPartitionSumMc:
