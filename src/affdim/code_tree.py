@@ -29,14 +29,18 @@ times that table in one broadcast product.  The logs of a block's singular
 spectra are taken (``_log_spectra``: |t| for d = 1; a closed-form
 sigma_1 for d = 2, closed-form sigma_1 and sigma_1 sigma_2 for d = 3, each
 with the smallest singular value from the summed log|det|; one batched SVD
-for d >= 4), and a caller's reduction is applied per block.  The log
-partition sums log S(k, s) (S sums phi_s of the composed linear parts over
-the level-k words), the weighted cylinder points and the pressure
-zero-finder's cache are such reductions, all in log form over
-``singular_values._log_phi``, so values far below the smallest double stay
-finite.  The points at s = 0 carry uniform weights (phi_0 is 1) and take no
-spectra.  Block results are folded in word order, so results are
-bit-identical no matter how many worker threads are used.
+for d >= 4) as a (d, n) array, one row per singular value and one column
+per word, so phi_s of every word is a few whole-row adds; a caller's
+reduction is applied per block.  The log partition sums log S(k, s) (S sums
+phi_s of the composed linear parts over the level-k words), the weighted
+cylinder points and the pressure zero-finder's cache are such reductions,
+all in log form over ``singular_values._log_phi``, so values far below the
+smallest double stay finite.  The points at s = 0 carry uniform weights
+(phi_0 is 1) and take no spectra.  Blocks are mapped one after another on
+the calling thread and their results folded in word order.  The public
+walks take a ``threads`` argument, which the CLI's ``--threads`` reaches,
+and it changes nothing: a second thread gained less than 1.3x on the
+``pressure-d3`` benchmark.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -679,24 +682,25 @@ def _log_spectra3(mats, log_det, k):
     c = _cofactors(x)
     f = _scaled(c)
     top12, gap12 = _gram_top(c)
-    log_sigma = np.empty((len(e), 3))
+    log_sigma = np.empty((3, len(e)))
     with np.errstate(divide="ignore"):  # a lost sigma_1 sigma_2 gives -inf, refused below
-        log_sigma[:, 0] = 0.5 * np.log(top1) + e * _LN2
-        log_sigma[:, 1] = 0.5 * np.log(top12) + (2 * e + f) * _LN2
+        log_sigma[0] = 0.5 * np.log(top1) + e * _LN2
+        log_sigma[1] = 0.5 * np.log(top12) + (2 * e + f) * _LN2
         near = np.flatnonzero((gap1 < _CLOSED_FORM_GAP) | (gap12 < _CLOSED_FORM_GAP))
         if near.size:
             sv = np.log(np.linalg.svd(x[:, near].T.reshape(-1, 3, 3), compute_uv=False)[:, :2])
-            log_sigma[near, 0] = sv[:, 0] + e[near] * _LN2
-            log_sigma[near, 1] = sv[:, 0] + sv[:, 1] + 2 * e[near] * _LN2
-    if not np.all(log_sigma[:, 1] > -np.inf):  # a zero sigma_1 zeroes the cofactors too
+            log_sigma[0, near] = sv[:, 0] + e[near] * _LN2
+            log_sigma[1, near] = sv[:, 0] + sv[:, 1] + 2 * e[near] * _LN2
+    if not np.all(log_sigma[1] > -np.inf):  # a zero sigma_1 zeroes the cofactors too
         raise _underflow(k)
-    log_sigma[:, 2] = log_det - log_sigma[:, 1]
-    log_sigma[:, 1] -= log_sigma[:, 0]
+    log_sigma[2] = log_det - log_sigma[1]
+    log_sigma[1] -= log_sigma[0]
     return log_sigma
 
 
 def _log_spectra(mats, log_det, k):
-    """Log singular values of level-k products, one descending row each.
+    """Log singular values of n level-k products, as a (d, n) array: row i
+    holds every product's log sigma_{i+1}, so each column descends.
 
     d = 1 takes log|t|.  d = 2 takes sigma_1 = (p + q) / 2 with p = |(a + e,
     c - b)| and q = |(a - e, c + b)| for the product [[a, b], [c, e]], and
@@ -704,16 +708,17 @@ def _log_spectra(mats, log_det, k):
     which stays exact where the product's own sigma_2 or det is lost to
     cancellation.  d = 3 takes sigma_1 and sigma_1 sigma_2 in closed form and
     log sigma_3 from ``log_det`` the same way (``_log_spectra3``), and d >= 4
-    one batched SVD.  A zero sigma_1, or sigma_1 sigma_2 for d = 3 (sigma_d
-    through the SVD), can only be an underflow (the maps are nonsingular) and
-    is refused.
+    one batched SVD, whose (n, d) output is handed out transposed, not copied:
+    sums of 8 or more rows of a copy would round differently.  A zero sigma_1,
+    or sigma_1 sigma_2 for d = 3 (sigma_d through the SVD), can only be an
+    underflow (the maps are nonsingular) and is refused.
     """
     d = mats.shape[-1]
     if d == 3:
         return np.concatenate([
             _log_spectra3(mats[lo:lo + _SPECTRUM_CHUNK], log_det[lo:lo + _SPECTRUM_CHUNK], k)
             for lo in range(0, len(mats), _SPECTRUM_CHUNK)
-        ])
+        ], axis=1)
     if d == 1:
         sigma = np.abs(mats[:, 0])
     elif d == 2:
@@ -725,12 +730,13 @@ def _log_spectra(mats, log_det, k):
         raise _underflow(k)
     log_sigma = np.log(sigma)
     if d == 2:
-        log_sigma = np.stack([log_sigma, log_det - log_sigma], axis=1)
-    return log_sigma
+        return np.stack([log_sigma, log_det - log_sigma])
+    return log_sigma.T
 
 
 def _log_sums(log_sigma, s_values):
-    """Per s, log sum of phi_s over the rows, one max-shifted log-sum-exp at a time."""
+    """Per s, log sum of phi_s over the words (the columns of ``log_sigma``),
+    one max-shifted log-sum-exp at a time."""
     out = np.empty(len(s_values))
     for i, s in enumerate(s_values):
         log_phi = _log_phi(log_sigma, s)
@@ -744,9 +750,7 @@ def _log_sums(log_sigma, s_values):
 _fold = functools.partial(functools.reduce, np.logaddexp)  # block log sums, in word order
 
 
-def _map_words(
-    tree, k, reduce, threads=1, want_points=False, want_spectra=True, cap=ENUMERATION_CAP
-):
+def _map_words(tree, k, reduce, want_points=False, want_spectra=True, cap=ENUMERATION_CAP):
     """``reduce(log_sigma, points)`` of every block of level-k words, in word order.
 
     A block's words are its ``_blocks`` prefix followed by every suffix word
@@ -755,10 +759,10 @@ def _map_words(
     key's suffix table is expanded once (``_expand_block``), and each block at
     the key is formed from it in one broadcast product (``_prefixed``).  Only
     one suffix table is alive at a time; a deterministic tree has one key.
-    ``log_sigma`` is ``_log_spectra`` of the block's composed linear parts (None
-    unless ``want_spectra``), ``points`` the words' points f_word(0) (None unless
-    ``want_points``).  At most ``threads`` blocks of a key are formed at a time;
-    each result is stored at its block's index.
+    ``log_sigma`` is ``_log_spectra`` of the block's composed linear parts, (d, n)
+    for the block's n words (None unless ``want_spectra``), ``points`` the words'
+    points f_word(0), (n, d) (None unless ``want_points``).  Each result is
+    stored at its block's index.
     """
     if not 1 <= k <= tree.depth:
         raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
@@ -775,23 +779,15 @@ def _map_words(
         keys.setdefault((lev, st), []).append(i)
     out = [None] * len(blocks)
 
-    def run(key, mapper):
+    def work(i, suffix):
+        mats, log_det, points = _prefixed(blocks[i], *suffix)
+        return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
+
+    for key, members in keys.items():
         suffix = _expand_block(tree, *key, k, want_points)
-
-        def work(i):
-            mats, log_det, points = _prefixed(blocks[i], *suffix)
-            return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
-
-        for i, result in zip(keys[key], mapper(work, keys[key])):
-            out[i] = result
-
-    if threads <= 1 or len(blocks) <= 1:
-        for key in keys:
-            run(key, map)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key in keys:
-                run(key, pool.map)
+        for i in members:
+            out[i] = work(i, suffix)
+        del suffix  # before the next key's table is expanded
     return out
 
 
@@ -810,7 +806,7 @@ def partition_sums(
     s_values = [float(s) for s in s_values]
     if k == 0:
         return np.zeros(len(s_values))
-    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values), threads, cap=cap))
+    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values), cap=cap))
 
 
 def partition_sum_mc(
@@ -867,7 +863,7 @@ def enumerate_points(
     def weigh(log_sigma, points):
         return points, np.zeros(len(points)) if uniform else _log_phi(log_sigma, s)
 
-    parts = _map_words(tree, k, weigh, threads, want_points=True, want_spectra=not uniform, cap=cap)
+    parts = _map_words(tree, k, weigh, want_points=True, want_spectra=not uniform, cap=cap)
     points = np.concatenate([p for p, _ in parts], axis=0)
     log_w = np.concatenate([w for _, w in parts])
     top = np.max(log_w)

@@ -123,7 +123,7 @@ def pressure_zero(
     # per-block log spectra when affordable, folded exactly as a streamed pass
     cache = None
     if tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
-        cache = _map_words(tree, k, lambda log_sigma, _: log_sigma, threads)
+        cache = _map_words(tree, k, lambda log_sigma, _: log_sigma)
 
     def p(s: float) -> float:
         if cache is not None:

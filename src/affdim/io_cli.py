@@ -389,10 +389,27 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+_CSV_CHUNK = 1 << 14  # rows formatted per ``%`` call
+
+
 def _csv_text(header: str, columns) -> str:
-    """The header, then one row per line, each cell the ``repr`` of its number."""
+    """The header, then one row per line, each cell the ``repr`` of its number.
+
+    A column whose cells all have the bits of its first (so 0.0 and -0.0 do
+    not mix) is written into the line template once; the other cells fill
+    the template ``_CSV_CHUNK`` rows at a time with ``%r``, which is ``repr``.
+    """
     rows = np.column_stack(columns)
-    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+    if not len(rows):
+        return header + "\n"
+    bits = rows.view(np.int64)
+    constant = np.all(bits == bits[0], axis=0)
+    line = ",".join(repr(x) if same else "%r" for x, same in zip(rows[0].tolist(), constant)) + "\n"
+    free = rows[:, ~constant]
+    return header + "\n" + "".join(
+        (line * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in (free[lo:lo + _CSV_CHUNK] for lo in range(0, len(free), _CSV_CHUNK))
+    )
 
 
 def _verdict_text(tag: str, v: Verdict) -> str:
@@ -545,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for enumeration (at least 1)")
+                        help="at least 1; accepted, but enumeration runs on one thread")
 
     parser = argparse.ArgumentParser(
         prog="affdim",

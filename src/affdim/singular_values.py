@@ -15,9 +15,11 @@ supermultiplicative: sd(TU) >= sd(T) sd(U)).  Both continuations agree at
 s = d, so phi stays continuous.  At integer s both one-sided branches agree;
 we evaluate the left limit so the branch never flips under floating point
 rounding of s.  One kernel, ``_log_phi``, evaluates log phi_s from log
-spectra: ``phi_from_singular_values`` exponentiates it, and the word sums of
-``code_tree`` reduce it in log form, where phi_s far below the smallest
-double stays finite.
+spectra laid out spectrum axis first, one row per singular value, so that
+phi_s is a sum of whole rows: ``phi_from_singular_values`` moves its
+trailing spectrum axis to the front and exponentiates the kernel, and the
+word sums of ``code_tree`` reduce it in log form, where phi_s far below the
+smallest double stays finite.
 """
 
 from __future__ import annotations
@@ -80,20 +82,21 @@ def singular_values(T) -> np.ndarray:
 
 
 def _log_phi(log_sigma: np.ndarray, s: float) -> np.ndarray:
-    """log phi_s, shape (...), from log spectra of shape (..., d), each row the
-    logs of a descending positive spectrum."""
-    d = log_sigma.shape[-1]
+    """log phi_s, shape (...), from log spectra of shape (d, ...): row i holds
+    the logs of the i-th largest singular values, so each spectrum runs down
+    axis 0 and phi_s is a few whole-row adds."""
+    d = log_sigma.shape[0]
     s = float(s)
     if not s >= 0:
         raise ValueError(f"exponent must be nonnegative, got {s}")
     if s >= d:
         with np.errstate(over="ignore"):  # a huge s gives -inf, which the word sums refuse
-            return (s / d) * np.sum(log_sigma, axis=-1)
+            return (s / d) * np.sum(log_sigma, axis=0)
     if s == math.floor(s):
         # integer grade: plain product of the top s values (left limit)
-        return np.sum(log_sigma[..., : int(s)], axis=-1)
+        return np.sum(log_sigma[: int(s)], axis=0)
     m = math.floor(s) + 1
-    return np.sum(log_sigma[..., : m - 1], axis=-1) + (s - m + 1) * log_sigma[..., m - 1]
+    return np.sum(log_sigma[: m - 1], axis=0) + (s - m + 1) * log_sigma[m - 1]
 
 
 def phi_from_singular_values(sigma, s: float):
@@ -102,7 +105,7 @@ def phi_from_singular_values(sigma, s: float):
     ``sigma`` has shape (..., d), each row descending positive; returns the
     interpolated singular value product with shape (...).
     """
-    return np.exp(_log_phi(np.log(np.asarray(sigma, dtype=float)), s))
+    return np.exp(_log_phi(np.moveaxis(np.log(np.asarray(sigma, dtype=float)), -1, 0), s))
 
 
 def phi(T, s: float) -> float:

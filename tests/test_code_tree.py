@@ -34,7 +34,7 @@ from affdim import (
 )
 
 from affdim import code_tree
-from affdim.singular_values import _log_phi
+from affdim.singular_values import _log_phi, phi_from_singular_values
 
 from conftest import random_contraction
 
@@ -592,8 +592,10 @@ class TestPartitionSums:
 
 
 def word_spectra(tree, k) -> np.ndarray:
-    """Every level-k word's log spectrum, in word order, as the block map hands them out."""
-    return np.concatenate(code_tree._map_words(tree, k, lambda log_sigma, _: log_sigma))
+    """Every level-k word's log spectrum, one row per word in word order, from
+    the (d, n) blocks the block map hands out."""
+    return np.concatenate([log_sigma.T for log_sigma in
+                           code_tree._map_words(tree, k, lambda log_sigma, _: log_sigma)])
 
 
 def expand_words(tree, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -796,7 +798,7 @@ class TestSharedSuffixes:
                             lambda tree, lev, st, *rest: expanded.append((lev, st))
                             or expand(tree, lev, st, *rest))
 
-        np.testing.assert_allclose(word_spectra(tree, k), spectra, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(word_spectra(tree, k), spectra.T, rtol=1e-13, atol=0)
         assert expanded == keys
         grid = [0.4, 1.0, 2.2]
         sums = partition_sums(tree, k, grid)
@@ -825,6 +827,67 @@ class TestSharedSuffixes:
             partition_sums(tree, 4, [1.0])
         with pytest.raises(ValueError, match="level-4 word underflowed"):
             word_spectra(tree, 4)
+
+
+def row_major_log_phi(log_sigma, s):
+    """log phi_s from spectra laid out one row per spectrum, (..., d): the
+    kernel's body before the spectrum axis moved first, kept as a bit reference."""
+    d = log_sigma.shape[-1]
+    s = float(s)
+    if s >= d:
+        return (s / d) * np.sum(log_sigma, axis=-1)
+    if s == math.floor(s):
+        return np.sum(log_sigma[..., : int(s)], axis=-1)
+    m = math.floor(s) + 1
+    return np.sum(log_sigma[..., : m - 1], axis=-1) + (s - m + 1) * log_sigma[..., m - 1]
+
+
+class TestSpectrumAxisFirst:
+    """The spectrum-axis-first kernel reproduces the row-major one bit for bit.
+    d = 9 takes the SVD path and sums 9 terms above s = 9, where numpy sums 8
+    or more terms pairwise."""
+
+    @staticmethod
+    def grid(d):
+        """0, a non-integer inside every piece, every integer up to d, and two s > d."""
+        return [0.0, *(m - 0.3 for m in range(1, d + 1)), *range(1, d + 1), d + 0.25, d + 3.5]
+
+    @staticmethod
+    def tree(d):
+        rng = np.random.default_rng(100 + d)
+        if d == 1:
+            mats = [np.array([[x]]) for x in (0.3, -0.45, 0.2)]
+        else:
+            mats = [random_contraction(rng, d, 0.2, 0.6) for _ in range(3)]
+        fam = IfsFamily("bits", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
+        return deterministic_tree(fam, 5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+    def test_word_sums_keep_every_bit(self, monkeypatch, d):
+        # several blocks, and d = 3 spectra in several chunks of odd length
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**3)
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", 7)
+        tree, grid = self.tree(d), self.grid(d)
+        for log_sigma in code_tree._map_words(tree, 5, lambda log_sigma, _: log_sigma):
+            row_major = np.ascontiguousarray(log_sigma.T)
+            for s in grid:
+                assert np.array_equal(_log_phi(log_sigma, s), row_major_log_phi(row_major, s)), s
+        sums = partition_sums(tree, 5, grid)
+        _, weights = enumerate_points(tree, 5, s=1.3)
+        monkeypatch.setattr(code_tree, "_log_phi",
+                            lambda log_sigma, s: row_major_log_phi(np.ascontiguousarray(log_sigma.T), s))
+        assert np.array_equal(partition_sums(tree, 5, grid), sums)
+        assert np.array_equal(enumerate_points(tree, 5, s=1.3)[1], weights)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("shape", [(), (40,), (5, 6)])
+    def test_phi_from_singular_values_keeps_every_bit(self, d, shape):
+        rng = np.random.default_rng(200 + d)
+        sigma = np.sort(rng.uniform(0.05, 0.95, size=(*shape, d)), axis=-1)[..., ::-1]
+        for s in self.grid(d):
+            got = phi_from_singular_values(sigma, s)
+            assert got.shape == shape
+            assert np.array_equal(got, np.exp(row_major_log_phi(np.log(sigma), s))), s
 
 
 class TestPartitionSumMc:

@@ -185,7 +185,7 @@ class TestPressureZero:
         tree = deterministic_tree(
             IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats))), 6
         )
-        # small blocks, so that worker threads get several blocks to share
+        # small blocks, so that the cache holds several blocks to fold
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 50)
         passes = []
         counted = dimension.partition_sums

@@ -889,10 +889,11 @@ class TestCli:
             assert captured.out == ""
             assert "j_max can be at most 63" in captured.err
 
-    def test_csv_writer_matches_the_per_cell_formula(self, tmp_path, capsys):
-        # every cell is repr(float(x)), as the per-cell writer wrote it
+    def test_csv_writer_matches_the_per_cell_formula(self, tmp_path, capsys, monkeypatch):
+        # every cell is repr(x) of its Python number, as the per-cell writer
+        # wrote it: repr(float(x)) for float tables, repr(int(x)) for integer ones
         def per_cell(header, rows):
-            lines = [header] + [",".join(repr(float(x)) for x in row) for row in rows]
+            lines = [header] + [",".join(repr(x) for x in np.asarray(row).tolist()) for row in rows]
             return "\n".join(lines) + "\n"
 
         spec = parse_system(json.dumps(CORNER_DOC))
@@ -909,6 +910,29 @@ class TestCli:
 
         odd = np.array([[-0.0, 5e-324, 1e300], [0.1, -2.5, 1e-7], [3.0, np.nextafter(1.0, 2.0), -1e22]])
         assert io_cli._csv_text("a,b,c", (odd[:, :2], odd[:, 2])) == per_cell("a,b,c", odd)
+
+        # constant columns go into the line template once; chunks of 7 rows
+        # leave a short last chunk
+        monkeypatch.setattr(io_cli, "_CSV_CHUNK", 7)
+        n = 40
+        mixed_zero = np.where(np.arange(n) % 3 == 1, -0.0, 0.0)
+        table = np.column_stack([np.full(n, 0.1), np.full(n, -0.0), mixed_zero, np.linspace(-1.0, 1.0, n)])
+        text = io_cli._csv_text("a,b,c,e", (table[:, :3], table[:, 3]))
+        assert text == per_cell("a,b,c,e", table)
+        assert text.splitlines()[2] == "0.1,-0.0,-0.0,-0.9487179487179487"
+        assert text.splitlines()[3] == "0.1,-0.0,0.0,-0.8974358974358975"
+        every = np.full((n, 2), 0.25)
+        assert io_cli._csv_text("a,b", (every,)) == per_cell("a,b", every)
+        # simulate's integer columns, a constant one among them, keep repr of ints
+        index, gaps = np.arange(1, n + 1), np.full(n, 2)
+        gaps[::5] = 3
+        text = io_cli._csv_text("index,gap", (index, gaps))
+        assert text == per_cell("index,gap", np.column_stack([index, gaps]))
+        assert text.startswith("index,gap\n1,3\n2,2\n")
+        assert io_cli._csv_text("index,gap", (index, np.full(n, 4))).endswith("\n40,4\n")
+        # no rows: the header alone
+        empty = np.diff(np.concatenate([[0], np.asarray((), dtype=int)]))
+        assert io_cli._csv_text("index,gap", (np.arange(1, 1), empty)) == "index,gap\n"
 
     def test_points_bytes_stable_across_threads(self, tmp_path):
         system = doc_path(tmp_path, CORNER_DOC)
