@@ -65,6 +65,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _BATCH = 1024
+# margins and pairings are scale-free, in [0, 1]; two that differ by less
+# than this are equal up to rounding, and the witness is the first of them
+_TIE_FLOOR = 1e-15
 
 
 class UnsupportedEigenstructure(ValueError):
@@ -204,6 +207,12 @@ def _coords_of_factors(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.n
     return coords[keep] / norms[keep, None], [f for f, k in zip(factors, keep) if k]
 
 
+def _first_least(values: np.ndarray) -> int:
+    """Index of the first value within _TIE_FLOOR of the least: an argmin whose
+    ties at rounding level resolve by scan index, not by last bits."""
+    return int(np.flatnonzero(values <= np.min(values) + _TIE_FLOOR)[0])
+
+
 def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """For each test vector v, sigma_n / sigma_1 of the stacked images S_i v.
 
@@ -256,7 +265,7 @@ def _annihilating_witness(
     tol, else the null direction of the images."""
     images = np.einsum("kij,j->ki", CC, v)
     pairing = np.max(np.abs(images @ pool_coords.T), axis=0)
-    j = int(np.argmin(pairing))
+    j = _first_least(pairing)
     if pairing[j] <= tol:
         w, w_factors, decomposable = pool_coords[j], pool_factors[j], True
     else:
@@ -316,7 +325,7 @@ def check_cm(
         if bad.size == 0:
             worst = min(worst, float(np.min(margins, initial=math.inf)))
             continue
-        t = int(bad[np.argmin(margins[bad])])
+        t = int(bad[_first_least(margins[bad])])
         if len(fam) < n:
             reason = f"cardinality: {len(fam)} maps < C({d},{m}) = {n}, images cannot span"
         elif drawn is None:

@@ -311,6 +311,101 @@ class TestCandidateScan:
         assert check_cm(fam, 1, samples=drawn, tol=clean.margin).samples == hit.samples
 
 
+class TestWitnessTieBreak:
+    """Margins and pairings within the floor of the least are equal up to
+    rounding: the witness is the first of them in scan order, whatever their
+    last bits."""
+
+    @staticmethod
+    def split_family():
+        # 12 maps of R^5 that share the invariant plane P span(e1, e2): each
+        # map's eigenvector wedge of that plane has a margin at rounding level,
+        # and blades across the plane and its complement pair at rounding level
+        rng = rng_for(773)
+        P = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        mats = []
+        for _ in range(12):
+            S = np.zeros((5, 5))
+            for lo, hi in ((0, 2), (2, 5)):
+                B = random_nonsingular(rng, hi - lo, cond_cap=20)
+                S[lo:hi, lo:hi] = B @ np.diag(rng.uniform(0.5, 2.0, hi - lo)) @ np.linalg.inv(B)
+            mats.append(P @ S @ P.T)
+        return LinearFamily.from_matrices(mats)
+
+    @staticmethod
+    def witness_key(verdict):
+        # w is a pool blade, or else the null direction of v's images
+        wit = verdict.witness
+        w = wit.w.coords if wit.w_factors is None else wit.w_factors
+        return verdict.samples, wit.v_factors.tobytes(), w.tobytes()
+
+    def test_ties_are_at_rounding_level(self):
+        fam = self.split_family()
+        CC = fs_checker._normalized_compounds(fam, 2)
+        coords, factors = fs_checker._coords_of_factors(fs_checker._candidate_factors(fam, 2))
+        margins = fs_checker._rank_margins(CC, coords)
+        tied = np.flatnonzero(margins <= fs_checker._TIE_FLOOR)
+        assert tied.size >= 12 and np.unique(margins[tied]).size > 1
+        verdict = check_cm(fam, 2)
+        assert verdict.kind is VerdictKind.FAIL
+        # the first tied candidate in pool order, and an annihilating blade from the pool
+        assert np.array_equal(verdict.witness.v_factors, factors[tied[0]])
+        assert verdict.witness.w_factors is not None
+        assert annihilation_residual(fam, verdict.witness) < 1e-12
+
+    def test_last_bits_of_the_margins_do_not_choose(self, monkeypatch):
+        fam = self.split_family()
+        base = self.witness_key(check_cm(fam, 2))
+        real = fs_checker._rank_margins
+        for seed in range(8):
+            rng = rng_for(seed)
+
+            def moved(CC, vs):
+                margins = real(CC, vs)
+                low = margins < fs_checker._TIE_FLOOR
+                margins[low] = rng.uniform(0.0, fs_checker._TIE_FLOOR, int(low.sum()))
+                return margins
+
+            monkeypatch.setattr(fs_checker, "_rank_margins", moved)
+            assert self.witness_key(check_cm(fam, 2)) == base
+
+    def test_duplicate_candidates_tie(self, monkeypatch):
+        # A and A @ A share their eigenvectors, so a depth-2 closure's pool
+        # holds each of A's candidates twice, with margins equal up to rounding
+        rng = rng_for(8)
+        fam = iterate_closure(LinearFamily.from_matrices([random_nonsingular(rng, 3) for _ in range(3)]), 2)
+        CC = fs_checker._normalized_compounds(fam, 1)
+        coords, factors = fs_checker._coords_of_factors(fs_checker._candidate_factors(fam, 1))
+        margins = fs_checker._rank_margins(CC, coords)
+        least = np.flatnonzero(margins <= np.min(margins) + fs_checker._TIE_FLOOR)
+        # the later duplicate is the smaller in the last bits
+        assert least.size == 2 and np.argmin(margins) == least[1]
+        tol = float(np.min(margins)) * (1 + 1e-6)
+        base = check_cm(fam, 1, tol=tol)
+        assert base.reason == "rank deficiency at a structured candidate"
+        assert np.array_equal(base.witness.v_factors, factors[least[0]])
+        real = fs_checker._rank_margins
+        for seed in range(8):
+            rng = rng_for(seed)
+
+            def moved(CC, vs):
+                margins = real(CC, vs)
+                return margins * (1 + np.finfo(float).eps * rng.integers(-4, 5, margins.shape))
+
+            monkeypatch.setattr(fs_checker, "_rank_margins", moved)
+            assert self.witness_key(check_cm(fam, 1, tol=tol)) == self.witness_key(base)
+
+    def test_coordinate_layout_does_not_choose(self, monkeypatch):
+        fam = self.split_family()
+        base = check_cm(fam, 2)
+        real = fs_checker._wedge_batch
+        monkeypatch.setattr(fs_checker, "_wedge_batch", lambda f: np.ascontiguousarray(real(f)))
+        moved = check_cm(fam, 2)
+        assert self.witness_key(moved) == self.witness_key(base)
+        np.testing.assert_allclose(moved.witness.v.coords, base.witness.v.coords, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(moved.witness.w.coords, base.witness.w.coords, rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # condition C(s) for fractional s
 
