@@ -15,14 +15,22 @@ structured pool (the coordinate blades, then wedges of each map's real
 eigenvectors), then ceil(samples / 1024) seeded Gaussian batches.  Each batch
 is scored by one rank-margin call; the first batch with a margin at or below
 tol gives the Fail verdict, whose annihilating partner w is sought in the same
-pool.  A family with fewer maps than C(d, m) can never span, so its scan stops
-after the pool.  ``check_cs`` runs ``check_cm`` at grades m and m + 1 as
-prefilters, lifting a grade fail to a quadruple witness, and then samples
-quadruples.  The certifying route is ``criterion_cscm``: a pair (F, G) with
-distinct-product real eigenvalue tuples whose eigenbasis change matrix has
-every minor nonzero guarantees that the family of all compositions of F and
-G up to depth 2 * n0^2 satisfies C(s) for every 0 <= s <= d, where
-n0 = max_m C(d, m).
+pool.  Margins within 1e-15 of the least count as equal, so the witness is the
+first of them in scan order.  A family with fewer maps than C(d, m) can never
+span, so its scan stops after the pool.  ``check_cs`` runs ``check_cm`` at
+grades m and m + 1 as prefilters, lifting a grade fail to a quadruple witness,
+and then samples quadruples.  The certifying route is ``criterion_cscm``: a
+pair (F, G) with distinct-product real eigenvalue tuples whose eigenbasis
+change matrix has every minor nonzero guarantees that the family of all
+compositions of F and G up to depth 2 * n0^2 satisfies C(s) for every
+0 <= s <= d, where n0 = max_m C(d, m).
+
+A margin is sigma_n / sigma_1 of the k x n matrix of images C_i v of a blade
+v, n = C(d, m).  ``check_cm`` takes one QR factorization of the k maps'
+compounds, stacked side by side, and reads every margin off its R factor: an
+r x n matrix per blade with r <= n^2 and the same singular values.  The cost
+of a margin therefore does not grow with k, which doubles with each level of
+a two-map closure.
 
 All pass/fail thresholds are applied to scale-free quantities: compounds are
 normalized by their spectral norms, minors by sigma_max(A)^order, so scaling
@@ -159,12 +167,14 @@ def iterate_closure(fam: LinearFamily, depth: int, cap: int = 10**6) -> LinearFa
     if depth < 1:
         raise ValueError(f"closure depth must be >= 1, got {depth}")
     k = len(fam)
-    total = sum(k**j for j in range(1, depth + 1))
-    if total > cap:
-        raise ValueError(
-            f"closure would contain {total} maps, above the cap {cap}; "
-            "lower the depth or raise the cap explicitly"
-        )
+    total = 0
+    for j in range(1, depth + 1):  # stops at the first level over the cap
+        total += k**j
+        if total > cap:
+            raise ValueError(
+                f"a closure of depth {depth} would contain more than the cap of {cap} maps; "
+                f"the largest depth within the cap is {j - 1}"
+            )
     # level j + 1 is every map times every level-j word: (k, L) -> k * L
     levels = [fam.maps]
     for _ in range(2, depth + 1):
@@ -182,29 +192,45 @@ def _normalized_compounds(fam: LinearFamily, m: int) -> np.ndarray:
     return C / np.linalg.norm(C, 2, axis=(1, 2))[:, None, None]
 
 
-def _candidate_factors(fam: LinearFamily, m: int) -> list[np.ndarray]:
-    """Deterministic decomposable candidates: coordinate blades, then wedges
-    of each map's unit real eigenvectors."""
+def _candidate_factors(fam: LinearFamily, m: int) -> np.ndarray:
+    """Deterministic decomposable candidates as one (P, d, m) stack: the
+    coordinate blades, then wedges of each map's unit real eigenvectors, map
+    by map in combination order."""
     d = fam.d
-    eye = np.eye(d)
-    out = [eye[:, list(c)] for c in itertools.combinations(range(d), m)]
+    combos = np.array(list(itertools.combinations(range(d), m)))
     lam, vec = np.linalg.eig(fam.maps)
     real = np.abs(lam.imag) <= 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
-    for keep, V in zip(real, vec):
-        cols = V[:, keep].real
-        norms = np.linalg.norm(cols, axis=0)
-        vecs = cols[:, norms > 1e-12] / norms[norms > 1e-12]
-        out.extend(vecs[:, list(c)] for c in itertools.combinations(range(vecs.shape[1]), m))
-    return out
+    # eigenvectors as contiguous rows: each norm is then numpy's pairwise sum
+    # over one vector, whose last bits for d >= 8 depend on that layout
+    rows = np.ascontiguousarray(vec.real.transpose(0, 2, 1))
+    norms = np.linalg.norm(rows, axis=2)
+    usable = real & (norms > 1e-12)
+    unit = rows / np.where(usable, norms, 1.0)[:, :, None]
+    # a combination is a candidate when all its columns are usable: (k, C(d, m))
+    chosen = np.all(usable[:, combos], axis=2)
+    coordinate = np.eye(d)[:, combos].transpose(1, 0, 2)
+    return np.concatenate([coordinate, unit[:, combos].transpose(0, 1, 3, 2)[chosen]])
 
 
-def _coords_of_factors(factors: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unit blade coordinates for each factor stack, dropping degenerate ones."""
-    stack = np.stack(factors)
-    coords = _wedge_batch(stack)
+def _coords_of_factors(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit blade coordinates for a (P, d, m) factor stack, dropping degenerate ones."""
+    coords = _wedge_batch(factors)
     norms = np.linalg.norm(coords, axis=1)
     keep = norms > 1e-12
-    return coords[keep] / norms[keep, None], [f for f, k in zip(factors, keep) if k]
+    return coords[keep] / norms[keep, None], factors[keep]
+
+
+def _reduced_stack(CC: np.ndarray) -> np.ndarray:
+    """An (r, n, n) stack, r = min(k, n^2), with the rank margins of the (k, n, n) stack CC.
+
+    The images of v are W_v = sum_j v_j H_j with H_j[:, i] = CC[:, i, j].  If
+    H = [H_1 | ... | H_n] = Q R with Q's columns orthonormal, then
+    W_v = Q R (v (x) I), so R (v (x) I) has the singular values of W_v, and R
+    comes back in CC's (map, i, j) layout.
+    """
+    k, n = CC.shape[:2]
+    R = np.linalg.qr(CC.transpose(0, 2, 1).reshape(k, n * n), mode="r")
+    return R.reshape(-1, n, n).transpose(0, 2, 1)
 
 
 def _first_least(values: np.ndarray) -> int:
@@ -218,6 +244,9 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
     CC is (k, n, n), vs is (N, n); the margin is zero exactly when the images
     fail to span, and is invariant under rescaling any single map.
+    ``check_cm`` passes ``_reduced_stack(CC)``, at most n^2 rows and fewer
+    than n exactly when k < n, in place of CC: the margins agree up to
+    rounding, and their cost does not depend on k.
     """
     k, n = CC.shape[:2]
     if k < n:  # fewer maps than the blade count: can never span
@@ -228,8 +257,8 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def _rng_for(seed, index: int) -> np.random.Generator:
-    # splittable per-batch streams: results do not depend on how batches are
-    # scheduled across workers, only on their indices
+    # one stream per index, spawned from the seed: what index t draws does not
+    # depend on the draws before it, so a larger sample count only appends
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
@@ -245,7 +274,7 @@ def _sampled_blades(d: int, m: int, samples: int, seed):
     while done < samples:
         b = min(_BATCH, samples - done)
         factors = _rng_for(seed, batch_index).standard_normal((b, d, m))
-        yield (done, *_coords_of_factors(list(factors)))
+        yield (done, *_coords_of_factors(factors))
         done += b
         batch_index += 1
 
@@ -257,7 +286,7 @@ def _annihilating_witness(
     v: np.ndarray,
     v_factors: np.ndarray,
     pool_coords: np.ndarray,
-    pool_factors: list[np.ndarray],
+    pool_factors: np.ndarray,
     tol: float,
 ) -> FailWitness:
     """Witness for a candidate v whose images do not span: v plus an
@@ -309,6 +338,7 @@ def check_cm(
         raise ValueError("samples must be nonnegative")
     n = math.comb(d, m)
     CC = _normalized_compounds(fam, m)
+    reduced = _reduced_stack(CC)
     pool_coords, pool_factors = _coords_of_factors(_candidate_factors(fam, m))
     pool = pool_coords.shape[0]
 
@@ -320,7 +350,7 @@ def check_cm(
         scan = itertools.chain(scan, _sampled_blades(d, m, samples, seed))
     worst = math.inf
     for drawn, coords, factors in scan:
-        margins = _rank_margins(CC, coords)
+        margins = _rank_margins(reduced, coords)
         bad = np.flatnonzero(margins <= tol)
         if bad.size == 0:
             worst = min(worst, float(np.min(margins, initial=math.inf)))

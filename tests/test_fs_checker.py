@@ -6,6 +6,7 @@ map S of the family, and pass margins must match hand-computable geometry on
 small families (identity, quarter turn, triangular maps).
 """
 
+import itertools
 import json
 import math
 
@@ -31,6 +32,11 @@ from conftest import random_nonsingular, rng_for
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 UPPER_A = np.array([[0.9, 0.3], [0.0, 0.7]])
 UPPER_B = np.array([[0.6, -0.2], [0.0, 0.8]])
+# two totally positive maps of R^3 (every minor positive) that pass the certificate
+TP_PAIR = [
+    [[0.4237, 0.2825, 0.1412], [0.2825, 0.4237, 0.2825], [0.1412, 0.2825, 0.4237]],
+    [[0.6319, 0.158, 0.0316], [0.316, 0.4739, 0.158], [0.158, 0.316, 0.316]],
+]
 
 
 def annihilation_residual(fam, witness):
@@ -116,8 +122,14 @@ class TestIterateClosure:
 
     def test_cap(self):
         fam = LinearFamily.from_matrices([UPPER_A, UPPER_B])
-        with pytest.raises(ValueError, match="cap"):
+        # 2 + 4 maps fit under the cap, 2 + 4 + 8 do not
+        with pytest.raises(ValueError, match="cap of 10 maps; the largest depth within the cap is 2$"):
             iterate_closure(fam, 4, cap=10)
+        # the count stops at the first level over the cap, however deep the request
+        with pytest.raises(ValueError, match="largest depth within the cap is 18$"):
+            iterate_closure(fam, 10**12)
+        with pytest.raises(ValueError, match="largest depth within the cap is 10$"):
+            iterate_closure(LinearFamily.from_matrices([UPPER_A]), 10**12, cap=10)
 
     @pytest.mark.parametrize("d, k, depth", [(1, 3, 4), (2, 2, 6), (3, 3, 4), (4, 1, 5)])
     def test_matches_the_nested_list_fold(self, d, k, depth):
@@ -147,6 +159,34 @@ def test_normalized_compounds_match_the_per_map_form(d):
             ref.append(C / np.linalg.norm(C, 2))
         got = fs_checker._normalized_compounds(fam, m)
         assert np.array_equal(got, np.stack(ref))
+
+
+def per_map_candidates(fam, m):
+    """Reference pool, map by map: the coordinate blades, then the
+    combinations of each map's unit real eigenvectors."""
+    eye = np.eye(fam.d)
+    out = [eye[:, list(c)] for c in itertools.combinations(range(fam.d), m)]
+    lam, vec = np.linalg.eig(fam.maps)
+    real = np.abs(lam.imag) <= 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
+    for keep, V in zip(real, vec):
+        cols = V[:, keep].real
+        norms = np.linalg.norm(cols, axis=0)
+        vecs = cols[:, norms > 1e-12] / norms[norms > 1e-12]
+        out.extend(vecs[:, list(c)] for c in itertools.combinations(range(vecs.shape[1]), m))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_candidate_pool_matches_the_per_map_form_bit_for_bit(d):
+    # Gaussian maps have some complex eigenvalues; triangular ones share e1
+    rng = rng_for(100 + d)
+    gaussian = LinearFamily.from_matrices([random_nonsingular(rng, d) for _ in range(4)])
+    triangular = LinearFamily.from_matrices(np.triu(rng.standard_normal((3, d, d))) + 2 * np.eye(d))
+    for fam in (gaussian, triangular):
+        for m in sorted({1, 2, d - 1}):
+            got = fs_checker._candidate_factors(fam, m)
+            ref = per_map_candidates(fam, m)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +444,104 @@ class TestWitnessTieBreak:
         assert self.witness_key(moved) == self.witness_key(base)
         np.testing.assert_allclose(moved.witness.v.coords, base.witness.v.coords, rtol=0, atol=1e-15)
         np.testing.assert_allclose(moved.witness.w.coords, base.witness.w.coords, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# rank margins from the reduced stack
+
+
+def image_margins(CC, vs):
+    """Reference margins from the k x n image matrices W_v = sum_j v_j CC[:, :, j]."""
+    k, n = CC.shape[:2]
+    if k < n:
+        return np.zeros(vs.shape[0])
+    sv = np.linalg.svd(np.einsum("kij,tj->tki", CC, vs), compute_uv=False)
+    return sv[:, n - 1] / sv[:, 0]
+
+
+def seeded_family(seed):
+    """Gaussian, upper triangular or near-scalar maps, some closed to depth 2:
+    a mix in which most verdicts fail, at structured and sampled candidates."""
+    rng = rng_for(seed)
+    d = int(rng.integers(2, 6))
+    k = int(rng.integers(1, 2 * d + 2))
+    kind = seed % 3
+    if kind == 0:
+        mats = [random_nonsingular(rng, d) for _ in range(k)]
+    elif kind == 1:
+        mats = np.triu(rng.standard_normal((k, d, d))) + 2 * np.eye(d)
+    else:
+        mats = 0.3 * np.eye(d) + 0.05 * rng.standard_normal((k, d, d))
+    fam = LinearFamily.from_matrices(mats)
+    return iterate_closure(fam, 2) if rng.random() < 0.5 else fam
+
+
+class TestReducedMargins:
+    """Margins come from the R factor of the stacked compounds, an (r, n, n)
+    stack with r <= n^2, whatever the number of maps."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_match_the_image_form(self, d):
+        for m in range(1, d):
+            n = math.comb(d, m)
+            for k in sorted({n - 1, n, n * n - 1, n * n, 5 * n * n} - {0}):
+                rng = rng_for((d, m, k))
+                fam = LinearFamily.from_matrices([random_nonsingular(rng, d) for _ in range(k)])
+                CC = fs_checker._normalized_compounds(fam, m)
+                _, vs, _ = next(fs_checker._sampled_blades(d, m, 64, (d, m, k)))
+                reduced = fs_checker._reduced_stack(CC)
+                assert reduced.shape == (min(k, n * n), n, n)
+                got = fs_checker._rank_margins(reduced, vs)
+                if k < n:
+                    assert np.all(got == 0.0)
+                else:
+                    np.testing.assert_allclose(got, image_margins(CC, vs), rtol=1e-12, atol=0)
+
+    def test_no_svd_sees_more_than_n_squared_rows(self, monkeypatch):
+        shapes = []
+        real = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        # a totally positive pair passes at both grades; the triangular pair
+        # fails, with a witness w from the pool
+        for pair, m, kind in (
+            (TP_PAIR, 1, VerdictKind.EMPIRICAL_PASS),
+            (TP_PAIR, 2, VerdictKind.EMPIRICAL_PASS),
+            ([UPPER_A, UPPER_B], 1, VerdictKind.FAIL),
+        ):
+            fam = iterate_closure(LinearFamily.from_matrices(pair), 9)
+            assert len(fam) == 1022
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", recording)
+                assert check_cm(fam, m).kind is kind
+            n = math.comb(fam.d, m)
+            assert shapes and max(shape[-2] for shape in shapes) <= n * n
+            shapes.clear()
+
+    def test_verdicts_match_the_image_form(self, monkeypatch):
+        # the image form is check_cm with the reduction left out
+        fails = 0
+        for seed in range(300):
+            fam = seeded_family(seed)
+            m = int(rng_for(10_000 + seed).integers(1, fam.d))
+            tol = (1e-9, 1e-3, 0.05)[seed % 3]
+            got = check_cm(fam, m, samples=200, tol=tol, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(fs_checker, "_reduced_stack", lambda CC: CC)
+                ref = check_cm(fam, m, samples=200, tol=tol, seed=seed)
+            assert (got.kind, got.samples, got.reason) == (ref.kind, ref.samples, ref.reason)
+            assert math.isclose(got.margin, ref.margin, rel_tol=1e-10, abs_tol=1e-15)
+            if got.kind is VerdictKind.FAIL:
+                fails += 1
+                for name in ("v", "w"):
+                    assert getattr(got.witness, name).coords.tobytes() == getattr(ref.witness, name).coords.tobytes()
+                for name in ("v_factors", "w_factors"):
+                    a, b = getattr(got.witness, name), getattr(ref.witness, name)
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert fails >= 150
 
 
 # ---------------------------------------------------------------------------

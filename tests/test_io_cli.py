@@ -730,6 +730,22 @@ class TestBuildPath:
 # the command line
 
 
+# two totally positive maps of R^3 that pass the certificate
+TP_PAIR_DOC = {
+    "d": 3,
+    "bounds": {"sigma_lo": 0.01, "sigma_hi": 1.0},
+    "families": [
+        {
+            "label": "positive",
+            "maps": [
+                {"T": [[0.4237, 0.2825, 0.1412], [0.2825, 0.4237, 0.2825], [0.1412, 0.2825, 0.4237]]},
+                {"T": [[0.6319, 0.158, 0.0316], [0.316, 0.4739, 0.158], [0.158, 0.316, 0.316]]},
+            ],
+        }
+    ],
+}
+
+
 class TestCli:
     def test_check_fs_identity_fails(self, tmp_path, capsys):
         rc = cli(["check-fs", doc_path(tmp_path, IDENTITY_DOC)])
@@ -754,6 +770,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "C(1)" in out
+
+    def test_check_fs_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # rank margins go through LAPACK's QR of the stacked compounds
+        root = pathlib.Path(__file__).resolve().parents[1]
+        system = doc_path(tmp_path, TP_PAIR_DOC)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            proc = subprocess.run([sys.executable, "-m", "affdim", "check-fs", system, "--depth", "6"],
+                                  capture_output=True, env=env, timeout=120, cwd=root)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"EmpiricalPass") == 2
+
+    def test_check_fs_closure_over_the_cap_names_the_largest_depth(self, tmp_path, capsys):
+        # 2 + 4 + ... + 2^18 maps fit under the cap of 10^6, 2^19 more do not
+        rc = cli(["check-fs", doc_path(tmp_path, CERT_DOC), "--depth", "25"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "the largest depth within the cap is 18" in captured.err
 
     def test_check_fs_literal_document(self, capsys):
         rc = cli(["check-fs", doc_text(SPIN_DOC), "--samples", "200"])
