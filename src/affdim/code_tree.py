@@ -32,10 +32,11 @@ with the smallest singular value from the summed log|det|; one batched SVD
 for d >= 4) as a (d, n) array, one row per singular value and one column
 per word, so phi_s of every word is a few whole-row adds; a caller's
 reduction is applied per block.  The log partition sums log S(k, s) (S sums
-phi_s of the composed linear parts over the level-k words), the weighted
-cylinder points and the pressure zero-finder's cache are such reductions,
-all in log form over ``singular_values._log_phi``, so values far below the
-smallest double stay finite.  The points at s = 0 carry uniform weights
+phi_s of the composed linear parts over the level-k words), on request
+with the log of -dS/ds beside them for the pressure zero-finder's tangents,
+the weighted cylinder points and the zero-finder's cache are such
+reductions, all in log form over ``singular_values._log_phi``, so values
+far below the smallest double stay finite.  The points at s = 0 carry uniform weights
 (phi_0 is 1) and take no spectra.  Blocks are mapped one after another on
 the calling thread and their results folded in word order.  The public
 walks take a ``threads`` argument, which the CLI's ``--threads`` reaches,
@@ -734,16 +735,33 @@ def _log_spectra(mats, log_det, k):
     return log_sigma.T
 
 
-def _log_sums(log_sigma, s_values):
+def _log_sums(log_sigma, s_values, slopes=False):
     """Per s, log sum of phi_s over the words (the columns of ``log_sigma``),
-    one max-shifted log-sum-exp at a time."""
-    out = np.empty(len(s_values))
+    one max-shifted log-sum-exp at a time.
+
+    With ``slopes`` the result is (2, len(s_values)): row 0 as above, row 1
+    log sum of phi_s * (-d/ds log phi_s), the right derivative, which is
+    -log sigma_{m+1} for m <= s < m + 1 <= d and -(1/d) sum log sigma_i for
+    s >= d.  It reuses the block's exp(log phi_s - max), so it costs one
+    (d, n) @ (n,) product per s, and it is -inf where every word's
+    derivative is 0.
+    """
+    d = log_sigma.shape[0]
+    out = np.empty((2, len(s_values)) if slopes else len(s_values))
     for i, s in enumerate(s_values):
         log_phi = _log_phi(log_sigma, s)
         top = np.max(log_phi)
         if top == -np.inf:
             raise ValueError(f"log phi_s at s = {s!r} overflows the double range")
-        out[i] = top + np.log(np.sum(np.exp(log_phi - top)))
+        if not slopes:
+            out[i] = top + np.log(np.sum(np.exp(log_phi - top)))
+            continue
+        # _log_phi hands out a fresh array: shift and exponentiate it in place
+        weights = np.exp(np.subtract(log_phi, top, out=log_phi), out=log_phi)
+        rows = log_sigma @ weights  # each singular value's weighted log sum
+        rate = -(np.sum(rows) / d if s >= d else rows[math.floor(s)])
+        with np.errstate(divide="ignore"):
+            out[:, i] = top + np.log([np.sum(weights), rate])
     return out
 
 
@@ -797,16 +815,20 @@ def partition_sums(
     s_values,
     cap: int = ENUMERATION_CAP,
     threads: int = 1,
+    slopes: bool = False,
 ) -> np.ndarray:
     """log S(k, s) for every s in ``s_values`` in one streamed enumeration.
 
     S(k, s) is the sum over level-k words of phi_s of the composed linear
     part (1 at the empty level k = 0); its log is finite however small S is.
+    With ``slopes`` the result is (2, len(s_values)), and row 1 is the log
+    of -dS/ds (the right derivative), the slope sum of ``_log_sums``.
     """
     s_values = [float(s) for s in s_values]
-    if k == 0:
-        return np.zeros(len(s_values))
-    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values), cap=cap))
+    if k == 0:  # S = 1 and dS/ds = 0
+        zeros = np.zeros(len(s_values))
+        return np.stack([zeros, zeros - np.inf]) if slopes else zeros
+    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes), cap=cap))
 
 
 def partition_sum_mc(

@@ -1,13 +1,15 @@
 """Affinity dimension via the pressure zero, cross-checked by box counting.
 
 The finite-level pressure p_k(s) = log S(k, s) / k is strictly decreasing in
-s for a tree of strict contractions, so its zero is found by doubling out a
-bracket and bisecting; both read log S(k, s) from the log-domain word sums of
-``code_tree``.  Under the standard hypotheses (all singular values in
-(0, 1/2)) the attractor dimension equals min(s0, d) for typical translation
-assignments, which the box-counting estimate of an enumerated cylinder cloud
-is expected to reproduce; a large disagreement is flagged as a possibly
-non-generic translation choice rather than silently ignored.
+s for a tree of strict contractions, and convex on each piece [m - 1, m] and
+on [d, inf), so its zero is found by tangent and chord steps, each pass
+reading log S(k, s) and its slope sum at several s at once from the
+log-domain word sums of ``code_tree``.  Under the standard hypotheses (all
+singular values in (0, 1/2)) the attractor dimension equals min(s0, d) for
+typical translation assignments, which the box-counting estimate of an
+enumerated cylinder cloud is expected to reproduce; a large disagreement is
+flagged as a possibly non-generic translation choice rather than silently
+ignored.
 """
 
 from __future__ import annotations
@@ -95,11 +97,26 @@ def pressure_curve(
 
 @dataclass(frozen=True)
 class PressureZeroResult:
+    """The level-k pressure zero ``s0`` and what the search knows about it.
+
+    ``bracket`` is [tangent root, chord root], which holds the level-k zero
+    up to rounding in p_k, and ``s0`` lies in it; ``p_bound`` bounds
+    |p_k(s0)|; ``iterations`` counts enumeration passes.  A flagged result
+    (zero at s = 0, above the cap, or not reached) has no such bracket.
+    """
+
     s0: float
     bracket: tuple[float, float]
-    p_value: float
+    p_bound: float
     iterations: int
     flag: str | None = None
+
+
+@dataclass(frozen=True)
+class _Point:
+    s: float
+    p: float
+    dp: float  # right derivative of p_k
 
 
 def pressure_zero(
@@ -110,53 +127,81 @@ def pressure_zero(
     s_cap: float = 64.0,
     threads: int = 1,
 ) -> PressureZeroResult:
-    """Bisect the strictly decreasing p_k to |p| <= tol.
+    """Find the zero of the decreasing p_k by tangent and chord, to |p| <= tol.
+
+    On each piece [m - 1, m], m <= d, and on [d, inf), log phi_s of every word
+    is affine in s, so p_k is a log-sum-exp of affine functions there: convex
+    as well as decreasing.  Each pass evaluates p_k and its right derivative
+    p_k' at several s in one enumeration.  The first takes s = 0, 1, ..., d,
+    which picks the piece that holds the zero.  Let a be the largest point
+    so far with p > 0 and b the smallest with p <= 0.  The tangent root t of
+    p_k at a is then a lower bound on the zero and the chord root c between
+    a and b an upper bound, and each later pass evaluates both.  The search
+    stops when p(a) <= tol, with s0 = t, since p(t) lies in [0, p(a)]; when
+    |p'(a)| (c - t) <= tol, which bounds |p| on all of [t, c] because p'
+    rises along the piece, with s0 the root of the convex quadratic through
+    p(a), p'(a) and p(b), which lies in [t, c]; or when |p(b)| <= tol, with
+    s0 = c.
 
     If p_k(0) <= 0 (a single branch) the zero is at s = 0 and is returned
-    flagged; if p_k stays positive all the way to ``s_cap`` the result is
-    capped and flagged instead of looping forever.
+    flagged; if p_k is still positive at max(d, ``s_cap``) the result is
+    capped at ``s_cap`` and flagged instead of searching on.  ``max_iter``
+    bounds the passes once the zero is bracketed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_tol(tol)
+    d = tree.d
 
     # per-block log spectra when affordable, folded exactly as a streamed pass
     cache = None
     if tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
         cache = _map_words(tree, k, lambda log_sigma, _: log_sigma)
+    points: list[_Point] = []
+    passes = 0
 
-    def p(s: float) -> float:
+    def evaluate(s_values):
+        nonlocal passes
+        passes += 1
         if cache is not None:
-            return float(_fold([_log_sums(block, [s]) for block in cache])[0]) / k
-        return float(partition_sums(tree, k, [s], threads=threads)[0]) / k
-
-    p0 = p(0.0)
-    if p0 <= 0.0:
-        return PressureZeroResult(0.0, (0.0, 0.0), p0, 0, flag="pressure nonpositive at s = 0")
-
-    lo, hi = 0.0, 1.0
-    p_hi = p(hi)
-    while p_hi > 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > s_cap:
-            return PressureZeroResult(
-                s_cap, (lo, hi), p_hi, 0, flag=f"pressure still positive at the cap {s_cap}"
-            )
-        p_hi = p(hi)
-
-    mid, p_mid = hi, p_hi
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        p_mid = p(mid)
-        if abs(p_mid) <= tol:
-            break
-        if p_mid > 0.0:
-            lo = mid
+            sums = _fold([_log_sums(block, s_values, slopes=True) for block in cache])
         else:
-            hi = mid
-    flag = None if abs(p_mid) <= tol else f"bisection stopped at |p| = {abs(p_mid):.3e} > tol"
-    return PressureZeroResult(float(mid), (float(lo), float(hi)), float(p_mid), iterations, flag)
+            sums = partition_sums(tree, k, s_values, threads=threads, slopes=True)
+        dp = -np.exp(sums[1] - sums[0]) / k
+        points.extend(_Point(s, float(v) / k, float(g)) for s, v, g in zip(s_values, sums[0], dp))
+
+    evaluate([float(m) for m in range(d + 1)])
+    if points[0].p <= 0.0:
+        return PressureZeroResult(0.0, (0.0, 0.0), -points[0].p, passes,
+                                  flag="pressure nonpositive at s = 0")
+    while True:
+        b = min((q for q in points if q.p <= 0.0), key=lambda q: q.s, default=None)
+        a = max((q for q in points if q.p > 0.0 and (b is None or q.s < b.s)), key=lambda q: q.s)
+        t = a.s - a.p / a.dp if a.dp < 0.0 else a.s
+        if b is None:  # the zero lies above every point so far, on [d, inf)
+            if t >= s_cap:
+                return PressureZeroResult(s_cap, (s_cap, s_cap), a.p, passes,
+                                          flag=f"pressure still positive at the cap {s_cap}")
+            evaluate([t, s_cap])
+            continue
+        c = a.s + a.p * (b.s - a.s) / (a.p - b.p)
+        bracket = (min(t, c), max(t, c))  # t <= c up to rounding
+        width = -a.dp * (bracket[1] - bracket[0]) if a.dp < 0.0 else math.inf
+        if a.p <= tol:
+            return PressureZeroResult(t, bracket, min(a.p, width), passes)
+        if width <= tol:
+            # any s in [t, c] will do: take the root of the convex quadratic
+            # through p(a), p'(a) and p(b), which lies between t and c
+            curve = (b.p - a.p - a.dp * (b.s - a.s)) / (b.s - a.s) ** 2
+            x = a.s + 2.0 * a.p / (math.sqrt(max(a.dp * a.dp - 4.0 * curve * a.p, 0.0)) - a.dp)
+            return PressureZeroResult(min(max(x, bracket[0]), bracket[1]), bracket, width, passes)
+        if abs(b.p) <= tol:
+            return PressureZeroResult(c, bracket, min(abs(b.p), width), passes)
+        if passes >= max_iter or (t <= a.s and c >= b.s):
+            bound = min(a.p, width)
+            return PressureZeroResult(t, bracket, bound, passes,
+                                      flag=f"tangent and chord stopped at |p| <= {bound:.3e} > tol")
+        evaluate([t, c])
 
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:

@@ -76,6 +76,9 @@ _BATCH = 1024
 # margins and pairings are scale-free, in [0, 1]; two that differ by less
 # than this are equal up to rounding, and the witness is the first of them
 _TIE_FLOOR = 1e-15
+# a Fail witness pairs the k images with the candidate pool this many
+# (image, blade) entries at a time, so its memory does not grow with k x pool
+_PAIRING_ENTRIES = 1 << 22
 
 
 class UnsupportedEigenstructure(ValueError):
@@ -293,14 +296,21 @@ def _annihilating_witness(
     annihilating w, taken from the structured pool when one pairs to within
     tol, else the null direction of the images."""
     images = np.einsum("kij,j->ki", CC, v)
-    pairing = np.max(np.abs(images @ pool_coords.T), axis=0)
+    k, n = images.shape
+    step = max(1, _PAIRING_ENTRIES // k)
+    pairing = np.empty(pool_coords.shape[0])
+    for lo in range(0, len(pairing), step):
+        block = images @ pool_coords[lo:lo + step].T
+        np.max(np.abs(block, out=block), axis=0, out=pairing[lo:lo + step])
     j = _first_least(pairing)
     if pairing[j] <= tol:
         w, w_factors, decomposable = pool_coords[j], pool_factors[j], True
     else:
         # the raw null direction is decomposable automatically only at the
-        # extreme grades
-        w, w_factors, decomposable = np.linalg.svd(images)[2][-1], None, m in (1, d - 1)
+        # extreme grades; with k >= n maps the reduced Vt is n x n and holds
+        # it, and with fewer it lacks the null rows, so U is k x k only then
+        null = np.linalg.svd(images, full_matrices=k < n)[2][-1]
+        w, w_factors, decomposable = null, None, m in (1, d - 1)
     return FailWitness(
         m=m,
         v=ExteriorVector(d, m, v),

@@ -655,6 +655,10 @@ def cli(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
+        return 2
 
 
 def main() -> None:

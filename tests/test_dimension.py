@@ -7,6 +7,7 @@ pressure piecewise linear with hand-computable kinks.
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from affdim import (
     dimension_report,
     enumerate_points,
     pressure_curve,
+    parse_system,
     pressure_zero,
 )
 from affdim import code_tree, dimension
@@ -30,6 +32,7 @@ from conftest import random_contraction
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 DIAG_ZERO = 1.0 + math.log(1.2) / math.log(5.0)
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def thirds_tree(depth: int = 6):
@@ -203,6 +206,115 @@ class TestPressureZero:
         assert cached[0] == cached[1] and streamed[0] == streamed[1]
         assert cached[0].flag is None and streamed[0].flag is None
         assert streamed[0] == cached[0]
+
+
+def family_tree(mats, depth):
+    return deterministic_tree(IfsFamily("fam", tuple(AffineMap(T, c) for c, T in enumerate(mats))), depth)
+
+
+def random_tree(rng, d, depth, maps=3):
+    return family_tree([random_contraction(rng, d, 0.15, 0.45) for _ in range(maps)], depth)
+
+
+def bisect(f, lo, hi, steps=200):
+    """Zero of a decreasing f on [lo, hi] by plain bisection."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def count_passes(monkeypatch):
+    passes = []
+    counted = dimension.partition_sums
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(dimension, "partition_sums", counting)
+    return passes
+
+
+class TestTangentAndChord:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slope_sum_is_the_derivative(self, rng, d):
+        tree = random_tree(rng, d, 5)
+        k, h = 5, 1e-6
+        s_values = [0.3, 0.7, d - 0.4, d + 0.6]
+        sums = code_tree.partition_sums(tree, k, s_values, slopes=True)
+        np.testing.assert_array_equal(sums[0], code_tree.partition_sums(tree, k, s_values))
+        dp = -np.exp(sums[1] - sums[0]) / k
+        for s, got in zip(s_values, dp):
+            lo, hi = code_tree.partition_sums(tree, k, [s - h, s + h]) / k
+            assert got == pytest.approx((hi - lo) / (2 * h), rel=1e-6)
+
+    def test_single_family_in_one_dimension(self, rng):
+        t = rng.uniform(0.1, 0.45, size=4) * rng.choice([-1.0, 1.0], size=4)
+        tree = family_tree([np.array([[x]]) for x in t], 6)
+        grid = np.linspace(0.0, 2.5, 11)
+        log_sums = code_tree.partition_sums(tree, 6, grid)
+        exact = 6 * np.log([np.sum(np.abs(t) ** s) for s in grid])
+        np.testing.assert_allclose(log_sums, exact, rtol=1e-13, atol=1e-13)
+        zero = bisect(lambda s: math.log(np.sum(np.abs(t) ** s)), 0.0, 1.0)
+        res = pressure_zero(tree, 6, tol=1e-10)
+        assert res.flag is None
+        assert res.bracket[0] <= zero <= res.bracket[1]
+        assert abs(res.s0 - zero) <= 1e-9
+
+    @pytest.mark.parametrize("which", ["corner", "diag", "d1", "d2", "d3"])
+    def test_bracket_holds_the_bisection_zero(self, rng, which):
+        if which == "corner":
+            spec = parse_system(str(EXAMPLES / "corner_system.json"))
+            tree = deterministic_tree(spec.family(None), 8)
+        elif which == "diag":
+            tree = diag_tree(8)
+        else:
+            tree = random_tree(rng, int(which[1]), 8)
+        for k in range(1, 9):
+            res = pressure_zero(tree, k)
+            assert res.flag is None
+            lo, hi = res.bracket
+            assert lo <= res.s0 <= hi
+            assert 0.0 <= res.p_bound <= 1e-6
+            zero = bisect(lambda s: code_tree.partition_sums(tree, k, [s])[0], 0.0, 64.0)
+            # where p_k is affine on the piece (corner, diag) tangent and chord
+            # meet up to rounding, and so does the zero of the rounded p_k
+            assert lo - 4 * math.ulp(lo) <= zero <= hi + 4 * math.ulp(hi)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_co_diagonal_closed_form(self, seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.2, 1.3)
+        R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        a = np.array([0.42, *rng.uniform(0.3, 0.42, size=2)])
+        b = rng.uniform(0.1, 0.25, size=3)
+        # sum a_i > 1, so the zero lies in [1, 2]; the products keep a >= b map
+        # by map, so there S(k, s) = (sum a_i b_i^(s - 1))^k
+        zero = bisect(lambda s: math.log(np.sum(a * b ** (s - 1.0))), 1.0, 2.0)
+        res = pressure_zero(family_tree([R @ np.diag([x, y]) @ R.T for x, y in zip(a, b)], 8), 8)
+        assert res.flag is None
+        assert abs(res.s0 - zero) <= 1e-10
+
+    def test_zero_above_the_dimension(self):
+        r = np.array([0.7, 0.75, 0.8, 0.85, 0.9])
+        tree = family_tree([np.array([[x]]) for x in r], 3)
+        res = pressure_zero(tree, 3)
+        zero = bisect(lambda s: math.log(np.sum(r**s)), 1.0, 64.0)
+        assert res.flag is None
+        assert abs(res.s0 - zero) <= 1e-6
+        assert res.bracket[0] <= zero <= res.bracket[1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_streamed_search_takes_few_passes(self, rng, monkeypatch, d):
+        tree = random_tree(rng, d, 7)
+        passes = count_passes(monkeypatch)
+        monkeypatch.setattr(dimension, "_SPECTRUM_CACHE_WORDS", 0)
+        res = pressure_zero(tree, 7)
+        assert res.flag is None
+        assert res.iterations == len(passes) <= 3
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,42 @@ class TestReducedMargins:
         assert fails >= 150
 
 
+class TestWitnessPairingSlices:
+    """A Fail witness pairs the images with the pool slice by slice, so its
+    memory is bounded; the slicing does not choose the witness."""
+
+    @staticmethod
+    def witnesses(fam, m, entries, monkeypatch, **kwargs):
+        keys = []
+        for budget in (1 << 40, entries):  # one slice, then slices of a few blades
+            with monkeypatch.context() as patch:
+                patch.setattr(fs_checker, "_PAIRING_ENTRIES", budget)
+                verdict = check_cm(fam, m, **kwargs)
+            assert verdict.kind is VerdictKind.FAIL
+            keys.append(TestWitnessTieBreak.witness_key(verdict))
+        return keys
+
+    def test_seeded_families(self, monkeypatch):
+        fails = 0
+        for seed in range(120):
+            fam = seeded_family(seed)
+            m = int(rng_for(10_000 + seed).integers(1, fam.d))
+            if check_cm(fam, m, samples=200, seed=seed).kind is not VerdictKind.FAIL:
+                continue
+            fails += 1
+            one, sliced = self.witnesses(fam, m, len(fam), monkeypatch, samples=200, seed=seed)
+            assert one == sliced
+        assert fails >= 50
+
+    def test_deep_closure_and_rounding_ties(self, monkeypatch):
+        deep = iterate_closure(LinearFamily.from_matrices([UPPER_A, UPPER_B]), 9)
+        one, sliced = self.witnesses(deep, 1, 3 * len(deep), monkeypatch)
+        assert one == sliced
+        split = TestWitnessTieBreak.split_family()
+        one, sliced = self.witnesses(split, 2, 2 * len(split), monkeypatch)
+        assert one == sliced
+
+
 # ---------------------------------------------------------------------------
 # condition C(s) for fractional s
 

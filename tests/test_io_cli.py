@@ -26,7 +26,7 @@ from affdim import (
     pressure_curve,
     serialize_system,
 )
-from affdim import io_cli
+from affdim import dimension, io_cli
 
 from conftest import random_contraction
 
@@ -853,6 +853,35 @@ class TestCli:
         assert payload["dimension"] == min(payload["s0"], 2.0)
         assert abs(payload["dimension"] - payload["box_estimate"]) <= 0.1
         assert payload["flag"] is None
+
+    def test_dim_reports_the_pressure_bracket(self, tmp_path, capsys):
+        rc = cli(["dim", doc_path(tmp_path, CERT_DOC)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        lo, hi = payload["pressure_bracket"]
+        assert lo <= payload["s0"] <= hi
+        assert hi - lo <= 1e-6
+
+    def test_dim_bytes_match_across_cache_and_threads(self, tmp_path, capsys, monkeypatch):
+        system = doc_path(tmp_path, CERT_DOC)
+        outputs = []
+        for cache in (dimension._SPECTRUM_CACHE_WORDS, 0):
+            monkeypatch.setattr(dimension, "_SPECTRUM_CACHE_WORDS", cache)
+            for threads in ("1", "4"):
+                assert cli(["dim", system, "--k", "7", "--threads", threads]) == 0
+                outputs.append(capsys.readouterr().out.encode())
+        assert len(set(outputs)) == 1
+
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 13.0 GiB for an array")
+
+        monkeypatch.setattr(io_cli, "dimension_report", exhausted)
+        rc = cli(["dim", doc_path(tmp_path, CERT_DOC)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 13.0 GiB for an array\n"
 
     def test_dim_refuses_large_contractions(self, tmp_path, capsys):
         rc = cli(["dim", doc_path(tmp_path, WIDE_DOC)])
