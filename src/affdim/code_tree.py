@@ -38,10 +38,7 @@ the weighted cylinder points and the zero-finder's cache are such
 reductions, all in log form over ``singular_values._log_phi``, so values
 far below the smallest double stay finite.  The points at s = 0 carry uniform weights
 (phi_0 is 1) and take no spectra.  Blocks are mapped one after another on
-the calling thread and their results folded in word order.  The public
-walks take a ``threads`` argument, which the CLI's ``--threads`` reaches,
-and it changes nothing: a second thread gained less than 1.3x on the
-``pressure-d3`` benchmark.
+the calling thread and their results folded in word order.
 """
 
 from __future__ import annotations
@@ -260,13 +257,6 @@ class GraphSystem:
 
     def neck_probability(self) -> float:
         return float(sum(self.labels[i].prob for i in self.neck_label_indices()))
-
-    def max_out_degree(self) -> int:
-        deg = 0
-        for g in self.labels:
-            for v in range(1, self.V + 1):
-                deg = max(deg, sum(1 for e in g.edges if e.source == v))
-        return deg
 
     def out_family(self, label_index: int, vertex: int) -> tuple[IfsFamily, tuple[int, ...]]:
         g = self.labels[label_index]
@@ -814,7 +804,6 @@ def partition_sums(
     k: int,
     s_values,
     cap: int = ENUMERATION_CAP,
-    threads: int = 1,
     slopes: bool = False,
 ) -> np.ndarray:
     """log S(k, s) for every s in ``s_values`` in one streamed enumeration.
@@ -872,7 +861,6 @@ def enumerate_points(
     k: int,
     s: float = 0.0,
     cap: int = ENUMERATION_CAP,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All level-k cylinder points f_word(0) with normalized phi_s weights.
 

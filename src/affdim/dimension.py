@@ -82,15 +82,14 @@ def pressure_curve(
     tree: CodeTreeRealization,
     s_grid,
     k: int,
-    threads: int = 1,
 ) -> PressureCurve:
     """Evaluate p_k over a grid, plus the p_{k//2} comparison diagnostic."""
     s_grid = np.array([float(s) for s in s_grid])
     if k < 1:
         raise ValueError("k must be >= 1")
     k_half = max(1, k // 2)
-    p = partition_sums(tree, k, s_grid, threads=threads) / k
-    p_half = partition_sums(tree, k_half, s_grid, threads=threads) / k_half
+    p = partition_sums(tree, k, s_grid) / k
+    p_half = partition_sums(tree, k_half, s_grid) / k_half
     diagnostic = np.abs(p - p_half)
     return PressureCurve(s=s_grid, p=p, k=k, k_half=k_half, diagnostic=diagnostic)
 
@@ -125,7 +124,6 @@ def pressure_zero(
     tol: float = 1e-6,
     max_iter: int = 60,
     s_cap: float = 64.0,
-    threads: int = 1,
 ) -> PressureZeroResult:
     """Find the zero of the decreasing p_k by tangent and chord, to |p| <= tol.
 
@@ -166,7 +164,7 @@ def pressure_zero(
         if cache is not None:
             sums = _fold([_log_sums(block, s_values, slopes=True) for block in cache])
         else:
-            sums = partition_sums(tree, k, s_values, threads=threads, slopes=True)
+            sums = partition_sums(tree, k, s_values, slopes=True)
         dp = -np.exp(sums[1] - sums[0]) / k
         points.extend(_Point(s, float(v) / k, float(g)) for s, v, g in zip(s_values, sums[0], dp))
 
@@ -321,7 +319,6 @@ def dimension_report(
     j_min: int = 2,
     j_max: int | None = None,
     flag_tol: float = 0.25,
-    threads: int = 1,
 ) -> DimensionReport:
     """Pressure zero at level k against box counting of depth-``depth`` points.
 
@@ -335,8 +332,8 @@ def dimension_report(
             f"dimension formula requires 0 < sigma_min <= sigma_max < 1/2, "
             f"got [{sig_lo:.6g}, {sig_hi:.6g}]"
         )
-    pz = pressure_zero(tree, k, tol=tol, threads=threads)
-    points, _ = enumerate_points(tree, depth, 0.0, threads=threads)
+    pz = pressure_zero(tree, k, tol=tol)
+    points, _ = enumerate_points(tree, depth, 0.0)
     if j_max is None:
         # stop above the composition resolution sigma_max^depth
         j_res = int(math.floor(depth * math.log2(1.0 / sig_hi)))

@@ -29,14 +29,16 @@ necks recur.
 
 The CLI wraps the pipeline::
 
-    affdim check-fs SYSTEM [--s S] [--samples N] [--depth D]
-    affdim certify  SYSTEM [--maps I J] [--tol T]
-    affdim pressure SYSTEM [--k K] [--s-min A --s-max B --grid N]
-    affdim dim      SYSTEM [--k K] [--depth D]
-    affdim simulate SYSTEM [--length N] [--thinning T]
-    affdim points   SYSTEM [--depth D] [--s S]
-    affdim boxdim   POINTS_CSV [--j-min A --j-max B]
+    affdim check-fs SYSTEM [--family F] [--s S] [--depth D] [--samples N] [--tol T] [--seed N]
+    affdim certify  SYSTEM [--family F] [--maps I J] [--tol T]
+    affdim pressure SYSTEM [--family F] [--s-min A] [--s-max B] [--grid N] [--k K]
+    affdim dim      SYSTEM [--family F] [--j-min A] [--j-max B] [--k K] [--depth D] [--tol T] [--seed N]
+    affdim simulate SYSTEM [--length N] [--thinning T] [--seed N]
+    affdim points   SYSTEM [--family F] [--s S] [--depth D] [--seed N]
+    affdim boxdim   POINTS_CSV [--j-min A] [--j-max B]
 
+Each subcommand takes only the flags it reads, plus ``--out PATH`` and
+``--threads N``; ``--threads`` must be at least 1 and changes nothing.
 Exit codes: 0 = success or passing verdict; 1 = Fail verdict or a hypothesis
 violated at run time; 2 = invalid input.  All randomized output is a pure
 function of ``--seed`` and never of ``--threads`` or scheduling.
@@ -435,25 +437,20 @@ def _linear_family(spec: SystemSpec, key, depth: int) -> LinearFamily:
 
 def _cmd_check_fs(args) -> int:
     spec = parse_system(args.system)
-    depth = 1 if args.depth is None else args.depth
-    samples = 1000 if args.samples is None else args.samples
-    tol = 1e-9 if args.tol is None else args.tol
-    fam = _linear_family(spec, args.family, depth)
+    fam = _linear_family(spec, args.family, args.depth)
+    opts = {"samples": args.samples, "tol": args.tol, "seed": args.seed}
     d = spec.d
 
     if args.s is None:
         grades = list(range(1, d))
         if not grades:
             grades = [0]
-        verdicts = [
-            (f"C({m})", check_cm(fam, m, samples=samples, tol=tol, seed=args.seed))
-            for m in grades
-        ]
+        verdicts = [(f"C({m})", check_cm(fam, m, **opts)) for m in grades]
     elif args.s.is_integer():
         m = int(args.s)
-        verdicts = [(f"C({m})", check_cm(fam, m, samples=samples, tol=tol, seed=args.seed))]
+        verdicts = [(f"C({m})", check_cm(fam, m, **opts))]
     else:
-        verdicts = [(f"C({args.s})", check_cs(fam, args.s, samples=samples, tol=tol, seed=args.seed))]
+        verdicts = [(f"C({args.s})", check_cs(fam, args.s, **opts))]
 
     _emit("".join(_verdict_text(tag, v) for tag, v in verdicts), args.out)
     return 0 if all(v.passed for _, v in verdicts) else 1
@@ -467,8 +464,7 @@ def _cmd_certify(args) -> int:
         raise SystemSpecError(
             "maps", f"need two distinct map indices in 0..{fam.size - 1}, got ({i}, {j})"
         )
-    tol = 1e-9 if args.tol is None else args.tol
-    report = criterion_cscm(fam.maps[i].T, fam.maps[j].T, tol=tol)
+    report = criterion_cscm(fam.maps[i].T, fam.maps[j].T, tol=args.tol)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return 0 if report.passed else 1
 
@@ -476,12 +472,10 @@ def _cmd_certify(args) -> int:
 def _cmd_pressure(args) -> int:
     spec = parse_system(args.system)
     fam = spec.family(args.family)
-    k = 6 if args.k is None else args.k
-    depth = k if args.depth is None else max(args.depth, k)
     s_max = float(spec.d) if args.s_max is None else args.s_max
     grid = np.linspace(args.s_min, s_max, args.grid)
-    tree = deterministic_tree(fam, depth)
-    curve = pressure_curve(tree, grid, k, threads=args.threads)
+    tree = deterministic_tree(fam, args.k)
+    curve = pressure_curve(tree, grid, args.k)
     _emit(_csv_text("s,p,diag", (curve.s, curve.p, curve.diagnostic)), args.out)
     return 0
 
@@ -496,13 +490,8 @@ def _cmd_dim(args) -> int:
         )
     spec = bind_translations(spec, args.seed)
     fam = spec.family(args.family)
-    k = 6 if args.k is None else args.k
-    depth = 10 if args.depth is None else args.depth
-    tol = 1e-6 if args.tol is None else args.tol
-    tree = deterministic_tree(fam, max(k, depth))
-    report = dimension_report(
-        tree, k, depth, tol=tol, j_min=args.j_min, j_max=args.j_max, threads=args.threads
-    )
+    tree = deterministic_tree(fam, max(args.k, args.depth))
+    report = dimension_report(tree, args.k, args.depth, tol=args.tol, j_min=args.j_min, j_max=args.j_max)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return 0
 
@@ -528,9 +517,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_points(args) -> int:
     spec = bind_translations(parse_system(args.system), args.seed)
     fam = spec.family(args.family)
-    depth = 8 if args.depth is None else args.depth
-    tree = deterministic_tree(fam, depth)
-    points, weights = enumerate_points(tree, depth, args.s, threads=args.threads)
+    tree = deterministic_tree(fam, args.depth)
+    points, weights = enumerate_points(tree, args.depth, args.s)
     header = ",".join(f"x{i + 1}" for i in range(spec.d)) + ",weight"
     _emit(_csv_text(header, (points, weights)), args.out)
     return 0
@@ -555,11 +543,6 @@ def _cmd_boxdim(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for every random draw")
-    common.add_argument("--depth", type=int, default=None, help="tree / closure depth")
-    common.add_argument("--k", type=int, default=None, help="composition level")
-    common.add_argument("--samples", type=int, default=None, help="random sample count")
-    common.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--threads", type=int, default=1,
                         help="at least 1; accepted, but enumeration runs on one thread")
@@ -578,6 +561,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None,
                    help="grade to test; integer -> C(m), fractional -> C(s); "
                         "default: every integer grade")
+    p.add_argument("--depth", type=int, default=1, help="closure depth")
+    p.add_argument("--samples", type=int, default=1000, help="random sample count")
+    p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    p.add_argument("--seed", type=int, default=0, help="seed for the samples")
     p.set_defaults(handler=_cmd_check_fs)
 
     p = sub.add_parser("certify", parents=[common],
@@ -586,6 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.add_argument("--maps", type=int, nargs=2, default=(0, 1), metavar=("I", "J"),
                    help="indices of the two maps (default: 0 1)")
+    p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("pressure", parents=[common],
@@ -595,6 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=float, default=0.0)
     p.add_argument("--s-max", type=float, default=None, help="default: ambient dimension")
     p.add_argument("--grid", type=int, default=21, help="number of grid points")
+    p.add_argument("--k", type=int, default=6, help="composition level")
     p.set_defaults(handler=_cmd_pressure)
 
     p = sub.add_parser("dim", parents=[common],
@@ -603,6 +592,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.add_argument("--j-min", type=int, default=2, help="finest dyadic scale is 2^-j_max")
     p.add_argument("--j-max", type=int, default=None, help="default: set from depth and bounds")
+    p.add_argument("--k", type=int, default=6, help="composition level of the pressure")
+    p.add_argument("--depth", type=int, default=10, help="tree depth of the box-counted points")
+    p.add_argument("--tol", type=float, default=1e-6, help="tolerance on |p| at the zero")
+    p.add_argument("--seed", type=int, default=0, help="seed for unbound translations")
     p.set_defaults(handler=_cmd_dim)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -610,6 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("--length", type=int, default=10000, help="number of labels to draw")
     p.add_argument("--thinning", type=int, default=1, help="keep every t-th neck")
+    p.add_argument("--seed", type=int, default=0, help="seed for the label draws")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("points", parents=[common],
@@ -617,6 +611,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("--family", default=None)
     p.add_argument("--s", type=float, default=0.0, help="weight exponent (default 0: uniform)")
+    p.add_argument("--depth", type=int, default=8, help="tree depth")
+    p.add_argument("--seed", type=int, default=0, help="seed for unbound translations")
     p.set_defaults(handler=_cmd_points)
 
     p = sub.add_parser("boxdim", parents=[common],
@@ -633,7 +629,7 @@ def cli(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for flag in ("threads", "depth", "grid"):
+    for flag in ("threads", "depth", "grid", "k"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             parser.error(f"argument --{flag}: must be at least 1, got {value}")

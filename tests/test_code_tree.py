@@ -160,7 +160,6 @@ class TestGraphSystem:
         np.testing.assert_allclose(gs.mu, [0.3, 0.7])
         assert gs.neck_label_indices() == (0,)
         assert math.isclose(gs.neck_probability(), 0.3)
-        assert gs.max_out_degree() == 2
 
     def test_out_family_orders_edges(self):
         gs = walk_graph()
@@ -567,13 +566,6 @@ class TestPartitionSums:
             for j, k in ((1, 4), (2, 3), (3, 3), (2, 4)):
                 assert log_S[j + k] <= log_S[j] + log_S[k] + math.log1p(1e-9)
 
-    def test_threads_do_not_change_the_result(self):
-        tree = deterministic_tree(thirds_family(), 17)
-        grid = [0.3, 0.63, 1.0]
-        one = partition_sums(tree, 17, grid, threads=1)
-        four = partition_sums(tree, 17, grid, threads=4)
-        assert np.array_equal(one, four)
-
     def test_one_dimensional_oracle_below_the_smallest_double(self):
         # for d = 1, S(k, s) = (sum_i |t_i|^s)^k exactly; at s = 20 and k = 10
         # that is about 1e-340, below the smallest double
@@ -732,17 +724,6 @@ class TestLogSpectra:
         assert split.tobytes() == np.concatenate([ld + suffix for _, _, _, ld, _ in blocks]).tobytes()
         np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_threads_do_not_change_sums(self, monkeypatch, rng, d):
-        mats = [random_contraction(rng, d, 0.2, 0.6) for _ in range(3)]
-        fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
-        tree = deterministic_tree(fam, 7)
-        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**3)
-        grid = [0.4, 1.0, 1.7, 2.5, 3.2]
-        one = partition_sums(tree, 7, grid, threads=1)
-        four = partition_sums(tree, 7, grid, threads=4)
-        assert np.array_equal(one, four)
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_underflow_in_any_word_is_refused(self, monkeypatch, d):
         # word 00 underflows to the zero matrix; the later words do not.  One
@@ -810,7 +791,7 @@ class TestSharedSuffixes:
         np.testing.assert_allclose(got_points, points, rtol=1e-13, atol=0)
         np.testing.assert_allclose(got_weights, weights / np.sum(weights), rtol=1e-13, atol=0)
         assert expanded == 3 * keys
-        assert np.array_equal(partition_sums(tree, k, grid, threads=2), sums)
+        assert np.array_equal(partition_sums(tree, k, grid), sums)
         assert expanded == 4 * keys
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -948,14 +929,7 @@ class TestEnumeratePoints:
         assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
         assert np.all(weights > 0)
 
-    def test_threads_do_not_change_points(self):
-        tree = deterministic_tree(thirds_family(), 17)
-        p1, w1 = enumerate_points(tree, 17, s=0.63, threads=1)
-        p4, w4 = enumerate_points(tree, 17, s=0.63, threads=4)
-        assert np.array_equal(p1, p4) and np.array_equal(w1, w4)
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_uniform_weights_take_no_svd(self, monkeypatch, threads, rng):
+    def test_uniform_weights_take_no_svd(self, monkeypatch, rng):
         # phi_0 is 1, so s = 0 needs no spectra; at s = 1.3 the d = 2 and d = 3
         # spectra of distinct singular values take no SVD either
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**4)
@@ -973,15 +947,15 @@ class TestEnumeratePoints:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        points, weights = enumerate_points(tree, 7, 0.0, threads=threads)
+        points, weights = enumerate_points(tree, 7, 0.0)
         assert calls == []
         n = 3**7
         assert points.shape == (n, 2)
         assert weights.tobytes() == np.full(n, 1 / n).tobytes()
-        _, weights = enumerate_points(tree, 7, 1.3, threads=threads)
+        _, weights = enumerate_points(tree, 7, 1.3)
         assert calls == []
         assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
-        _, weights = enumerate_points(solid_tree, 7, 1.3, threads=threads)
+        _, weights = enumerate_points(solid_tree, 7, 1.3)
         assert calls == []
         assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
 

@@ -9,6 +9,7 @@ small families (identity, quarter turn, triangular maps).
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from affdim import (
     VerdictKind,
     check_cm,
     check_cs,
+    cli,
     compound_matrix,
     criterion_cscm,
     estimate_fullness,
@@ -28,6 +30,8 @@ from affdim import (
 )
 
 from conftest import random_nonsingular, rng_for
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 UPPER_A = np.array([[0.9, 0.3], [0.0, 0.7]])
@@ -578,6 +582,23 @@ class TestWitnessPairingSlices:
         split = TestWitnessTieBreak.split_family()
         one, sliced = self.witnesses(split, 2, 2 * len(split), monkeypatch)
         assert one == sliced
+
+    def test_duplicate_blades_are_paired_once(self, monkeypatch, capsys):
+        # every corner map is a multiple of I, so the 59,048 pool blades of its
+        # depth-9 closure hold 2 distinct ones; the witness is the one found
+        # when every row was paired
+        widths = []
+        first_least = fs_checker._first_least
+        monkeypatch.setattr(fs_checker, "_first_least",
+                            lambda values: widths.append(len(values)) or first_least(values))
+        assert cli(["check-fs", str(EXAMPLES / "corner_system.json"), "--depth", "9"]) == 1
+        assert capsys.readouterr().out == (
+            "C(1): Fail (grade m=1, samples=59048, margin=0.000e+00): "
+            "rank deficiency at a structured candidate\n"
+            "  witness v = [1.0, 0.0]\n"
+            "  witness w = [0.0, 1.0]\n"
+        )
+        assert widths[-1] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1019,8 +1019,7 @@ class TestCli:
         outs = []
         for run, threads in enumerate(("1", "4")):
             target = str(tmp_path / f"curve{run}.csv")
-            assert cli(["pressure", system, "--k", "8", "--depth", "8",
-                        "--threads", threads, "--out", target]) == 0
+            assert cli(["pressure", system, "--k", "8", "--threads", threads, "--out", target]) == 0
             outs.append(open(target, "rb").read())
         assert outs[0] == outs[1]
 
@@ -1165,18 +1164,39 @@ class TestCli:
         assert captured.out == ""
         assert "--threads" in captured.err
 
+    @pytest.mark.parametrize("refused", [
+        "check-fs --k 2", "certify --samples 5", "pressure --tol 1e-3", "dim --samples 10",
+        "simulate --k 3", "points --tol 1", "boxdim --seed 1",
+    ])
+    def test_flags_the_subcommand_does_not_read_exit_two(self, tmp_path, capsys, refused):
+        command, *flag = refused.split()
+        docs = {"check-fs": CERT_DOC, "certify": CERT_DOC, "pressure": CERT_DOC, "simulate": GRAPH_DOC}
+        source = doc_path(tmp_path, docs.get(command, CORNER_DOC))
+        if command == "boxdim":
+            cloud = str(tmp_path / "cloud.csv")
+            assert cli(["points", source, "--depth", "7", "--out", cloud]) == 0
+            source = cloud
+        with pytest.raises(SystemExit) as info:
+            cli([command, source] + flag)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert cli([command, source, "--threads", "1"]) == 0
+
     @pytest.mark.parametrize("argv", [
-        ["--depth", "0"], ["--depth", "-1"], ["--grid", "0"], ["--grid", "-1"],
+        ["--depth", "0"], ["--depth", "-1"], ["--grid", "0"], ["--grid", "-1"], ["--k", "0"],
     ])
     def test_depth_and_grid_below_one_exit_two(self, tmp_path, capsys, argv):
-        commands = ["pressure"] if argv[0] == "--grid" else ["pressure", "check-fs"]
+        # each subcommand here reads the flag, so the refusal is the range check
+        commands = {"--depth": ["dim", "check-fs"], "--grid": ["pressure"], "--k": ["pressure", "dim"]}[argv[0]]
         for command in commands:
             with pytest.raises(SystemExit) as info:
                 cli([command, doc_path(tmp_path, CERT_DOC)] + argv)
             assert info.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert argv[0] in captured.err
+            assert f"argument {argv[0]}: must be at least 1" in captured.err
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
