@@ -929,13 +929,15 @@ class TestEnumeratePoints:
         assert math.isclose(float(weights.sum()), 1.0, rel_tol=1e-12)
         assert np.all(weights > 0)
 
-    def test_uniform_weights_take_no_svd(self, monkeypatch, rng):
+    @pytest.mark.parametrize("limit_power", [1, 4])
+    def test_uniform_weights_take_no_svd(self, monkeypatch, limit_power, rng):
         # phi_0 is 1, so s = 0 needs no spectra; at s = 1.3 the d = 2 and d = 3
-        # spectra of distinct singular values take no SVD either
-        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**4)
+        # spectra of distinct singular values take no SVD either, however
+        # finely the level-7 words are split into blocks
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**limit_power)
         tree = deterministic_tree(corner_family(), 7)
         blocks = len(code_tree._blocks(tree, 7, code_tree._BLOCK_LIMIT))
-        assert blocks == 27
+        assert blocks == 3 ** (7 - limit_power)
         solid = IfsFamily("solid", tuple(AffineMap(random_contraction(rng, 3, 0.2, 0.6), c)
                                          for c in range(3)))
         solid_tree = deterministic_tree(solid, 7)
