@@ -297,15 +297,18 @@ def _annihilating_witness(
     tol, else the null direction of the images."""
     images = np.einsum("kij,j->ki", CC, v)
     k, n = images.shape
-    # duplicate blades pair identically, so only each one's first row is paired
+    # maps that share an eigenvector bit for bit (multiples of I, triangular
+    # maps' e1) repeat pool rows exactly; duplicates pair identically, so only
+    # each one's first row is paired, and i indexes those rows
     first = np.sort(np.unique(pool_coords, axis=0, return_index=True)[1])
     step = max(1, _PAIRING_ENTRIES // k)
     pairing = np.empty(len(first))
     for lo in range(0, len(pairing), step):
         block = images @ pool_coords[first[lo:lo + step]].T
         np.max(np.abs(block, out=block), axis=0, out=pairing[lo:lo + step])
-    j = int(first[_first_least(pairing)])
-    if pairing[j] <= tol:
+    i = _first_least(pairing)
+    j = int(first[i])
+    if pairing[i] <= tol:
         w, w_factors, decomposable = pool_coords[j], pool_factors[j], True
     else:
         # the raw null direction is decomposable automatically only at the

@@ -600,6 +600,18 @@ class TestWitnessPairingSlices:
         )
         assert widths[-1] == 2
 
+    def test_duplicate_before_the_witness_maps_back_to_its_pool_row(self):
+        # distinct rows e1, e2 sit at pool rows 0 and 2: the e2 blade pairs to
+        # zero with the image e1, and is reported as pool row 2
+        CC = np.array([[[1.0, 0.0], [0.0, 0.0]]])
+        pool = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        factors = pool[:, :, None] * np.array([1.0, 2.0, 3.0])[:, None, None]
+        witness = fs_checker._annihilating_witness(
+            CC, 2, 1, np.array([1.0, 0.0]), None, pool, factors, fs_checker.DEFAULT_TOL)
+        assert witness.w_decomposable
+        assert witness.w.coords.tolist() == [0.0, 1.0]
+        assert witness.w_factors.tolist() == [[0.0], [3.0]]
+
 
 # ---------------------------------------------------------------------------
 # condition C(s) for fractional s
