@@ -36,9 +36,11 @@ phi_s of the composed linear parts over the level-k words), on request
 with the log of -dS/ds beside them for the pressure zero-finder's tangents,
 the weighted cylinder points and the zero-finder's cache are such
 reductions, all in log form over ``singular_values._log_phi``, so values
-far below the smallest double stay finite.  The points at s = 0 carry uniform weights
-(phi_0 is 1) and take no spectra.  Blocks are mapped one after another on
-the calling thread and their results folded in word order.
+far below the smallest double stay finite.  The word sums (``_log_sums``)
+take each partial spectrum sum a block's s-values need once, and run every
+s in one buffer of the block's length.  The points at s = 0 carry uniform
+weights (phi_0 is 1) and take no spectra.  Blocks are mapped one after
+another on the calling thread and their results folded in word order.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fs_checker import LinearFamily, estimate_fullness
-from .singular_values import _log_phi, singular_values
+from .singular_values import _exponent, _log_phi, singular_values
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -729,6 +731,11 @@ def _log_sums(log_sigma, s_values, slopes=False):
     """Per s, log sum of phi_s over the words (the columns of ``log_sigma``),
     one max-shifted log-sum-exp at a time.
 
+    Every s shares one dict of the block's partial spectrum sums, so each is
+    taken once, and one (n,) buffer: ``_log_phi`` writes log phi_s there (an
+    integer s reads its partial sum as it stands), which is then shifted by
+    its max and exponentiated in place.
+
     With ``slopes`` the result is (2, len(s_values)): row 0 as above, row 1
     log sum of phi_s * (-d/ds log phi_s), the right derivative, which is
     -log sigma_{m+1} for m <= s < m + 1 <= d and -(1/d) sum log sigma_i for
@@ -738,16 +745,17 @@ def _log_sums(log_sigma, s_values, slopes=False):
     """
     d = log_sigma.shape[0]
     out = np.empty((2, len(s_values)) if slopes else len(s_values))
+    sums = {}
+    weights = np.empty(log_sigma.shape[1])
     for i, s in enumerate(s_values):
-        log_phi = _log_phi(log_sigma, s)
+        log_phi = _log_phi(log_sigma, s, sums, out=weights)
         top = np.max(log_phi)
         if top == -np.inf:
             raise ValueError(f"log phi_s at s = {s!r} overflows the double range")
+        np.exp(np.subtract(log_phi, top, out=weights), out=weights)
         if not slopes:
-            out[i] = top + np.log(np.sum(np.exp(log_phi - top)))
+            out[i] = top + np.log(np.sum(weights))
             continue
-        # _log_phi hands out a fresh array: shift and exponentiate it in place
-        weights = np.exp(np.subtract(log_phi, top, out=log_phi), out=log_phi)
         rows = log_sigma @ weights  # each singular value's weighted log sum
         rate = -(np.sum(rows) / d if s >= d else rows[math.floor(s)])
         with np.errstate(divide="ignore"):
@@ -811,9 +819,10 @@ def partition_sums(
     S(k, s) is the sum over level-k words of phi_s of the composed linear
     part (1 at the empty level k = 0); its log is finite however small S is.
     With ``slopes`` the result is (2, len(s_values)), and row 1 is the log
-    of -dS/ds (the right derivative), the slope sum of ``_log_sums``.
+    of -dS/ds (the right derivative), the slope sum of ``_log_sums``.  A
+    negative or nan s is refused before the first word is enumerated.
     """
-    s_values = [float(s) for s in s_values]
+    s_values = [_exponent(s) for s in s_values]
     if k == 0:  # S = 1 and dS/ds = 0
         zeros = np.zeros(len(s_values))
         return np.stack([zeros, zeros - np.inf]) if slopes else zeros
@@ -867,7 +876,7 @@ def enumerate_points(
     At s = 0 the weights are uniform (phi_0 is 1) and no spectra are taken.
     Weights are normalized from exp(log phi_s - max), whose largest entry is 1.
     """
-    s = float(s)
+    s = _exponent(s)
     uniform = s == 0.0
 
     def weigh(log_sigma, points):

@@ -22,6 +22,7 @@ import numpy as np
 from .code_tree import (CodeTreeRealization, _fold, _log_sums, _map_words, enumerate_points,
                         partition_sums)
 from .fs_checker import _check_tol
+from .singular_values import _exponent
 
 __all__ = [
     "HypothesisViolation",
@@ -44,6 +45,11 @@ class HypothesisViolation(RuntimeError):
     """A run asked for a conclusion whose hypotheses the system violates."""
 
 
+def _require_increasing(s_grid: np.ndarray) -> None:
+    if np.any(np.diff(s_grid) <= 0):
+        raise ValueError("s grid must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class PressureCurve:
     """p_k on a grid, with a finite-size diagnostic |p_k - p_{k//2}|."""
@@ -60,8 +66,7 @@ class PressureCurve:
         diag = np.array(self.diagnostic, dtype=float)
         if not (s.shape == p.shape == diag.shape) or s.ndim != 1:
             raise ValueError("grid, values and diagnostics must be equal-length vectors")
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("s grid must be strictly increasing")
+        _require_increasing(s)
         finite = np.isfinite(p) & np.isfinite(diag)
         if not finite.all():
             raise ValueError(f"pressure is not finite at s = {float(s[~finite][0])!r}: "
@@ -83,10 +88,15 @@ def pressure_curve(
     s_grid,
     k: int,
 ) -> PressureCurve:
-    """Evaluate p_k over a grid, plus the p_{k//2} comparison diagnostic."""
-    s_grid = np.array([float(s) for s in s_grid])
+    """Evaluate p_k over a grid, plus the p_{k//2} comparison diagnostic.
+
+    A negative, nan or not strictly increasing grid is refused before the
+    first word is enumerated.
+    """
+    s_grid = np.array([_exponent(s) for s in s_grid])
     if k < 1:
         raise ValueError("k must be >= 1")
+    _require_increasing(s_grid)
     k_half = max(1, k // 2)
     p = partition_sums(tree, k, s_grid) / k
     p_half = partition_sums(tree, k_half, s_grid) / k_half

@@ -87,7 +87,13 @@ class UnsupportedEigenstructure(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LinearFamily:
-    """A family of nonsingular d x d matrices, ``maps``: one read-only (k, d, d) array."""
+    """A family of nonsingular d x d matrices, ``maps``: one read-only (k, d, d) array.
+
+    ``from_matrices`` builds a family of generators and refuses a numerically
+    singular one.  A family built from gated maps, such as ``iterate_closure``'s
+    products, is not gated again: det is multiplicative, so its members are
+    nonsingular however ill-conditioned they are.
+    """
 
     d: int
     maps: np.ndarray
@@ -98,14 +104,16 @@ class LinearFamily:
             raise ValueError("family must contain at least one map")
         if maps.shape[1:] != (self.d, self.d):
             raise ValueError(f"maps has shape {maps.shape}, expected (k, {self.d}, {self.d})")
-        _nonsingular_spectra(maps, "maps")
         maps.setflags(write=False)
         object.__setattr__(self, "maps", maps)
 
     @classmethod
     def from_matrices(cls, mats) -> "LinearFamily":
+        """The family of the generators ``mats``, each passed through the singularity gate."""
         mats = np.asarray(mats, dtype=float)
-        return cls(mats.shape[-1], mats)
+        fam = cls(mats.shape[-1], mats)
+        _nonsingular_spectra(fam.maps, "maps")
+        return fam
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -166,7 +174,11 @@ class Verdict:
 
 
 def iterate_closure(fam: LinearFamily, depth: int, cap: int = 10**6) -> LinearFamily:
-    """All compositions S_{i1} @ ... @ S_{ij} for 1 <= j <= depth, word order."""
+    """All compositions S_{i1} @ ... @ S_{ij} for 1 <= j <= depth, word order.
+
+    The products pass no singularity gate: those of nonsingular maps are
+    nonsingular, however small their determinant relative to sigma_1^d.
+    """
     if depth < 1:
         raise ValueError(f"closure depth must be >= 1, got {depth}")
     k = len(fam)

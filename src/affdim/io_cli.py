@@ -383,19 +383,22 @@ def bind_translations(spec: SystemSpec, seed=0) -> SystemSpec:
 # command-line front end
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: list[str], out: str | None) -> None:
+    """Write the already formatted ``pieces`` in order, to stdout or to ``out``."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 _CSV_CHUNK = 1 << 14  # rows formatted per ``%`` call
 
 
-def _csv_text(header: str, columns) -> str:
-    """The header, then one row per line, each cell the ``repr`` of its number.
+def _csv_text(header: str, columns) -> list[str]:
+    """The header line, then one row per line, each cell the ``repr`` of its
+    number, as a list of pieces to write in order: no joined copy of the text
+    is made, and every piece is formatted before ``_emit`` writes the first.
 
     A column whose cells all have the bits of its first (so 0.0 and -0.0 do
     not mix) is written into the line template once; the other cells fill
@@ -403,15 +406,15 @@ def _csv_text(header: str, columns) -> str:
     """
     rows = np.column_stack(columns)
     if not len(rows):
-        return header + "\n"
+        return [header + "\n"]
     bits = rows.view(np.int64)
     constant = np.all(bits == bits[0], axis=0)
     line = ",".join(repr(x) if same else "%r" for x, same in zip(rows[0].tolist(), constant)) + "\n"
     free = rows[:, ~constant]
-    return header + "\n" + "".join(
+    return [header + "\n"] + [
         (line * len(chunk)) % tuple(chunk.ravel().tolist())
         for chunk in (free[lo:lo + _CSV_CHUNK] for lo in range(0, len(free), _CSV_CHUNK))
-    )
+    ]
 
 
 def _verdict_text(tag: str, v: Verdict) -> str:
@@ -452,7 +455,7 @@ def _cmd_check_fs(args) -> int:
     else:
         verdicts = [(f"C({args.s})", check_cs(fam, args.s, **opts))]
 
-    _emit("".join(_verdict_text(tag, v) for tag, v in verdicts), args.out)
+    _emit([_verdict_text(tag, v) for tag, v in verdicts], args.out)
     return 0 if all(v.passed for _, v in verdicts) else 1
 
 
@@ -465,7 +468,7 @@ def _cmd_certify(args) -> int:
             "maps", f"need two distinct map indices in 0..{fam.size - 1}, got ({i}, {j})"
         )
     report = criterion_cscm(fam.maps[i].T, fam.maps[j].T, tol=args.tol)
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    _emit([json.dumps(report.to_json_dict(), indent=2) + "\n"], args.out)
     return 0 if report.passed else 1
 
 
@@ -492,7 +495,7 @@ def _cmd_dim(args) -> int:
     fam = spec.family(args.family)
     tree = deterministic_tree(fam, max(args.k, args.depth))
     report = dimension_report(tree, args.k, args.depth, tol=args.tol, j_min=args.j_min, j_max=args.j_max)
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    _emit([json.dumps(report.to_json_dict(), indent=2) + "\n"], args.out)
     return 0
 
 
@@ -537,7 +540,7 @@ def _cmd_boxdim(args) -> int:
     if header[-1].strip() == "weight":
         data = data[:, :-1]
     fit = box_dimension(data, args.j_min, args.j_max)
-    _emit(json.dumps(fit.to_json_dict(), indent=2) + "\n", args.out)
+    _emit([json.dumps(fit.to_json_dict(), indent=2) + "\n"], args.out)
     return 0
 
 

@@ -16,10 +16,14 @@ s = d, so phi stays continuous.  At integer s both one-sided branches agree;
 we evaluate the left limit so the branch never flips under floating point
 rounding of s.  One kernel, ``_log_phi``, evaluates log phi_s from log
 spectra laid out spectrum axis first, one row per singular value, so that
-phi_s is a sum of whole rows: ``phi_from_singular_values`` moves its
-trailing spectrum axis to the front and exponentiates the kernel, and the
-word sums of ``code_tree`` reduce it in log form, where phi_s far below the
-smallest double stays finite.
+phi_s is a sum of whole rows: on each piece it is a partial sum of the top
+rows, scaled by s / d above s = d or plus a fraction of the next row
+between integers.  ``phi_from_singular_values`` moves its trailing spectrum
+axis to the front and exponentiates the kernel.  The word sums of
+``code_tree`` reduce it in log form, where phi_s far below the smallest
+double stays finite; they evaluate many s on one block of words, so they
+hand the kernel one dict that keeps each partial sum once taken, and one
+output buffer.
 """
 
 from __future__ import annotations
@@ -81,22 +85,46 @@ def singular_values(T) -> np.ndarray:
     return _nonsingular_spectra(T[None])[0]
 
 
-def _log_phi(log_sigma: np.ndarray, s: float) -> np.ndarray:
-    """log phi_s, shape (...), from log spectra of shape (d, ...): row i holds
-    the logs of the i-th largest singular values, so each spectrum runs down
-    axis 0 and phi_s is a few whole-row adds."""
-    d = log_sigma.shape[0]
+def _exponent(s) -> float:
+    """``s`` as a float, refused unless it is a nonnegative number (nan is not)."""
     s = float(s)
     if not s >= 0:
         raise ValueError(f"exponent must be nonnegative, got {s}")
+    return s
+
+
+def _log_phi(log_sigma: np.ndarray, s: float, sums: dict | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """log phi_s, shape (...), from log spectra of shape (d, ...): row i holds
+    the logs of the i-th largest singular values, so each spectrum runs down
+    axis 0 and phi_s is a few whole-row adds.
+
+    Each piece reads one partial sum np.sum(log_sigma[:m], axis=0), kept by m
+    in ``sums`` once taken: a caller that evaluates many s on one block passes
+    one dict, so each is taken once.  A non-integer s, or s >= d, writes its
+    result into ``out`` when one is given; an integer s below d returns the
+    partial sum itself, which a caller that passed ``sums`` must not write to.
+    """
+    d = log_sigma.shape[0]
+    s = _exponent(s)
+    sums = {} if sums is None else sums
+
+    def partial(m):
+        if m not in sums:
+            sums[m] = np.sum(log_sigma[:m], axis=0)
+        return sums[m]
+
     if s >= d:
         with np.errstate(over="ignore"):  # a huge s gives -inf, which the word sums refuse
-            return (s / d) * np.sum(log_sigma, axis=0)
+            return np.multiply(s / d, partial(d), out=out)
     if s == math.floor(s):
         # integer grade: plain product of the top s values (left limit)
-        return np.sum(log_sigma[: int(s)], axis=0)
+        return partial(int(s))
     m = math.floor(s) + 1
-    return np.sum(log_sigma[: m - 1], axis=0) + (s - m + 1) * log_sigma[m - 1]
+    out = np.multiply(s - m + 1, log_sigma[m - 1], out=out)
+    if m > 1:  # the top 0 values sum to 0, which would add nothing but the sign of a zero
+        out += partial(m - 1)
+    return out
 
 
 def phi_from_singular_values(sigma, s: float):

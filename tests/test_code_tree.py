@@ -544,6 +544,19 @@ class TestPartitionSums:
         tree = deterministic_tree(thirds_family(), 2)
         assert partition_sums(tree, 0, [1.7])[0] == 0.0
 
+    @pytest.mark.parametrize("s", [-0.5, math.nan])
+    def test_bad_exponent_is_refused_before_the_first_word(self, monkeypatch, s):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("words enumerated before the exponents were checked")
+
+        monkeypatch.setattr(code_tree, "_map_words", enumerate_nothing)
+        tree = deterministic_tree(thirds_family(), 3)
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=f"exponent must be nonnegative, got {s}"):
+                partition_sums(tree, k, [1.0, s], slopes=True)
+        with pytest.raises(ValueError, match=f"exponent must be nonnegative, got {s}"):
+            enumerate_points(tree, 3, s)
+
     def test_vectorized_matches_scalar(self):
         tree = deterministic_tree(corner_family(), 3)
         grid = [0.5, 1.0, 1.5, 2.0]
@@ -823,6 +836,27 @@ def row_major_log_phi(log_sigma, s):
     return np.sum(log_sigma[..., : m - 1], axis=-1) + (s - m + 1) * log_sigma[..., m - 1]
 
 
+def per_s_log_sums(log_sigma, s_values, slopes=False):
+    """``code_tree._log_sums`` as it was before its s-values shared partial sums
+    and a buffer: a fresh log phi_s per s from ``row_major_log_phi``, then top +
+    log sum exp(log phi_s - top), kept as a bit reference."""
+    d = log_sigma.shape[0]
+    row_major = np.ascontiguousarray(log_sigma.T)
+    out = np.empty((2, len(s_values)) if slopes else len(s_values))
+    for i, s in enumerate(s_values):
+        log_phi = row_major_log_phi(row_major, s)
+        top = np.max(log_phi)
+        if not slopes:
+            out[i] = top + np.log(np.sum(np.exp(log_phi - top)))
+            continue
+        weights = np.exp(log_phi - top)
+        rows = log_sigma @ weights
+        rate = -(np.sum(rows) / d if s >= d else rows[math.floor(s)])
+        with np.errstate(divide="ignore"):
+            out[:, i] = top + np.log([np.sum(weights), rate])
+    return out
+
+
 class TestSpectrumAxisFirst:
     """The spectrum-axis-first kernel reproduces the row-major one bit for bit.
     d = 9 takes the SVD path and sums 9 terms above s = 9, where numpy sums 8
@@ -855,10 +889,33 @@ class TestSpectrumAxisFirst:
                 assert np.array_equal(_log_phi(log_sigma, s), row_major_log_phi(row_major, s)), s
         sums = partition_sums(tree, 5, grid)
         _, weights = enumerate_points(tree, 5, s=1.3)
-        monkeypatch.setattr(code_tree, "_log_phi",
-                            lambda log_sigma, s: row_major_log_phi(np.ascontiguousarray(log_sigma.T), s))
+        # the stand-in ignores the shared partial sums and the buffer, so the word
+        # sums then take every log phi_s fresh from the row-major body
+        monkeypatch.setattr(code_tree, "_log_phi", lambda log_sigma, s, sums=None, out=None:
+                            row_major_log_phi(np.ascontiguousarray(log_sigma.T), s))
         assert np.array_equal(partition_sums(tree, 5, grid), sums)
         assert np.array_equal(enumerate_points(tree, 5, s=1.3)[1], weights)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+    def test_shared_partial_sums_keep_every_bit(self, monkeypatch, d, slopes):
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**3)
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", 7)
+        grid = self.grid(d)
+        blocks = code_tree._map_words(self.tree(d), 5, lambda log_sigma, _: log_sigma)
+        assert len(blocks) == 9
+        for log_sigma in blocks:
+            assert log_sigma.flags.c_contiguous == (d <= 3)  # d >= 4 hands out the SVD's transpose
+            got = code_tree._log_sums(log_sigma, grid, slopes)
+            assert np.array_equal(got, per_s_log_sums(log_sigma, grid, slopes))
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("s, match", [(-0.5, "nonnegative, got -0.5"), (math.nan, "nonnegative, got nan"),
+                                          (1e308, r"at s = 1e\+308 overflows")])
+    def test_word_sums_refuse(self, s, match, slopes):
+        log_sigma = np.log([[1e-2, 1e-3], [1e-3, 1e-4]])  # (1e308 / 2) log(1e-5) is below -DBL_MAX
+        with pytest.raises(ValueError, match=match):
+            code_tree._log_sums(log_sigma, [0.5, s], slopes)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
     @pytest.mark.parametrize("shape", [(), (40,), (5, 6)])

@@ -29,6 +29,8 @@ from affdim import (
     wedge,
 )
 
+from affdim.singular_values import SINGULARITY_RTOL
+
 from conftest import random_nonsingular, rng_for
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -118,6 +120,26 @@ class TestIterateClosure:
         np.testing.assert_allclose(clo.maps[3], UPPER_A @ UPPER_B)
         np.testing.assert_allclose(clo.maps[4], UPPER_B @ UPPER_A)
         np.testing.assert_allclose(clo.maps[5], UPPER_B @ UPPER_B)
+
+    def test_ill_conditioned_products_are_not_gated(self):
+        # a pair that criterion_cscm certifies (depth 18); its depth-6 closure
+        # holds maps[62] with singular values (0.53, 2.2e-6, 9.4e-12), far below
+        # the generators' gate, yet nonsingular as a product of nonsingular maps
+        P = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
+        Q = np.array([[3.0, 2.0, 1.0], [2.0, 3.0, 2.0], [1.0, 2.0, 3.0]])
+        F = np.round(0.9 * P / np.linalg.norm(P, 2), 4)
+        G = np.round(0.9 * Q / np.linalg.norm(Q, 2), 4)
+        report = criterion_cscm(F, G)
+        assert report.passed and report.certified_depth == 18
+        fam = iterate_closure(LinearFamily.from_matrices([F, G]), 6)
+        assert len(fam) == 126
+        sigma = np.linalg.svd(fam.maps[62], compute_uv=False)
+        assert np.prod(sigma / sigma[0]) <= SINGULARITY_RTOL
+        with pytest.raises(ValueError, match=r"^maps\[0\] is singular"):
+            LinearFamily.from_matrices(fam.maps[62:63])
+        for m in (1, 2):
+            verdict = check_cm(fam, m)
+            assert verdict.kind is VerdictKind.EMPIRICAL_PASS, str(verdict)
 
     def test_depth_must_be_positive(self):
         fam = LinearFamily.from_matrices([np.eye(2)])

@@ -26,7 +26,7 @@ from affdim import (
     pressure_curve,
     serialize_system,
 )
-from affdim import dimension, io_cli
+from affdim import code_tree, dimension, io_cli
 
 from conftest import random_contraction
 
@@ -788,6 +788,39 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"EmpiricalPass") == 2
 
+    def test_generic_d3_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # one process per BLAS thread count runs four subcommands on a seeded
+        # generic d = 3 family: the word products (@), the slope sums'
+        # (3, n) @ (n,) products and the rank margins' QR go through BLAS or LAPACK
+        root = pathlib.Path(__file__).resolve().parents[1]
+        rng = np.random.default_rng(16)
+        maps = [{"T": random_contraction(rng, 3, 0.15, 0.45).tolist()} for _ in range(3)]
+        doc = {"d": 3, "bounds": {"sigma_lo": 0.1, "sigma_hi": 0.45},
+               "families": [{"label": "generic", "maps": maps}]}
+        system = doc_path(tmp_path, doc)
+        steps = [["pressure", system, "--k", "9", "--grid", "16"],
+                 ["dim", system, "--k", "9", "--depth", "8"],
+                 ["points", system, "--s", "0.7", "--depth", "9"],
+                 ["check-fs", system, "--depth", "4"]]
+        code = ("import json, sys\nfrom affdim import cli\n"
+                "for argv in json.loads(sys.argv[1]):\n    print(cli(argv))\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(steps)],
+                                  capture_output=True, env=env, timeout=120, cwd=root)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == b""
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].decode().splitlines()
+        assert lines[0] == "s,p,diag" and lines[17] == "0"  # the pressure CSV, then its exit code
+        assert lines.count("0") == 4 and lines[-1] == "0"
+        assert outputs[0].count(b"EmpiricalPass") == 2
+
     def test_check_fs_closure_over_the_cap_names_the_largest_depth(self, tmp_path, capsys):
         # 2 + 4 + ... + 2^18 maps fit under the cap of 10^6, 2^19 more do not
         rc = cli(["check-fs", doc_path(tmp_path, CERT_DOC), "--depth", "25"])
@@ -966,6 +999,12 @@ class TestCli:
             lines = [header] + [",".join(repr(x) for x in np.asarray(row).tolist()) for row in rows]
             return "\n".join(lines) + "\n"
 
+        def csv_text(header, columns):
+            # the writer hands out its pieces, the header line first; joined they are the text
+            pieces = io_cli._csv_text(header, columns)
+            assert isinstance(pieces, list) and pieces[0] == header + "\n"
+            return "".join(pieces)
+
         spec = parse_system(json.dumps(CORNER_DOC))
         tree = deterministic_tree(spec.family(None), 5)
         points, weights = enumerate_points(tree, 5, 1.3)
@@ -979,7 +1018,7 @@ class TestCli:
         assert capsys.readouterr().out == expected
 
         odd = np.array([[-0.0, 5e-324, 1e300], [0.1, -2.5, 1e-7], [3.0, np.nextafter(1.0, 2.0), -1e22]])
-        assert io_cli._csv_text("a,b,c", (odd[:, :2], odd[:, 2])) == per_cell("a,b,c", odd)
+        assert csv_text("a,b,c", (odd[:, :2], odd[:, 2])) == per_cell("a,b,c", odd)
 
         # constant columns go into the line template once; chunks of 7 rows
         # leave a short last chunk
@@ -987,22 +1026,22 @@ class TestCli:
         n = 40
         mixed_zero = np.where(np.arange(n) % 3 == 1, -0.0, 0.0)
         table = np.column_stack([np.full(n, 0.1), np.full(n, -0.0), mixed_zero, np.linspace(-1.0, 1.0, n)])
-        text = io_cli._csv_text("a,b,c,e", (table[:, :3], table[:, 3]))
+        text = csv_text("a,b,c,e", (table[:, :3], table[:, 3]))
         assert text == per_cell("a,b,c,e", table)
         assert text.splitlines()[2] == "0.1,-0.0,-0.0,-0.9487179487179487"
         assert text.splitlines()[3] == "0.1,-0.0,0.0,-0.8974358974358975"
         every = np.full((n, 2), 0.25)
-        assert io_cli._csv_text("a,b", (every,)) == per_cell("a,b", every)
+        assert csv_text("a,b", (every,)) == per_cell("a,b", every)
         # simulate's integer columns, a constant one among them, keep repr of ints
         index, gaps = np.arange(1, n + 1), np.full(n, 2)
         gaps[::5] = 3
-        text = io_cli._csv_text("index,gap", (index, gaps))
+        text = csv_text("index,gap", (index, gaps))
         assert text == per_cell("index,gap", np.column_stack([index, gaps]))
         assert text.startswith("index,gap\n1,3\n2,2\n")
-        assert io_cli._csv_text("index,gap", (index, np.full(n, 4))).endswith("\n40,4\n")
+        assert csv_text("index,gap", (index, np.full(n, 4))).endswith("\n40,4\n")
         # no rows: the header alone
         empty = np.diff(np.concatenate([[0], np.asarray((), dtype=int)]))
-        assert io_cli._csv_text("index,gap", (np.arange(1, 1), empty)) == "index,gap\n"
+        assert csv_text("index,gap", (np.arange(1, 1), empty)) == "index,gap\n"
 
     def test_points_bytes_stable_across_threads(self, tmp_path):
         system = doc_path(tmp_path, CORNER_DOC)
@@ -1232,6 +1271,24 @@ class TestCli:
         assert captured.out == ""
         assert f"{flag}: must be finite" in captured.err
         assert "RuntimeWarning" not in captured.err
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--s-min", "2", "--s-max", "1"], "s grid must be strictly increasing"),
+        (["--s-min", "1", "--s-max", "1"], "s grid must be strictly increasing"),
+        (["--s-min", "-1"], "exponent must be nonnegative, got -1.0"),
+        (["--s-min", "-1", "--s-max", "-2"], "exponent must be nonnegative, got -1.0"),
+    ])
+    def test_bad_s_grid_is_refused_before_the_first_word(self, capsys, monkeypatch, grid, message):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("words enumerated before the grid was checked")
+
+        monkeypatch.setattr(code_tree, "_map_words", enumerate_nothing)
+        corner = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples" / "corner_system.json"
+        rc = cli(["pressure", str(corner), "--k", "14", *grid])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_check_fs_out_writes_the_verdicts(self, tmp_path, capsys):
         system = doc_path(tmp_path, IDENTITY_DOC)
