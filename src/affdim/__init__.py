@@ -31,7 +31,6 @@ from .code_tree import (
     partition_sum_mc,
     partition_sums,
     sample_graph_sequence,
-    sample_measure_points,
     shift_first_neck,
 )
 from .dimension import (
@@ -130,7 +129,6 @@ __all__ = [
     "pressure_curve",
     "pressure_zero",
     "sample_graph_sequence",
-    "sample_measure_points",
     "serialize_system",
     "shift_first_neck",
     "singular_values",

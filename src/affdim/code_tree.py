@@ -14,19 +14,24 @@ all of whose edges return to the root vertex; every node alive at a neck
 has the same future.  ``shift_first_neck`` reroots the tree at its first
 neck, which shortens the neck list accordingly.
 
-Every walk that composes maps along words goes through one level step,
-``_advance``: a batch of rows, each a (state, linear part, log|det| of the
-linear part, point), moves one level down to a chosen child per row; the
-log|det| is the letters' log|det T_i| summed from the left.  Exact
-enumeration expands every child (``_expand_block``), the Monte Carlo
-estimator one random child per row.  Full enumeration runs through one
-block map, ``_map_words``: the level-k words are split, in lexicographic
-word order, into bounded blocks, each a prefix word ending at a node and
-every suffix word below it.  A node's subtree depends only on its (level,
-state), so each key met, in order of first appearance, has its suffix table
-expanded once from the identity, and every block at that key is its prefix
-times that table in one broadcast product.  The logs of a block's singular
-spectra are taken (``_log_spectra``: |t| for d = 1; a closed-form
+A word is carried as a triple (linear part M, log|det M|, point f_word(0)),
+and one broadcast rule, ``_compose``, joins two words:
+(M, l, p)·(M', l', p') = (M M', l + l', p + M p').  Every walk that composes
+maps along words goes through one level step, ``_advance``: a batch of
+rows, each a state and a word, moves one level down to a chosen child per
+row and composes its word with that child's letter, so the log|det| is the
+letters' log|det T_i| summed from the left.  Exact enumeration expands
+every child (``_expand_block``), the Monte Carlo estimator one random child
+per row.  Full enumeration runs through one block map, ``_map_words``: the
+level-k words are split at one level, the first at which no state has more
+than ``_BLOCK_LIMIT`` level-k descendants.  Each word to that level is a
+prefix, and its block is the prefix followed by every suffix word below its
+node, so the blocks run in lexicographic word order.  A node's subtree
+depends only on its level and state, so each state met at the split level,
+in order of first appearance, has its suffix table expanded once from the
+identity, and every block at that state is its prefix composed with that
+table in one broadcast ``_compose``.  The logs of a block's singular spectra
+are taken (``_log_spectra``: |t| for d = 1; a closed-form
 sigma_1 for d = 2, closed-form sigma_1 and sigma_1 sigma_2 for d = 3, each
 with the smallest singular value from the summed log|det|; one batched SVD
 for d >= 4) as a (d, n) array, one row per singular value and one column
@@ -72,7 +77,6 @@ __all__ = [
     "partition_sum_mc",
     "shift_first_neck",
     "enumerate_points",
-    "sample_measure_points",
     "count_full_blocks",
 ]
 
@@ -400,11 +404,12 @@ class CodeTreeRealization:
         top = 1
         if k >= 1:
             top = int(np.max(self.levels[k - 1]._child)) + 1
+        # exact Python ints: three maps' 3^40 words already overflow int64
         counts = [None] * (k + 1)
-        counts[k] = np.ones(top, dtype=np.int64)
+        counts[k] = np.ones(top, dtype=object)
         for lev in range(k - 1, -1, -1):
             tbl = self.levels[lev]
-            here = np.zeros(len(tbl.families), dtype=np.int64)
+            here = np.zeros(len(tbl.families), dtype=object)
             for s in range(len(tbl.families)):
                 b = int(tbl._sizes[s])
                 here[s] = counts[lev + 1][tbl._child[s, :b]].sum()
@@ -524,75 +529,61 @@ def shift_first_neck(tree: CodeTreeRealization) -> CodeTreeRealization:
 # streamed enumeration
 
 
-def _advance(tbl, states, mats, log_det, points, rows, branch):
-    """One level step: row ``rows[i]`` moves to child ``branch[i]`` of its state.
+def _identity(d, n, want_points):
+    """``n`` empty words as a (mats, log_det, points) triple: identity linear
+    parts, log|det| 0 and, if wanted, points 0 (else None)."""
+    points = np.zeros((n, d)) if want_points else None
+    return np.eye(d)[None].repeat(n, axis=0), np.zeros(n), points
+
+
+def _compose(head, tail, head_rows, tail_rows):
+    """The words head[head_rows]·tail[tail_rows] of two (mats, log_det, points)
+    triples, broadcast against each other: linear parts M_h M_t, log|det|
+    l_h + l_t and points p_h + M_h p_t.  The points are None when the head's
+    are, and the tail's are then not read.  Each part is indexed where it is
+    used, so gathered rows are temporaries that numpy adds into in place, not
+    copies held through the whole composition.  Linear parts compose with
+    ``*`` for d = 1, where ``@``'s per-product overhead outweighs one
+    multiplication; points take the einsum, which is faster there than ``@``
+    for every d."""
+    (mats, log_det, points), (tail_mats, tail_log_det, tail_points) = head, tail
+    head_mats = mats[head_rows]
+    if points is not None:
+        points = points[head_rows] + np.einsum("...ij,...j->...i",
+                                               head_mats, tail_points[tail_rows])
+    tail_mats = tail_mats[tail_rows]
+    mats = head_mats * tail_mats if tail_mats.shape[-1] == 1 else head_mats @ tail_mats
+    return mats, log_det[head_rows] + tail_log_det[tail_rows], points
+
+
+def _advance(tbl, states, word, rows, branch):
+    """One level step: row ``rows[i]`` of ``word``, a (mats, log_det, points)
+    triple at ``states``, moves to child ``branch[i]`` of its state.
 
     ``log_det`` is each row's log|det| of the linear part, summed letter by
     letter from the left; the d = 2 and d = 3 spectra read it, and d = 1 and
     d >= 4 carry it unread.  ``points`` may be None when only the linear parts
-    are wanted.  Linear parts compose with ``@`` for d >= 2 and with ``*`` for
-    d = 1, where ``@``'s per-product overhead outweighs one multiplication;
-    points keep the einsum, which is faster there than ``@`` for every d.
+    are wanted.
     """
     ps = states[rows]
-    parent = mats[rows]
-    if points is not None:
-        points = points[rows] + np.einsum("nij,nj->ni", parent, tbl._a[ps, branch])
-    T = tbl._T[ps, branch]
-    mats = parent * T if T.shape[-1] == 1 else parent @ T
-    log_det = log_det[rows] + tbl._log_det[ps, branch]
-    return tbl._child[ps, branch], mats, log_det, points
+    word = _compose(word, (tbl._T, tbl._log_det, tbl._a), rows, (ps, branch))
+    return tbl._child[ps, branch], word  # gathered last, so not alive while the words compose
 
 
 def _expand_block(tree, level0, state0, k, want_points):
     """All level-k descendants of the node at (``level0``, ``state0``), in word
-    order, as (mats, log_det, points) of the suffix words from that node, so
-    composed from the identity."""
+    order: their states, and the (mats, log_det, points) triple of the suffix
+    words from that node, so composed from the identity."""
     states = np.array([state0], dtype=np.intp)
-    mats = np.eye(tree.d)[None]
-    log_det = np.zeros(1)
-    points = np.zeros((1, tree.d)) if want_points else None
+    word = _identity(tree.d, 1, want_points)
     for lev in range(level0, k):
         tbl = tree.levels[lev]
         sz = tbl._sizes[states]
         rows = np.repeat(np.arange(states.shape[0]), sz)
         offs = np.cumsum(sz) - sz
         branch = np.arange(int(sz.sum())) - np.repeat(offs, sz)
-        states, mats, log_det, points = _advance(tbl, states, mats, log_det, points, rows, branch)
-    return mats, log_det, points
-
-
-def _blocks(tree, k, limit):
-    """Split the level-k word set into lexicographically ordered blocks of at
-    most ``limit`` words, each a (level, state, prefix matrix, prefix log|det|,
-    prefix point)."""
-    counts = tree._suffix_counts(k)
-    out = []
-    stack = [(0, tree.root_state, np.eye(tree.d), 0.0, np.zeros(tree.d))]
-    while stack:
-        lev, st, mat, ld, pt = stack.pop()
-        if lev == k or counts[lev][st] <= limit:
-            out.append((lev, st, mat, ld, pt))
-            continue
-        tbl = tree.levels[lev]
-        b = int(tbl._sizes[st])
-        for letter in range(b - 1, -1, -1):  # reversed, so pops run in word order
-            child = int(tbl._child[st, letter])
-            T = tbl._T[st, letter]
-            a = tbl._a[st, letter]
-            stack.append((lev + 1, child, mat @ T, ld + tbl._log_det[st, letter], pt + mat @ a))
-    return out
-
-
-def _prefixed(block, mats, log_det, points):
-    """The block's words from its prefix (mat, ld, pt) and its node's suffix
-    table: linear parts mat · T, log|det| ld + log|det T| and points
-    pt + mat · f_suffix(0); ``*`` composes for d = 1 as in ``_advance``."""
-    _, _, mat, ld, pt = block
-    mats = mat * mats if mat.shape[-1] == 1 else mat @ mats
-    if points is not None:
-        points = pt + np.einsum("ij,nj->ni", mat, points)
-    return mats, ld + log_det, points
+        states, word = _advance(tbl, states, word, rows, branch)
+    return states, word
 
 
 # Rows whose two largest Gram eigenvalues nearly meet (1 + r below this in
@@ -766,44 +757,50 @@ def _log_sums(log_sigma, s_values, slopes=False):
 _fold = functools.partial(functools.reduce, np.logaddexp)  # block log sums, in word order
 
 
-def _map_words(tree, k, reduce, want_points=False, want_spectra=True, cap=ENUMERATION_CAP):
+def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     """``reduce(log_sigma, points)`` of every block of level-k words, in word order.
 
-    A block's words are its ``_blocks`` prefix followed by every suffix word
-    from the (level, state) node it hangs at, and that node's subtree depends
-    on the key alone.  Keys are handled in order of first appearance: the
-    key's suffix table is expanded once (``_expand_block``), and each block at
-    the key is formed from it in one broadcast product (``_prefixed``).  Only
-    one suffix table is alive at a time; a deterministic tree has one key.
-    ``log_sigma`` is ``_log_spectra`` of the block's composed linear parts, (d, n)
-    for the block's n words (None unless ``want_spectra``), ``points`` the words'
+    The words are split at one level: the first whose every state has at most
+    ``_BLOCK_LIMIT`` level-k descendants (``_suffix_counts``).  A block's words
+    are one prefix word to that level followed by every suffix word below the
+    prefix's node, and that node's subtree depends on its state alone.  The
+    prefixes are expanded from the root in one ``_expand_block`` call; then,
+    state by state in order of first appearance, the state's suffix table is
+    expanded once and each block at the state is composed from its prefix and
+    that table in one broadcast ``_compose``.  Only one suffix table is alive
+    at a time; a deterministic tree has one state.  ``log_sigma`` is
+    ``_log_spectra`` of the block's composed linear parts, (d, n) for the
+    block's n words (None unless ``want_spectra``), ``points`` the words'
     points f_word(0), (n, d) (None unless ``want_points``).  Each result is
-    stored at its block's index.
+    stored at its block's index.  A level of more than ``ENUMERATION_CAP``
+    words is refused, naming the largest level within the cap; word counts
+    never decrease with the level, since every state has a child.
     """
     if not 1 <= k <= tree.depth:
         raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
-    total = tree.word_count(k)
-    if total > cap:
+    counts = tree._suffix_counts(k)
+    total = int(counts[0][tree.root_state])
+    if total > ENUMERATION_CAP:
+        within = next(j for j in range(k) if tree.word_count(j + 1) > ENUMERATION_CAP)
+        bits = total.bit_length()  # past 2^64 words a power of two below the count says enough
         raise EnumerationCapExceeded(
-            f"level {k} holds {total} words, above the cap {cap}; "
-            "use partition_sum_mc for a Monte Carlo estimate"
+            f"level {k} holds {total if bits <= 64 else f'at least 2^{bits - 1}'} words, "
+            f"above the cap {ENUMERATION_CAP}; the largest level within the cap is {within}"
         )
 
-    blocks = _blocks(tree, k, _BLOCK_LIMIT)
-    keys: dict[tuple[int, int], list[int]] = {}
-    for i, (lev, st, *_) in enumerate(blocks):
-        keys.setdefault((lev, st), []).append(i)
-    out = [None] * len(blocks)
+    split = next(lev for lev in range(k + 1) if np.max(counts[lev]) <= _BLOCK_LIMIT)
+    states, prefixes = _expand_block(tree, 0, tree.root_state, split, want_points)
 
-    def work(i, suffix):
-        mats, log_det, points = _prefixed(blocks[i], *suffix)
+    def work(i, suffix):  # a block's words die with this call, before the next block's
+        mats, log_det, points = _compose(prefixes, suffix, i, slice(None))
         return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
 
-    for key, members in keys.items():
-        suffix = _expand_block(tree, *key, k, want_points)
-        for i in members:
+    out = [None] * len(states)
+    for state in dict.fromkeys(states.tolist()):
+        suffix = _expand_block(tree, split, state, k, want_points)[1]  # its states are not kept
+        for i in np.flatnonzero(states == state):
             out[i] = work(i, suffix)
-        del suffix  # before the next key's table is expanded
+        del suffix  # before the next state's table is expanded
     return out
 
 
@@ -811,7 +808,6 @@ def partition_sums(
     tree: CodeTreeRealization,
     k: int,
     s_values,
-    cap: int = ENUMERATION_CAP,
     slopes: bool = False,
 ) -> np.ndarray:
     """log S(k, s) for every s in ``s_values`` in one streamed enumeration.
@@ -826,7 +822,7 @@ def partition_sums(
     if k == 0:  # S = 1 and dS/ds = 0
         zeros = np.zeros(len(s_values))
         return np.stack([zeros, zeros - np.inf]) if slopes else zeros
-    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes), cap=cap))
+    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes)))
 
 
 def partition_sum_mc(
@@ -849,8 +845,7 @@ def partition_sum_mc(
         raise ValueError("need at least two samples for a standard error")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     states = np.full(samples, tree.root_state, dtype=np.intp)
-    mats = np.broadcast_to(np.eye(tree.d), (samples, tree.d, tree.d)).copy()
-    log_det = np.zeros(samples)
+    word = _identity(tree.d, samples, False)
     rows = np.arange(samples)
     logw = np.zeros(samples)
     for lev in range(k):
@@ -858,8 +853,8 @@ def partition_sum_mc(
         sz = tbl._sizes[states]
         pick = np.floor(rng.random(samples) * sz).astype(np.intp)
         logw += np.log(sz)
-        states, mats, log_det, _ = _advance(tbl, states, mats, log_det, None, rows, pick)
-    vals = np.exp(_log_phi(_log_spectra(mats, log_det, k), s)) * np.exp(logw)
+        states, word = _advance(tbl, states, word, rows, pick)
+    vals = np.exp(_log_phi(_log_spectra(*word[:2], k), s)) * np.exp(logw)
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return est, err
@@ -869,7 +864,6 @@ def enumerate_points(
     tree: CodeTreeRealization,
     k: int,
     s: float = 0.0,
-    cap: int = ENUMERATION_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All level-k cylinder points f_word(0) with normalized phi_s weights.
 
@@ -882,7 +876,7 @@ def enumerate_points(
     def weigh(log_sigma, points):
         return points, np.zeros(len(points)) if uniform else _log_phi(log_sigma, s)
 
-    parts = _map_words(tree, k, weigh, want_points=True, want_spectra=not uniform, cap=cap)
+    parts = _map_words(tree, k, weigh, want_points=True, want_spectra=not uniform)
     points = np.concatenate([p for p, _ in parts], axis=0)
     log_w = np.concatenate([w for _, w in parts])
     top = np.max(log_w)
@@ -891,32 +885,6 @@ def enumerate_points(
                          "it overflows the double range")
     weights = np.exp(log_w - top)
     return points, weights / np.sum(weights)
-
-
-def sample_measure_points(
-    tree: CodeTreeRealization,
-    m: int,
-    s: float,
-    count: int,
-    seed=0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` cylinder representatives at neck level N_m.
-
-    Cylinders at level N_m are drawn i.i.d. with probability proportional to
-    phi_s of their composed linear part; each drawn point carries weight
-    1/count.
-    """
-    if m < 1:
-        raise ValueError("neck index m is 1-based")
-    if len(tree.necks) < m:
-        raise ValueError(f"neck N_{m} not realized (only {len(tree.necks)} necks)")
-    if count < 1:
-        raise ValueError("count must be positive")
-    level = tree.necks[m - 1]
-    points, weights = enumerate_points(tree, level, s)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    idx = rng.choice(points.shape[0], size=count, p=weights / weights.sum())
-    return points[idx], np.full(count, 1.0 / count)
 
 
 def count_full_blocks(
@@ -949,7 +917,7 @@ def count_full_blocks(
     for j in range(1, n_to + 1):
         if j > n_from:
             n1 = current.necks[0]
-            mats, _, _ = _expand_block(current, 0, current.root_state, n1, False)
+            _, (mats, _, _) = _expand_block(current, 0, current.root_state, n1, False)
             fam = LinearFamily(current.d, mats)
             est = estimate_fullness(fam, s, sample_count=samples, seed=(seed, j))
             if est.c_hat > c:

@@ -39,6 +39,12 @@ __all__ = [
 _MONOTONE_TOL = 1e-10
 # pressure_zero keeps every word's log spectrum in memory up to this many words
 _SPECTRUM_CACHE_WORDS = 10**6
+# pressure_zero makes at most this many passes, and reports a zero above
+# max(d, _S_CAP) as _S_CAP, flagged
+_MAX_PASSES = 60
+_S_CAP = 64.0
+# dimension_report flags a pressure dimension and box estimate this far apart
+_FLAG_TOL = 0.25
 
 
 class HypothesisViolation(RuntimeError):
@@ -132,8 +138,6 @@ def pressure_zero(
     tree: CodeTreeRealization,
     k: int,
     tol: float = 1e-6,
-    max_iter: int = 60,
-    s_cap: float = 64.0,
 ) -> PressureZeroResult:
     """Find the zero of the decreasing p_k by tangent and chord, to |p| <= tol.
 
@@ -152,8 +156,8 @@ def pressure_zero(
     s0 = c.
 
     If p_k(0) <= 0 (a single branch) the zero is at s = 0 and is returned
-    flagged; if p_k is still positive at max(d, ``s_cap``) the result is
-    capped at ``s_cap`` and flagged instead of searching on.  ``max_iter``
+    flagged; if p_k is still positive at max(d, ``_S_CAP``) the result is
+    capped at ``_S_CAP`` and flagged instead of searching on.  ``_MAX_PASSES``
     bounds the passes once the zero is bracketed.
     """
     if k < 1:
@@ -187,10 +191,10 @@ def pressure_zero(
         a = max((q for q in points if q.p > 0.0 and (b is None or q.s < b.s)), key=lambda q: q.s)
         t = a.s - a.p / a.dp if a.dp < 0.0 else a.s
         if b is None:  # the zero lies above every point so far, on [d, inf)
-            if t >= s_cap:
-                return PressureZeroResult(s_cap, (s_cap, s_cap), a.p, passes,
-                                          flag=f"pressure still positive at the cap {s_cap}")
-            evaluate([t, s_cap])
+            if t >= _S_CAP:
+                return PressureZeroResult(_S_CAP, (_S_CAP, _S_CAP), a.p, passes,
+                                          flag=f"pressure still positive at the cap {_S_CAP}")
+            evaluate([t, _S_CAP])
             continue
         c = a.s + a.p * (b.s - a.s) / (a.p - b.p)
         bracket = (min(t, c), max(t, c))  # t <= c up to rounding
@@ -205,7 +209,7 @@ def pressure_zero(
             return PressureZeroResult(min(max(x, bracket[0]), bracket[1]), bracket, width, passes)
         if abs(b.p) <= tol:
             return PressureZeroResult(c, bracket, min(abs(b.p), width), passes)
-        if passes >= max_iter or (t <= a.s and c >= b.s):
+        if passes >= _MAX_PASSES or (t <= a.s and c >= b.s):
             bound = min(a.p, width)
             return PressureZeroResult(t, bracket, bound, passes,
                                       flag=f"tangent and chord stopped at |p| <= {bound:.3e} > tol")
@@ -328,12 +332,13 @@ def dimension_report(
     tol: float = 1e-6,
     j_min: int = 2,
     j_max: int | None = None,
-    flag_tol: float = 0.25,
 ) -> DimensionReport:
     """Pressure zero at level k against box counting of depth-``depth`` points.
 
     Requires every singular value in (0, 1/2); otherwise the dimension formula
-    min(s0, d) carries no guarantee and the run is refused.
+    min(s0, d) carries no guarantee and the run is refused.  The report is
+    flagged when min(s0, d) and the box estimate differ by more than
+    ``_FLAG_TOL``.
     """
     sig_hi = tree.sigma_max()
     sig_lo = tree.sigma_min()
@@ -351,7 +356,7 @@ def dimension_report(
     fit = box_dimension(points, j_min, j_max)
     dim = min(pz.s0, float(tree.d))
     flag = None
-    if abs(dim - fit.estimate) > flag_tol:
+    if abs(dim - fit.estimate) > _FLAG_TOL:
         flag = (
             f"pressure dimension {dim:.4f} and box estimate {fit.estimate:.4f} disagree "
             "beyond tolerance; translation assignment may be non-generic"

@@ -49,6 +49,7 @@ import numpy as np
 from .exterior_algebra import (
     ExteriorVector,
     _compounds,
+    _rows_array,
     _wedge_batch,
     _wedge_with_vector,
     compound_matrix,
@@ -79,6 +80,8 @@ _TIE_FLOOR = 1e-15
 # a Fail witness pairs the k images with the candidate pool this many
 # (image, blade) entries at a time, so its memory does not grow with k x pool
 _PAIRING_ENTRIES = 1 << 22
+# iterate_closure refuses a closure of more maps than this
+_CLOSURE_CAP = 10**6
 
 
 class UnsupportedEigenstructure(ValueError):
@@ -173,7 +176,7 @@ class Verdict:
         return "".join(bits)
 
 
-def iterate_closure(fam: LinearFamily, depth: int, cap: int = 10**6) -> LinearFamily:
+def iterate_closure(fam: LinearFamily, depth: int) -> LinearFamily:
     """All compositions S_{i1} @ ... @ S_{ij} for 1 <= j <= depth, word order.
 
     The products pass no singularity gate: those of nonsingular maps are
@@ -185,10 +188,10 @@ def iterate_closure(fam: LinearFamily, depth: int, cap: int = 10**6) -> LinearFa
     total = 0
     for j in range(1, depth + 1):  # stops at the first level over the cap
         total += k**j
-        if total > cap:
+        if total > _CLOSURE_CAP:
             raise ValueError(
-                f"a closure of depth {depth} would contain more than the cap of {cap} maps; "
-                f"the largest depth within the cap is {j - 1}"
+                f"a closure of depth {depth} would contain more than the cap of "
+                f"{_CLOSURE_CAP} maps; the largest depth within the cap is {j - 1}"
             )
     # level j + 1 is every map times every level-j word: (k, L) -> k * L
     levels = [fam.maps]
@@ -212,7 +215,7 @@ def _candidate_factors(fam: LinearFamily, m: int) -> np.ndarray:
     coordinate blades, then wedges of each map's unit real eigenvectors, map
     by map in combination order."""
     d = fam.d
-    combos = np.array(list(itertools.combinations(range(d), m)))
+    combos = _rows_array(d, m)
     lam, vec = np.linalg.eig(fam.maps)
     real = np.abs(lam.imag) <= 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
     # eigenvectors as contiguous rows: each norm is then numpy's pairwise sum

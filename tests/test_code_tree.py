@@ -9,6 +9,7 @@ d = 1 the partition sum at s = 1 is the sum of |T_word|.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from affdim import (
     partition_sum_mc,
     partition_sums,
     sample_graph_sequence,
-    sample_measure_points,
     shift_first_neck,
 )
 
@@ -590,10 +590,32 @@ class TestPartitionSums:
         assert math.exp(oracle[-1]) == 0.0
         np.testing.assert_allclose(partition_sums(tree, 10, grid), oracle, rtol=1e-12)
 
-    def test_cap_exceeded_points_to_monte_carlo(self):
-        tree = deterministic_tree(corner_family(), 4)
-        with pytest.raises(EnumerationCapExceeded, match="partition_sum_mc"):
-            partition_sums(tree, 4, [1.0], cap=80)[0]
+    def test_cap_exceeded_names_the_largest_level_within_it(self, monkeypatch):
+        monkeypatch.setattr(code_tree, "ENUMERATION_CAP", 80)
+        tree = deterministic_tree(corner_family(), 6)
+        for k in (4, 6):  # 3^4 = 81 words are over the cap, 3^3 = 27 within it
+            with pytest.raises(EnumerationCapExceeded,
+                               match=f"level {k} holds {3**k} words, above the cap 80; "
+                                     "the largest level within the cap is 3$"):
+                partition_sums(tree, k, [1.0])
+        with pytest.raises(EnumerationCapExceeded, match="the largest level within the cap is 3$"):
+            enumerate_points(tree, 4)
+        assert partition_sums(tree, 3, [0.0])[0] == pytest.approx(3 * math.log(3.0), rel=1e-12)
+
+    def test_word_counts_past_int64_are_refused_before_the_first_word(self, monkeypatch):
+        # 3^40 and 3^41 words overflow int64 (the count read -6.3e18 at k = 40),
+        # which let such a level past the cap and into an enumeration
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("words enumerated past the cap")
+
+        monkeypatch.setattr(code_tree, "_expand_block", enumerate_nothing)
+        tree = deterministic_tree(corner_family(), 1000)
+        assert [tree.word_count(k) for k in (40, 1000)] == [3**40, 3**1000]
+        for k, holds in ((40, str(3**40)), (41, "at least 2^64"), (1000, "at least 2^1584")):
+            message = (f"level {k} holds {holds} words, above the cap 10000000; "
+                       "the largest level within the cap is 14")
+            with pytest.raises(EnumerationCapExceeded, match=f"^{re.escape(message)}$"):
+                partition_sums(tree, k, [1.0])
 
 
 def word_spectra(tree, k) -> np.ndarray:
@@ -606,7 +628,7 @@ def word_spectra(tree, k) -> np.ndarray:
 def expand_words(tree, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every level-k word's composed linear part, log|det| and point f_word(0),
     in word order, as one block expanded from the root."""
-    return code_tree._expand_block(tree, 0, tree.root_state, k, True)
+    return code_tree._expand_block(tree, 0, tree.root_state, k, True)[1]
 
 
 class TestLogSpectra:
@@ -724,17 +746,19 @@ class TestLogSpectra:
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
         tree = deterministic_tree(fam, 7)
         _, whole, _ = expand_words(tree, 7)
+        # 3^2 words below each level-5 node: the words split at level 5
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**2)
-        blocks = code_tree._blocks(tree, 7, 3**2)
-        assert len(blocks) == 3**5
-        _, suffix, _ = code_tree._expand_block(tree, 5, tree.root_state, 7, False)
+        _, (_, prefix, _) = code_tree._expand_block(tree, 0, tree.root_state, 5, False)
+        _, (_, suffix, _) = code_tree._expand_block(tree, 5, tree.root_state, 7, False)
+        assert len(prefix) == 3**5
         seen = []
         log_spectra = code_tree._log_spectra
         monkeypatch.setattr(code_tree, "_log_spectra",
                             lambda m, log_det, k: seen.append(log_det) or log_spectra(m, log_det, k))
         word_spectra(tree, 7)
+        assert len(seen) == 3**5
         split = np.concatenate(seen)
-        assert split.tobytes() == np.concatenate([ld + suffix for _, _, _, ld, _ in blocks]).tobytes()
+        assert split.tobytes() == np.concatenate([ld + suffix for ld in prefix]).tobytes()
         np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -776,6 +800,12 @@ class TestSharedSuffixes:
         ))
         return build_code_tree(gs, [1, 0, 1, 1, 0, 1, 1])
 
+    @staticmethod
+    def split_level(tree, k, limit):
+        """The first level at which no state has more than ``limit`` level-k descendants."""
+        counts = tree._suffix_counts(k)
+        return next(lev for lev in range(k + 1) if np.max(counts[lev]) <= limit)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_blocks_at_several_keys_match_one_block(self, rng, monkeypatch, d):
         tree = self.two_vertex_tree(rng, d)
@@ -783,9 +813,11 @@ class TestSharedSuffixes:
         mats, log_det, points = expand_words(tree, k)
         spectra = code_tree._log_spectra(mats, log_det, k)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
-        blocks = code_tree._blocks(tree, k, 20)
-        keys = list(dict.fromkeys((lev, st) for lev, st, *_ in blocks))
-        assert len(keys) >= 2
+        split = self.split_level(tree, k, 20)
+        states, _ = code_tree._expand_block(tree, 0, tree.root_state, split, False)
+        # one expansion of the prefixes, then one suffix table per state met
+        keys = [(0, tree.root_state)] + [(split, st) for st in dict.fromkeys(states.tolist())]
+        assert len(keys) >= 3
         expanded = []
         expand = code_tree._expand_block
         monkeypatch.setattr(code_tree, "_expand_block",
@@ -814,13 +846,35 @@ class TestSharedSuffixes:
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 2)
         fam = IfsFamily("tiny", (AffineMap(1e-100 * np.eye(d), 0), AffineMap(0.5 * np.eye(d), 1)))
         tree = deterministic_tree(fam, 4)
-        blocks = code_tree._blocks(tree, 4, 2)
-        assert {(lev, st) for lev, st, *_ in blocks} == {(3, 0)}
-        assert np.all(np.diag(blocks[0][2]) > 0.0)
+        assert self.split_level(tree, 4, 2) == 3
+        _, (prefixes, _, _) = code_tree._expand_block(tree, 0, tree.root_state, 3, False)
+        assert np.all(np.diag(prefixes[0]) > 0.0)
+        expanded = []
+        expand = code_tree._expand_block
+        monkeypatch.setattr(code_tree, "_expand_block",
+                            lambda tree, lev, st, *rest: expanded.append((lev, st, *rest))
+                            or expand(tree, lev, st, *rest))
         with pytest.raises(ValueError, match="level-4 word underflowed"):
             partition_sums(tree, 4, [1.0])
+        assert expanded == [(0, 0, 3, False), (3, 0, 4, False)]
         with pytest.raises(ValueError, match="level-4 word underflowed"):
             word_spectra(tree, 4)
+
+    @pytest.mark.parametrize("limit", range(1, 41))
+    def test_split_blocks_are_bounded_and_in_word_order(self, rng, monkeypatch, limit):
+        # the states' subtrees differ in size, so the split level is the first
+        # at which the largest of them fits
+        tree = self.two_vertex_tree(rng, 2)
+        k = tree.depth
+        mats, log_det, points = expand_words(tree, k)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", limit)
+        # the stand-in hands each block's composed words to the reduction
+        monkeypatch.setattr(code_tree, "_log_spectra", lambda m, ld, k: (m, ld))
+        blocks = code_tree._map_words(tree, k, lambda words, pts: (*words, pts), want_points=True)
+        assert len(blocks) == tree.word_count(self.split_level(tree, k, limit))
+        assert all(1 <= len(ld) <= limit for _, ld, _ in blocks)
+        for got, want in zip(zip(*blocks), (mats, log_det, points)):
+            np.testing.assert_allclose(np.concatenate(got), want, rtol=1e-13, atol=0)
 
 
 def row_major_log_phi(log_sigma, s):
@@ -993,8 +1047,8 @@ class TestEnumeratePoints:
         # finely the level-7 words are split into blocks
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**limit_power)
         tree = deterministic_tree(corner_family(), 7)
-        blocks = len(code_tree._blocks(tree, 7, code_tree._BLOCK_LIMIT))
-        assert blocks == 3 ** (7 - limit_power)
+        blocks = code_tree._map_words(tree, 7, lambda *_: None, want_spectra=False)
+        assert len(blocks) == 3 ** (7 - limit_power)
         solid = IfsFamily("solid", tuple(AffineMap(random_contraction(rng, 3, 0.2, 0.6), c)
                                          for c in range(3)))
         solid_tree = deterministic_tree(solid, 7)
@@ -1035,31 +1089,6 @@ class TestEnumeratePoints:
         ones = np.array([bin(i).count("1") for i in range(8)])
         expected = np.exp(200.0 * math.log(2.0) * (ones - 3))
         np.testing.assert_allclose(weights, expected / expected.sum(), rtol=1e-12)
-
-
-class TestSampleMeasurePoints:
-    def test_uniform_weights_and_support(self):
-        tree = deterministic_tree(thirds_family(), 3)
-        points, weights = sample_measure_points(tree, 1, 1.0, count=400, seed=2)
-        np.testing.assert_allclose(weights, np.full(400, 1.0 / 400.0))
-        # level-1 cylinders sit at 0 and 2/3
-        assert set(np.round(points[:, 0], 12)) <= {0.0, round(2.0 / 3.0, 12)}
-
-    def test_frequencies_match_weights(self):
-        tree = deterministic_tree(thirds_family(), 3)
-        points, _ = sample_measure_points(tree, 1, 1.0, count=4000, seed=5)
-        freq = float(np.mean(points[:, 0] > 0.1))
-        stderr = math.sqrt(0.25 / 4000)
-        assert abs(freq - 0.5) < 3 * stderr
-
-    def test_neck_index_validation(self):
-        tree = deterministic_tree(thirds_family(), 3)
-        with pytest.raises(ValueError, match="1-based"):
-            sample_measure_points(tree, 0, 1.0, count=1)
-        with pytest.raises(ValueError, match="not realized"):
-            sample_measure_points(tree, 4, 1.0, count=1)
-        with pytest.raises(ValueError, match="count"):
-            sample_measure_points(tree, 1, 1.0, count=0)
 
 
 # ---------------------------------------------------------------------------

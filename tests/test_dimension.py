@@ -171,11 +171,12 @@ class TestPressureZero:
         assert res.s0 == 0.0
         assert "nonpositive" in res.flag
 
-    def test_zero_above_cap_is_flagged(self):
+    def test_zero_above_cap_is_flagged(self, monkeypatch):
         fam = IfsFamily(
             "crowd", tuple(AffineMap([[0.9]], c, [0.0]) for c in range(50))
         )
-        res = pressure_zero(deterministic_tree(fam, 2), 1, s_cap=16.0)
+        monkeypatch.setattr(dimension, "_S_CAP", 16.0)
+        res = pressure_zero(deterministic_tree(fam, 2), 1)
         assert res.s0 == 16.0
         assert "cap" in res.flag
 
@@ -455,8 +456,9 @@ class TestDimensionReport:
         with pytest.raises(HypothesisViolation, match="1/2"):
             dimension_report(tree, k=3, depth=6)
 
-    def test_disagreement_is_flagged(self):
-        report = dimension_report(corner_tree(8), k=4, depth=8, flag_tol=1e-6)
+    def test_disagreement_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(dimension, "_FLAG_TOL", 1e-6)
+        report = dimension_report(corner_tree(8), k=4, depth=8)
         assert report.flag is not None
         assert "non-generic" in report.flag
 

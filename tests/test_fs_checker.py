@@ -146,16 +146,17 @@ class TestIterateClosure:
         with pytest.raises(ValueError, match="depth"):
             iterate_closure(fam, 0)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         fam = LinearFamily.from_matrices([UPPER_A, UPPER_B])
-        # 2 + 4 maps fit under the cap, 2 + 4 + 8 do not
-        with pytest.raises(ValueError, match="cap of 10 maps; the largest depth within the cap is 2$"):
-            iterate_closure(fam, 4, cap=10)
         # the count stops at the first level over the cap, however deep the request
         with pytest.raises(ValueError, match="largest depth within the cap is 18$"):
             iterate_closure(fam, 10**12)
+        monkeypatch.setattr(fs_checker, "_CLOSURE_CAP", 10)
+        # 2 + 4 maps fit under the cap, 2 + 4 + 8 do not
+        with pytest.raises(ValueError, match="cap of 10 maps; the largest depth within the cap is 2$"):
+            iterate_closure(fam, 4)
         with pytest.raises(ValueError, match="largest depth within the cap is 10$"):
-            iterate_closure(LinearFamily.from_matrices([UPPER_A]), 10**12, cap=10)
+            iterate_closure(LinearFamily.from_matrices([UPPER_A]), 10**12)
 
     @pytest.mark.parametrize("d, k, depth", [(1, 3, 4), (2, 2, 6), (3, 3, 4), (4, 1, 5)])
     def test_matches_the_nested_list_fold(self, d, k, depth):

@@ -829,6 +829,16 @@ class TestCli:
         assert captured.out == ""
         assert "the largest depth within the cap is 18" in captured.err
 
+    def test_points_over_the_cap_names_the_largest_level(self, capsys):
+        # 3^14 words fit under the cap of 10^7, 3^15 do not
+        corner = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples" / "corner_system.json"
+        rc = cli(["points", str(corner), "--depth", "16"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == ("error: level 16 holds 43046721 words, above the cap 10000000; "
+                                "the largest level within the cap is 14\n")
+
     def test_check_fs_literal_document(self, capsys):
         rc = cli(["check-fs", doc_text(SPIN_DOC), "--samples", "200"])
         assert rc == 0
