@@ -29,22 +29,26 @@ prefix, and its block is the prefix followed by every suffix word below its
 node, so the blocks run in lexicographic word order.  A node's subtree
 depends only on its level and state, so each state met at the split level,
 in order of first appearance, has its suffix table expanded once from the
-identity, and every block at that state is its prefix composed with that
-table in one broadcast ``_compose``.  The logs of a block's singular spectra
-are taken (``_log_spectra``: |t| for d = 1; a closed-form
-sigma_1 for d = 2, closed-form sigma_1 and sigma_1 sigma_2 for d = 3, each
-with the smallest singular value from the summed log|det|; one batched SVD
-for d >= 4) as a (d, n) array, one row per singular value and one column
-per word, so phi_s of every word is a few whole-row adds; a caller's
-reduction is applied per block.  The log partition sums log S(k, s) (S sums
-phi_s of the composed linear parts over the level-k words), on request
-with the log of -dS/ds beside them for the pressure zero-finder's tangents,
-the weighted cylinder points and the zero-finder's cache are such
-reductions, all in log form over ``singular_values._log_phi``, so values
-far below the smallest double stay finite.  The word sums (``_log_sums``)
-take each partial spectrum sum a block's s-values need once, and run every
-s in one buffer of the block's length.  The points at s = 0 carry uniform
-weights (phi_0 is 1) and take no spectra.  Blocks are mapped one after
+identity.  Walks carry linear parts word-major, (n, d, d); the table's are
+then laid out entry-major, (d, d, n), one row per matrix entry and one
+column per word, and every block at that state is its prefix composed with
+that table in one ``_compose``, whose linear parts are one (d, d) @ (d, d·n)
+BLAS product, entry-major again; points stay word-major, (n, d).  The logs
+of a block's singular spectra are taken from those entry rows
+(``_log_spectra``: |t| for d = 1; a closed-form sigma_1 for d = 2,
+closed-form sigma_1 and sigma_1 sigma_2 for d = 3, each with the smallest
+singular value from the summed log|det|; one batched SVD for d >= 4) as a
+(d, n) array, one row per singular value and one column per word, so phi_s
+of every word is a few whole-row adds; a caller's reduction is applied per
+block.  The log partition sums log S(k, s) (S sums phi_s of the composed
+linear parts over the level-k words), on request with the log of -dS/ds
+beside them for the pressure zero-finder's tangents, the weighted cylinder
+points and the zero-finder's cache are such reductions, all in log form
+over ``singular_values._log_phi``, so values far below the smallest double
+stay finite.  The word sums (``_log_sums``) take each partial spectrum sum
+a block's s-values need once, and run every s in one buffer of the block's
+length.  The points at s = 0 carry uniform weights (phi_0 is 1), take no
+spectra and form no block linear parts.  Blocks are mapped one after
 another on the calling thread and their results folded in word order.
 """
 
@@ -401,9 +405,8 @@ class CodeTreeRealization:
     def _suffix_counts(self, k: int) -> list[np.ndarray]:
         if not 0 <= k <= self.depth:
             raise ValueError(f"level {k} outside realized depth {self.depth}")
-        top = 1
-        if k >= 1:
-            top = int(np.max(self.levels[k - 1]._child)) + 1
+        # level k's states: level 0 has its own, a deeper level those its parents point at
+        top = len(self.levels[0].families) if k == 0 else int(np.max(self.levels[k - 1]._child)) + 1
         # exact Python ints: three maps' 3^40 words already overflow int64
         counts = [None] * (k + 1)
         counts[k] = np.ones(top, dtype=object)
@@ -540,20 +543,41 @@ def _compose(head, tail, head_rows, tail_rows):
     """The words head[head_rows]·tail[tail_rows] of two (mats, log_det, points)
     triples, broadcast against each other: linear parts M_h M_t, log|det|
     l_h + l_t and points p_h + M_h p_t.  The points are None when the head's
-    are, and the tail's are then not read.  Each part is indexed where it is
-    used, so gathered rows are temporaries that numpy adds into in place, not
-    copies held through the whole composition.  Linear parts compose with
-    ``*`` for d = 1, where ``@``'s per-product overhead outweighs one
-    multiplication; points take the einsum, which is faster there than ``@``
+    are, and the tail's are then not read; the linear parts and log|det| are
+    None when the tail's are.  Each part is indexed where it is used, so
+    gathered rows are temporaries that numpy adds into in place, not copies
+    held through the whole composition.
+
+    Linear parts are word-major, (n, d, d), in a walk.  A block is one head
+    word (an integer ``head_rows``) composed with every word of a table
+    (``tail_rows`` a full slice) whose linear parts are entry-major, (d, d, n):
+    entry (i, j, w) is M_w[i, j], so the block's are one (d, d) @ (d, d·n)
+    product, again entry-major.  Linear parts compose with ``*`` for d = 1,
+    where ``@``'s overhead outweighs one multiplication; points are
+    word-major, (n, d), and take the einsum, which is faster there than ``@``
     for every d."""
     (mats, log_det, points), (tail_mats, tail_log_det, tail_points) = head, tail
     head_mats = mats[head_rows]
     if points is not None:
         points = points[head_rows] + np.einsum("...ij,...j->...i",
                                                head_mats, tail_points[tail_rows])
+    if tail_mats is None:
+        return None, None, points
     tail_mats = tail_mats[tail_rows]
-    mats = head_mats * tail_mats if tail_mats.shape[-1] == 1 else head_mats @ tail_mats
+    d = head_mats.shape[-1]
+    if d == 1:
+        mats = head_mats * tail_mats
+    elif head_mats.ndim == 2:  # a block
+        mats = (head_mats @ tail_mats.reshape(d, -1)).reshape(tail_mats.shape)
+    else:
+        mats = head_mats @ tail_mats
     return mats, log_det[head_rows] + tail_log_det[tail_rows], points
+
+
+def _entry_major(mats):
+    """Word-major linear parts (n, d, d) as an entry-major (d, d, n) array,
+    copied unless the move leaves them contiguous, as it does for d = 1."""
+    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
 
 
 def _advance(tbl, states, word, rows, branch):
@@ -609,9 +633,27 @@ def _scaled(x):
     return e
 
 
-def _gram_top(x):
+def _sum_products(pairs, out, tmp):
+    """out = a_0 b_0 + a_1 b_1 + ... over the (a, b) ``pairs``, summed from the
+    left, with ``tmp`` as scratch."""
+    (a, b), *rest = pairs
+    np.multiply(a, b, out=out)
+    for a, b in rest:
+        out += np.multiply(a, b, out=tmp)
+    return out
+
+
+def _minor(a, b, c, e, out, tmp):
+    """out = a b - c e, with ``tmp`` as scratch."""
+    np.multiply(a, b, out=out)
+    out -= np.multiply(c, e, out=tmp)
+    return out
+
+
+def _gram_top(x, top, gap, work):
     """Largest eigenvalue of X Xᵀ for each column of ``x`` (9, n), the row-major
-    entries of a 3×3 X, and 1 + r, which is 0 where the top two eigenvalues meet.
+    entries of a 3×3 X, written into ``top`` (n,), and 1 + r into ``gap`` (n,),
+    which is 0 where the top two eigenvalues meet; ``work`` is (10, n) scratch.
 
     Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,
     p² = |G - qI|_F² / 6 and r = det(G - qI) / (2p³) in [-1, 1], the largest
@@ -619,103 +661,119 @@ def _gram_top(x):
     (p <= 64 eps q) takes r = 1: the computed and the true eigenvalue then both
     lie in [q + p, q + 2p], so the error is at most p.
     """
-    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
-    g00 = x0 * x0 + x1 * x1 + x2 * x2
-    g11 = x3 * x3 + x4 * x4 + x5 * x5
-    g22 = x6 * x6 + x7 * x7 + x8 * x8
-    g01 = x0 * x3 + x1 * x4 + x2 * x5
-    g02 = x0 * x6 + x1 * x7 + x2 * x8
-    g12 = x3 * x6 + x4 * x7 + x5 * x8
-    q = (g00 + g11 + g22) / 3.0
+    g00, g11, g22, g01, g02, g12, p, t, u, v = work
+    r0, r1, r2 = x[0:3], x[3:6], x[6:9]
+    for g, (a, b) in zip(work, ((r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2))):
+        _sum_products(zip(a, b), g, t)
+    q = np.add(g00, g11, out=top)  # top holds q until the end
+    q += g22
+    q /= 3.0
     g00 -= q
     g11 -= q
     g22 -= q
-    p = np.sqrt((g00 * g00 + g11 * g11 + g22 * g22
-                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-           + g02 * (g01 * g12 - g11 * g02))
-    r = np.divide(det, 2.0 * p * p * p, out=np.ones_like(p), where=p > 2.0**-46 * q)
+    _sum_products(((g00, g00), (g11, g11), (g22, g22)), p, t)
+    _sum_products(((g01, g01), (g02, g02), (g12, g12)), u, t)
+    u *= 2.0
+    p += u
+    p /= 6.0
+    np.sqrt(p, out=p)
+    det = _minor(g11, g22, g12, g12, u, t)
+    det *= g00
+    det -= np.multiply(_minor(g01, g22, g12, g02, v, t), g01, out=v)
+    det += np.multiply(_minor(g01, g12, g11, g02, v, t), g02, out=v)
+    np.multiply(p, 2.0, out=v)
+    v *= p
+    v *= p
+    gap.fill(1.0)
+    r = np.divide(det, v, out=gap, where=p > np.multiply(q, 2.0**-46, out=t))
     np.clip(r, -1.0, 1.0, out=r)
-    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0), 1.0 + r
+    np.cos(np.divide(np.arccos(r, out=t), 3.0, out=t), out=u)
+    u *= np.multiply(p, 2.0, out=v)
+    top += u
+    gap += 1.0
 
 
-def _cofactors(x):
-    """Cofactor matrices of the 3×3 columns of ``x`` (9, n), row-major: row i is
-    the cross product of the other two rows of X, and its singular values are
+def _cofactors(x, out, tmp):
+    """Cofactor matrices of the 3×3 columns of ``x`` (9, n), row-major, written
+    into ``out`` (9, n) with ``tmp`` (n,) as scratch: row i is the cross product
+    of the other two rows of X, and its singular values are
     sigma_1 sigma_2 >= sigma_1 sigma_3 >= sigma_2 sigma_3 of X."""
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
-    return np.stack([
-        x4 * x8 - x5 * x7, x5 * x6 - x3 * x8, x3 * x7 - x4 * x6,
-        x7 * x2 - x8 * x1, x8 * x0 - x6 * x2, x6 * x1 - x7 * x0,
-        x1 * x5 - x2 * x4, x2 * x3 - x0 * x5, x0 * x4 - x1 * x3,
-    ])
+    for o, args in zip(out, ((x4, x8, x5, x7), (x5, x6, x3, x8), (x3, x7, x4, x6),
+                             (x7, x2, x8, x1), (x8, x0, x6, x2), (x6, x1, x7, x0),
+                             (x1, x5, x2, x4), (x2, x3, x0, x5), (x0, x4, x1, x3))):
+        _minor(*args, o, tmp)
+    return out
 
 
-def _log_spectra3(mats, log_det, k):
-    """``_log_spectra`` of a (n, 3, 3) stack.
+def _log_spectra3(x, out, work):
+    """Log sigma_1 and log sigma_1 sigma_2 of the 3×3 columns of ``x`` (9, n),
+    row-major entries, written into rows 0 and 1 of ``out`` (3, n); ``work``
+    is (23, n) scratch and ``x`` is scaled in place.
 
     Each product X is scaled by a power of two; sigma_1² is then the largest
     eigenvalue of its Gram matrix, (sigma_1 sigma_2)² that of its (again
-    scaled) cofactor matrix's, and log sigma_3 is log|det| - log sigma_1 sigma_2.
-    Rows where either top pair of eigenvalues nearly meets take sigma_1 and
-    sigma_2 from the SVD of those scaled rows.
+    scaled) cofactor matrix's.  Columns where either top pair of eigenvalues
+    nearly meets take sigma_1 and sigma_2 from the SVD of those scaled columns.
     """
-    x = np.ascontiguousarray(mats.reshape(-1, 9).T)
+    c, (top1, gap1, top12, gap12), scratch = work[:9], work[9:13], work[13:]
     e = _scaled(x)
-    top1, gap1 = _gram_top(x)
-    c = _cofactors(x)
-    f = _scaled(c)
-    top12, gap12 = _gram_top(c)
-    log_sigma = np.empty((3, len(e)))
-    with np.errstate(divide="ignore"):  # a lost sigma_1 sigma_2 gives -inf, refused below
-        log_sigma[0] = 0.5 * np.log(top1) + e * _LN2
-        log_sigma[1] = 0.5 * np.log(top12) + (2 * e + f) * _LN2
+    _gram_top(x, top1, gap1, scratch)
+    f = _scaled(_cofactors(x, c, scratch[0]))
+    _gram_top(c, top12, gap12, scratch)
+    with np.errstate(divide="ignore"):  # a lost sigma_1 sigma_2 gives -inf, refused by the caller
+        out[0] = 0.5 * np.log(top1) + e * _LN2
+        out[1] = 0.5 * np.log(top12) + (2 * e + f) * _LN2
         near = np.flatnonzero((gap1 < _CLOSED_FORM_GAP) | (gap12 < _CLOSED_FORM_GAP))
         if near.size:
             sv = np.log(np.linalg.svd(x[:, near].T.reshape(-1, 3, 3), compute_uv=False)[:, :2])
-            log_sigma[0, near] = sv[:, 0] + e[near] * _LN2
-            log_sigma[1, near] = sv[:, 0] + sv[:, 1] + 2 * e[near] * _LN2
-    if not np.all(log_sigma[1] > -np.inf):  # a zero sigma_1 zeroes the cofactors too
-        raise _underflow(k)
-    log_sigma[2] = log_det - log_sigma[1]
-    log_sigma[1] -= log_sigma[0]
-    return log_sigma
+            out[0, near] = sv[:, 0] + e[near] * _LN2
+            out[1, near] = sv[:, 0] + sv[:, 1] + 2 * e[near] * _LN2
 
 
 def _log_spectra(mats, log_det, k):
-    """Log singular values of n level-k products, as a (d, n) array: row i
-    holds every product's log sigma_{i+1}, so each column descends.
+    """Log singular values of n level-k products from their entry-major linear
+    parts ``mats`` (d, d, n), as a (d, n) array: row i holds every product's
+    log sigma_{i+1}, so each column descends.
 
     d = 1 takes log|t|.  d = 2 takes sigma_1 = (p + q) / 2 with p = |(a + e,
-    c - b)| and q = |(a - e, c + b)| for the product [[a, b], [c, e]], and
-    log sigma_2 = log|det| - log sigma_1 from the word's summed ``log_det``,
-    which stays exact where the product's own sigma_2 or det is lost to
-    cancellation.  d = 3 takes sigma_1 and sigma_1 sigma_2 in closed form and
-    log sigma_3 from ``log_det`` the same way (``_log_spectra3``), and d >= 4
-    one batched SVD, whose (n, d) output is handed out transposed, not copied:
-    sums of 8 or more rows of a copy would round differently.  A zero sigma_1,
-    or sigma_1 sigma_2 for d = 3 (sigma_d through the SVD), can only be an
-    underflow (the maps are nonsingular) and is refused.
+    c - b)| and q = |(a - e, c + b)| for the product [[a, b], [c, e]], each
+    entry one row of ``mats``, and log sigma_2 = log|det| - log sigma_1 from
+    the word's summed ``log_det``, which stays exact where the product's own
+    sigma_2 or det is lost to cancellation.  d = 3 takes sigma_1 and
+    sigma_1 sigma_2 in closed form (``_log_spectra3``, which scales ``mats``
+    in place), ``_SPECTRUM_CHUNK`` columns at a time into one (3, n) array,
+    and log sigma_3 from ``log_det`` the same way.  d >= 4 hands one batched
+    SVD an axis-moved view of ``mats``; its (n, d) output is handed out
+    transposed, not copied: sums of 8 or more rows of a copy would round
+    differently.  A zero sigma_1, or sigma_1 sigma_2 for d = 3 (sigma_d
+    through the SVD), can only be an underflow (the maps are nonsingular) and
+    is refused.
     """
-    d = mats.shape[-1]
+    d, n = mats.shape[0], mats.shape[-1]
     if d == 3:
-        return np.concatenate([
-            _log_spectra3(mats[lo:lo + _SPECTRUM_CHUNK], log_det[lo:lo + _SPECTRUM_CHUNK], k)
-            for lo in range(0, len(mats), _SPECTRUM_CHUNK)
-        ], axis=1)
+        x = mats.reshape(9, n)
+        log_sigma = np.empty((3, n))
+        work = np.empty((23, min(n, _SPECTRUM_CHUNK)))
+        for lo in range(0, n, _SPECTRUM_CHUNK):
+            cols = slice(lo, lo + _SPECTRUM_CHUNK)
+            _log_spectra3(x[:, cols], log_sigma[:, cols], work[:, :min(n - lo, _SPECTRUM_CHUNK)])
+        if not np.all(log_sigma[1] > -np.inf):  # a zero sigma_1 zeroes the cofactors too
+            raise _underflow(k)
+        log_sigma[2] = log_det - log_sigma[1]
+        log_sigma[1] -= log_sigma[0]
+        return log_sigma
     if d == 1:
-        sigma = np.abs(mats[:, 0])
+        sigma = np.abs(mats[0])
     elif d == 2:
-        a, b, c, e = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+        a, b, c, e = mats[0, 0], mats[0, 1], mats[1, 0], mats[1, 1]
         sigma = 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, c + b))
     else:
-        sigma = np.linalg.svd(mats, compute_uv=False)
+        sigma = np.linalg.svd(np.moveaxis(mats, -1, 0), compute_uv=False).T
     if not np.all(sigma > 0.0):
         raise _underflow(k)
     log_sigma = np.log(sigma)
-    if d == 2:
-        return np.stack([log_sigma, log_det - log_sigma])
-    return log_sigma.T
+    return np.stack([log_sigma, log_det - log_sigma]) if d == 2 else log_sigma
 
 
 def _log_sums(log_sigma, s_values, slopes=False):
@@ -766,12 +824,14 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     prefix's node, and that node's subtree depends on its state alone.  The
     prefixes are expanded from the root in one ``_expand_block`` call; then,
     state by state in order of first appearance, the state's suffix table is
-    expanded once and each block at the state is composed from its prefix and
-    that table in one broadcast ``_compose``.  Only one suffix table is alive
-    at a time; a deterministic tree has one state.  ``log_sigma`` is
+    expanded once, its linear parts copied entry-major (``_entry_major``) and
+    its word-major ones freed, and each block at the state is composed from
+    its prefix and that table in one ``_compose``.  Only one suffix table is
+    alive at a time; a deterministic tree has one state.  ``log_sigma`` is
     ``_log_spectra`` of the block's composed linear parts, (d, n) for the
-    block's n words (None unless ``want_spectra``), ``points`` the words'
-    points f_word(0), (n, d) (None unless ``want_points``).  Each result is
+    block's n words; without ``want_spectra`` it is None and the blocks form
+    neither linear parts nor log|det|.  ``points`` are the words' points
+    f_word(0), (n, d) (None unless ``want_points``).  Each result is
     stored at its block's index.  A level of more than ``ENUMERATION_CAP``
     words is refused, naming the largest level within the cap; word counts
     never decrease with the level, since every state has a child.
@@ -797,7 +857,10 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
 
     out = [None] * len(states)
     for state in dict.fromkeys(states.tolist()):
-        suffix = _expand_block(tree, split, state, k, want_points)[1]  # its states are not kept
+        mats, log_det, points = _expand_block(tree, split, state, k, want_points)[1]
+        # the blocks need the table's linear parts only for their spectra, entry-major
+        suffix = (_entry_major(mats), log_det, points) if want_spectra else (None, None, points)
+        del mats  # the word-major table, before its blocks
         for i in np.flatnonzero(states == state):
             out[i] = work(i, suffix)
         del suffix  # before the next state's table is expanded
@@ -854,7 +917,7 @@ def partition_sum_mc(
         pick = np.floor(rng.random(samples) * sz).astype(np.intp)
         logw += np.log(sz)
         states, word = _advance(tbl, states, word, rows, pick)
-    vals = np.exp(_log_phi(_log_spectra(*word[:2], k), s)) * np.exp(logw)
+    vals = np.exp(_log_phi(_log_spectra(_entry_major(word[0]), word[1], k), s)) * np.exp(logw)
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return est, err

@@ -467,6 +467,14 @@ class TestBuildCodeTree:
         assert build_code_tree(gs, [0, 1, 0, 1]).word_count(4) == 4
         assert build_code_tree(gs, [1, 0, 1, 0]).word_count(4) == 4
 
+    def test_level_zero_counts_one_word_from_any_root(self):
+        # level 0 holds the empty word alone, also when the root is not state 0
+        # (its count was once sized for one state and raised IndexError here)
+        tree = build_code_tree(walk_graph(), [1, 1, 0, 1], start_vertex=2)
+        assert tree.root_state == 1
+        assert [tree.word_count(k) for k in range(5)] == [1, 1, 1, 1, 2]
+        assert partition_sums(tree, 0, [0.5]).tolist() == [0.0]
+
     def test_depth_cannot_exceed_sequence(self):
         gs = walk_graph()
         with pytest.raises(ValueError, match="depth"):
@@ -779,7 +787,7 @@ class TestLogSpectra:
         # sigma_1 survives in the rank-one product, but sigma_1 sigma_2 is lost
         mats = np.array([np.diag([0.5, 0.0, 0.0]), 0.5 * np.eye(3)])
         with pytest.raises(ValueError, match="level-5 word underflowed"):
-            code_tree._log_spectra(mats, np.zeros(2), 5)
+            code_tree._log_spectra(code_tree._entry_major(mats), np.zeros(2), 5)
 
 
 class TestSharedSuffixes:
@@ -811,7 +819,7 @@ class TestSharedSuffixes:
         tree = self.two_vertex_tree(rng, d)
         k = tree.depth
         mats, log_det, points = expand_words(tree, k)
-        spectra = code_tree._log_spectra(mats, log_det, k)
+        spectra = code_tree._log_spectra(code_tree._entry_major(mats), log_det, k)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
         split = self.split_level(tree, k, 20)
         states, _ = code_tree._expand_block(tree, 0, tree.root_state, split, False)
@@ -868,13 +876,198 @@ class TestSharedSuffixes:
         k = tree.depth
         mats, log_det, points = expand_words(tree, k)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", limit)
-        # the stand-in hands each block's composed words to the reduction
+        # the stand-in hands each block's composed words to the reduction; their
+        # linear parts are entry-major, (d, d, n), so blocks join on the last axis
         monkeypatch.setattr(code_tree, "_log_spectra", lambda m, ld, k: (m, ld))
         blocks = code_tree._map_words(tree, k, lambda words, pts: (*words, pts), want_points=True)
         assert len(blocks) == tree.word_count(self.split_level(tree, k, limit))
         assert all(1 <= len(ld) <= limit for _, ld, _ in blocks)
-        for got, want in zip(zip(*blocks), (mats, log_det, points)):
-            np.testing.assert_allclose(np.concatenate(got), want, rtol=1e-13, atol=0)
+        got_mats, got_log_det, got_points = zip(*blocks)
+        for got, want in ((np.concatenate(got_mats, axis=-1), code_tree._entry_major(mats)),
+                          (np.concatenate(got_log_det), log_det), (np.concatenate(got_points), points)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def word_major_block_mats(tree, k):
+    """Every block's linear parts as the block map formed them before its
+    suffix tables went entry-major: the prefix's (d, d) linear part broadcast
+    against the word-major (n, d, d) table, with ``*`` for d = 1 and ``@``
+    (one BLAS call per word) otherwise; kept as a bit reference."""
+    split = TestSharedSuffixes.split_level(tree, k, code_tree._BLOCK_LIMIT)
+    states, (prefixes, _, _) = code_tree._expand_block(tree, 0, tree.root_state, split, False)
+    tables, blocks = {}, []
+    for head, state in zip(prefixes, states.tolist()):
+        if state not in tables:
+            tables[state] = code_tree._expand_block(tree, split, state, k, False)[1][0]
+        blocks.append(head * tables[state] if tree.d == 1 else head @ tables[state])
+    return blocks
+
+
+def unbuffered_gram_top(x):
+    """``code_tree._gram_top`` as it was before it wrote into buffers, one
+    temporary per operation, kept as a bit reference."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    g00 = x0 * x0 + x1 * x1 + x2 * x2
+    g11 = x3 * x3 + x4 * x4 + x5 * x5
+    g22 = x6 * x6 + x7 * x7 + x8 * x8
+    g01 = x0 * x3 + x1 * x4 + x2 * x5
+    g02 = x0 * x6 + x1 * x7 + x2 * x8
+    g12 = x3 * x6 + x4 * x7 + x5 * x8
+    q = (g00 + g11 + g22) / 3.0
+    g00 -= q
+    g11 -= q
+    g22 -= q
+    p = np.sqrt((g00 * g00 + g11 * g11 + g22 * g22
+                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+           + g02 * (g01 * g12 - g11 * g02))
+    r = np.divide(det, 2.0 * p * p * p, out=np.ones_like(p), where=p > 2.0**-46 * q)
+    np.clip(r, -1.0, 1.0, out=r)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0), 1.0 + r
+
+
+def unbuffered_cofactors(x):
+    """``code_tree._cofactors`` as it was before it wrote into a buffer, kept
+    as a bit reference."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    return np.stack([
+        x4 * x8 - x5 * x7, x5 * x6 - x3 * x8, x3 * x7 - x4 * x6,
+        x7 * x2 - x8 * x1, x8 * x0 - x6 * x2, x6 * x1 - x7 * x0,
+        x1 * x5 - x2 * x4, x2 * x3 - x0 * x5, x0 * x4 - x1 * x3,
+    ])
+
+
+def word_major_log_spectra3(mats, log_det):
+    """``code_tree._log_spectra`` of a word-major (n, 3, 3) stack as it was
+    before blocks went entry-major: a transposed copy of the entries, the
+    unbuffered kernels and one chunk (every step is column by column), kept
+    as a bit reference."""
+    x = np.ascontiguousarray(mats.reshape(-1, 9).T)
+    e = code_tree._scaled(x)
+    top1, gap1 = unbuffered_gram_top(x)
+    c = unbuffered_cofactors(x)
+    f = code_tree._scaled(c)
+    top12, gap12 = unbuffered_gram_top(c)
+    log_sigma = np.empty((3, len(e)))
+    ln2 = math.log(2.0)
+    with np.errstate(divide="ignore"):
+        log_sigma[0] = 0.5 * np.log(top1) + e * ln2
+        log_sigma[1] = 0.5 * np.log(top12) + (2 * e + f) * ln2
+        near = np.flatnonzero((gap1 < code_tree._CLOSED_FORM_GAP) | (gap12 < code_tree._CLOSED_FORM_GAP))
+        if near.size:
+            sv = np.log(np.linalg.svd(x[:, near].T.reshape(-1, 3, 3), compute_uv=False)[:, :2])
+            log_sigma[0, near] = sv[:, 0] + e[near] * ln2
+            log_sigma[1, near] = sv[:, 0] + sv[:, 1] + 2 * e[near] * ln2
+    log_sigma[2] = log_det - log_sigma[1]
+    log_sigma[1] -= log_sigma[0]
+    return log_sigma
+
+
+def special_columns(rng, n):
+    """``n`` 3×3 matrices as (9, n) row-major columns: generic ones over a wide
+    range of scales, scaled rotations (a scalar Gram matrix, r = 1) and
+    Q diag(a, a, b) Qᵀ (a repeated top eigenvalue, r near -1)."""
+    x = rng.standard_normal((9, n)) * 2.0 ** rng.integers(-30, 30, size=n)
+    for j in range(0, n, 3):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a, b = sorted(rng.uniform(0.1, 1.0, size=2), reverse=True)
+        x[:, j] = (0.4 * q if j % 2 else q @ np.diag([a, a, b]) @ q.T).reshape(9)
+    return x
+
+
+class TestEntryMajorBlocks:
+    """Blocks formed as one (d, d) @ (d, d·n) product from entry-major suffix
+    tables keep every bit of the per-word products, and the buffered d = 3
+    spectrum kernels every bit of their unbuffered bodies."""
+
+    @staticmethod
+    def assert_blocks_keep_every_bit(monkeypatch, tree, k, count):
+        want = word_major_block_mats(tree, k)
+        # the stand-in hands each block's composed linear parts to the reduction
+        monkeypatch.setattr(code_tree, "_log_spectra", lambda mats, log_det, k: mats)
+        got = code_tree._map_words(tree, k, lambda mats, _: mats)
+        assert len(got) == len(want) == count
+        for g, w in zip(got, want):
+            assert g.shape == (tree.d, tree.d, len(w)) and g.flags.c_contiguous
+            assert g.tobytes() == code_tree._entry_major(w).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_deterministic_blocks_keep_every_bit(self, monkeypatch, d):
+        rng = np.random.default_rng(300 + d)
+        if d == 1:
+            mats = [np.array([[x]]) for x in (0.3, -0.45, 0.2)]
+        else:
+            mats = [random_contraction(rng, d, 0.2, 0.6) for _ in range(3)]
+        tree = deterministic_tree(IfsFamily("bits", tuple(AffineMap(T, c) for c, T in enumerate(mats))), 7)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**4)
+        self.assert_blocks_keep_every_bit(monkeypatch, tree, 7, 3**3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_graph_tree_blocks_keep_every_bit(self, rng, monkeypatch, d):
+        # blocks at several states, whose suffix tables differ in size
+        tree = TestSharedSuffixes.two_vertex_tree(rng, d)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
+        split = TestSharedSuffixes.split_level(tree, tree.depth, 20)
+        self.assert_blocks_keep_every_bit(monkeypatch, tree, tree.depth, tree.word_count(split))
+
+    def test_one_dimensional_tables_are_not_copied(self):
+        mats = np.arange(1.0, 6.0).reshape(5, 1, 1)
+        moved = code_tree._entry_major(mats)
+        assert moved.shape == (1, 1, 5) and np.shares_memory(moved, mats)
+        assert not np.shares_memory(code_tree._entry_major(np.ones((5, 2, 2))), mats)
+
+    def test_uniform_points_form_no_block_linear_parts(self, rng, monkeypatch):
+        # at s = 0 the blocks compose points alone; with spectra wanted they
+        # also form linear parts, and the points keep every bit either way
+        tree = TestSharedSuffixes.two_vertex_tree(rng, 3)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
+        blocks = []
+        compose = code_tree._compose
+
+        def spy(head, tail, head_rows, tail_rows):
+            words = compose(head, tail, head_rows, tail_rows)
+            if np.ndim(head_rows) == 0:  # a block: one prefix, a whole suffix table
+                blocks.append(words[0] is None and words[1] is None)
+            return words
+
+        monkeypatch.setattr(code_tree, "_compose", spy)
+        uniform, weights = enumerate_points(tree, tree.depth, 0.0)
+        count = len(blocks)
+        assert count > 2 and all(blocks)
+        weighted, _ = enumerate_points(tree, tree.depth, 0.7)
+        assert len(blocks) == 2 * count and not any(blocks[count:])
+        assert uniform.tobytes() == weighted.tobytes()
+        assert weights.tobytes() == np.full(len(weights), 1 / len(weights)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8192])
+    def test_buffered_kernels_keep_every_bit(self, n):
+        x = special_columns(np.random.default_rng(n), n)
+        code_tree._scaled(x[:, n // 2:])  # half the columns as _log_spectra3 scales them
+        # a slice of a wider array, as _log_spectra hands out its chunks
+        wide = np.full((9, n + 5), np.nan)
+        wide[:, 2:-3] = x
+        view = wide[:, 2:-3]
+        work, top, gap, c = (np.full(shape, np.nan) for shape in ((10, n), n, n, (9, n)))
+        want_top, want_gap = unbuffered_gram_top(x)
+        for _ in range(2):  # the second call finds the first's values in the buffers
+            code_tree._gram_top(view, top, gap, work)
+            assert top.tobytes() == want_top.tobytes()
+            assert gap.tobytes() == want_gap.tobytes()
+            assert code_tree._cofactors(view, c, work[0]) is c
+            assert c.tobytes() == unbuffered_cofactors(x).tobytes()
+        assert view.tobytes() == x.tobytes()
+        if n > 1:  # both special kinds of column are there
+            assert np.any(want_gap < code_tree._CLOSED_FORM_GAP) and np.any(want_gap == 2.0)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 13])
+    def test_entry_major_d3_spectra_keep_every_bit(self, chunk, monkeypatch):
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        mats = special_columns(rng, 300).T.reshape(-1, 3, 3)
+        log_det = np.log(np.abs(np.linalg.det(mats)))
+        want = word_major_log_spectra3(mats.copy(), log_det)
+        got = code_tree._log_spectra(code_tree._entry_major(mats), log_det, 5)
+        assert got.shape == (3, 300) and got.tobytes() == want.tobytes()
 
 
 def row_major_log_phi(log_sigma, s):

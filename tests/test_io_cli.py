@@ -788,20 +788,18 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"EmpiricalPass") == 2
 
-    def test_generic_d3_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # one process per BLAS thread count runs four subcommands on a seeded
-        # generic d = 3 family: the word products (@), the slope sums'
-        # (3, n) @ (n,) products and the rank margins' QR go through BLAS or LAPACK
+    @staticmethod
+    def generic_system(tmp_path, d, seed):
+        rng = np.random.default_rng(seed)
+        maps = [{"T": random_contraction(rng, d, 0.15, 0.45).tolist()} for _ in range(3)]
+        return doc_path(tmp_path, {"d": d, "bounds": {"sigma_lo": 0.1, "sigma_hi": 0.45},
+                                   "families": [{"label": "generic", "maps": maps}]})
+
+    @staticmethod
+    def stdout_per_blas_threads(steps):
+        """The standard output of one process per BLAS thread count (1, 2) that
+        runs ``steps`` through ``cli``, printing each exit code."""
         root = pathlib.Path(__file__).resolve().parents[1]
-        rng = np.random.default_rng(16)
-        maps = [{"T": random_contraction(rng, 3, 0.15, 0.45).tolist()} for _ in range(3)]
-        doc = {"d": 3, "bounds": {"sigma_lo": 0.1, "sigma_hi": 0.45},
-               "families": [{"label": "generic", "maps": maps}]}
-        system = doc_path(tmp_path, doc)
-        steps = [["pressure", system, "--k", "9", "--grid", "16"],
-                 ["dim", system, "--k", "9", "--depth", "8"],
-                 ["points", system, "--s", "0.7", "--depth", "9"],
-                 ["check-fs", system, "--depth", "4"]]
         code = ("import json, sys\nfrom affdim import cli\n"
                 "for argv in json.loads(sys.argv[1]):\n    print(cli(argv))\n")
         outputs = []
@@ -815,11 +813,38 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == b""
             outputs.append(proc.stdout)
+        return outputs
+
+    def test_generic_d3_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # one process per BLAS thread count runs four subcommands on a seeded
+        # generic d = 3 family: the block products (3, 3) @ (3, 3n), the slope
+        # sums' (3, n) @ (n,) products and the rank margins' QR go through BLAS
+        # or LAPACK
+        system = self.generic_system(tmp_path, 3, 16)
+        steps = [["pressure", system, "--k", "9", "--grid", "16"],
+                 ["dim", system, "--k", "9", "--depth", "8"],
+                 ["points", system, "--s", "0.7", "--depth", "9"],
+                 ["check-fs", system, "--depth", "4"]]
+        outputs = self.stdout_per_blas_threads(steps)
         assert outputs[0] == outputs[1]
         lines = outputs[0].decode().splitlines()
         assert lines[0] == "s,p,diag" and lines[17] == "0"  # the pressure CSV, then its exit code
         assert lines.count("0") == 4 and lines[-1] == "0"
         assert outputs[0].count(b"EmpiricalPass") == 2
+
+    @pytest.mark.parametrize("d, k", [(2, 11), (4, 9)])
+    def test_generic_bytes_do_not_depend_on_blas_threads(self, tmp_path, d, k):
+        # blocks of 59,049 (d = 2) and 19,683 (d = 4) words: each block's
+        # (d, d) @ (d, d n) product is wide enough for BLAS to split it
+        # across threads
+        system = self.generic_system(tmp_path, d, 16 + d)
+        steps = [["pressure", system, "--k", str(k), "--grid", "16"],
+                 ["dim", system, "--k", str(k), "--depth", "8"]]
+        outputs = self.stdout_per_blas_threads(steps)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].decode().splitlines()
+        assert lines[0] == "s,p,diag" and lines[17] == "0"  # the pressure CSV, then its exit code
+        assert json.loads("\n".join(lines[18:-1]))["dimension"] > 0 and lines[-1] == "0"
 
     def test_check_fs_closure_over_the_cap_names_the_largest_depth(self, tmp_path, capsys):
         # 2 + 4 + ... + 2^18 maps fit under the cap of 10^6, 2^19 more do not
