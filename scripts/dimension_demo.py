@@ -10,9 +10,8 @@ translation draws.
 """
 
 import argparse
-import json
+import pathlib
 import sys
-import tempfile
 
 from affdim import (
     HypothesisViolation,
@@ -24,39 +23,20 @@ from affdim import (
 
 # Three copies of 0.45*I in the unit square: overlapping enough to be
 # interesting, with dim_B = s0 = log 3 / log(1/0.45) ~ 1.3758.
-CORNER_DOC = {
-    "d": 2,
-    "bounds": {"sigma_lo": 0.45, "sigma_hi": 0.45},
-    "families": [
-        {
-            "label": "corners",
-            "maps": [
-                {"T": [[0.45, 0.0], [0.0, 0.45]], "translation_class": 0},
-                {"T": [[0.45, 0.0], [0.0, 0.45]], "translation_class": 1},
-                {"T": [[0.45, 0.0], [0.0, 0.45]], "translation_class": 2},
-            ],
-        }
-    ],
-    "translations": {"0": [0.0, 0.0], "1": [0.55, 0.0], "2": [0.0, 0.55]},
-}
+CORNER_SYSTEM = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples" / "corner_system.json"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("doc", nargs="?", help="system JSON path (default: built-in corner system)")
+    parser.add_argument("doc", nargs="?", default=CORNER_SYSTEM,
+                        help="system JSON path (default: docs/examples/corner_system.json)")
     parser.add_argument("--family", help="family label (default: first)")
     parser.add_argument("--depth", type=int, default=10, help="code tree depth (default 10)")
     parser.add_argument("--k", type=int, default=6, help="pressure block length (default 6)")
     parser.add_argument("--seeds", type=int, default=1, help="number of translation bindings")
     args = parser.parse_args(argv)
 
-    if args.doc is None:
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(CORNER_DOC, fh)
-            path = fh.name
-        spec = parse_system(path)
-    else:
-        spec = parse_system(args.doc)
+    spec = parse_system(args.doc)
 
     print(f"{'seed':>4}  {'s0':>10}  {'box':>10}  {'gap':>8}  {'dim':>10}  flag")
     for seed in range(args.seeds):

@@ -10,69 +10,35 @@ count stays at least 5.
 """
 
 import argparse
-import json
+import pathlib
 import sys
-import tempfile
 
 import numpy as np
 from scipy import stats
 
 from affdim import detect_necks, parse_system, sample_graph_sequence
 
-# Two-vertex system: label "n" (prob 0.3) sends everything back to vertex 1,
-# label "s" (prob 0.7) branches away from it, so necks recur at rate 0.3.
-GRAPH_DOC = {
-    "d": 1,
-    "bounds": {"sigma_lo": 0.2, "sigma_hi": 0.4},
-    "families": [
-        {"label": "n", "maps": [{"T": [[0.25]]}, {"T": [[0.2]]}]},
-        {"label": "s", "maps": [{"T": [[0.4]]}, {"T": [[0.35]]}, {"T": [[0.3]]}]},
-    ],
-    "graph": {
-        "V": 2,
-        "v0": 1,
-        "labels": [
-            {
-                "prob": 0.3,
-                "edges": [
-                    {"from": 1, "to": 1, "map": 0},
-                    {"from": 2, "to": 1, "map": 1},
-                ],
-            },
-            {
-                "prob": 0.7,
-                "edges": [
-                    {"from": 1, "to": 2, "map": 0},
-                    {"from": 1, "to": 2, "map": 1},
-                    {"from": 2, "to": 2, "map": 2},
-                ],
-            },
-        ],
-    },
-}
+# Two-vertex system: label "neck" (prob 0.3) sends everything back to vertex 1,
+# label "spread" (prob 0.7) branches away from it, so necks recur at rate 0.3.
+GRAPH_SYSTEM = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples" / "graph_system.json"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("doc", nargs="?", help="system JSON path (default: built-in two-vertex system)")
+    parser.add_argument("doc", nargs="?", default=GRAPH_SYSTEM,
+                        help="system JSON path (default: docs/examples/graph_system.json)")
     parser.add_argument("--length", type=int, default=10_000, help="sequence length (default 10000)")
     parser.add_argument("--thinning", type=int, default=1, help="keep every t-th neck")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    if args.doc is None:
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(GRAPH_DOC, fh)
-            path = fh.name
-        spec = parse_system(path)
-    else:
-        spec = parse_system(args.doc)
+    spec = parse_system(args.doc)
     gs = spec.graph
     if gs is None:
         print("document has no graph section; nothing to sample", file=sys.stderr)
         return 2
 
-    p_neck = sum(gs.mu[i] for i in gs.neck_label_indices())
+    p_neck = gs.neck_probability()
     g = sample_graph_sequence(gs, args.seed, args.length)
     necks = np.array(detect_necks(g, gs, thinning=args.thinning))
     if necks.size < 2:

@@ -15,122 +15,21 @@ The pipeline, bottom to top:
 - :mod:`affdim.io_cli` — the JSON system format and the ``affdim`` CLI.
 """
 
-from .code_tree import (
-    AffineMap,
-    CodeTreeRealization,
-    EnumerationCapExceeded,
-    GraphEdge,
-    GraphLabel,
-    GraphSystem,
-    IfsFamily,
-    build_code_tree,
-    count_full_blocks,
-    detect_necks,
-    deterministic_tree,
-    enumerate_points,
-    partition_sum_mc,
-    partition_sums,
-    sample_graph_sequence,
-    shift_first_neck,
-)
-from .dimension import (
-    BoxCountFit,
-    DimensionReport,
-    HypothesisViolation,
-    PressureCurve,
-    PressureZeroResult,
-    box_dimension,
-    dimension_report,
-    pressure_curve,
-    pressure_zero,
-)
-from .exterior_algebra import (
-    CompoundMatrix,
-    ExteriorVector,
-    MultiIndex,
-    compound_matrix,
-    multi_indices,
-    wedge,
-)
-from .fs_checker import (
-    CriterionReport,
-    FailWitness,
-    FullnessEstimate,
-    LinearFamily,
-    UnsupportedEigenstructure,
-    Verdict,
-    VerdictKind,
-    check_cm,
-    check_cs,
-    criterion_cscm,
-    estimate_fullness,
-    iterate_closure,
-)
-from .io_cli import (
-    SystemSpec,
-    SystemSpecError,
-    bind_translations,
-    cli,
-    main,
-    parse_system,
-    serialize_system,
-)
-from .singular_values import phi, phi_from_singular_values, singular_values
+import sys as _sys
+
+from .code_tree import *
+from .dimension import *
+from .exterior_algebra import *
+from .fs_checker import *
+from .io_cli import *
+from .singular_values import *  # last: ``affdim.singular_values`` is then the function
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in its module's ``__all__``
 __all__ = [
-    "AffineMap",
-    "BoxCountFit",
-    "CodeTreeRealization",
-    "CompoundMatrix",
-    "CriterionReport",
-    "DimensionReport",
-    "EnumerationCapExceeded",
-    "ExteriorVector",
-    "FailWitness",
-    "FullnessEstimate",
-    "GraphEdge",
-    "GraphLabel",
-    "GraphSystem",
-    "HypothesisViolation",
-    "IfsFamily",
-    "LinearFamily",
-    "MultiIndex",
-    "PressureCurve",
-    "PressureZeroResult",
-    "SystemSpec",
-    "SystemSpecError",
-    "UnsupportedEigenstructure",
-    "Verdict",
-    "VerdictKind",
-    "bind_translations",
-    "box_dimension",
-    "build_code_tree",
-    "check_cm",
-    "check_cs",
-    "cli",
-    "compound_matrix",
-    "count_full_blocks",
-    "criterion_cscm",
-    "detect_necks",
-    "deterministic_tree",
-    "dimension_report",
-    "enumerate_points",
-    "estimate_fullness",
-    "iterate_closure",
-    "main",
-    "multi_indices",
-    "parse_system",
-    "partition_sum_mc",
-    "partition_sums",
-    "phi",
-    "phi_from_singular_values",
-    "pressure_curve",
-    "pressure_zero",
-    "sample_graph_sequence",
-    "serialize_system",
-    "shift_first_neck",
-    "singular_values",
-    "wedge",
+    name
+    for module in ("code_tree", "dimension", "exterior_algebra", "fs_checker", "io_cli",
+                   "singular_values")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

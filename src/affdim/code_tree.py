@@ -11,8 +11,9 @@ level are structurally identical by construction and are represented once.
 
 Necks of a graph-driven tree are the levels immediately after a graph label
 all of whose edges return to the root vertex; every node alive at a neck
-has the same future.  ``shift_first_neck`` reroots the tree at its first
-neck, which shortens the neck list accordingly.
+has the same state, so the same future.  ``count_full_blocks`` walks one
+tree from neck to neck: each block is expanded from the state its first
+level shares, and its expansion gives the next block's.
 
 A word is carried as a triple (linear part M, log|det M|, point f_word(0)),
 and one broadcast rule, ``_compose``, joins two words:
@@ -65,7 +66,6 @@ from .fs_checker import LinearFamily, estimate_fullness
 from .singular_values import _exponent, _log_phi, singular_values
 
 __all__ = [
-    "ENUMERATION_CAP",
     "EnumerationCapExceeded",
     "AffineMap",
     "IfsFamily",
@@ -79,7 +79,6 @@ __all__ = [
     "detect_necks",
     "partition_sums",
     "partition_sum_mc",
-    "shift_first_neck",
     "enumerate_points",
     "count_full_blocks",
 ]
@@ -328,21 +327,20 @@ class _LevelTable:
 class CodeTreeRealization:
     """A code tree realized down to a finite depth.
 
-    ``levels[n]`` resolves the labels of all depth-n nodes; ``necks`` is the
-    (possibly thinned) increasing list of realized neck levels.
+    ``levels[n]`` resolves the labels of all depth-n nodes, so the depth is
+    the number of level tables and ``d`` the dimension of their maps;
+    ``necks`` is the (possibly thinned) increasing list of realized neck levels.
     """
 
-    d: int
-    depth: int
     levels: tuple[_LevelTable, ...]
     root_state: int = 0
     necks: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.depth != len(self.levels):
-            raise ValueError(f"depth {self.depth} but {len(self.levels)} level tables")
-        if self.depth < 1:
+        if not self.levels:
             raise ValueError("a realized tree needs depth >= 1")
+        if any(tbl._T.shape[-1] != self.d for tbl in self.levels):
+            raise ValueError("level tables mix ambient dimensions")
         if not 0 <= self.root_state < len(self.levels[0].families):
             raise ValueError(f"root state {self.root_state} missing from level 0")
         necks = tuple(int(n) for n in self.necks)
@@ -357,40 +355,21 @@ class CodeTreeRealization:
                 raise ValueError(f"level {lev} points at state {top} missing from level {lev + 1}")
         object.__setattr__(self, "necks", necks)
 
+    @property
+    def d(self) -> int:
+        return self.levels[0]._T.shape[-1]
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
+
     def __eq__(self, other):
         if not isinstance(other, CodeTreeRealization):
             return NotImplemented
-        return (
-            self.d == other.d
-            and self.depth == other.depth
-            and self.root_state == other.root_state
-            and self.necks == other.necks
-            and self.levels == other.levels
-        )
+        return (self.root_state, self.necks, self.levels) == (
+            other.root_state, other.necks, other.levels)
 
     __hash__ = None
-
-    # -- node access -------------------------------------------------------
-
-    def state_at(self, word: tuple[int, ...]) -> int:
-        if len(word) > self.depth:
-            raise ValueError(f"word length must lie in 0..{self.depth}, got {len(word)}")
-        state = self.root_state
-        for lev, letter in enumerate(word):
-            tbl = self.levels[lev]
-            if not 0 <= letter < int(tbl._sizes[state]):
-                raise ValueError(f"invalid word {word}: letter {letter} at level {lev}")
-            state = int(tbl._child[state, letter])
-        return state
-
-    def family_at(self, word: tuple[int, ...]) -> IfsFamily:
-        if len(word) >= self.depth:
-            raise ValueError(f"word {word} reaches past realized depth {self.depth}")
-        state = self.state_at(word)
-        return self.levels[len(word)].families[state]
-
-    def branching(self, word: tuple[int, ...]) -> int:
-        return self.family_at(word).size
 
     def word_count(self, k: int) -> int:
         counts = self._suffix_counts(k)
@@ -494,38 +473,7 @@ def build_code_tree(
         tables[li] = _LevelTable(tuple(fams), tuple(childs))
 
     necks = tuple(n for n in detect_necks(g, gs, thinning) if n <= depth)
-    return CodeTreeRealization(
-        d=gs.d,
-        depth=depth,
-        levels=tuple(tables[int(x)] for x in g[:depth]),
-        root_state=v - 1,
-        necks=necks,
-    )
-
-
-def shift_first_neck(tree: CodeTreeRealization) -> CodeTreeRealization:
-    """Reroot at the first realized neck; neck levels shift down accordingly."""
-    if len(tree.necks) < 2:
-        raise ValueError("need at least two realized necks to shift")
-    n1 = tree.necks[0]
-    # all nodes alive at a neck share one state; find it and check it is unique
-    states = {tree.root_state}
-    for lev in range(n1):
-        tbl = tree.levels[lev]
-        nxt = set()
-        for s in states:
-            b = int(tbl._sizes[s])
-            nxt.update(int(c) for c in tbl._child[s, :b])
-        states = nxt
-    if len(states) != 1:
-        raise ValueError(f"level {n1} is not a neck: reachable states {sorted(states)}")
-    return CodeTreeRealization(
-        d=tree.d,
-        depth=tree.depth - n1,
-        levels=tree.levels[n1:],
-        root_state=states.pop(),
-        necks=tuple(n - n1 for n in tree.necks[1:]),
-    )
+    return CodeTreeRealization(tuple(tables[int(x)] for x in g[:depth]), v - 1, necks)
 
 
 # ---------------------------------------------------------------------------
@@ -959,32 +907,33 @@ def count_full_blocks(
     samples: int = 200,
     seed=0,
 ) -> int:
-    """Count neck blocks j in (n_from, n_to] whose first-neck composition
-    family is empirically (c, s)-full.
+    """Count neck blocks j in (n_from, n_to] whose composition family is
+    empirically (c, s)-full.
 
-    Block j looks at the tree shifted j-1 times and gathers the compositions
-    from its root to its first neck; ``estimate_fullness`` of that family must
-    exceed c for the block to count.  The estimate is an upper bound for the
-    true constant, so this is empirical evidence, not a certificate.
+    Block j runs from neck level N_{j-1} (the root level N_0 = 0) to N_j.  Its
+    family is every composition along a path between the two, expanded once
+    from the state that every node at N_{j-1} shares; the states its paths
+    reach at N_j must again be one, which the next block starts from.
+    ``estimate_fullness`` of the family must exceed c for the block to count.
+    The estimate is an upper bound for the true constant, so this is
+    empirical evidence, not a certificate.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError(f"need 0 <= n_from <= n_to, got ({n_from}, {n_to})")
     if n_to == n_from:
         return 0
     if len(tree.necks) < n_to:
-        raise ValueError(
-            f"insufficient realized necks: have {len(tree.necks)}, need {n_to}"
-        )
-    count = 0
-    current = tree
-    for j in range(1, n_to + 1):
+        raise ValueError(f"insufficient realized necks: have {len(tree.necks)}, need {n_to}")
+    count, state = 0, tree.root_state
+    bounds = (0, *tree.necks[:n_to])
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+        states, (mats, _, _) = _expand_block(tree, lo, state, hi, False)
         if j > n_from:
-            n1 = current.necks[0]
-            _, (mats, _, _) = _expand_block(current, 0, current.root_state, n1, False)
-            fam = LinearFamily(current.d, mats)
+            fam = LinearFamily(tree.d, mats)
             est = estimate_fullness(fam, s, sample_count=samples, seed=(seed, j))
-            if est.c_hat > c:
-                count += 1
-        if j < n_to:
-            current = shift_first_neck(current)
+            count += int(est.c_hat > c)
+        reached = np.unique(states).tolist()
+        if len(reached) != 1:
+            raise ValueError(f"level {hi} is not a neck: reachable states {reached}")
+        state = reached[0]
     return count

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_DIM",
     "MultiIndex",
     "ExteriorVector",
     "CompoundMatrix",

@@ -57,7 +57,6 @@ from .exterior_algebra import (
 from .singular_values import _nonsingular_spectra, phi_from_singular_values
 
 __all__ = [
-    "DEFAULT_TOL",
     "UnsupportedEigenstructure",
     "LinearFamily",
     "VerdictKind",
@@ -515,8 +514,9 @@ def check_cs(
         keep = np.all([np.linalg.norm(x, axis=1) > 1e-12 for x in vs + ws], axis=0)
         pairs = [_pairings(CC, v[keep], w[keep]) for CC, v, w in zip(CCs, vs, ws)]
         joint = np.max(np.minimum(*pairs), axis=1)
-        t = int(np.argmin(joint))
-        if joint[t] <= tol:
+        bad = np.flatnonzero(joint <= tol)
+        if bad.size:
+            t = int(bad[_first_least(joint[bad])])
             quad = FailWitness(
                 m=m + 1,
                 v=ExteriorVector(d, m + 1, vs[1][keep][t]),
@@ -533,7 +533,7 @@ def check_cs(
                 witness=_split_quadruple(d, m, quad),
                 reason="no single map pairs both grades for a sampled quadruple",
             )
-        worst = min(worst, float(joint[t]))
+        worst = min(worst, float(np.min(joint, initial=math.inf)))
         done += b
         batch_index += 1
 
@@ -612,18 +612,19 @@ def _real_sorted_eigensystem(S: np.ndarray, which: str) -> tuple[np.ndarray, np.
 
 
 def _product_margins(lam: np.ndarray, d: int) -> tuple[float, ...]:
-    """Per-k minimal relative gap between ascending k-fold eigenvalue products."""
+    """Per-k least relative gap |a - b| / max(|a|, |b|) between k-fold eigenvalue
+    products, taken between sorted neighbours: of two products of one sign,
+    the larger's neighbour is at least as close, and two of opposite signs
+    are at least 1 apart, more than any pair of one sign between them."""
     out = []
     for k in range(1, d + 1):
-        prods = np.array([np.prod(lam[list(c)]) for c in itertools.combinations(range(d), k)])
+        prods = np.sort(np.prod(lam[_rows_array(d, k)], axis=1))
         if prods.size < 2:
             out.append(math.inf)
             continue
-        gap = math.inf
-        for a, b in itertools.combinations(range(prods.size), 2):
-            denom = max(abs(prods[a]), abs(prods[b]), 1e-300)
-            gap = min(gap, abs(prods[a] - prods[b]) / denom)
-        out.append(float(gap))
+        a, b = prods[:-1], prods[1:]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+        out.append(float(np.min(np.abs(b - a) / denom)))
     return tuple(out)
 
 

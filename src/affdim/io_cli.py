@@ -338,12 +338,20 @@ def _build(doc: dict) -> SystemSpec:
                 raise SystemSpecError(f"graph.labels[{i}].prob", f"must be nonnegative, got {prob!r}")
             edges = []
             canon_edges = []
+            first_use = {}  # (vertex, map index) -> the edge that first used it
             for j, edoc in enumerate(_array(ldoc["edges"], f"graph.labels[{i}].edges")):
                 where = f"graph.labels[{i}].edges[{j}]"
                 edoc = _object(edoc, where, ("from", "to", "map"))
                 idx = _integer(edoc["map"], where + ".map", 0, fam.size - 1)
                 source = _integer(edoc["from"], where + ".from", 1)
                 edge = GraphEdge(source, _integer(edoc["to"], where + ".to", 1), fam.maps[idx])
+                first = first_use.setdefault((source, idx), j)
+                if first != j:
+                    raise SystemSpecError(
+                        where + ".map",
+                        f"map {idx} already leaves vertex {source} by edges[{first}]; "
+                        "a vertex's out-edges under one label need distinct maps",
+                    )
                 edges.append(edge)
                 canon_edges.append({"from": edge.source, "to": edge.target, "map": idx})
             glabels.append(GraphLabel(fam.label, prob, tuple(edges)))
@@ -645,9 +653,6 @@ def cli(argv=None) -> int:
     except UnsupportedEigenstructure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except SystemSpecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (HypothesisViolation, EnumerationCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -35,12 +35,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "SINGULARITY_RTOL",
-    "singular_values",
-    "phi",
-    "phi_from_singular_values",
-]
+__all__ = ["singular_values", "phi_from_singular_values"]
 
 # scale-free nonsingularity gate: prod(sigma_i / sigma_1) must exceed this
 SINGULARITY_RTOL = 1e-14
@@ -138,7 +133,3 @@ def phi_from_singular_values(sigma, s: float):
     """
     return np.exp(_log_phi(np.moveaxis(np.log(np.asarray(sigma, dtype=float)), -1, 0), s))
 
-
-def phi(T, s: float) -> float:
-    """phi_s of a nonsingular square matrix."""
-    return float(phi_from_singular_values(singular_values(T), s))

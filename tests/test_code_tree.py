@@ -1,4 +1,4 @@
-"""Tests for code trees: construction, necks, shifts, and partition sums.
+"""Tests for code trees: construction, necks, neck blocks, and partition sums.
 
 Oracles: constant trees have closed-form partition sums S(k, s) =
 (sum_i phi_s(T_i))^k for equal-shape maps, word counts are products of
@@ -30,10 +30,10 @@ from affdim import (
     partition_sum_mc,
     partition_sums,
     sample_graph_sequence,
-    shift_first_neck,
 )
 
 from affdim import code_tree
+from affdim.fs_checker import estimate_fullness
 from affdim.singular_values import _log_phi, phi_from_singular_values
 
 from conftest import random_contraction
@@ -267,8 +267,7 @@ class TestDeterministicTree:
     def test_three_branches(self):
         tree = deterministic_tree(corner_family(), 4)
         assert tree.word_count(4) == 81
-        assert tree.branching(()) == 3
-        assert tree.branching((2, 0, 1)) == 3
+        assert [lev.families[tree.root_state].size for lev in tree.levels] == [3, 3, 3, 3]
 
     def test_rejects_non_contraction(self):
         spin = IfsFamily("spin", (AffineMap(ROT90),))
@@ -292,7 +291,7 @@ class TestDeterministicTree:
         assert tree == graph_tree
         # reference: the constant tree laid out directly, one level table shared by all levels
         table = code_tree._LevelTable((fam,), ((0,) * fam.size,))
-        by_hand = CodeTreeRealization(d=2, depth=5, levels=(table,) * 5, necks=(1, 2, 3, 4, 5))
+        by_hand = CodeTreeRealization((table,) * 5, necks=(1, 2, 3, 4, 5))
         s_values = [0.0, 0.7, 1.0, 1.3, 2.0, 2.5]
         for other in (graph_tree, by_hand):
             for k in (1, 3, 5):
@@ -410,13 +409,6 @@ class TestCompose:
         np.testing.assert_allclose(weights, np.array(phis) / sum(phis), rtol=1e-12)
         assert partition_sums(tree, 4, [s])[0] == pytest.approx(math.log(sum(phis)), rel=1e-12)
 
-    def test_invalid_words(self):
-        tree = deterministic_tree(thirds_family(), 2)
-        with pytest.raises(ValueError, match="letter"):
-            tree.state_at((2,))
-        with pytest.raises(ValueError, match="length"):
-            tree.state_at((0, 0, 0))
-
 
 class TestBuildCodeTree:
     def alternating_graph(self) -> GraphSystem:
@@ -450,8 +442,9 @@ class TestBuildCodeTree:
         assert tree.word_count(4) == 1
         assert tree.necks == (2, 4)
         # root walks 1 -> 2 under 'a', back to 1 under 'b'
-        assert tree.state_at((0,)) == 1
-        assert tree.family_at((0,)).label == "b@v2"
+        states, _ = code_tree._expand_block(tree, 0, tree.root_state, 1, False)
+        assert states.tolist() == [1]
+        assert tree.levels[1].families[1].label == "b@v2"
         # the one level-4 word is (0, 0, 0, 0); at s = 1 its sum is |T|
         assert math.isclose(partition_sums(tree, 4, [1.0])[0], math.log(0.5 * 0.25 * 0.5 * 0.25))
         points, weights = enumerate_points(tree, 4)
@@ -496,32 +489,14 @@ class TestBuildCodeTree:
         g = sample_graph_sequence(gs, seed=3, length=12)
         tree = build_code_tree(gs, g)
         assert len(tree.necks) >= 2
-        shifted = shift_first_neck(tree)
         n1 = tree.necks[0]
-        for length in range(n1, min(tree.depth - 1, n1 + 4) + 1):
-            word = (0,) * length
-            assert tree.family_at(word) == shifted.family_at(word[n1:])
-
-
-class TestShiftFirstNeck:
-    def test_constant_tree_shift_drops_one_level(self):
-        tree = deterministic_tree(thirds_family(), 5)
-        assert shift_first_neck(tree) == deterministic_tree(thirds_family(), 4)
-
-    def test_neck_relabeling(self):
-        gs = walk_graph()
-        g = [1, 1, 0, 1, 1, 1, 0, 1, 0]
-        tree = build_code_tree(gs, g)
-        assert tree.necks == (3, 7, 9)
-        once = shift_first_neck(tree)
-        assert once.depth == 6 and once.necks == (4, 6)
-        twice = shift_first_neck(once)
-        assert twice.depth == 2 and twice.necks == (2,)
-
-    def test_requires_two_necks(self):
-        tree = deterministic_tree(thirds_family(), 1)
-        with pytest.raises(ValueError, match="two"):
-            shift_first_neck(tree)
+        at_neck, _ = code_tree._expand_block(tree, 0, tree.root_state, n1, False)
+        assert set(at_neck.tolist()) == {gs.v0 - 1}
+        # below the neck every node's subtree is the neck state's, node by node
+        for level in range(n1, min(tree.depth, n1 + 4) + 1):
+            from_root, _ = code_tree._expand_block(tree, 0, tree.root_state, level, False)
+            from_neck, _ = code_tree._expand_block(tree, n1, gs.v0 - 1, level, False)
+            np.testing.assert_array_equal(from_root, np.tile(from_neck, len(at_neck)))
 
 
 # ---------------------------------------------------------------------------
@@ -1310,6 +1285,44 @@ class TestCountFullBlocks:
         with pytest.raises(ValueError, match="necks"):
             count_full_blocks(tree, 0.5, 0.1, 0, 9)
 
+    @pytest.mark.parametrize("g, necks", [
+        ([1, 1, 0, 1, 1, 1, 0, 1, 0], (3, 7, 9)),
+        ([0, 1, 1, 0, 0, 1, 1, 1, 1, 0], (1, 4, 5, 10)),
+    ])
+    def test_blocks_run_from_neck_to_neck(self, monkeypatch, g, necks):
+        # each block's family is bit for bit the expansion of the tree rerooted
+        # at the block's first level, up to its next neck
+        gs = walk_graph()
+        tree = build_code_tree(gs, g)
+        assert tree.necks == necks
+        seen = []
+
+        def record(fam, s, sample_count, seed):
+            seen.append((fam.maps, seed))
+            return estimate_fullness(fam, s, sample_count=sample_count, seed=seed)
+
+        monkeypatch.setattr(code_tree, "estimate_fullness", record)
+        assert count_full_blocks(tree, 0.5, 0.0, 1, len(necks), samples=3, seed=7) == len(necks) - 1
+        bounds = (0, *necks)
+        assert [seed for _, seed in seen] == [(7, j) for j in range(2, len(necks) + 1)]
+        for (maps, _), lo, hi in zip(seen, bounds[1:], bounds[2:]):
+            rerooted = CodeTreeRealization(tree.levels[lo:], gs.v0 - 1)
+            _, (expected, _, _) = code_tree._expand_block(rerooted, 0, gs.v0 - 1, hi - lo, False)
+            np.testing.assert_array_equal(maps, expected)
+
+    def test_non_neck_is_refused(self):
+        # label 'x' sends the root to both vertices, so level 1 is no neck
+        m0, m1 = AffineMap([[0.3]], 0, [0.0]), AffineMap([[0.4]], 1, [0.5])
+        gs = GraphSystem(2, 1, (
+            GraphLabel("n", 0.5, (GraphEdge(1, 1, m0), GraphEdge(2, 1, m1))),
+            GraphLabel("x", 0.5, (GraphEdge(1, 1, m0), GraphEdge(1, 2, m1), GraphEdge(2, 2, m0))),
+        ))
+        tree = build_code_tree(gs, [1, 0])
+        assert tree.necks == (2,)
+        fake = CodeTreeRealization(tree.levels, tree.root_state, necks=(1, 2))
+        with pytest.raises(ValueError, match=r"level 1 is not a neck: reachable states \[0, 1\]"):
+            count_full_blocks(fake, 0.5, 0.1, 0, 2, samples=3)
+
 
 # ---------------------------------------------------------------------------
 # realization container invariants
@@ -1317,14 +1330,20 @@ class TestCountFullBlocks:
 
 class TestRealizationValidation:
     def test_depth_level_mismatch(self):
+        # the depth and d are read off the level tables, so they cannot disagree with them
         tree = deterministic_tree(thirds_family(), 2)
-        with pytest.raises(ValueError, match="level"):
-            CodeTreeRealization(d=1, depth=3, levels=tree.levels, necks=())
+        by_hand = CodeTreeRealization(tree.levels)
+        assert (by_hand.depth, by_hand.d) == (2, 1)
+        with pytest.raises(ValueError, match="depth >= 1"):
+            CodeTreeRealization(())
+        plane = deterministic_tree(corner_family(), 1)
+        with pytest.raises(ValueError, match="mix ambient dimensions"):
+            CodeTreeRealization(tree.levels + plane.levels)
 
     def test_neck_monotonicity(self):
         tree = deterministic_tree(thirds_family(), 3)
         with pytest.raises(ValueError, match="increasing"):
-            CodeTreeRealization(d=1, depth=3, levels=tree.levels, necks=(2, 2))
+            CodeTreeRealization(tree.levels, necks=(2, 2))
 
     def test_tree_equality(self):
         a = deterministic_tree(thirds_family(), 3)

@@ -700,6 +700,25 @@ class TestCheckCs:
         )
         assert math.isclose(joint, verdict.margin, rel_tol=1e-9)
 
+    def test_witness_is_the_first_tied_quadruple(self, monkeypatch):
+        # joints within the floor of the least are equal up to rounding, as
+        # check_cm's margins are: the witness is the first, not the argmin
+        tied = {5: 3e-16, 9: 1e-16, 20: 2e-16}
+
+        def stub(CC, vs, ws):
+            out = np.ones((vs.shape[0], CC.shape[0]))
+            for t, value in tied.items():
+                out[t] = value
+            return out
+
+        monkeypatch.setattr(fs_checker, "_pairings", stub)
+        fam = LinearFamily.from_matrices([np.eye(2), ROT90])
+        verdict = check_cs(fam, 0.5, samples=50, seed=3)
+        assert verdict.kind is VerdictKind.FAIL
+        assert verdict.margin == tied[5]
+        X = fs_checker._rng_for(3, 0).standard_normal((50, 2, 1))
+        np.testing.assert_array_equal(verdict.witness.v_wedge.coords, X[5, :, 0])
+
     def test_integer_s_is_rejected(self):
         fam = LinearFamily.from_matrices([np.eye(2), ROT90])
         with pytest.raises(ValueError, match="integer"):
@@ -794,6 +813,33 @@ class TestCriterion:
         assert payload["product_margins_f"][-1] is None
         # strict JSON: no NaN / Infinity tokens anywhere
         json.dumps(payload, allow_nan=False)
+
+    @staticmethod
+    def pairwise_margins(lam, d):
+        """The least relative gap over every pair of k-fold products, one pair
+        at a time (in Python floats, which round as float64 does)."""
+        out = []
+        for k in range(1, d + 1):
+            prods = [float(np.prod(lam[list(c)])) for c in itertools.combinations(range(d), k)]
+            gap = math.inf
+            for a, b in itertools.combinations(prods, 2):
+                gap = min(gap, abs(a - b) / max(abs(a), abs(b), 1e-300))
+            out.append(gap)
+        return tuple(out)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_product_margins_match_every_pair(self, d):
+        # neighbours of the sorted products give every pair's least gap, bit
+        # for bit: mixed signs, a repeated value, and near-ties included
+        rng = rng_for(500 + d)
+        spectra = [rng.uniform(-1.0, 1.0, d) for _ in range(6 if d <= 10 else 1)]
+        if d <= 10:  # the reference takes about a second per spectrum at d = 12
+            spectra.append(np.sign(rng.standard_normal(d)) * rng.uniform(0.5, 0.5 + 1e-9, d))
+        if d >= 2:
+            spectra.append(np.concatenate([[0.5, 0.5], rng.uniform(-1.0, 1.0, d - 2)]))
+        for lam in spectra:
+            lam = lam[np.argsort(-lam)]
+            assert fs_checker._product_margins(lam, d) == self.pairwise_margins(lam, d)
 
     def test_certified_family_passes_every_grade(self):
         report = criterion_cscm(self.F, self.G)

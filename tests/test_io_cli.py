@@ -349,6 +349,17 @@ class TestParseErrors:
 
         self.expect(mutate(GRAPH_DOC, reroute), "graph", "neck")
 
+    def test_graph_vertex_reuses_a_map(self):
+        # the vertex's out-family would repeat a translation class, which only
+        # building a tree used to find
+        self.expect(
+            mutate(GRAPH_DOC, lambda d: d["graph"]["labels"][1]["edges"][1].update(map=0)),
+            "graph.labels[1].edges[1].map",
+            "map 0 already leaves vertex 1 by edges[0]",
+        )
+        # another vertex may use the same map
+        parse_system(mutate(GRAPH_DOC, lambda d: d["graph"]["labels"][1]["edges"][2].update(map=0)))
+
 
 DROP = object()  # ``edit`` removes the key instead of setting it
 
@@ -469,6 +480,8 @@ REFUSALS = [
     refusal(CORNER_DOC, ("translations", "-1"), [0.0, 0.0], "translations"),
     refusal(CORNER_DOC, ("translations", "1.0"), [0.0, 0.0], "translations"),
     refusal(CORNER_DOC, ("translations",), [[0.0, 0.0]], "translations"),
+    # a vertex's out-edges under one label name distinct maps
+    refusal(GRAPH_DOC, ("graph", "labels", 1, "edges", 1, "map"), 0, "graph.labels[1].edges[1].map"),
 ]
 
 
