@@ -12,33 +12,40 @@ level are structurally identical by construction and are represented once.
 Necks of a graph-driven tree are the levels immediately after a graph label
 all of whose edges return to the root vertex; every node alive at a neck
 has the same state, so the same future.  ``count_full_blocks`` walks one
-tree from neck to neck: each block is expanded from the state its first
-level shares, and its expansion gives the next block's.
+tree from neck to neck: each block's table is built from the state its
+first level shares, and its words' last states give the next block's.
 
 A word is carried as a triple (linear part M, log|det M|, point f_word(0)),
 and one broadcast rule, ``_compose``, joins two words:
-(M, l, p)·(M', l', p') = (M M', l + l', p + M p').  Every walk that composes
-maps along words goes through one level step, ``_advance``: a batch of
-rows, each a state and a word, moves one level down to a chosen child per
-row and composes its word with that child's letter, so the log|det| is the
-letters' log|det T_i| summed from the left.  Exact enumeration expands
-every child (``_expand_block``), the Monte Carlo estimator one random child
-per row.  Full enumeration runs through one block map, ``_map_words``: the
-level-k words are split at one level, the first at which no state has more
-than ``_BLOCK_LIMIT`` level-k descendants.  Each word to that level is a
-prefix, and its block is the prefix followed by every suffix word below its
-node, so the blocks run in lexicographic word order.  A node's subtree
-depends only on its level and state, so each state met at the split level,
-in order of first appearance, has its suffix table expanded once from the
-identity.  Walks carry linear parts word-major, (n, d, d); the table's are
-then laid out entry-major, (d, d, n), one row per matrix entry and one
-column per word, and every block at that state is its prefix composed with
-that table in one ``_compose``, whose linear parts are one (d, d) @ (d, d·n)
-BLAS product, entry-major again; points stay word-major, (n, d).  The logs
-of a block's singular spectra are taken from those entry rows
-(``_log_spectra``: |t| for d = 1; a closed-form sigma_1 for d = 2,
-closed-form sigma_1 and sigma_1 sigma_2 for d = 3, each with the smallest
-singular value from the summed log|det|; one batched SVD for d >= 4) as a
+(M, l, p)·(M', l', p') = (M M', l + l', p + M p').  Exact enumeration builds
+its tables from the leaves up (``_expand_block``).  A node's subtree depends
+only on its (level, state), so at level k each reachable state's table is
+the empty word, and one level up each reachable state's table joins, in
+branch order, each branch's letter composed with its child's table
+(``_join``); each (level, state) table is built once per sweep, and a
+level's tables are freed once the level above is built.  Words are so
+composed from the right, T_{w_1}(T_{w_2}(...)), and the log|det| is the
+letters' log|det T_i| summed from the right.  Tables are entry-major: linear
+parts (d, d, n), one row per matrix entry and one column per word, and
+points (d, n).  Each letter's linear parts are then one (d, d) @ (d, d·n)
+BLAS product and its points one (d, d) @ (d, n), both written in place
+into the joined table, with no gather of word rows.  Only the parts a caller
+needs are built: points alone need no linear parts below the prefixes.  The
+Monte Carlo estimator walks one random child per row, word-major, through
+the one level step ``_advance``.  Full enumeration runs through one block
+map, ``_map_words``: the level-k words are split at one level, the first at
+which no state has more than ``_BLOCK_LIMIT`` level-k descendants.  Each
+word to that level is a prefix, and its block is the prefix followed by
+every suffix word below its node, so the blocks run in lexicographic word
+order.  The prefixes are one table built from the root, and each state met
+at the split level, in order of first appearance, has its suffix table
+built once; every block at that state is its prefix composed with that
+table in one ``_compose``, entry-major again.  The logs of a block's
+singular spectra are taken from those entry rows (``_log_spectra``: log|t|
+for d = 1, from the summed log|det| where the product underflowed; a
+closed-form sigma_1 for d = 2, closed-form sigma_1 and sigma_1 sigma_2 for
+d = 3, each with the smallest singular value from the summed log|det|; one
+batched SVD for d >= 4) as a
 (d, n) array, one row per singular value and one column per word, so phi_s
 of every word is a few whole-row adds; a caller's reduction is applied per
 block.  The log partition sums log S(k, s) (S sums phi_s of the composed
@@ -480,46 +487,37 @@ def build_code_tree(
 # streamed enumeration
 
 
-def _identity(d, n, want_points):
-    """``n`` empty words as a (mats, log_det, points) triple: identity linear
-    parts, log|det| 0 and, if wanted, points 0 (else None)."""
-    points = np.zeros((n, d)) if want_points else None
-    return np.eye(d)[None].repeat(n, axis=0), np.zeros(n), points
+def _compose(head, tail, out=(None, None, None)):
+    """The words head·tail of two (mats, log_det, points) triples, broadcast
+    against each other: linear parts M_h M_t, log|det| l_h + l_t and points
+    p_h + M_h p_t, each None where either triple's part is, and written into
+    ``out``'s parts where those are given.
 
-
-def _compose(head, tail, head_rows, tail_rows):
-    """The words head[head_rows]·tail[tail_rows] of two (mats, log_det, points)
-    triples, broadcast against each other: linear parts M_h M_t, log|det|
-    l_h + l_t and points p_h + M_h p_t.  The points are None when the head's
-    are, and the tail's are then not read; the linear parts and log|det| are
-    None when the tail's are.  Each part is indexed where it is used, so
-    gathered rows are temporaries that numpy adds into in place, not copies
-    held through the whole composition.
-
-    Linear parts are word-major, (n, d, d), in a walk.  A block is one head
-    word (an integer ``head_rows``) composed with every word of a table
-    (``tail_rows`` a full slice) whose linear parts are entry-major, (d, d, n):
-    entry (i, j, w) is M_w[i, j], so the block's are one (d, d) @ (d, d·n)
-    product, again entry-major.  Linear parts compose with ``*`` for d = 1,
-    where ``@``'s overhead outweighs one multiplication; points are
-    word-major, (n, d), and take the einsum, which is faster there than ``@``
-    for every d."""
+    A walk composes two word-major batches, whose linear parts are (n, d, d),
+    and carries no points.  A table composes one head word, ((d, d), (), (d,)),
+    with every word of an entry-major table: linear parts (d, d, n), entry
+    (i, j, w) being M_w[i, j], and points (d, n).  Its linear parts are the
+    (d, d) @ (d, d·n) product, entry-major again, which numpy hands BLAS as
+    one (d, d) @ (d, n) product per column j, so that each is written in
+    place into ``out`` (a fresh array unless given); its points are one
+    (d, d) @ (d, n) product.  d = 1 composes with ``*``, where ``@``'s
+    overhead outweighs one multiplication."""
     (mats, log_det, points), (tail_mats, tail_log_det, tail_points) = head, tail
-    head_mats = mats[head_rows]
-    if points is not None:
-        points = points[head_rows] + np.einsum("...ij,...j->...i",
-                                               head_mats, tail_points[tail_rows])
-    if tail_mats is None:
-        return None, None, points
-    tail_mats = tail_mats[tail_rows]
-    d = head_mats.shape[-1]
-    if d == 1:
-        mats = head_mats * tail_mats
-    elif head_mats.ndim == 2:  # a block
-        mats = (head_mats @ tail_mats.reshape(d, -1)).reshape(tail_mats.shape)
+    out_mats, out_log_det, out_points = out
+    product = None if mats is None else np.multiply if mats.shape[-1] == 1 else np.matmul
+    if points is not None and tail_points is not None:
+        out_points = product(mats, tail_points, out=out_points)
+        out_points += points[:, None]
+    if log_det is not None and tail_log_det is not None:
+        out_log_det = np.add(log_det, tail_log_det, out=out_log_det)
+    if mats is None or tail_mats is None:
+        out_mats = None
+    elif mats.ndim == 2:  # a table: one product per column j, into out[:, j]
+        out_mats = np.empty(tail_mats.shape) if out_mats is None else out_mats
+        product(mats, tail_mats.swapaxes(0, 1), out=out_mats.swapaxes(0, 1))
     else:
-        mats = head_mats @ tail_mats
-    return mats, log_det[head_rows] + tail_log_det[tail_rows], points
+        out_mats = product(mats, tail_mats, out=out_mats)
+    return out_mats, out_log_det, out_points
 
 
 def _entry_major(mats):
@@ -528,34 +526,63 @@ def _entry_major(mats):
     return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
 
 
-def _advance(tbl, states, word, rows, branch):
-    """One level step: row ``rows[i]`` of ``word``, a (mats, log_det, points)
-    triple at ``states``, moves to child ``branch[i]`` of its state.
-
-    ``log_det`` is each row's log|det| of the linear part, summed letter by
-    letter from the left; the d = 2 and d = 3 spectra read it, and d = 1 and
-    d >= 4 carry it unread.  ``points`` may be None when only the linear parts
-    are wanted.
-    """
-    ps = states[rows]
-    word = _compose(word, (tbl._T, tbl._log_det, tbl._a), rows, (ps, branch))
-    return tbl._child[ps, branch], word  # gathered last, so not alive while the words compose
+def _advance(tbl, states, word, branch):
+    """One walk step: row i of ``word``, a word-major (mats, log_det, points)
+    triple at ``states``, moves to child ``branch[i]`` of its state, and its
+    word takes that branch's letter on the right.  Parts the walk does not
+    carry (None) are not gathered."""
+    letters = (tbl._T, tbl._log_det, tbl._a)
+    word = _compose(word, tuple(None if part is None else letter[states, branch]
+                                for part, letter in zip(word, letters)))
+    return tbl._child[states, branch], word  # gathered last, so not alive while the words compose
 
 
-def _expand_block(tree, level0, state0, k, want_points):
+def _join(tbl, state, below):
+    """The table of the node at ``tbl``'s level and ``state``, as a (word,
+    states, n) triple like those of ``below``, the next level's tables: each
+    branch's letter composed with its child's table, in branch order, each
+    written in place into one entry-major (mats, log_det, points) triple with
+    the children's parts; the words' level-k states, joined the same way
+    (None where the children's are); and the number of words."""
+    kids = [below[c] for c in tbl._child[state, :tbl._sizes[state]].tolist()]
+    (mats, log_det, points), states, _ = kids[0]
+    d, n = tbl._T.shape[-1], sum(size for _, _, size in kids)
+    out = (None if mats is None else np.empty((d, d, n)), None if log_det is None else np.empty(n),
+           None if points is None else np.empty((d, n)))
+    lo = 0
+    for b, (word, _, size) in enumerate(kids):
+        letter = (tbl._T[state, b], tbl._log_det[state, b], tbl._a[state, b])
+        _compose(letter, word,
+                 tuple(None if part is None else part[..., lo:lo + size] for part in out))
+        lo += size
+    return out, None if states is None else np.concatenate([ends for _, ends, _ in kids]), n
+
+
+def _expand_block(tree, level0, state0, k, *, mats=False, log_det=False, points=False,
+                  states=False):
     """All level-k descendants of the node at (``level0``, ``state0``), in word
-    order: their states, and the (mats, log_det, points) triple of the suffix
-    words from that node, so composed from the identity."""
-    states = np.array([state0], dtype=np.intp)
-    word = _identity(tree.d, 1, want_points)
-    for lev in range(level0, k):
-        tbl = tree.levels[lev]
-        sz = tbl._sizes[states]
-        rows = np.repeat(np.arange(states.shape[0]), sz)
-        offs = np.cumsum(sz) - sz
-        branch = np.arange(int(sz.sum())) - np.repeat(offs, sz)
-        states, word = _advance(tbl, states, word, rows, branch)
-    return states, word
+    order: their level-k states and the entry-major (mats, log_det, points)
+    triple of the suffix words from that node, linear parts (d, d, n) and
+    points (d, n); each of the four is None unless its flag is set.
+
+    The table is built from the leaves up.  At level k every state reachable
+    from the node holds the empty word; for lev = k - 1 down to ``level0``,
+    each reachable state's table at lev is ``_join``ed from its letters and its
+    children's tables at lev + 1, which are then freed.  So each word is
+    composed from the right, T_{w_1}(T_{w_2}(...)), and each reachable (level,
+    state) table is built once.
+    """
+    reach = [[state0]]
+    for tbl in tree.levels[level0:k]:
+        reach.append(sorted({c for s in reach[-1] for c in tbl._child[s, :tbl._sizes[s]].tolist()}))
+    d = tree.d
+    empty = (np.eye(d)[..., None] if mats else None, np.zeros(1) if log_det else None,
+             np.zeros((d, 1)) if points else None)
+    tables = {s: (empty, np.array([s]) if states else None, 1) for s in reach[-1]}
+    for lev in range(k - 1, level0 - 1, -1):
+        tables = {s: _join(tree.levels[lev], s, tables) for s in reach[lev - level0]}
+    word, end_states, _ = tables[state0]
+    return end_states, word
 
 
 # Rows whose two largest Gram eigenvalues nearly meet (1 + r below this in
@@ -684,21 +711,30 @@ def _log_spectra(mats, log_det, k):
     parts ``mats`` (d, d, n), as a (d, n) array: row i holds every product's
     log sigma_{i+1}, so each column descends.
 
-    d = 1 takes log|t|.  d = 2 takes sigma_1 = (p + q) / 2 with p = |(a + e,
-    c - b)| and q = |(a - e, c + b)| for the product [[a, b], [c, e]], each
-    entry one row of ``mats``, and log sigma_2 = log|det| - log sigma_1 from
-    the word's summed ``log_det``, which stays exact where the product's own
-    sigma_2 or det is lost to cancellation.  d = 3 takes sigma_1 and
-    sigma_1 sigma_2 in closed form (``_log_spectra3``, which scales ``mats``
-    in place), ``_SPECTRUM_CHUNK`` columns at a time into one (3, n) array,
-    and log sigma_3 from ``log_det`` the same way.  d >= 4 hands one batched
-    SVD an axis-moved view of ``mats``; its (n, d) output is handed out
-    transposed, not copied: sums of 8 or more rows of a copy would round
-    differently.  A zero sigma_1, or sigma_1 sigma_2 for d = 3 (sigma_d
-    through the SVD), can only be an underflow (the maps are nonsingular) and
-    is refused.
+    d = 1 takes log|t|, in place of ``mats``, where the product t is a normal
+    double, and the word's summed ``log_det`` where it underflowed, so a d = 1
+    word is never lost.  d = 2 takes sigma_1 = (p + q) / 2 with
+    p = |(a + e, c - b)| and q = |(a - e, c + b)| for the product
+    [[a, b], [c, e]], each entry one row of ``mats``, and log sigma_2 =
+    log|det| - log sigma_1 from the word's summed ``log_det``, which stays
+    exact where the product's own sigma_2 or det is lost to cancellation.
+    d = 3 takes sigma_1 and sigma_1 sigma_2 in closed form (``_log_spectra3``,
+    which scales ``mats`` in place), ``_SPECTRUM_CHUNK`` columns at a time
+    into one (3, n) array, and log sigma_3 from ``log_det`` the same way.
+    d >= 4 hands one batched SVD an axis-moved view of ``mats``; its (n, d)
+    output is handed out transposed, not copied: sums of 8 or more rows of a
+    copy would round differently.  For d >= 2 a zero sigma_1, or sigma_1
+    sigma_2 for d = 3 (sigma_d through the SVD), can only be an underflow
+    (the maps are nonsingular) and is refused.
     """
     d, n = mats.shape[0], mats.shape[-1]
+    if d == 1:
+        log_sigma = np.abs(mats[0], out=mats[0])
+        lost = log_sigma < np.finfo(float).tiny
+        with np.errstate(divide="ignore"):  # a t lost to 0 is replaced below
+            np.log(log_sigma, out=log_sigma)
+        np.copyto(log_sigma, log_det, where=lost)
+        return log_sigma
     if d == 3:
         x = mats.reshape(9, n)
         log_sigma = np.empty((3, n))
@@ -711,9 +747,7 @@ def _log_spectra(mats, log_det, k):
         log_sigma[2] = log_det - log_sigma[1]
         log_sigma[1] -= log_sigma[0]
         return log_sigma
-    if d == 1:
-        sigma = np.abs(mats[0])
-    elif d == 2:
+    if d == 2:
         a, b, c, e = mats[0, 0], mats[0, 1], mats[1, 0], mats[1, 1]
         sigma = 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, c + b))
     else:
@@ -770,16 +804,16 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     ``_BLOCK_LIMIT`` level-k descendants (``_suffix_counts``).  A block's words
     are one prefix word to that level followed by every suffix word below the
     prefix's node, and that node's subtree depends on its state alone.  The
-    prefixes are expanded from the root in one ``_expand_block`` call; then,
+    prefixes are one table built from the root (``_expand_block``); then,
     state by state in order of first appearance, the state's suffix table is
-    expanded once, its linear parts copied entry-major (``_entry_major``) and
-    its word-major ones freed, and each block at the state is composed from
-    its prefix and that table in one ``_compose``.  Only one suffix table is
+    built once, entry-major, and each block at the state is composed from its
+    prefix and that table in one ``_compose``.  Only one suffix table is
     alive at a time; a deterministic tree has one state.  ``log_sigma`` is
-    ``_log_spectra`` of the block's composed linear parts, (d, n) for the
-    block's n words; without ``want_spectra`` it is None and the blocks form
-    neither linear parts nor log|det|.  ``points`` are the words' points
-    f_word(0), (n, d) (None unless ``want_points``).  Each result is
+    ``_log_spectra`` of the block's composed words, (d, n) for the block's n
+    words; without ``want_spectra`` it is None and the blocks form neither
+    linear parts nor log|det|, and the tables form linear parts only in the
+    prefixes, to map the suffixes' points.  ``points`` are the words' points
+    f_word(0), entry-major (d, n) (None unless ``want_points``).  Each result is
     stored at its block's index.  A level of more than ``ENUMERATION_CAP``
     words is refused, naming the largest level within the cap; word counts
     never decrease with the level, since every state has a child.
@@ -797,21 +831,22 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
         )
 
     split = next(lev for lev in range(k + 1) if np.max(counts[lev]) <= _BLOCK_LIMIT)
-    states, prefixes = _expand_block(tree, 0, tree.root_state, split, want_points)
+    states, prefixes = _expand_block(tree, 0, tree.root_state, split,
+                                     mats=want_spectra or want_points, log_det=want_spectra,
+                                     points=want_points, states=True)
 
     def work(i, suffix):  # a block's words die with this call, before the next block's
-        mats, log_det, points = _compose(prefixes, suffix, i, slice(None))
+        head = tuple(None if part is None else part[..., i].copy() for part in prefixes)
+        mats, log_det, points = _compose(head, suffix)
         return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
 
     out = [None] * len(states)
     for state in dict.fromkeys(states.tolist()):
-        mats, log_det, points = _expand_block(tree, split, state, k, want_points)[1]
-        # the blocks need the table's linear parts only for their spectra, entry-major
-        suffix = (_entry_major(mats), log_det, points) if want_spectra else (None, None, points)
-        del mats  # the word-major table, before its blocks
+        suffix = _expand_block(tree, split, state, k, mats=want_spectra, log_det=want_spectra,
+                               points=want_points)[1]
         for i in np.flatnonzero(states == state):
             out[i] = work(i, suffix)
-        del suffix  # before the next state's table is expanded
+        del suffix  # before the next state's table is built
     return out
 
 
@@ -856,15 +891,14 @@ def partition_sum_mc(
         raise ValueError("need at least two samples for a standard error")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     states = np.full(samples, tree.root_state, dtype=np.intp)
-    word = _identity(tree.d, samples, False)
-    rows = np.arange(samples)
+    word = (np.eye(tree.d)[None].repeat(samples, axis=0), np.zeros(samples), None)  # empty words
     logw = np.zeros(samples)
     for lev in range(k):
         tbl = tree.levels[lev]
         sz = tbl._sizes[states]
         pick = np.floor(rng.random(samples) * sz).astype(np.intp)
         logw += np.log(sz)
-        states, word = _advance(tbl, states, word, rows, pick)
+        states, word = _advance(tbl, states, word, pick)
     vals = np.exp(_log_phi(_log_spectra(_entry_major(word[0]), word[1], k), s)) * np.exp(logw)
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
@@ -885,10 +919,10 @@ def enumerate_points(
     uniform = s == 0.0
 
     def weigh(log_sigma, points):
-        return points, np.zeros(len(points)) if uniform else _log_phi(log_sigma, s)
+        return points, np.zeros(points.shape[1]) if uniform else _log_phi(log_sigma, s)
 
     parts = _map_words(tree, k, weigh, want_points=True, want_spectra=not uniform)
-    points = np.concatenate([p for p, _ in parts], axis=0)
+    points = np.concatenate([p.T for p, _ in parts], axis=0)  # word-major, (n, d)
     log_w = np.concatenate([w for _, w in parts])
     top = np.max(log_w)
     if not np.isfinite(top):
@@ -927,9 +961,9 @@ def count_full_blocks(
     count, state = 0, tree.root_state
     bounds = (0, *tree.necks[:n_to])
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-        states, (mats, _, _) = _expand_block(tree, lo, state, hi, False)
+        states, (mats, _, _) = _expand_block(tree, lo, state, hi, mats=True, states=True)
         if j > n_from:
-            fam = LinearFamily(tree.d, mats)
+            fam = LinearFamily(tree.d, np.moveaxis(mats, -1, 0))
             est = estimate_fullness(fam, s, sample_count=samples, seed=(seed, j))
             count += int(est.c_hat > c)
         reached = np.unique(states).tolist()

@@ -348,6 +348,47 @@ def word_index(word, branching: int) -> int:
     return index
 
 
+def level_states(tree, level0, state0, k) -> np.ndarray:
+    """The level-k states of the descendants of the node at (level0, state0), in word order."""
+    return code_tree._expand_block(tree, level0, state0, k, states=True)[0]
+
+
+def letter_paths(tree, level0, state0, k) -> list:
+    """Every word from the node at (level0, state0) down to level k, in word
+    order, as (letters, level-k state) with one (level, state, branch) per
+    letter, by depth-first recursion over the level tables."""
+    if level0 == k:
+        return [([], state0)]
+    tbl = tree.levels[level0]
+    return [([(level0, state0, b), *letters], end)
+            for b in range(int(tbl._sizes[state0]))
+            for letters, end in letter_paths(tree, level0 + 1, int(tbl._child[state0, b]), k)]
+
+
+def fold_right(tree, letters):
+    """A word's (linear part, log|det|, point) composed one word at a time
+    from the right, T_{w_1}(T_{w_2}(...)), starting from the empty word: one
+    (d, d) product per letter, ``*`` for d = 1."""
+    d = tree.d
+    mats, log_det, point = np.eye(d), 0.0, np.zeros(d)
+    for lev, state, b in reversed(letters):
+        tbl = tree.levels[lev]
+        T = tbl._T[state, b]
+        mats = T * mats if d == 1 else T @ mats
+        log_det = tbl._log_det[state, b] + log_det
+        point = T @ point + tbl._a[state, b]
+    return mats, log_det, point
+
+
+def fold_left(tree, letters):
+    """A word's linear part composed from the left, ((T_{w_1} T_{w_2}) ...),
+    as the top-down walk formed it, and None for its log|det|."""
+    mats = np.eye(tree.d)
+    for lev, state, b in letters:
+        mats = mats @ tree.levels[lev]._T[state, b]
+    return mats, None
+
+
 class TestCompose:
     """Maps composed along words, read off the enumeration."""
 
@@ -442,8 +483,7 @@ class TestBuildCodeTree:
         assert tree.word_count(4) == 1
         assert tree.necks == (2, 4)
         # root walks 1 -> 2 under 'a', back to 1 under 'b'
-        states, _ = code_tree._expand_block(tree, 0, tree.root_state, 1, False)
-        assert states.tolist() == [1]
+        assert level_states(tree, 0, tree.root_state, 1).tolist() == [1]
         assert tree.levels[1].families[1].label == "b@v2"
         # the one level-4 word is (0, 0, 0, 0); at s = 1 its sum is |T|
         assert math.isclose(partition_sums(tree, 4, [1.0])[0], math.log(0.5 * 0.25 * 0.5 * 0.25))
@@ -490,12 +530,12 @@ class TestBuildCodeTree:
         tree = build_code_tree(gs, g)
         assert len(tree.necks) >= 2
         n1 = tree.necks[0]
-        at_neck, _ = code_tree._expand_block(tree, 0, tree.root_state, n1, False)
+        at_neck = level_states(tree, 0, tree.root_state, n1)
         assert set(at_neck.tolist()) == {gs.v0 - 1}
         # below the neck every node's subtree is the neck state's, node by node
         for level in range(n1, min(tree.depth, n1 + 4) + 1):
-            from_root, _ = code_tree._expand_block(tree, 0, tree.root_state, level, False)
-            from_neck, _ = code_tree._expand_block(tree, n1, gs.v0 - 1, level, False)
+            from_root = level_states(tree, 0, tree.root_state, level)
+            from_neck = level_states(tree, n1, gs.v0 - 1, level)
             np.testing.assert_array_equal(from_root, np.tile(from_neck, len(at_neck)))
 
 
@@ -610,8 +650,10 @@ def word_spectra(tree, k) -> np.ndarray:
 
 def expand_words(tree, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every level-k word's composed linear part, log|det| and point f_word(0),
-    in word order, as one block expanded from the root."""
-    return code_tree._expand_block(tree, 0, tree.root_state, k, True)[1]
+    in word order and word-major, as one table built from the root."""
+    mats, log_det, points = code_tree._expand_block(tree, 0, tree.root_state, k, mats=True,
+                                                    log_det=True, points=True)[1]
+    return np.moveaxis(mats, -1, 0), log_det, points.T
 
 
 class TestLogSpectra:
@@ -731,8 +773,8 @@ class TestLogSpectra:
         _, whole, _ = expand_words(tree, 7)
         # 3^2 words below each level-5 node: the words split at level 5
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**2)
-        _, (_, prefix, _) = code_tree._expand_block(tree, 0, tree.root_state, 5, False)
-        _, (_, suffix, _) = code_tree._expand_block(tree, 5, tree.root_state, 7, False)
+        _, (_, prefix, _) = code_tree._expand_block(tree, 0, tree.root_state, 5, log_det=True)
+        _, (_, suffix, _) = code_tree._expand_block(tree, 5, tree.root_state, 7, log_det=True)
         assert len(prefix) == 3**5
         seen = []
         log_spectra = code_tree._log_spectra
@@ -747,10 +789,24 @@ class TestLogSpectra:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_underflow_in_any_word_is_refused(self, monkeypatch, d):
         # word 00 underflows to the zero matrix; the later words do not.  One
-        # word per d = 3 chunk puts it in a chunk other than the last
+        # word per d = 3 chunk puts it in a chunk other than the last.  d = 1
+        # takes log|t| from the summed log|det| where the product underflows
         monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", 1)
         fam = IfsFamily("mixed", (AffineMap(1e-170 * np.eye(d), 0), AffineMap(0.5 * np.eye(d), 1)))
         tree = deterministic_tree(fam, 2)
+        if d == 1:
+            log_t = np.log([1e-170, 0.5])
+            np.testing.assert_allclose(word_spectra(tree, 2)[:, 0],
+                                       [a + b for a in log_t for b in log_t], rtol=1e-15, atol=0)
+            # the words whose product is a normal double take its log
+            products = np.log([1e-170 * 0.5, 0.5 * 1e-170, 0.25])
+            assert word_spectra(tree, 2)[1:, 0].tolist() == products.tolist()
+            # S(2, 1) = (1e-170 + 0.5)^2; an MC sample is 4 |t| of one word,
+            # 1 for word 11 and below 1e-169 for the others
+            assert partition_sums(tree, 2, [1.0])[0] == pytest.approx(2 * math.log(0.5), rel=1e-15)
+            est, _ = partition_sum_mc(tree, 2, 1.0, samples=64, seed=0)
+            assert 0.0 < est <= 1.0
+            return
         with pytest.raises(ValueError, match="level-2 word underflowed"):
             word_spectra(tree, 2)
         with pytest.raises(ValueError, match="level-2 word underflowed"):
@@ -797,15 +853,15 @@ class TestSharedSuffixes:
         spectra = code_tree._log_spectra(code_tree._entry_major(mats), log_det, k)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
         split = self.split_level(tree, k, 20)
-        states, _ = code_tree._expand_block(tree, 0, tree.root_state, split, False)
+        states = level_states(tree, 0, tree.root_state, split)
         # one expansion of the prefixes, then one suffix table per state met
         keys = [(0, tree.root_state)] + [(split, st) for st in dict.fromkeys(states.tolist())]
         assert len(keys) >= 3
         expanded = []
         expand = code_tree._expand_block
         monkeypatch.setattr(code_tree, "_expand_block",
-                            lambda tree, lev, st, *rest: expanded.append((lev, st))
-                            or expand(tree, lev, st, *rest))
+                            lambda tree, lev, st, *rest, **kw: expanded.append((lev, st))
+                            or expand(tree, lev, st, *rest, **kw))
 
         np.testing.assert_allclose(word_spectra(tree, k), spectra.T, rtol=1e-13, atol=0)
         assert expanded == keys
@@ -822,24 +878,61 @@ class TestSharedSuffixes:
         assert np.array_equal(partition_sums(tree, k, grid), sums)
         assert expanded == 4 * keys
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_reachable_table_is_joined_once_per_sweep(self, rng, monkeypatch, d):
+        # tables are built from the leaves up: every (level, state) reachable
+        # from the sweep's node is joined once, deepest level first, and the
+        # words come out in word order with their level-k states
+        tree = self.two_vertex_tree(rng, d)
+        k = tree.depth
+        joined = []
+        join = code_tree._join
+        monkeypatch.setattr(code_tree, "_join", lambda tbl, state, below:
+                            joined.append((tbl, state)) or join(tbl, state, below))
+        for level0, state0 in ((0, tree.root_state), (2, 0), (2, 1), (k - 1, 1)):
+            paths = letter_paths(tree, level0, state0, k)
+            joined.clear()
+            states, (mats, log_det, points) = code_tree._expand_block(
+                tree, level0, state0, k, mats=True, log_det=True, points=True, states=True)
+            reach = [sorted({letters[lev - level0][1] for letters, _ in paths})
+                     for lev in range(k - 1, level0 - 1, -1)]
+            expected = [(tree.levels[lev], s)
+                        for lev, states_at in zip(range(k - 1, level0 - 1, -1), reach) for s in states_at]
+            assert len(joined) == len(expected) and all(
+                got[0] is want[0] and got[1] == want[1] for got, want in zip(joined, expected))
+            assert states.tolist() == [end for _, end in paths]
+            words = [fold_right(tree, letters) for letters, _ in paths]
+            assert mats.tobytes() == code_tree._entry_major(np.array([w[0] for w in words])).tobytes()
+            assert log_det.tobytes() == np.array([w[1] for w in words]).tobytes()
+            np.testing.assert_allclose(points, np.array([w[2] for w in words]).T, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_underflow_only_the_product_shows_is_refused(self, monkeypatch, d):
         # every block hangs at level 3: prefix 000 (1e-300 I) and suffix 0
-        # (1e-100 I) are representable, but their product, word 0000, is not
+        # (1e-100 I) are representable, but their product, word 0000, is not.
+        # d = 1 takes log|t| from the summed log|det| where the product underflows
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 2)
         fam = IfsFamily("tiny", (AffineMap(1e-100 * np.eye(d), 0), AffineMap(0.5 * np.eye(d), 1)))
         tree = deterministic_tree(fam, 4)
         assert self.split_level(tree, 4, 2) == 3
-        _, (prefixes, _, _) = code_tree._expand_block(tree, 0, tree.root_state, 3, False)
-        assert np.all(np.diag(prefixes[0]) > 0.0)
+        _, (prefixes, _, _) = code_tree._expand_block(tree, 0, tree.root_state, 3, mats=True)
+        assert np.all(np.diag(prefixes[:, :, 0]) > 0.0)
         expanded = []
         expand = code_tree._expand_block
         monkeypatch.setattr(code_tree, "_expand_block",
-                            lambda tree, lev, st, *rest: expanded.append((lev, st, *rest))
-                            or expand(tree, lev, st, *rest))
+                            lambda tree, lev, st, k, **kw: expanded.append((lev, st, k, kw["mats"]))
+                            or expand(tree, lev, st, k, **kw))
+        if d == 1:
+            # S(4, 1) sums |t| over the words: (1e-100 + 0.5)^4, and word 0000 is 1e-400
+            assert partition_sums(tree, 4, [1.0])[0] == pytest.approx(4 * math.log(0.5), rel=1e-15)
+            assert expanded == [(0, 0, 3, True), (3, 0, 4, True)]
+            log_sigma = word_spectra(tree, 4)
+            assert log_sigma[0, 0] == pytest.approx(-400 * math.log(10.0), rel=1e-15)
+            assert np.all(np.isfinite(log_sigma))
+            return
         with pytest.raises(ValueError, match="level-4 word underflowed"):
             partition_sums(tree, 4, [1.0])
-        assert expanded == [(0, 0, 3, False), (3, 0, 4, False)]
+        assert expanded == [(0, 0, 3, True), (3, 0, 4, True)]
         with pytest.raises(ValueError, match="level-4 word underflowed"):
             word_spectra(tree, 4)
 
@@ -852,29 +945,37 @@ class TestSharedSuffixes:
         mats, log_det, points = expand_words(tree, k)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", limit)
         # the stand-in hands each block's composed words to the reduction; their
-        # linear parts are entry-major, (d, d, n), so blocks join on the last axis
+        # linear parts (d, d, n) and points (d, n) are entry-major, so blocks
+        # join on the last axis
         monkeypatch.setattr(code_tree, "_log_spectra", lambda m, ld, k: (m, ld))
         blocks = code_tree._map_words(tree, k, lambda words, pts: (*words, pts), want_points=True)
         assert len(blocks) == tree.word_count(self.split_level(tree, k, limit))
         assert all(1 <= len(ld) <= limit for _, ld, _ in blocks)
         got_mats, got_log_det, got_points = zip(*blocks)
         for got, want in ((np.concatenate(got_mats, axis=-1), code_tree._entry_major(mats)),
-                          (np.concatenate(got_log_det), log_det), (np.concatenate(got_points), points)):
+                          (np.concatenate(got_log_det), log_det),
+                          (np.concatenate(got_points, axis=-1), points.T)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-def word_major_block_mats(tree, k):
-    """Every block's linear parts as the block map formed them before its
-    suffix tables went entry-major: the prefix's (d, d) linear part broadcast
-    against the word-major (n, d, d) table, with ``*`` for d = 1 and ``@``
-    (one BLAS call per word) otherwise; kept as a bit reference."""
+def per_word_blocks(tree, k, fold):
+    """Every block's words composed one word at a time: the block's prefix
+    word, to the split level, and each suffix word below it are folded by
+    ``fold`` from the letters, and the block's word is their product, ``*``
+    for d = 1 and one (d, d) ``@`` otherwise.  One (linear parts, log|det|)
+    pair per block, entry-major (d, d, n) and (n,); log|det| is None unless
+    ``fold`` gives one."""
     split = TestSharedSuffixes.split_level(tree, k, code_tree._BLOCK_LIMIT)
-    states, (prefixes, _, _) = code_tree._expand_block(tree, 0, tree.root_state, split, False)
-    tables, blocks = {}, []
-    for head, state in zip(prefixes, states.tolist()):
-        if state not in tables:
-            tables[state] = code_tree._expand_block(tree, split, state, k, False)[1][0]
-        blocks.append(head * tables[state] if tree.d == 1 else head @ tables[state])
+    blocks = []
+    for head, state in letter_paths(tree, 0, tree.root_state, split):
+        mats, log_det = [], []
+        head = fold(tree, head)
+        for tail, _ in letter_paths(tree, split, state, k):
+            tail = fold(tree, tail)
+            mats.append(head[0] * tail[0] if tree.d == 1 else head[0] @ tail[0])
+            if head[1] is not None:
+                log_det.append(head[1] + tail[1])
+        blocks.append((code_tree._entry_major(np.array(mats)), np.array(log_det) if log_det else None))
     return blocks
 
 
@@ -952,19 +1053,21 @@ def special_columns(rng, n):
 
 class TestEntryMajorBlocks:
     """Blocks formed as one (d, d) @ (d, d·n) product from entry-major suffix
-    tables keep every bit of the per-word products, and the buffered d = 3
-    spectrum kernels every bit of their unbuffered bodies."""
+    tables, which are built from the leaves up one product per letter, keep
+    every bit of the per-word right-associated products, and the buffered
+    d = 3 spectrum kernels every bit of their unbuffered bodies."""
 
     @staticmethod
     def assert_blocks_keep_every_bit(monkeypatch, tree, k, count):
-        want = word_major_block_mats(tree, k)
-        # the stand-in hands each block's composed linear parts to the reduction
-        monkeypatch.setattr(code_tree, "_log_spectra", lambda mats, log_det, k: mats)
-        got = code_tree._map_words(tree, k, lambda mats, _: mats)
+        want = per_word_blocks(tree, k, fold_right)
+        # the stand-in hands each block's composed linear parts and log|det| to the reduction
+        monkeypatch.setattr(code_tree, "_log_spectra", lambda mats, log_det, k: (mats, log_det))
+        got = code_tree._map_words(tree, k, lambda words, _: words)
         assert len(got) == len(want) == count
-        for g, w in zip(got, want):
-            assert g.shape == (tree.d, tree.d, len(w)) and g.flags.c_contiguous
-            assert g.tobytes() == code_tree._entry_major(w).tobytes()
+        for (mats, log_det), (want_mats, want_log_det) in zip(got, want):
+            assert mats.shape == want_mats.shape and mats.flags.c_contiguous
+            assert mats.tobytes() == want_mats.tobytes()
+            assert log_det.tobytes() == want_log_det.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_deterministic_blocks_keep_every_bit(self, monkeypatch, d):
@@ -985,6 +1088,19 @@ class TestEntryMajorBlocks:
         split = TestSharedSuffixes.split_level(tree, tree.depth, 20)
         self.assert_blocks_keep_every_bit(monkeypatch, tree, tree.depth, tree.word_count(split))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_blocks_match_the_left_associated_products(self, rng, monkeypatch, d):
+        # the top-down walk composed every word from the left; on positive
+        # entries the two orders agree to rounding
+        tree = TestSharedSuffixes.two_vertex_tree(rng, d)
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
+        monkeypatch.setattr(code_tree, "_log_spectra", lambda mats, log_det, k: mats)
+        got = code_tree._map_words(tree, tree.depth, lambda mats, _: mats)
+        want = per_word_blocks(tree, tree.depth, fold_left)
+        assert len(got) == len(want) > 2
+        for mats, (left, _) in zip(got, want):
+            np.testing.assert_allclose(mats, left, rtol=1e-13, atol=0)
+
     def test_one_dimensional_tables_are_not_copied(self):
         mats = np.arange(1.0, 6.0).reshape(5, 1, 1)
         moved = code_tree._entry_major(mats)
@@ -999,9 +1115,9 @@ class TestEntryMajorBlocks:
         blocks = []
         compose = code_tree._compose
 
-        def spy(head, tail, head_rows, tail_rows):
-            words = compose(head, tail, head_rows, tail_rows)
-            if np.ndim(head_rows) == 0:  # a block: one prefix, a whole suffix table
+        def spy(head, tail, out=(None, None, None)):
+            words = compose(head, tail, out)
+            if all(part is None for part in out):  # a block: one prefix word on a whole table
                 blocks.append(words[0] is None and words[1] is None)
             return words
 
@@ -1307,8 +1423,8 @@ class TestCountFullBlocks:
         assert [seed for _, seed in seen] == [(7, j) for j in range(2, len(necks) + 1)]
         for (maps, _), lo, hi in zip(seen, bounds[1:], bounds[2:]):
             rerooted = CodeTreeRealization(tree.levels[lo:], gs.v0 - 1)
-            _, (expected, _, _) = code_tree._expand_block(rerooted, 0, gs.v0 - 1, hi - lo, False)
-            np.testing.assert_array_equal(maps, expected)
+            _, (expected, _, _) = code_tree._expand_block(rerooted, 0, gs.v0 - 1, hi - lo, mats=True)
+            np.testing.assert_array_equal(maps, np.moveaxis(expected, -1, 0))
 
     def test_non_neck_is_refused(self):
         # label 'x' sends the root to both vertices, so level 1 is no neck

@@ -849,15 +849,23 @@ class TestCli:
     def test_generic_bytes_do_not_depend_on_blas_threads(self, tmp_path, d, k):
         # blocks of 59,049 (d = 2) and 19,683 (d = 4) words: each block's
         # (d, d) @ (d, d n) product is wide enough for BLAS to split it
-        # across threads
+        # across threads.  Points go through (d, d) @ (d, n) products, at
+        # s = 0 alone and at s = 0.7 beside the blocks' linear parts
         system = self.generic_system(tmp_path, d, 16 + d)
         steps = [["pressure", system, "--k", str(k), "--grid", "16"],
-                 ["dim", system, "--k", str(k), "--depth", "8"]]
+                 ["dim", system, "--k", str(k), "--depth", "8"],
+                 ["points", system, "--depth", str(k)],
+                 ["points", system, "--s", "0.7", "--depth", str(k)]]
         outputs = self.stdout_per_blas_threads(steps)
         assert outputs[0] == outputs[1]
         lines = outputs[0].decode().splitlines()
-        assert lines[0] == "s,p,diag" and lines[17] == "0"  # the pressure CSV, then its exit code
-        assert json.loads("\n".join(lines[18:-1]))["dimension"] > 0 and lines[-1] == "0"
+        codes = [i for i, line in enumerate(lines) if line == "0"]  # each step's exit code
+        assert lines[0] == "s,p,diag" and codes[0] == 17  # the pressure CSV, then its exit code
+        assert json.loads("\n".join(lines[18:codes[1]]))["dimension"] > 0
+        # each points CSV is a header and one row per level-k word
+        header = ",".join(f"x{i + 1}" for i in range(d)) + ",weight"
+        assert codes[2:] == [codes[1] + 2 + 3**k, codes[1] + 4 + 2 * 3**k] and codes[-1] == len(lines) - 1
+        assert lines[codes[1] + 1] == lines[codes[2] + 1] == header
 
     def test_check_fs_closure_over_the_cap_names_the_largest_depth(self, tmp_path, capsys):
         # 2 + 4 + ... + 2^18 maps fit under the cap of 10^6, 2^19 more do not
@@ -1160,7 +1168,8 @@ class TestCli:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_underflow_before_the_last_word_exits_two(self, tmp_path, capsys, argv, d):
         # word 00 is 1e-170 squared, 0.0 in double precision, while the last
-        # word 11 is 0.5 squared; every word is checked, not only the last
+        # word 11 is 0.5 squared; every word is checked, not only the last.
+        # d = 1 takes log|t| from the summed log|det| where the product underflows
         mixed = {
             "d": d,
             "bounds": {"sigma_lo": 1e-170, "sigma_hi": 0.5},
@@ -1171,10 +1180,33 @@ class TestCli:
         }
         rc = cli(argv[:1] + [doc_path(tmp_path, mixed)] + argv[1:])
         captured = capsys.readouterr()
+        if d == 1:
+            assert rc == 0 and captured.err == ""
+            rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]]
+            if argv[0] == "pressure":  # p(1) = log S(2, 1) / 2 = log(1e-170 + 0.5)
+                assert [s for s, _, _ in rows] == [0.0, 0.5, 1.0]
+                assert rows[2][1] == pytest.approx(math.log(0.5), rel=1e-15)
+            else:  # phi_1.5 of word 00 is 1e-510 against 0.125^1.5
+                assert len(rows) == 4 and rows[0][-1] == 0.0 and rows[-1][-1] > 0.5
+            return
         assert rc == 2
         assert captured.out == ""
         assert "level-2 word underflowed to a singular matrix" in captured.err
         assert "Warning" not in captured.err
+
+    def test_one_dimensional_words_below_the_smallest_double(self, tmp_path, capsys):
+        # 0.3^700 is about 1e-366, below the smallest double, so its log is
+        # taken from the summed log|det|: p(s) = s log 0.3
+        one = {"d": 1, "bounds": {"sigma_lo": 0.3, "sigma_hi": 0.3},
+               "families": [{"label": "one", "maps": [{"T": [[0.3]]}]}]}
+        rc = cli(["pressure", doc_path(tmp_path, one), "--k", "700", "--grid", "3"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]]
+        assert [s for s, _, _ in rows] == [0.0, 0.5, 1.0]
+        for s, p, _ in rows:
+            assert p == pytest.approx(s * math.log(0.3), rel=1e-13)
 
     def test_second_singular_value_below_the_smallest_double(self, tmp_path, capsys):
         # diag(0.3, 0.001)^120 has sigma_2 = 1e-360, below the smallest double,
