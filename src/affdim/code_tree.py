@@ -48,16 +48,24 @@ d = 3, each with the smallest singular value from the summed log|det|; one
 batched SVD for d >= 4) as a
 (d, n) array, one row per singular value and one column per word, so phi_s
 of every word is a few whole-row adds; a caller's reduction is applied per
-block.  The log partition sums log S(k, s) (S sums phi_s of the composed
-linear parts over the level-k words), on request with the log of -dS/ds
-beside them for the pressure zero-finder's tangents, the weighted cylinder
-points and the zero-finder's cache are such reductions, all in log form
-over ``singular_values._log_phi``, so values far below the smallest double
-stay finite.  The word sums (``_log_sums``) take each partial spectrum sum
-a block's s-values need once, and run every s in one buffer of the block's
-length.  The points at s = 0 carry uniform weights (phi_0 is 1), take no
+block.  The log partition sums log S(k, s) of d >= 2 trees (S sums phi_s
+of the composed linear parts over the level-k words), on request with the
+log of -dS/ds beside them for the pressure zero-finder's tangents, the
+weighted cylinder points and the zero-finder's cache are such reductions,
+all in log form over ``singular_values._log_phi``, so values far below the
+smallest double stay finite.  The word sums (``_log_sums``) take each
+partial spectrum sum a block's s-values need once, and run every s in one
+buffer of the block's length.  The points at s = 0 carry uniform weights (phi_0 is 1), take no
 spectra and form no block linear parts.  Blocks are mapped one after
 another on the calling thread and their results folded in word order.
+
+The d = 1 partition sums enumerate no word.  There phi_s(t) = |t|^s is
+multiplicative, so S(k, s) is a product of k small per-level transfer
+matrices over the (level, state) tables, which ``_transfer_sums`` carries
+in log form from the leaves up, like ``_expand_block``'s tables: any k is
+taken, with no enumeration cap and no underflow.  Points and their weights
+(``enumerate_points``) still enumerate in d = 1, and ``partition_sum_mc``
+still walks its samples.
 """
 
 from __future__ import annotations
@@ -797,6 +805,59 @@ def _log_sums(log_sigma, s_values, slopes=False):
 _fold = functools.partial(functools.reduce, np.logaddexp)  # block log sums, in word order
 
 
+def _check_level(tree, k):
+    if not 1 <= k <= tree.depth:
+        raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
+
+
+def _log_sum_branches(terms):
+    """log sum exp of (states, branches, s) ``terms`` over the branches, shifted
+    by each maximum; a state whose every term is -inf gets log 0 = -inf, which
+    warns unless the caller silences division by zero."""
+    top = np.max(terms, axis=1)
+    shift = np.where(top > -np.inf, top, 0.0)
+    return shift + np.log(np.sum(np.exp(terms - shift[:, None]), axis=1))
+
+
+def _transfer_sums(tree, k, s_values, slopes=False):
+    """``partition_sums`` of a d = 1 tree from the level transfer product,
+    with no word enumerated.
+
+    phi_s(t) = |t|^s is multiplicative, so S(k, s) = e_rootᵀ M_0(s) ⋯
+    M_{k-1}(s) 𝟙, where M_lev(s)[u, v] sums |t|^s over the branches from state
+    u at level lev to state v.  The vector is carried in log form from the
+    leaves up, in ``_expand_block``'s order: at level k every state holds
+    log v = 0, and one level up log v[u] = logsumexp_b (s ℓ[u, b] +
+    log v[child[u, b]]), with ℓ = log|t| the letters' ``_log_det``; padded
+    branches are -inf.  With ``slopes``, log R, R = -dS/ds, rides beside it:
+    log R[u] = logsumexp_b (s ℓ + logaddexp(log R[child], log(-ℓ) + log v[child])),
+    whose terms are all nonnegative, so nothing cancels.  Every s is one
+    column of a (states, len(s)) array.
+    """
+    _check_level(tree, k)
+    s = np.array(s_values)
+    log_v = np.zeros((int(np.max(tree.levels[k - 1]._child)) + 1, len(s)))
+    log_r = np.full(log_v.shape, -np.inf)
+    # a huge s takes s ℓ, or a sum of them, to -inf, which is refused below;
+    # log(-ℓ) of a padded branch is -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        for tbl in reversed(tree.levels[:k]):
+            real = (np.arange(tbl._child.shape[1]) < tbl._sizes[:, None])[..., None]
+            scaled = np.full((*tbl._child.shape, len(s)), -np.inf)
+            np.multiply(tbl._log_det[..., None], s, out=scaled, where=real)
+            below = log_v[tbl._child]
+            log_v = _log_sum_branches(scaled + below)
+            if slopes:
+                log_rate = np.log(-tbl._log_det)[..., None]
+                log_r = _log_sum_branches(
+                    scaled + np.logaddexp(log_r[tbl._child], log_rate + below))
+    log_sum, log_slope = log_v[tree.root_state], log_r[tree.root_state]
+    lost = np.flatnonzero(log_sum == -np.inf)
+    if lost.size:
+        raise ValueError(f"log phi_s at s = {s_values[lost[0]]!r} overflows the double range")
+    return np.stack([log_sum, log_slope]) if slopes else log_sum
+
+
 def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     """``reduce(log_sigma, points)`` of every block of level-k words, in word order.
 
@@ -818,8 +879,7 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     words is refused, naming the largest level within the cap; word counts
     never decrease with the level, since every state has a child.
     """
-    if not 1 <= k <= tree.depth:
-        raise ValueError(f"k must lie in 1..{tree.depth}, got {k}")
+    _check_level(tree, k)
     counts = tree._suffix_counts(k)
     total = int(counts[0][tree.root_state])
     if total > ENUMERATION_CAP:
@@ -856,18 +916,23 @@ def partition_sums(
     s_values,
     slopes: bool = False,
 ) -> np.ndarray:
-    """log S(k, s) for every s in ``s_values`` in one streamed enumeration.
+    """log S(k, s) for every s in ``s_values`` in one pass.
 
     S(k, s) is the sum over level-k words of phi_s of the composed linear
     part (1 at the empty level k = 0); its log is finite however small S is.
     With ``slopes`` the result is (2, len(s_values)), and row 1 is the log
     of -dS/ds (the right derivative), the slope sum of ``_log_sums``.  A
-    negative or nan s is refused before the first word is enumerated.
+    negative or nan s is refused first, then a k outside 0..depth.  A d = 1
+    tree takes the level transfer product (``_transfer_sums``), which
+    enumerates no word, so ``ENUMERATION_CAP`` does not apply; d >= 2 takes
+    one streamed enumeration.
     """
     s_values = [_exponent(s) for s in s_values]
     if k == 0:  # S = 1 and dS/ds = 0
         zeros = np.zeros(len(s_values))
         return np.stack([zeros, zeros - np.inf]) if slopes else zeros
+    if tree.d == 1:
+        return _transfer_sums(tree, k, s_values, slopes)
     return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes)))
 
 

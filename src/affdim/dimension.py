@@ -4,12 +4,12 @@ The finite-level pressure p_k(s) = log S(k, s) / k is strictly decreasing in
 s for a tree of strict contractions, and convex on each piece [m - 1, m] and
 on [d, inf), so its zero is found by tangent and chord steps, each pass
 reading log S(k, s) and its slope sum at several s at once from the
-log-domain word sums of ``code_tree``.  Under the standard hypotheses (all
-singular values in (0, 1/2)) the attractor dimension equals min(s0, d) for
-typical translation assignments, which the box-counting estimate of an
-enumerated cylinder cloud is expected to reproduce; a large disagreement is
-flagged as a possibly non-generic translation choice rather than silently
-ignored.
+log-domain partition sums of ``code_tree`` (a transfer product in d = 1).
+Under the standard hypotheses (all singular values in (0, 1/2)) the
+attractor dimension equals min(s0, d) for typical translation assignments,
+which the box-counting estimate of an enumerated cylinder cloud is expected
+to reproduce; a large disagreement is flagged as a possibly non-generic
+translation choice rather than silently ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 _MONOTONE_TOL = 1e-10
-# pressure_zero keeps every word's log spectrum in memory up to this many words
+# for d >= 2 pressure_zero keeps every word's log spectrum in memory up to
+# this many words; a d = 1 pass is a transfer product, cheaper than the cache
 _SPECTRUM_CACHE_WORDS = 10**6
 # pressure_zero makes at most this many passes, and reports a zero above
 # max(d, _S_CAP) as _S_CAP, flagged
@@ -116,7 +117,7 @@ class PressureZeroResult:
 
     ``bracket`` is [tangent root, chord root], which holds the level-k zero
     up to rounding in p_k, and ``s0`` lies in it; ``p_bound`` bounds
-    |p_k(s0)|; ``iterations`` counts enumeration passes.  A flagged result
+    |p_k(s0)|; ``iterations`` counts passes.  A flagged result
     (zero at s = 0, above the cap, or not reached) has no such bracket.
     """
 
@@ -144,7 +145,9 @@ def pressure_zero(
     On each piece [m - 1, m], m <= d, and on [d, inf), log phi_s of every word
     is affine in s, so p_k is a log-sum-exp of affine functions there: convex
     as well as decreasing.  Each pass evaluates p_k and its right derivative
-    p_k' at several s in one enumeration.  The first takes s = 0, 1, ..., d,
+    p_k' at several s at once: one transfer product for d = 1, one
+    enumeration for d >= 2, served from a spectrum cache up to
+    ``_SPECTRUM_CACHE_WORDS`` words.  The first takes s = 0, 1, ..., d,
     which picks the piece that holds the zero.  Let a be the largest point
     so far with p > 0 and b the smallest with p <= 0.  The tangent root t of
     p_k at a is then a lower bound on the zero and the chord root c between
@@ -167,7 +170,7 @@ def pressure_zero(
 
     # per-block log spectra when affordable, folded exactly as a streamed pass
     cache = None
-    if tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
+    if d > 1 and tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
         cache = _map_words(tree, k, lambda log_sigma, _: log_sigma)
     points: list[_Point] = []
     passes = 0

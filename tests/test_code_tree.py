@@ -9,6 +9,7 @@ d = 1 the partition sum at s = 1 is the sum of |T_word|.
 
 import itertools
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -28,6 +29,7 @@ from affdim import (
     deterministic_tree,
     enumerate_points,
     partition_sum_mc,
+    parse_system,
     partition_sums,
     sample_graph_sequence,
 )
@@ -38,6 +40,7 @@ from affdim.singular_values import _log_phi, phi_from_singular_values
 
 from conftest import random_contraction
 
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -865,18 +868,19 @@ class TestSharedSuffixes:
 
         np.testing.assert_allclose(word_spectra(tree, k), spectra.T, rtol=1e-13, atol=0)
         assert expanded == keys
+        per_sum = 0 if d == 1 else 1  # d = 1 partition sums take the transfer product, no block
         grid = [0.4, 1.0, 2.2]
         sums = partition_sums(tree, k, grid)
         np.testing.assert_allclose(sums, code_tree._log_sums(spectra, grid), rtol=1e-13, atol=0)
-        assert expanded == 2 * keys
+        assert expanded == (1 + per_sum) * keys
         got_points, got_weights = enumerate_points(tree, k, s=0.7)
         log_w = _log_phi(spectra, 0.7)
         weights = np.exp(log_w - np.max(log_w))
         np.testing.assert_allclose(got_points, points, rtol=1e-13, atol=0)
         np.testing.assert_allclose(got_weights, weights / np.sum(weights), rtol=1e-13, atol=0)
-        assert expanded == 3 * keys
+        assert expanded == (2 + per_sum) * keys
         assert np.array_equal(partition_sums(tree, k, grid), sums)
-        assert expanded == 4 * keys
+        assert expanded == (2 + 2 * per_sum) * keys
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_each_reachable_table_is_joined_once_per_sweep(self, rng, monkeypatch, d):
@@ -925,8 +929,9 @@ class TestSharedSuffixes:
         if d == 1:
             # S(4, 1) sums |t| over the words: (1e-100 + 0.5)^4, and word 0000 is 1e-400
             assert partition_sums(tree, 4, [1.0])[0] == pytest.approx(4 * math.log(0.5), rel=1e-15)
-            assert expanded == [(0, 0, 3, True), (3, 0, 4, True)]
+            assert expanded == []  # the transfer product enumerates no word
             log_sigma = word_spectra(tree, 4)
+            assert expanded == [(0, 0, 3, True), (3, 0, 4, True)]
             assert log_sigma[0, 0] == pytest.approx(-400 * math.log(10.0), rel=1e-15)
             assert np.all(np.isfinite(log_sigma))
             return
@@ -956,6 +961,83 @@ class TestSharedSuffixes:
                           (np.concatenate(got_log_det), log_det),
                           (np.concatenate(got_points, axis=-1), points.T)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def enumerated_sums(tree, k, s_values):
+    """log S(k, s) and the slope row the enumeration gives: ``_log_sums`` of
+    every block's words, folded in word order."""
+    return code_tree._fold(code_tree._map_words(
+        tree, k, lambda log_sigma, _: code_tree._log_sums(log_sigma, s_values, slopes=True)))
+
+
+def refuse_enumeration(*args, **kwargs):
+    raise AssertionError("a d = 1 partition sum enumerated words")
+
+
+def unreachable_state_graph() -> GraphSystem:
+    """Three vertices; only vertex 3 itself sends an edge to vertex 3, so a
+    walk from the root never reaches it."""
+    maps = [AffineMap([[t]], c) for c, t in enumerate((0.4, -0.3, 0.25, 0.2, 0.45, 0.35))]
+    return GraphSystem(3, 1, (
+        GraphLabel("n", 0.4, (GraphEdge(1, 1, maps[0]), GraphEdge(1, 1, maps[1]),
+                              GraphEdge(2, 1, maps[2]), GraphEdge(3, 1, maps[3]))),
+        GraphLabel("s", 0.6, (GraphEdge(1, 2, maps[0]), GraphEdge(1, 2, maps[4]),
+                              GraphEdge(2, 1, maps[5]), GraphEdge(2, 2, maps[1]),
+                              GraphEdge(3, 3, maps[4]), GraphEdge(3, 1, maps[2]))),
+    ))
+
+
+class TestTransferSums:
+    GRID = [0.0, 0.3, 0.7, 1.0, 1.6, 3.0]
+
+    def assert_matches_enumeration(self, monkeypatch, tree, levels):
+        want = {k: enumerated_sums(tree, k, self.GRID) for k in levels}
+        monkeypatch.setattr(code_tree, "_map_words", refuse_enumeration)
+        monkeypatch.setattr(code_tree, "_expand_block", refuse_enumeration)
+        for k in levels:
+            got = partition_sums(tree, k, self.GRID, slopes=True)
+            # where log S nears 0 its error is measured absolutely: 1e-15 in
+            # log S is 1e-15 relative in S
+            np.testing.assert_allclose(got, want[k], rtol=1e-13, atol=1e-15)
+            assert np.array_equal(partition_sums(tree, k, self.GRID), got[0])
+
+    def test_two_vertex_tree_matches_the_enumeration(self, rng, monkeypatch):
+        tree = TestSharedSuffixes.two_vertex_tree(rng, 1)
+        self.assert_matches_enumeration(monkeypatch, tree, range(1, tree.depth + 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_example_graph_matches_the_enumeration(self, monkeypatch, seed):
+        gs = parse_system(str(EXAMPLES / "graph_system.json")).graph
+        tree = build_code_tree(gs, sample_graph_sequence(gs, seed, 10))
+        self.assert_matches_enumeration(monkeypatch, tree, (1, 4, 10))
+
+    def test_unreachable_state_matches_the_enumeration(self, monkeypatch):
+        gs = unreachable_state_graph()
+        tree = build_code_tree(gs, [1, 1, 0, 1, 1, 1, 0, 1])
+        assert all(2 not in level_states(tree, 0, tree.root_state, k).tolist()
+                   for k in range(1, tree.depth + 1))
+        self.assert_matches_enumeration(monkeypatch, tree, range(1, tree.depth + 1))
+
+    def test_deterministic_tree_far_above_the_cap(self, monkeypatch):
+        # 3^40 words; S(40, s) = (sum_i |t_i|^s)^40, below the smallest double at s = 20
+        t = np.array([0.2, -0.35, 0.1])
+        fam = IfsFamily("line", tuple(AffineMap([[x]], c) for c, x in enumerate(t)))
+        tree = deterministic_tree(fam, 40)
+        assert tree.word_count(40) > code_tree.ENUMERATION_CAP
+        monkeypatch.setattr(code_tree, "_map_words", refuse_enumeration)
+        monkeypatch.setattr(code_tree, "_expand_block", refuse_enumeration)
+        grid = [0.0, 0.5, 1.0, 2.5, 20.0]
+        got = partition_sums(tree, 40, grid, slopes=True)
+        one = np.array([np.sum(np.abs(t) ** s) for s in grid])
+        rate = np.array([np.sum(np.abs(t) ** s * -np.log(np.abs(t))) for s in grid])
+        np.testing.assert_allclose(got[0], 40 * np.log(one), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got[1], 39 * np.log(one) + np.log(40 * rate), rtol=1e-13, atol=0)
+        assert math.exp(got[0, -1]) == 0.0
+
+    def test_overflowing_exponent_is_refused_quietly(self):
+        tree = deterministic_tree(thirds_family(), 3)
+        with pytest.raises(ValueError, match=r"^log phi_s at s = 1e\+308 overflows the double range$"):
+            partition_sums(tree, 3, [1.0, 1e308, math.inf], slopes=True)
 
 
 def per_word_blocks(tree, k, fold):

@@ -311,6 +311,29 @@ class TestTangentAndChord:
         assert res.flag is None
         assert res.iterations == len(passes) <= 3
 
+    def test_one_dimensional_search_builds_no_cache(self, rng, monkeypatch):
+        # 3^7 words fit the spectrum cache, but a d = 1 pass is a transfer product
+        t = rng.uniform(0.1, 0.45, size=3) * rng.choice([-1.0, 1.0], size=3)
+        tree = family_tree([np.array([[x]]) for x in t], 7)
+        assert tree.word_count(7) <= dimension._SPECTRUM_CACHE_WORDS
+        passes = []
+        counted = dimension.partition_sums
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return counted(*args, **kwargs)
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("pressure_zero built a spectrum cache")
+
+        monkeypatch.setattr(dimension, "partition_sums", counting)
+        monkeypatch.setattr(dimension, "_map_words", enumerate_nothing)
+        res = pressure_zero(tree, 7, tol=1e-10)
+        assert res.flag is None
+        assert res.iterations == len(passes)
+        zero = bisect(lambda s: math.log(np.sum(np.abs(t) ** s)), 0.0, 64.0)
+        assert abs(res.s0 - zero) <= 1e-9
+
 
 # ---------------------------------------------------------------------------
 # box counting

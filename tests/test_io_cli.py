@@ -1208,6 +1208,21 @@ class TestCli:
         for s, p, _ in rows:
             assert p == pytest.approx(s * math.log(0.3), rel=1e-13)
 
+    def test_one_dimensional_pressure_far_above_the_cap(self, tmp_path, capsys):
+        # 2^700 words: the d = 1 partition sums are a transfer product, so
+        # p(s) = log(0.2^s + 0.45^s) at every k and the diagnostic is rounding
+        two = {"d": 1, "bounds": {"sigma_lo": 0.2, "sigma_hi": 0.45},
+               "families": [{"label": "two", "maps": [{"T": [[0.2]]}, {"T": [[-0.45]]}]}]}
+        rc = cli(["pressure", doc_path(tmp_path, two), "--k", "700", "--grid", "5"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]]
+        assert [s for s, _, _ in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for s, p, diag in rows:
+            assert p == pytest.approx(math.log(0.2**s + 0.45**s), rel=1e-13)
+            assert diag <= 1e-12 * abs(p)
+
     def test_second_singular_value_below_the_smallest_double(self, tmp_path, capsys):
         # diag(0.3, 0.001)^120 has sigma_2 = 1e-360, below the smallest double,
         # but log sigma_2 is the sum of the letters' log|det| less log sigma_1
