@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"argument --trials: must be at least 1, got {args.trials}")
 
     rng = np.random.default_rng(args.seed)
     stages: dict[str, int] = {}

@@ -31,6 +31,9 @@ def main(argv=None) -> int:
     parser.add_argument("--thinning", type=int, default=1, help="keep every t-th neck")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    for flag in ("length", "thinning"):
+        if getattr(args, flag) < 1:
+            parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
 
     spec = parse_system(args.doc)
     gs = spec.graph

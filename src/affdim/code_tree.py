@@ -157,17 +157,6 @@ class AffineMap:
     def sigma_min(self) -> float:
         return float(self.sigma[-1])
 
-    def __eq__(self, other):
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return (
-            self.translation_class == other.translation_class
-            and np.array_equal(self.T, other.T)
-            and np.array_equal(self.a, other.a)
-        )
-
-    __hash__ = None
-
 
 @dataclass(frozen=True)
 class IfsFamily:
@@ -265,10 +254,6 @@ class GraphSystem:
             )
 
     @property
-    def d(self) -> int:
-        return self.labels[0].edges[0].map.d
-
-    @property
     def mu(self) -> np.ndarray:
         return np.array([g.prob for g in self.labels], dtype=float)
 
@@ -330,13 +315,6 @@ class _LevelTable:
         object.__setattr__(self, "_log_det", log_det)
         object.__setattr__(self, "_child", child)
 
-    def __eq__(self, other):
-        if not isinstance(other, _LevelTable):
-            return NotImplemented
-        return self.families == other.families and self.children == other.children
-
-    __hash__ = None
-
 
 @dataclass(frozen=True, eq=False)
 class CodeTreeRealization:
@@ -377,14 +355,6 @@ class CodeTreeRealization:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def __eq__(self, other):
-        if not isinstance(other, CodeTreeRealization):
-            return NotImplemented
-        return (self.root_state, self.necks, self.levels) == (
-            other.root_state, other.necks, other.levels)
-
-    __hash__ = None
 
     def word_count(self, k: int) -> int:
         counts = self._suffix_counts(k)
@@ -454,31 +424,15 @@ def detect_necks(g, gs: GraphSystem, thinning: int = 1) -> tuple[int, ...]:
     return tuple(raw[thinning - 1 :: thinning])
 
 
-def build_code_tree(
-    gs: GraphSystem,
-    g,
-    start_vertex: int | None = None,
-    depth: int | None = None,
-    thinning: int = 1,
-) -> CodeTreeRealization:
-    """Realize the code tree of a label sequence, walking from ``start_vertex``.
+def build_code_tree(gs: GraphSystem, g) -> CodeTreeRealization:
+    """Realize the code tree of a label sequence, walking from the root vertex.
 
     Level n of the tree uses the out-families of graph ``g[n]``; the state of
-    a node is the vertex its path has walked to.
+    a node is the vertex its path has walked to, and every neck is kept.
     """
     g = np.asarray(g, dtype=int)
-    if depth is None:
-        depth = len(g)
-    if depth > len(g):
-        raise ValueError(f"requested depth {depth} exceeds sequence length {len(g)}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    v = gs.v0 if start_vertex is None else int(start_vertex)
-    if not 1 <= v <= gs.V:
-        raise ValueError(f"start vertex {v} outside 1..{gs.V}")
-
     tables: dict[int, _LevelTable] = {}
-    for li in sorted(set(int(x) for x in g[:depth])):
+    for li in sorted(set(int(x) for x in g)):
         fams, childs = [], []
         for vertex in range(1, gs.V + 1):
             fam, targets = gs.out_family(li, vertex)
@@ -487,8 +441,7 @@ def build_code_tree(
             childs.append(tuple(t - 1 for t in targets))
         tables[li] = _LevelTable(tuple(fams), tuple(childs))
 
-    necks = tuple(n for n in detect_necks(g, gs, thinning) if n <= depth)
-    return CodeTreeRealization(tuple(tables[int(x)] for x in g[:depth]), v - 1, necks)
+    return CodeTreeRealization(tuple(tables[int(x)] for x in g), gs.v0 - 1, detect_necks(g, gs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "ExteriorVector",
     "CompoundMatrix",
-    "multi_indices",
     "wedge",
     "compound_matrix",
 ]
@@ -56,8 +54,9 @@ def _require_grade(d: int, m) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def multi_indices(d: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """All strictly ascending m-tuples over {1, ..., d}, lexicographically."""
+def _blade_labels(d: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The grade-m blade labels: all strictly ascending m-tuples over {1, ..., d},
+    lexicographically."""
     d = _require_dim(d)
     m = _require_grade(d, m)
     return tuple(itertools.combinations(range(1, d + 1), m))
@@ -65,13 +64,13 @@ def multi_indices(d: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _positions(d: int, m: int) -> dict[tuple[int, ...], int]:
-    return {J: r for r, J in enumerate(multi_indices(d, m))}
+    return {J: r for r, J in enumerate(_blade_labels(d, m))}
 
 
 @functools.lru_cache(maxsize=None)
 def _rows_array(d: int, m: int) -> np.ndarray:
     """0-based row-selection table of shape (C(d,m), m)."""
-    idx = multi_indices(d, m)
+    idx = _blade_labels(d, m)
     out = np.zeros((len(idx), m), dtype=np.intp)
     for r, J in enumerate(idx):
         out[r] = np.asarray(J, dtype=np.intp) - 1
@@ -85,7 +84,7 @@ def _extension_table(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     For each target blade L of grade m+1 and each slot t, the coordinate of
     v ^ x at L picks up ``sign * v[L minus its t-th entry] * x[t-th entry]``.
     """
-    targets = multi_indices(d, m + 1)
+    targets = _blade_labels(d, m + 1)
     pos_m = _positions(d, m)
     n, w = len(targets), m + 1
     sources = np.zeros((n, w), dtype=np.intp)
@@ -99,32 +98,6 @@ def _extension_table(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
             signs[r, t] = -1.0 if (m - t) % 2 else 1.0
     return sources, axes, signs
 
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A strictly ascending tuple of axis labels in {1, ..., d}."""
-
-    d: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        d = _require_dim(self.d)
-        entries = tuple(int(i) for i in self.entries)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", entries)
-        if any(not 1 <= i <= d for i in entries):
-            raise ValueError(f"entries out of range [1, {d}]: {entries}")
-        if any(a >= b for a, b in zip(entries, entries[1:])):
-            raise ValueError(f"entries must be strictly ascending: {entries}")
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    @property
-    def position(self) -> int:
-        """Lexicographic rank among all grade-m multi-indices."""
-        return _positions(self.d, self.m)[self.entries]
 
 @dataclass(frozen=True, eq=False)
 class ExteriorVector:
@@ -148,18 +121,8 @@ class ExteriorVector:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coords", coords)
 
-    @classmethod
-    def basis_blade(cls, d: int, entries) -> "ExteriorVector":
-        J = MultiIndex(d, tuple(entries))
-        coords = np.zeros(math.comb(d, J.m))
-        coords[J.position] = 1.0
-        return cls(d, J.m, coords)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
-
-    def coefficient(self, entries) -> float:
-        return float(self.coords[MultiIndex(self.d, tuple(entries)).position])
 
     def __repr__(self) -> str:
         return f"ExteriorVector(d={self.d}, m={self.m}, {np.array2string(self.coords, precision=6)})"
@@ -180,14 +143,6 @@ class CompoundMatrix:
             raise ValueError(f"compound of grade {self.m} over R^{self.d} must be {n} x {n}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-
-    def apply(self, v: ExteriorVector) -> ExteriorVector:
-        if (v.d, v.m) != (self.d, self.m):
-            raise ValueError(
-                f"grade/dimension mismatch: compound is (d={self.d}, m={self.m}), "
-                f"vector is (d={v.d}, m={v.m})"
-            )
-        return ExteriorVector(self.d, self.m, self.entries @ v.coords)
 
 
 def _wedge_batch(factors: np.ndarray) -> np.ndarray:

@@ -120,9 +120,6 @@ class LinearFamily:
     def __len__(self) -> int:
         return len(self.maps)
 
-    def __iter__(self):
-        return iter(self.maps)
-
 
 class VerdictKind(enum.Enum):
     CERTIFIED_PASS = "CertifiedPass"
@@ -284,16 +281,17 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
+def _batches(samples: int, seed):
+    """The seeded sample walk, ``_BATCH`` draws at a time: (draws before the
+    batch, its size, its generator ``_rng_for(seed, batch index)``)."""
+    for index, done in enumerate(range(0, samples, _BATCH)):
+        yield done, min(_BATCH, samples - done), _rng_for(seed, index)
+
+
 def _sampled_blades(d: int, m: int, samples: int, seed):
     """Seeded Gaussian candidate batches: (draws before the batch, coords, factors)."""
-    done = 0
-    batch_index = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        factors = _rng_for(seed, batch_index).standard_normal((b, d, m))
-        yield (done, *_coords_of_factors(factors))
-        done += b
-        batch_index += 1
+    for done, b, rng in _batches(samples, seed):
+        yield (done, *_coords_of_factors(rng.standard_normal((b, d, m))))
 
 
 def _annihilating_witness(
@@ -502,11 +500,7 @@ def check_cs(
     CCs = [_normalized_compounds(fam, g) for g in grades]
 
     worst = math.inf
-    done = 0
-    batch_index = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        rng = _rng_for(seed, batch_index)
+    for done, b, rng in _batches(samples, seed):
         X = rng.standard_normal((b, d, m + 1))
         Y = rng.standard_normal((b, d, m + 1))
         vs = [_wedge_batch(X[:, :, :g]) for g in grades]
@@ -534,8 +528,6 @@ def check_cs(
                 reason="no single map pairs both grades for a sampled quadruple",
             )
         worst = min(worst, float(np.min(joint, initial=math.inf)))
-        done += b
-        batch_index += 1
 
     return Verdict(kind=VerdictKind.EMPIRICAL_PASS, m=m, s=s, samples=samples, margin=worst)
 

@@ -83,7 +83,6 @@ __all__ = [
     "SystemSpec",
     "SystemSpecError",
     "parse_system",
-    "serialize_system",
     "bind_translations",
     "cli",
     "main",
@@ -108,11 +107,9 @@ class SystemSpec:
 
     ``translations`` is None until vectors are bound (explicitly in the file
     or via :func:`bind_translations`); maps then carry their bound ``a``.
-    ``doc`` is the canonical document the spec was built from: float
-    matrices, an explicit translation class per map, translations keyed by
-    class in class order, and edges by map index.  Serialization writes it
-    and equality compares it.  Only the document builder sets it, so a spec
-    constructed directly has no ``doc`` and cannot be compared or serialized.
+    ``doc`` is the decoded JSON document the spec was built from, which
+    :func:`bind_translations` rebuilds with drawn translations; only the
+    document builder sets it.
     """
 
     d: int
@@ -121,10 +118,6 @@ class SystemSpec:
     translations: dict[int, np.ndarray] | None = None
     graph: GraphSystem | None = None
     doc: dict = field(init=False, repr=False)
-
-    @property
-    def bound(self) -> bool:
-        return self.translations is not None
 
     def family(self, key: str | int | None) -> IfsFamily:
         """Select a family by label, by integer index, or the first one."""
@@ -142,13 +135,6 @@ class SystemSpec:
         if not 0 <= idx < len(self.families):
             raise SystemSpecError("families", f"family index {idx} outside 0..{len(self.families) - 1}")
         return self.families[idx]
-
-    def __eq__(self, other):
-        if not isinstance(other, SystemSpec):
-            return NotImplemented
-        return self.doc == other.doc
-
-    __hash__ = None
 
 
 def _object(raw, where: str, required: tuple, optional: tuple = ()) -> dict:
@@ -224,7 +210,7 @@ def parse_system(source) -> SystemSpec:
 
 
 def _build(doc: dict) -> SystemSpec:
-    """The spec of a decoded JSON document, with its canonical form as ``doc``.
+    """The spec of a decoded JSON document, which it keeps as ``doc``.
 
     Every field is read through ``_object``, ``_array``, ``_integer`` or
     ``_numbers``, so a malformed document is refused at the field being read.
@@ -240,7 +226,6 @@ def _build(doc: dict) -> SystemSpec:
         raise SystemSpecError("bounds.sigma_hi", f"must be at most 1, got {hi!r}")
     if not lo <= hi:
         raise SystemSpecError("bounds", f"sigma_lo = {lo!r} exceeds sigma_hi = {hi!r}")
-    canon: dict = {"d": d, "bounds": {"sigma_lo": lo, "sigma_hi": hi}, "families": []}
 
     translations = None
     if "translations" in doc:
@@ -307,9 +292,6 @@ def _build(doc: dict) -> SystemSpec:
             families.append(IfsFamily(label, tuple(maps)))
         except ValueError as exc:
             raise SystemSpecError(f"families[{i}]", str(exc)) from exc
-        canon["families"].append({"label": label, "maps": [
-            {"T": m.T.tolist(), "translation_class": m.translation_class} for m in maps
-        ]})
 
     if translations is not None:
         stray = sorted(set(translations) - classes_used)
@@ -317,7 +299,6 @@ def _build(doc: dict) -> SystemSpec:
             raise SystemSpecError(
                 "translations", f"classes {stray} are not used by any map (typo?)"
             )
-        canon["translations"] = {str(c): translations[c].tolist() for c in sorted(translations)}
 
     graph = None
     if "graph" in doc:
@@ -329,7 +310,6 @@ def _build(doc: dict) -> SystemSpec:
                 f"expected one label per family ({len(families)}), got {len(gdoc['labels'])}",
             )
         glabels = []
-        canon_labels = []
         for i, ldoc in enumerate(gdoc["labels"]):
             fam = families[i]
             ldoc = _object(ldoc, f"graph.labels[{i}]", ("prob", "edges"))
@@ -337,7 +317,6 @@ def _build(doc: dict) -> SystemSpec:
             if prob < 0.0:
                 raise SystemSpecError(f"graph.labels[{i}].prob", f"must be nonnegative, got {prob!r}")
             edges = []
-            canon_edges = []
             first_use = {}  # (vertex, map index) -> the edge that first used it
             for j, edoc in enumerate(_array(ldoc["edges"], f"graph.labels[{i}].edges")):
                 where = f"graph.labels[{i}].edges[{j}]"
@@ -353,24 +332,16 @@ def _build(doc: dict) -> SystemSpec:
                         "a vertex's out-edges under one label need distinct maps",
                     )
                 edges.append(edge)
-                canon_edges.append({"from": edge.source, "to": edge.target, "map": idx})
             glabels.append(GraphLabel(fam.label, prob, tuple(edges)))
-            canon_labels.append({"prob": prob, "edges": canon_edges})
         try:
             graph = GraphSystem(V, v0, tuple(glabels))
         except ValueError as exc:
             raise SystemSpecError("graph", str(exc)) from exc
-        canon["graph"] = {"V": graph.V, "v0": graph.v0, "labels": canon_labels}
 
     spec = SystemSpec(d=d, families=tuple(families), bounds=(lo, hi),
                       translations=translations, graph=graph)
-    object.__setattr__(spec, "doc", canon)
+    object.__setattr__(spec, "doc", doc)
     return spec
-
-
-def serialize_system(spec: SystemSpec) -> str:
-    """Canonical JSON text; ``parse_system(serialize_system(s)) == s``."""
-    return json.dumps(spec.doc, indent=2) + "\n"
 
 
 def bind_translations(spec: SystemSpec, seed=0) -> SystemSpec:
@@ -650,10 +621,7 @@ def cli(argv=None) -> int:
             parser.error(f"argument --{flag.replace('_', '-')}: must be finite, got {value}")
     try:
         return args.handler(args)
-    except UnsupportedEigenstructure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (HypothesisViolation, EnumerationCapExceeded) as exc:
+    except (UnsupportedEigenstructure, HypothesisViolation, EnumerationCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:

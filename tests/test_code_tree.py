@@ -124,12 +124,10 @@ class TestAffineMap:
         assert math.isclose(m.sigma_max(), 0.5)
         assert math.isclose(m.sigma_min(), 0.2)
 
-    def test_with_translation_and_eq(self):
-        m = AffineMap(0.5 * np.eye(2), 3)
+    def test_with_translation(self):
         shifted = AffineMap(0.5 * np.eye(2), 3, [1.0, -1.0])
         assert shifted.translation_class == 3
-        assert shifted != m
-        assert shifted == AffineMap(0.5 * np.eye(2), 3, [1.0, -1.0])
+        np.testing.assert_array_equal(shifted.a, [1.0, -1.0])
 
 
 class TestIfsFamily:
@@ -159,7 +157,6 @@ class TestIfsFamily:
 class TestGraphSystem:
     def test_walk_graph_properties(self):
         gs = walk_graph()
-        assert gs.d == 1
         np.testing.assert_allclose(gs.mu, [0.3, 0.7])
         assert gs.neck_label_indices() == (0,)
         assert math.isclose(gs.neck_probability(), 0.3)
@@ -291,7 +288,7 @@ class TestDeterministicTree:
         loop = GraphLabel(fam.label, 1.0, tuple(GraphEdge(1, 1, m) for m in fam.maps))
         graph_tree = build_code_tree(GraphSystem(1, 1, (loop,)), np.zeros(5))
         tree = deterministic_tree(fam, 5)
-        assert tree == graph_tree
+        assert (graph_tree.root_state, graph_tree.necks) == (tree.root_state, tree.necks)
         # reference: the constant tree laid out directly, one level table shared by all levels
         table = code_tree._LevelTable((fam,), ((0,) * fam.size,))
         by_hand = CodeTreeRealization((table,) * 5, necks=(1, 2, 3, 4, 5))
@@ -506,26 +503,25 @@ class TestBuildCodeTree:
     def test_level_zero_counts_one_word_from_any_root(self):
         # level 0 holds the empty word alone, also when the root is not state 0
         # (its count was once sized for one state and raised IndexError here)
-        tree = build_code_tree(walk_graph(), [1, 1, 0, 1], start_vertex=2)
+        gs, g = walk_graph(), [1, 1, 0, 1]
+        tree = CodeTreeRealization(build_code_tree(gs, g).levels, 1, detect_necks(g, gs))
         assert tree.root_state == 1
         assert [tree.word_count(k) for k in range(5)] == [1, 1, 1, 1, 2]
         assert partition_sums(tree, 0, [0.5]).tolist() == [0.0]
 
-    def test_depth_cannot_exceed_sequence(self):
-        gs = walk_graph()
-        with pytest.raises(ValueError, match="depth"):
-            build_code_tree(gs, [0, 1], depth=3)
-
     def test_start_vertex_validated(self):
-        gs = walk_graph()
-        with pytest.raises(ValueError, match="vertex"):
-            build_code_tree(gs, [0, 1], start_vertex=5)
+        # a tree walked from another vertex is realized with that root state
+        levels = build_code_tree(walk_graph(), [0, 1]).levels
+        with pytest.raises(ValueError, match="root state 4 missing from level 0"):
+            CodeTreeRealization(levels, 4)
 
     def test_thinning_drops_intermediate_necks(self):
         gs = walk_graph()
         g = [0, 1, 0, 0, 1, 0]
-        assert build_code_tree(gs, g).necks == (1, 3, 4, 6)
-        assert build_code_tree(gs, g, thinning=2).necks == (3, 6)
+        tree = build_code_tree(gs, g)
+        assert tree.necks == (1, 3, 4, 6)
+        thinned = CodeTreeRealization(tree.levels, tree.root_state, detect_necks(g, gs, thinning=2))
+        assert thinned.necks == (3, 6)
 
     def test_family_beyond_neck_depends_only_on_suffix(self):
         gs = walk_graph()
@@ -1542,9 +1538,3 @@ class TestRealizationValidation:
         tree = deterministic_tree(thirds_family(), 3)
         with pytest.raises(ValueError, match="increasing"):
             CodeTreeRealization(tree.levels, necks=(2, 2))
-
-    def test_tree_equality(self):
-        a = deterministic_tree(thirds_family(), 3)
-        b = deterministic_tree(thirds_family(), 3)
-        assert a == b
-        assert a != deterministic_tree(thirds_family(), 2)

@@ -50,7 +50,7 @@ def annihilation_residual(fam, witness):
     v, w = witness.v, witness.w
     scale = v.norm() * w.norm()
     worst = 0.0
-    for S in fam:
+    for S in fam.maps:
         img = compound_matrix(S, v.m).entries @ v.coords
         worst = max(
             worst,
@@ -90,7 +90,7 @@ class TestLinearFamily:
     def test_len_and_iter(self):
         fam = LinearFamily.from_matrices([np.eye(2), ROT90])
         assert len(fam) == 2
-        assert all(M.shape == (2, 2) for M in fam)
+        assert all(M.shape == (2, 2) for M in fam.maps)
 
     def test_maps_are_read_only(self):
         mats = [np.eye(2), ROT90, UPPER_A]
@@ -696,7 +696,7 @@ class TestCheckCs:
             )
 
         joint = max(
-            min(pairing(S, wit.v, wit.w), pairing(S, wit.v_wedge, wit.w_wedge)) for S in fam
+            min(pairing(S, wit.v, wit.w), pairing(S, wit.v_wedge, wit.w_wedge)) for S in fam.maps
         )
         assert math.isclose(joint, verdict.margin, rel_tol=1e-9)
 

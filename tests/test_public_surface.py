@@ -1,0 +1,76 @@
+"""Every public name is reached by a pipeline.
+
+A name in ``affdim.__all__`` stays only if a pipeline (the CLI, a script or
+another module) reaches it.  It passes when one of these holds:
+
+- it appears as a word in another ``src/affdim`` module, a script, the
+  benchmark harness (``perfbench/*.py``) or ``tests/test_acceptance.py``;
+- it is listed in ``REACHED_THROUGH`` beside a function of its own module
+  that is reached as above and whose source names it: the function returns
+  or raises it, or calls it;
+- it is in ``AWAITING_PIPELINE``, the test-only code that ROADMAP item 6
+  connects to ``dim``: random trees and the probabilistic C(s).
+"""
+
+import inspect
+import pathlib
+import re
+import sys
+
+import pytest
+
+import affdim
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = ("code_tree", "dimension", "exterior_algebra", "fs_checker", "io_cli", "singular_values")
+
+# name -> the function of its module that returns, raises or calls it
+REACHED_THROUGH = {
+    "build_code_tree": "deterministic_tree",
+    "PressureCurve": "pressure_curve",
+    "PressureZeroResult": "pressure_zero",
+    "BoxCountFit": "box_dimension",
+    "DimensionReport": "dimension_report",
+    "CompoundMatrix": "compound_matrix",
+    "FailWitness": "check_cs",
+    "CriterionReport": "criterion_cscm",
+    "SystemSpec": "parse_system",
+    "SystemSpecError": "parse_system",
+}
+
+# ROADMAP item 6: reached only by tests until a graph document's ``dim`` uses them
+AWAITING_PIPELINE = {"partition_sum_mc", "count_full_blocks", "estimate_fullness", "FullnessEstimate"}
+
+
+def _outside_texts(module: str) -> list[str]:
+    paths = [p for p in (ROOT / "src" / "affdim").glob("*.py") if p.stem != module]
+    paths += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    return [p.read_text(encoding="utf-8") for p in paths]
+
+
+def _names_word(text: str, name: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
+def _reached(module: str, name: str) -> bool:
+    return any(_names_word(text, name) for text in _outside_texts(module))
+
+
+PUBLIC = [(module, name) for module in MODULES for name in sys.modules[f"affdim.{module}"].__all__]
+
+
+@pytest.mark.parametrize("module, name", PUBLIC, ids=[name for _, name in PUBLIC])
+def test_public_name_is_reached(module, name):
+    if name in AWAITING_PIPELINE or _reached(module, name):
+        return
+    via = REACHED_THROUGH.get(name)
+    assert via is not None, f"{module}.{name}: no pipeline reaches it"
+    assert _reached(module, via), f"{module}.{name}: listed beside {via}, which no pipeline reaches"
+    source = inspect.getsource(getattr(sys.modules[f"affdim.{module}"], via))
+    assert _names_word(source, name), f"{module}.{name}: {via} neither returns, raises nor calls it"
+
+
+def test_listings_name_public_names():
+    stale = (set(REACHED_THROUGH) | set(REACHED_THROUGH.values()) | AWAITING_PIPELINE) - set(affdim.__all__)
+    assert not stale

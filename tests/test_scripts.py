@@ -2,7 +2,8 @@
 
 Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, as
 a user would run it from a checkout, and must exit 0 with some output and
-leave nothing behind in its temporary directory.
+leave nothing behind in its temporary directory.  A count below 1 is a
+usage error, exit 2, as in the CLI.
 """
 
 import os
@@ -15,6 +16,18 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env["TMPDIR"] = str(tmp_path)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120, cwd=ROOT,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -24,15 +37,22 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    env["TMPDIR"] = str(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120, cwd=ROOT,
-    )
+    proc = run_script(script, args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "script, flag",
+    [
+        ("genericity_experiment.py", "--trials"),
+        ("neck_gap_stats.py", "--length"),
+        ("neck_gap_stats.py", "--thinning"),
+    ],
+)
+def test_counts_below_one_are_refused(script, flag, tmp_path):
+    proc = run_script(script, [flag, "0"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
