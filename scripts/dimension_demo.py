@@ -35,6 +35,9 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=6, help="pressure block length (default 6)")
     parser.add_argument("--seeds", type=int, default=1, help="number of translation bindings")
     args = parser.parse_args(argv)
+    for flag in ("depth", "k", "seeds"):
+        if getattr(args, flag) < 1:
+            parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
 
     spec = parse_system(args.doc)
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from affdim import UnsupportedEigenstructure, criterion_cscm
+from affdim.exterior_algebra import MAX_DIM
 
 
 def random_diagonalizable(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -33,8 +34,11 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.trials < 1:
-        parser.error(f"argument --trials: must be at least 1, got {args.trials}")
+    for flag in ("d", "trials"):
+        if getattr(args, flag) < 1:
+            parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
+    if args.d > MAX_DIM:
+        parser.error(f"argument --d: must be at most {MAX_DIM}, got {args.d}")
 
     rng = np.random.default_rng(args.seed)
     stages: dict[str, int] = {}

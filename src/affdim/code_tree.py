@@ -918,9 +918,9 @@ def partition_sum_mc(
         logw += np.log(sz)
         states, word = _advance(tbl, states, word, pick)
     vals = np.exp(_log_phi(_log_spectra(_entry_major(word[0]), word[1], k), s)) * np.exp(logw)
-    est = float(np.mean(vals))
-    err = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return est, err
+    # deviations from the first sample: equal samples give it back with err 0 exactly
+    dev = vals - vals[0]
+    return float(vals[0] + np.mean(dev)), float(np.std(dev, ddof=1) / math.sqrt(samples))
 
 
 def enumerate_points(

@@ -14,7 +14,10 @@ ordered lexicographically.  In this basis:
 
 Everything is computed with explicit dense minors.  That is exact enough, and
 fast, for the ambient dimensions this package targets; blade counts grow like
-C(d, d//2), so construction is refused above ``MAX_DIM``.
+C(d, d//2), so construction is refused above ``MAX_DIM``.  The blade order
+has one home, ``_rows_array``, and blade coordinates with their signs have
+one rule, ``_wedge_batch``; every wedge, compound and extension of a blade
+by a vector goes through both.
 """
 
 from __future__ import annotations
@@ -54,49 +57,14 @@ def _require_grade(d: int, m) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _blade_labels(d: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """The grade-m blade labels: all strictly ascending m-tuples over {1, ..., d},
-    lexicographically."""
+def _rows_array(d: int, m: int) -> np.ndarray:
+    """The grade-m blades, lexicographically, as a read-only 0-based
+    row-selection table of shape (C(d, m), m)."""
     d = _require_dim(d)
     m = _require_grade(d, m)
-    return tuple(itertools.combinations(range(1, d + 1), m))
-
-
-@functools.lru_cache(maxsize=None)
-def _positions(d: int, m: int) -> dict[tuple[int, ...], int]:
-    return {J: r for r, J in enumerate(_blade_labels(d, m))}
-
-
-@functools.lru_cache(maxsize=None)
-def _rows_array(d: int, m: int) -> np.ndarray:
-    """0-based row-selection table of shape (C(d,m), m)."""
-    idx = _blade_labels(d, m)
-    out = np.zeros((len(idx), m), dtype=np.intp)
-    for r, J in enumerate(idx):
-        out[r] = np.asarray(J, dtype=np.intp) - 1
+    out = np.array(list(itertools.combinations(range(d), m)), dtype=np.intp)
+    out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _extension_table(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables for appending one vector to a grade-m element.
-
-    For each target blade L of grade m+1 and each slot t, the coordinate of
-    v ^ x at L picks up ``sign * v[L minus its t-th entry] * x[t-th entry]``.
-    """
-    targets = _blade_labels(d, m + 1)
-    pos_m = _positions(d, m)
-    n, w = len(targets), m + 1
-    sources = np.zeros((n, w), dtype=np.intp)
-    axes = np.zeros((n, w), dtype=np.intp)
-    signs = np.zeros((n, w))
-    for r, L in enumerate(targets):
-        for t in range(w):
-            sub = L[:t] + L[t + 1 :]
-            sources[r, t] = pos_m[sub]
-            axes[r, t] = L[t] - 1
-            signs[r, t] = -1.0 if (m - t) % 2 else 1.0
-    return sources, axes, signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +88,6 @@ class ExteriorVector:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coords", coords)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __repr__(self) -> str:
-        return f"ExteriorVector(d={self.d}, m={self.m}, {np.array2string(self.coords, precision=6)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +142,6 @@ def wedge(vectors) -> ExteriorVector:
         raise ValueError(f"cannot wedge {m} vectors in R^{d}")
     coords = _wedge_batch(np.column_stack(cols)[None])[0]
     return ExteriorVector(d, m, coords)
-
-
-def _wedge_with_vector(v: ExteriorVector, x) -> ExteriorVector:
-    # append a single vector on the right: v ^ x, grade m -> m+1
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (v.d,):
-        raise ValueError(f"extension vector must live in R^{v.d}")
-    if v.m >= v.d:
-        raise ValueError("cannot extend a top-grade element")
-    sources, axes, signs = _extension_table(v.d, v.m)
-    coords = np.sum(signs * v.coords[sources] * x[axes], axis=1)
-    return ExteriorVector(v.d, v.m + 1, coords)
 
 
 def _compounds(stack: np.ndarray, m: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .exterior_algebra import (
     _compounds,
     _rows_array,
     _wedge_batch,
-    _wedge_with_vector,
     compound_matrix,
 )
 from .singular_values import _nonsingular_spectra, phi_from_singular_values
@@ -401,29 +400,24 @@ def check_cm(
 
 
 def _extend_to_quadruple(d: int, m: int, wit: FailWitness) -> FailWitness:
-    """Lift a grade-m witness to a C(s) quadruple by wedging on basis vectors."""
+    """Lift a grade-m witness to a C(s) quadruple: each of v and w is wedged
+    with the first basis vector e_j that gives the extension of largest norm."""
+    eye = np.eye(d)
+    n = math.comb(d, m)
+    # factors of e_I ^ e_j for every basis vector j and grade-m blade I: (d, n, d, m + 1)
+    factors = np.concatenate(
+        [np.broadcast_to(eye[:, _rows_array(d, m)].transpose(1, 0, 2), (d, n, d, m)),
+         np.broadcast_to(eye[:, None, :, None], (d, n, d, 1))],
+        axis=3,
+    )
+    basis = _wedge_batch(factors.reshape(d * n, d, m + 1)).reshape(d, n, -1)
 
     def best_extension(x: ExteriorVector) -> ExteriorVector:
-        best, best_norm = None, -1.0
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            cand = _wedge_with_vector(x, e)
-            nn = cand.norm()
-            if nn > best_norm:
-                best, best_norm = cand, nn
-        return best
+        ext = np.einsum("i,jil->jl", x.coords, basis)  # row j is x ^ e_j
+        j = max(range(d), key=lambda i: np.linalg.norm(ext[i]))
+        return ExteriorVector(d, m + 1, ext[j])
 
-    return FailWitness(
-        m=m,
-        v=wit.v,
-        w=wit.w,
-        w_decomposable=wit.w_decomposable,
-        v_factors=wit.v_factors,
-        w_factors=wit.w_factors,
-        v_wedge=best_extension(wit.v),
-        w_wedge=best_extension(wit.w),
-    )
+    return replace(wit, v_wedge=best_extension(wit.v), w_wedge=best_extension(wit.w))
 
 
 def _split_quadruple(d: int, m: int, wit: FailWitness) -> FailWitness:

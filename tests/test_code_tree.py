@@ -1351,6 +1351,20 @@ class TestPartitionSumMc:
         assert err == 0.0
         assert math.log(est) == pytest.approx(partition_sums(tree, 6, [1.0])[0], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "d, r, s",
+        [(1, 0.3, 0.7), (2, 0.3, 0.7), (1, 0.15, 0.5), (2, 0.2, 1.5), (1, 1.0 / 3.0, 1.0), (2, 0.45, 2.0)],
+    )
+    def test_equal_samples_give_the_sample_with_zero_error(self, d, r, s):
+        # three copies of r * I: every sample is 3^6 phi_s(r^6 I), and the
+        # estimate is that sample, not a mean rounded an ulp away from it
+        fam = IfsFamily("sim", tuple(AffineMap(r * np.eye(d), c, np.full(d, c / 3)) for c in range(3)))
+        tree = deterministic_tree(fam, 6)
+        est, err = partition_sum_mc(tree, 6, s, samples=500, seed=0)
+        assert err == 0.0
+        assert est == partition_sum_mc(tree, 6, s, samples=2, seed=1)[0]
+        assert math.log(est) == pytest.approx(partition_sums(tree, 6, [s])[0], rel=1e-12)
+
     def test_agrees_within_four_stderr(self, rng):
         mats = [random_contraction(rng, 2, 0.2, 0.45) for _ in range(3)]
         fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))

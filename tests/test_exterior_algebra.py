@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from affdim.exterior_algebra import (
     MAX_DIM,
     ExteriorVector,
-    _blade_labels,
+    _rows_array,
     _wedge_batch,
     compound_matrix,
     wedge,
@@ -51,9 +51,9 @@ def wedge_oracle(vectors) -> np.ndarray:
 
 
 def test_multi_indices_are_lexicographic():
-    assert lex_indices(4, 2) == [mi for mi in _blade_labels(4, 2)]
-    assert len(_blade_labels(5, 3)) == math.comb(5, 3)
-    assert _blade_labels(3, 0) == ((),)
+    assert lex_indices(4, 2) == [tuple(r) for r in (_rows_array(4, 2) + 1).tolist()]
+    assert _rows_array(5, 3).shape == (math.comb(5, 3), 3)
+    assert _rows_array(3, 0).shape == (1, 0)
 
 
 def test_exterior_vector_validation():
@@ -68,7 +68,7 @@ def test_exterior_vector_validation():
 
 def test_dimension_guard():
     with pytest.raises(ValueError):
-        _blade_labels(MAX_DIM + 1, 2)
+        _rows_array(MAX_DIM + 1, 2)
 
 
 # ---------------------------------------------------------------------------

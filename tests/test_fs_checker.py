@@ -48,16 +48,27 @@ TP_PAIR = [
 def annihilation_residual(fam, witness):
     """max_S |<w | compound(S) v>| over the family, relative to the scales."""
     v, w = witness.v, witness.w
-    scale = v.norm() * w.norm()
+    scale = np.linalg.norm(v.coords) * np.linalg.norm(w.coords)
     worst = 0.0
     for S in fam.maps:
         img = compound_matrix(S, v.m).entries @ v.coords
         worst = max(
             worst,
             abs(float(w.coords @ img))
-            / (scale * max(float(np.linalg.norm(img)) / v.norm(), 1e-300)),
+            / (scale * max(float(np.linalg.norm(img)) / np.linalg.norm(v.coords), 1e-300)),
         )
     return worst
+
+
+def extension_oracle(x):
+    """x ^ e_j for the first j of largest norm, with x ^ e_j summed over the
+    blades I as x_I (e_I ^ e_j), each term a public ``wedge`` of basis vectors."""
+    eye = np.eye(x.d)
+    blades = itertools.combinations(range(x.d), x.m)
+    terms = [(c, [eye[i] for i in I]) for c, I in zip(x.coords, blades)]
+    extensions = [sum(c * wedge(cols + [eye[j]]).coords for c, cols in terms) for j in range(x.d)]
+    norms = [np.linalg.norm(e) for e in extensions]
+    return extensions[norms.index(max(norms))]
 
 
 def generic_family():
@@ -692,7 +703,7 @@ class TestCheckCs:
         def pairing(S, x, y):
             C = compound_matrix(S, x.m).entries
             return abs(float(y.coords @ C @ x.coords)) / (
-                np.linalg.norm(C, 2) * x.norm() * y.norm()
+                np.linalg.norm(C, 2) * np.linalg.norm(x.coords) * np.linalg.norm(y.coords)
             )
 
         joint = max(
@@ -718,6 +729,32 @@ class TestCheckCs:
         assert verdict.margin == tied[5]
         X = fs_checker._rng_for(3, 0).standard_normal((50, 2, 1))
         np.testing.assert_array_equal(verdict.witness.v_wedge.coords, X[5, :, 0])
+
+    @pytest.mark.parametrize(
+        "mats, s",
+        [
+            ([UPPER_A, UPPER_B], 1.5),
+            ([np.diag([0.5, 0.4, 0.3])], 2.5),
+            ([random_nonsingular(rng_for(4), 4) for _ in range(2)], 2.5),
+        ],
+        ids=["triangular-pair-d2", "diagonal-map-d3", "gaussian-pair-d4"],
+    )
+    def test_grade_m_fail_lifts_by_the_widest_basis_extension(self, mats, s):
+        # the grade-m prefilter's witness (v, w) becomes (v, v ^ e_j, w, w ^ e_j)
+        # with e_j the first basis vector of largest extension norm
+        fam = LinearFamily.from_matrices(mats)
+        verdict = check_cs(fam, s, samples=200)
+        m = verdict.m
+        assert verdict.kind is VerdictKind.FAIL
+        assert verdict.reason.startswith(f"necessary condition C({m}) fails")
+        wit = verdict.witness
+        for x, x_wedge in ((wit.v, wit.v_wedge), (wit.w, wit.w_wedge)):
+            assert x.m == m and x_wedge.m == m + 1
+            np.testing.assert_array_equal(x_wedge.coords, extension_oracle(x))
+        if fam.d == 4:  # the null direction of two maps' images: no factors
+            assert wit.w_factors is None and not wit.w_decomposable
+        else:
+            assert wit.w_factors is not None
 
     def test_integer_s_is_rejected(self):
         fam = LinearFamily.from_matrices([np.eye(2), ROT90])

@@ -10,8 +10,16 @@ another module) reaches it.  It passes when one of these holds:
   or raises it, or calls it;
 - it is in ``AWAITING_PIPELINE``, the test-only code that ROADMAP item 6
   connects to ``dim``: random trees and the probabilistic C(s).
+
+A module-level private helper (``_function`` or ``_Class``) in ``src/affdim``
+stays only if code outside its own definition names it: a module of the
+package, a script or the benchmark harness, not only tests.  Comments and
+docstrings do not count.  Code inside an ``AWAITING_PIPELINE`` definition does
+not reach a helper either; the helpers only it names are listed in
+``AWAITING_HELPERS``.
 """
 
+import ast
 import inspect
 import pathlib
 import re
@@ -40,6 +48,13 @@ REACHED_THROUGH = {
 
 # ROADMAP item 6: reached only by tests until a graph document's ``dim`` uses them
 AWAITING_PIPELINE = {"partition_sum_mc", "count_full_blocks", "estimate_fullness", "FullnessEstimate"}
+
+# private helper -> the AWAITING_PIPELINE definition that is the only code naming it
+AWAITING_HELPERS = {
+    "_advance": "partition_sum_mc",
+    "_entry_major": "partition_sum_mc",
+    "_fullness_pair": "estimate_fullness",
+}
 
 
 def _outside_texts(module: str) -> list[str]:
@@ -74,3 +89,59 @@ def test_public_name_is_reached(module, name):
 def test_listings_name_public_names():
     stale = (set(REACHED_THROUGH) | set(REACHED_THROUGH.values()) | AWAITING_PIPELINE) - set(affdim.__all__)
     assert not stale
+
+
+def _code_names(node: ast.AST) -> set[str]:
+    """Identifiers the code of ``node`` uses: names, attributes and imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+    return out
+
+
+def _statements(path: pathlib.Path) -> list[tuple[str | None, set[str]]]:
+    """Each top-level statement of a file as (the name it defines, if any, names it uses)."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    return [(getattr(node, "name", None), _code_names(node)) for node in body]
+
+
+PACKAGE = {module: _statements(ROOT / "src" / "affdim" / f"{module}.py") for module in MODULES}
+OUTSIDE = [
+    statement
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for statement in _statements(path)
+]
+HELPERS = [
+    (module, name)
+    for module, statements in PACKAGE.items()
+    for name, _ in statements
+    if name is not None and name.startswith("_") and not name.startswith("__")
+]
+
+
+def _naming(module: str, name: str) -> set[str | None]:
+    """The top-level definitions (None for other statements) whose code names
+    ``name``, leaving out its own definition."""
+    found = {defined for defined, used in OUTSIDE if name in used}
+    for other, statements in PACKAGE.items():
+        found |= {defined for defined, used in statements if name in used and (other, defined) != (module, name)}
+    return found
+
+
+@pytest.mark.parametrize("module, name", HELPERS, ids=[f"{m}.{n}" for m, n in HELPERS])
+def test_private_helper_is_reached(module, name):
+    naming = _naming(module, name)
+    if name in AWAITING_HELPERS:
+        assert naming == {AWAITING_HELPERS[name]}, f"{module}.{name}: named by {sorted(map(str, naming))}"
+    else:
+        assert naming - AWAITING_PIPELINE, f"{module}.{name}: no pipeline reaches it"
+
+
+def test_awaiting_helpers_are_package_helpers():
+    assert set(AWAITING_HELPERS) <= {name for _, name in HELPERS}
+    assert set(AWAITING_HELPERS.values()) <= AWAITING_PIPELINE

@@ -49,10 +49,21 @@ def test_script_runs(script, args, tmp_path):
         ("genericity_experiment.py", "--trials"),
         ("neck_gap_stats.py", "--length"),
         ("neck_gap_stats.py", "--thinning"),
+        ("dimension_demo.py", "--depth"),
+        ("dimension_demo.py", "--k"),
+        ("dimension_demo.py", "--seeds"),
+        ("genericity_experiment.py", "--d"),
     ],
 )
 def test_counts_below_one_are_refused(script, flag, tmp_path):
     proc = run_script(script, [flag, "0"], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_dimension_above_the_dense_blade_limit_is_refused(tmp_path):
+    proc = run_script("genericity_experiment.py", ["--d", "13"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --d: must be at most 12, got 13" in proc.stderr
     assert "Traceback" not in proc.stderr
