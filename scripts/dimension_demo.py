@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
 """End-to-end dimension estimate for a self-affine system document.
 
-Parses a system JSON, binds random translations when the document leaves them
-free, builds the deterministic code tree, and prints the pressure zero next to
-the box-counting estimate of the attractor — the two numbers the affinity
-formula says should agree for generic translations.  With --seeds > 1 the
-binding is repeated to show how little the box estimate moves across
-translation draws.
+Runs ``affdim dim`` once per seed and prints the pressure zero next to the
+box-counting estimate of the attractor — the two numbers the affinity formula
+says should agree for generic translations.  With --seeds > 1 the translation
+binding is redrawn to show how little the box estimate moves across draws.
+Whatever ``dim`` refuses ends the table with ``dim``'s error and exit code.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import pathlib
 import sys
 
-from affdim import (
-    HypothesisViolation,
-    bind_translations,
-    deterministic_tree,
-    dimension_report,
-    parse_system,
-)
+from affdim import cli, parse_system
 
 # Three copies of 0.45*I in the unit square: overlapping enough to be
 # interesting, with dim_B = s0 = log 3 / log(1/0.45) ~ 1.3758.
@@ -38,23 +34,22 @@ def main(argv=None) -> int:
     for flag in ("depth", "k", "seeds"):
         if getattr(args, flag) < 1:
             parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
-
-    spec = parse_system(args.doc)
+    family = [] if args.family is None else ["--family", args.family]
 
     print(f"{'seed':>4}  {'s0':>10}  {'box':>10}  {'gap':>8}  {'dim':>10}  flag")
     for seed in range(args.seeds):
-        bound = spec if spec.translations is not None else bind_translations(spec, seed=seed)
-        tree = deterministic_tree(bound.family(args.family), args.depth)
-        try:
-            report = dimension_report(tree, k=args.k, depth=args.depth)
-        except HypothesisViolation as exc:
-            print(f"{seed:>4}  hypothesis violated: {exc}")
-            continue
-        flag = report.flag or "-"
-        gap = abs(report.box_estimate - report.dimension)
-        print(f"{seed:>4}  {report.s0:>10.6f}  {report.box_estimate:>10.6f}"
-              f"  {gap:>8.4f}  {report.dimension:>10.6f}  {flag}")
-        if spec.translations is not None and args.seeds > 1:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli(["dim", str(args.doc), "--k", str(args.k), "--depth", str(args.depth),
+                        "--seed", str(seed)] + family)
+        if code:
+            return code
+        report = json.loads(out.getvalue())
+        flag = report["flag"] or "-"
+        gap = abs(report["box_estimate"] - report["dimension"])
+        print(f"{seed:>4}  {report['s0']:>10.6f}  {report['box_estimate']:>10.6f}"
+              f"  {gap:>8.4f}  {report['dimension']:>10.6f}  {flag}")
+        if args.seeds > 1 and parse_system(args.doc).translations is not None:
             print("(document pins its translations; further seeds are identical)")
             break
     return 0

@@ -39,6 +39,8 @@ def main(argv=None) -> int:
             parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
     if args.d > MAX_DIM:
         parser.error(f"argument --d: must be at most {MAX_DIM}, got {args.d}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        parser.error(f"argument --tol: must be finite and >= 0, got {args.tol}")
 
     rng = np.random.default_rng(args.seed)
     stages: dict[str, int] = {}

@@ -35,8 +35,11 @@ def main(argv=None) -> int:
         if getattr(args, flag) < 1:
             parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
 
-    spec = parse_system(args.doc)
-    gs = spec.graph
+    try:
+        gs = parse_system(args.doc).graph
+    except (ValueError, OSError) as exc:  # as ``affdim simulate`` reports a bad document
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if gs is None:
         print("document has no graph section; nothing to sample", file=sys.stderr)
         return 2

@@ -401,19 +401,22 @@ def check_cm(
 
 def _extend_to_quadruple(d: int, m: int, wit: FailWitness) -> FailWitness:
     """Lift a grade-m witness to a C(s) quadruple: each of v and w is wedged
-    with the first basis vector e_j that gives the extension of largest norm."""
-    eye = np.eye(d)
-    n = math.comb(d, m)
-    # factors of e_I ^ e_j for every basis vector j and grade-m blade I: (d, n, d, m + 1)
-    factors = np.concatenate(
-        [np.broadcast_to(eye[:, _rows_array(d, m)].transpose(1, 0, 2), (d, n, d, m)),
-         np.broadcast_to(eye[:, None, :, None], (d, n, d, 1))],
-        axis=3,
-    )
-    basis = _wedge_batch(factors.reshape(d * n, d, m + 1)).reshape(d, n, -1)
+    with the first basis vector e_j that gives the extension of largest norm.
+
+    For j not in I, e_I ^ e_j is +-e_J at the one blade J = I u {j}, so x ^ e_j
+    scatters +-x_I into blade J; the sign is the one minor of [e_I | e_j]
+    restricted to the rows J."""
+    lo, hi = _rows_array(d, m), _rows_array(d, m + 1)
+    pair, js = np.nonzero(np.all(lo[:, :, None] != np.arange(d), axis=1))  # every (I, j), j not in I
+    cols = np.column_stack([lo[pair], js])
+    J = np.sort(cols, axis=1)
+    signs = _wedge_batch((J[:, :, None] == cols[:, None, :]).astype(float))[:, 0]
+    digits = d ** np.arange(m, -1, -1)  # base-d keys of sorted tuples keep their lex order
+    blade = np.searchsorted(hi @ digits, J @ digits)
 
     def best_extension(x: ExteriorVector) -> ExteriorVector:
-        ext = np.einsum("i,jil->jl", x.coords, basis)  # row j is x ^ e_j
+        ext = np.zeros((d, hi.shape[0]))  # row j is x ^ e_j
+        ext[js, blade] = signs * x.coords[pair] + 0.0  # + 0.0: a zero coordinate lifts to +0.0
         j = max(range(d), key=lambda i: np.linalg.norm(ext[i]))
         return ExteriorVector(d, m + 1, ext[j])
 

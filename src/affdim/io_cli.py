@@ -109,7 +109,7 @@ class SystemSpec:
     or via :func:`bind_translations`); maps then carry their bound ``a``.
     ``doc`` is the decoded JSON document the spec was built from, which
     :func:`bind_translations` rebuilds with drawn translations; only the
-    document builder sets it.
+    document builder sets it, so a spec built by hand has ``doc`` None.
     """
 
     d: int
@@ -117,7 +117,7 @@ class SystemSpec:
     bounds: tuple[float, float]
     translations: dict[int, np.ndarray] | None = None
     graph: GraphSystem | None = None
-    doc: dict = field(init=False, repr=False)
+    doc: dict | None = field(default=None, init=False, repr=False)
 
     def family(self, key: str | int | None) -> IfsFamily:
         """Select a family by label, by integer index, or the first one."""
@@ -352,6 +352,8 @@ def bind_translations(spec: SystemSpec, seed=0) -> SystemSpec:
     """
     if spec.translations is not None:
         return spec
+    if spec.doc is None:
+        raise ValueError("bind_translations needs a spec from parse_system, which keeps its document")
     classes = sorted({m.translation_class for fam in spec.families for m in fam.maps})
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     drawn = {str(c): rng.random(spec.d).tolist() for c in classes}

@@ -736,8 +736,9 @@ class TestCheckCs:
             ([UPPER_A, UPPER_B], 1.5),
             ([np.diag([0.5, 0.4, 0.3])], 2.5),
             ([random_nonsingular(rng_for(4), 4) for _ in range(2)], 2.5),
+            ([random_nonsingular(rng_for(8), 8) for _ in range(2)], 4.5),
         ],
-        ids=["triangular-pair-d2", "diagonal-map-d3", "gaussian-pair-d4"],
+        ids=["triangular-pair-d2", "diagonal-map-d3", "gaussian-pair-d4", "gaussian-pair-d8"],
     )
     def test_grade_m_fail_lifts_by_the_widest_basis_extension(self, mats, s):
         # the grade-m prefilter's witness (v, w) becomes (v, v ^ e_j, w, w ^ e_j)
@@ -751,10 +752,30 @@ class TestCheckCs:
         for x, x_wedge in ((wit.v, wit.v_wedge), (wit.w, wit.w_wedge)):
             assert x.m == m and x_wedge.m == m + 1
             np.testing.assert_array_equal(x_wedge.coords, extension_oracle(x))
-        if fam.d == 4:  # the null direction of two maps' images: no factors
+        if fam.d >= 4:  # the null direction of two maps' images: no factors
             assert wit.w_factors is None and not wit.w_decomposable
         else:
             assert wit.w_factors is not None
+
+    def test_lift_takes_one_minor_per_blade_and_basis_vector(self, monkeypatch):
+        # each e_I ^ e_j is +-1 at one blade, so the lift needs one sign minor
+        # per pair (I, j), not every grade-(m + 1) minor of every pair
+        d, m = 10, 5
+        minors = []
+        real = fs_checker._wedge_batch
+
+        def counted(factors):
+            N, rows, cols = factors.shape
+            minors.append(N * math.comb(rows, cols))
+            return real(factors)
+
+        monkeypatch.setattr(fs_checker, "_wedge_batch", counted)
+        rng = rng_for(10)
+        v, w = (wedge(list(rng.standard_normal((m, d)))) for _ in range(2))
+        wit = fs_checker._extend_to_quadruple(d, m, fs_checker.FailWitness(m=m, v=v, w=w))
+        assert sum(minors) <= d * math.comb(d, m)
+        for x, x_wedge in ((wit.v, wit.v_wedge), (wit.w, wit.w_wedge)):
+            np.testing.assert_array_equal(x_wedge.coords, extension_oracle(x))
 
     def test_integer_s_is_rejected(self):
         fam = LinearFamily.from_matrices([np.eye(2), ROT90])

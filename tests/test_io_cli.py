@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from affdim import (
+    AffineMap,
+    IfsFamily,
+    SystemSpec,
     SystemSpecError,
     bind_translations,
     cli,
@@ -627,6 +630,16 @@ class TestBindTranslations:
         assert bind_translations(spec, seed=1) is spec
         once = bind_translations(parse_system(doc_text(CERT_DOC)), seed=1)
         assert bind_translations(once, seed=99) is once
+
+    def test_spec_built_by_hand_is_refused(self):
+        maps = (AffineMap(0.3 * np.eye(2), 0), AffineMap(0.3 * np.eye(2), 1))
+        spec = SystemSpec(d=2, families=(IfsFamily("pair", maps),), bounds=(0.3, 0.3))
+        assert spec.doc is None
+        with pytest.raises(ValueError, match="parse_system"):
+            bind_translations(spec, seed=0)
+        a = {0: np.zeros(2), 1: np.full(2, 0.5)}
+        bound = SystemSpec(d=2, families=spec.families, bounds=(0.3, 0.3), translations=a)
+        assert bind_translations(bound, seed=0) is bound
 
     def test_classes_share_vectors(self):
         doc = {
