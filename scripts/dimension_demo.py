@@ -5,7 +5,8 @@ Runs ``affdim dim`` once per seed and prints the pressure zero next to the
 box-counting estimate of the attractor — the two numbers the affinity formula
 says should agree for generic translations.  With --seeds > 1 the translation
 binding is redrawn to show how little the box estimate moves across draws.
-Whatever ``dim`` refuses ends the table with ``dim``'s error and exit code.
+Whatever ``dim`` refuses ends the table with ``dim``'s error and exit code;
+a refused first run prints no table at all.
 """
 
 import argparse
@@ -36,7 +37,6 @@ def main(argv=None) -> int:
             parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
     family = [] if args.family is None else ["--family", args.family]
 
-    print(f"{'seed':>4}  {'s0':>10}  {'box':>10}  {'gap':>8}  {'dim':>10}  flag")
     for seed in range(args.seeds):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -47,6 +47,8 @@ def main(argv=None) -> int:
         report = json.loads(out.getvalue())
         flag = report["flag"] or "-"
         gap = abs(report["box_estimate"] - report["dimension"])
+        if seed == 0:  # with the first row, so a refused run leaves stdout empty
+            print(f"{'seed':>4}  {'s0':>10}  {'box':>10}  {'gap':>8}  {'dim':>10}  flag")
         print(f"{seed:>4}  {report['s0']:>10.6f}  {report['box_estimate']:>10.6f}"
               f"  {gap:>8.4f}  {report['dimension']:>10.6f}  {flag}")
         if args.seeds > 1 and parse_system(args.doc).translations is not None:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 from scipy import stats
 
-from affdim import detect_necks, parse_system, sample_graph_sequence
+from affdim import SystemSpecError, detect_necks, parse_system, sample_graph_sequence
 
 # Two-vertex system: label "neck" (prob 0.3) sends everything back to vertex 1,
 # label "spread" (prob 0.7) branches away from it, so necks recur at rate 0.3.
@@ -37,11 +37,10 @@ def main(argv=None) -> int:
 
     try:
         gs = parse_system(args.doc).graph
+        if gs is None:
+            raise SystemSpecError("graph", "simulate needs a document with a graph section")
     except (ValueError, OSError) as exc:  # as ``affdim simulate`` reports a bad document
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if gs is None:
-        print("document has no graph section; nothing to sample", file=sys.stderr)
         return 2
 
     p_neck = gs.neck_probability()

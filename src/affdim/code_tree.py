@@ -54,8 +54,15 @@ log of -dS/ds beside them for the pressure zero-finder's tangents, the
 weighted cylinder points and the zero-finder's cache are such reductions,
 all in log form over ``singular_values._log_phi``, so values far below the
 smallest double stay finite.  The word sums (``_log_sums``) take each
-partial spectrum sum a block's s-values need once, and run every s in one
-buffer of the block's length.  The points at s = 0 carry uniform weights (phi_0 is 1), take no
+partial spectrum sum a block's s-values need once.  On a piece of
+``singular_values._piece`` log phi_s of every word is affine in s, so they
+walk each run of s in one piece by a geometric recurrence: the first s is an
+anchor, evaluated exactly into one buffer of the block's length, and each
+later s multiplies the words' weights by exp(delta * B) from a second such
+buffer, one rate per evenly spaced run, and takes one sum.  A step re-anchors
+where the sum falls below 2^-900 or the rate would grow a weight, so the
+results stay within a few ulps of evaluating every s afresh.  The points at
+s = 0 carry uniform weights (phi_0 is 1), take no
 spectra and form no block linear parts.  Blocks are mapped one after
 another on the calling thread and their results folded in word order.
 
@@ -78,7 +85,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fs_checker import LinearFamily, estimate_fullness
-from .singular_values import _exponent, _log_phi, singular_values
+from .singular_values import _exponent, _log_phi, _piece, _slope, singular_values
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -719,39 +726,100 @@ def _log_spectra(mats, log_det, k):
     return np.stack([log_sigma, log_det - log_sigma]) if d == 2 else log_sigma
 
 
+# The word sums' recurrence (``_log_sums``): a running sum of weights below
+# _SUM_FLOOR is taken afresh, and a run of s takes one rate if its points lie
+# within _STEP_BUDGET / max|B| of an even progression, so the one rate moves
+# no log phi_s by more than about _STEP_BUDGET.
+_SUM_FLOOR = 2.0**-900
+_STEP_BUDGET = 2.0**-46
+
+
 def _log_sums(log_sigma, s_values, slopes=False):
     """Per s, log sum of phi_s over the words (the columns of ``log_sigma``),
-    one max-shifted log-sum-exp at a time.
+    by a geometric recurrence along each run of s in one piece.
 
-    Every s shares one dict of the block's partial spectrum sums, so each is
-    taken once, and one (n,) buffer: ``_log_phi`` writes log phi_s there (an
-    integer s reads its partial sum as it stands), which is then shifted by
-    its max and exponentiated in place.
+    A negative or nan s is refused first.  The s-values are then taken in
+    runs of consecutive values in one piece of ``singular_values._piece``,
+    where log phi_s of every word is affine in s with slope row B
+    (``_slope``).  The first s of a run is an anchor: ``_log_phi`` writes log
+    phi_s into one (n,) buffer (an integer s reads its partial sum as it
+    stands, and every s shares one dict of the block's partial spectrum sums,
+    each taken once), which is shifted by its max, top, and exponentiated in
+    place into weights; the log sum is top + log sum(weights), every bit as a
+    lone s gives it.  Each later s of the run multiplies the weights in place
+    by the rate exp(delta * B), delta its step from the s before, held in a
+    second (n,) buffer, and takes one sum: a multiply where an anchor takes a
+    subtract and an exp.  If every s of the run lies within
+    ``_STEP_BUDGET`` / max|B| of s_0 + j * delta, with delta from the run's
+    two ends, one rate serves the whole run; otherwise each step takes its
+    own.  A step is an anchor too where the rate would grow some weight (s
+    falling, or a singular value above 1), and where the running sum falls
+    below ``_SUM_FLOOR``.  So a weight only shrinks between anchors: one that
+    falls below the smallest normal double never grows back, and costs at
+    most 2^-1074 against a sum of at least 2^-900.  Against evaluating every s
+    afresh, a step's log sum then differs by the rounding of the rates,
+    about eps |delta B| each, which over a run is of the order of the
+    rounding of s * B itself, and by at most about 2 * ``_STEP_BUDGET`` more
+    where one rate serves a run.
 
     With ``slopes`` the result is (2, len(s_values)): row 0 as above, row 1
     log sum of phi_s * (-d/ds log phi_s), the right derivative, which is
     -log sigma_{m+1} for m <= s < m + 1 <= d and -(1/d) sum log sigma_i for
-    s >= d.  It reuses the block's exp(log phi_s - max), so it costs one
-    (d, n) @ (n,) product per s, and it is -inf where every word's
-    derivative is 0.
+    s >= d.  It reads the weights the step holds, anchor or not, so row 0
+    equals the plain result; it costs one (d, n) @ (n,) product per s, and
+    it is -inf where every word's derivative is 0.
     """
-    d = log_sigma.shape[0]
+    s_values = [_exponent(s) for s in s_values]
+    d, n = log_sigma.shape
     out = np.empty((2, len(s_values)) if slopes else len(s_values))
     sums = {}
-    weights = np.empty(log_sigma.shape[1])
-    for i, s in enumerate(s_values):
+    weights, rate = np.empty(n), np.empty(n)
+
+    def anchor(s):
         log_phi = _log_phi(log_sigma, s, sums, out=weights)
         top = np.max(log_phi)
         if top == -np.inf:
             raise ValueError(f"log phi_s at s = {s!r} overflows the double range")
         np.exp(np.subtract(log_phi, top, out=weights), out=weights)
+        return top, np.sum(weights)
+
+    def record(i, top, total):
         if not slopes:
-            out[i] = top + np.log(np.sum(weights))
-            continue
+            out[i] = top + np.log(total)
+            return
+        s = s_values[i]
         rows = log_sigma @ weights  # each singular value's weighted log sum
-        rate = -(np.sum(rows) / d if s >= d else rows[math.floor(s)])
+        slope = -(np.sum(rows) / d if s >= d else rows[math.floor(s)])
         with np.errstate(divide="ignore"):
-            out[:, i] = top + np.log([np.sum(weights), rate])
+            out[:, i] = top + np.log([total, slope])
+
+    first = 0
+    for m, run in itertools.groupby(s_values, functools.partial(_piece, d)):
+        run = list(run)
+        top, total = anchor(run[0])
+        record(first, top, total)
+        if len(run) > 1:
+            row, scale = _slope(log_sigma, m, sums)
+            lo, hi = scale * float(np.min(row)), scale * float(np.max(row))
+            delta = (run[-1] - run[0]) / (len(run) - 1)
+            drift = max(abs(s - (run[0] + j * delta)) for j, s in enumerate(run))
+            even = drift * max(-lo, hi) <= _STEP_BUDGET
+            held = None  # the step whose rate ``rate`` holds
+            for j in range(1, len(run)):
+                step = delta if even else run[j] - run[j - 1]
+                if step * (hi if step > 0 else lo) > 0:  # the rate would grow some weight
+                    top, total = anchor(run[j])
+                else:
+                    if step != held:
+                        with np.errstate(over="ignore"):  # a vast step: rate 0, then an anchor
+                            np.exp(np.multiply(row, step * scale, out=rate), out=rate)
+                        held = step
+                    weights *= rate
+                    total = np.sum(weights)
+                    if total < _SUM_FLOOR:
+                        top, total = anchor(run[j])
+                record(first + j, top, total)
+        first += len(run)
     return out
 
 

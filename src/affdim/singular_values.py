@@ -27,6 +27,17 @@ and exponentiates the kernel.  The word sums of
 double stays finite; they evaluate many s on one block of words, so they
 hand the kernel one dict that keeps each partial sum once taken, and one
 output buffer.
+
+On each piece m - 1 < s <= m < d, on d - 1 < s < d, and on s >= d, log
+phi_s of every spectrum is affine in s.  ``_piece`` is the only rule for
+which piece an s lies in, and ``_log_phi`` branches on it; ``_slope`` hands
+out the piece's slope row B, log sigma_m below d and the mean log singular
+value from d on.  The word sums evaluate the first s of each run of s in
+one piece exactly, an anchor, and step along the rest by multiplying each
+word's weight by exp(delta * B), within a rounding budget of 2^-46 in log
+phi_s (``code_tree._log_sums`` says when they re-anchor).  So they and the
+kernel cannot disagree about a piece, even at a grid point such as
+1.0000000000000002 next to an integer.
 """
 
 from __future__ import annotations
@@ -91,37 +102,59 @@ def _exponent(s) -> float:
     return s
 
 
+def _partial(log_sigma: np.ndarray, m: int, sums: dict) -> np.ndarray:
+    """np.sum(log_sigma[:m], axis=0), kept by m in ``sums`` once taken."""
+    if m not in sums:
+        sums[m] = np.sum(log_sigma[:m], axis=0)
+    return sums[m]
+
+
+def _piece(d: int, s: float) -> int:
+    """The piece of an exponent ``s >= 0`` on which log phi_s is affine in s:
+    m for m - 1 < s <= m < d (an integer is the left limit of the piece below
+    it, and m = 0 holds s = 0 alone), m = d for d - 1 < s < d, and d + 1 for
+    s >= d."""
+    return d + 1 if s >= d else math.ceil(s)
+
+
+def _slope(log_sigma: np.ndarray, m: int, sums: dict) -> tuple[np.ndarray, float]:
+    """(row, scale) with d/ds log phi_s = scale * row on piece m of
+    ``_piece``: the m-th log singular values below d, and the mean of them all
+    (their partial sum, kept in ``sums``, over d) for s >= d.  Piece 0 holds
+    s = 0 alone, so no step moves along it; it takes log sigma_1, the right
+    derivative there."""
+    d = log_sigma.shape[0]
+    if m > d:
+        return _partial(log_sigma, d, sums), 1.0 / d
+    return log_sigma[max(m, 1) - 1], 1.0
+
+
 def _log_phi(log_sigma: np.ndarray, s: float, sums: dict | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
     """log phi_s, shape (...), from log spectra of shape (d, ...): row i holds
     the logs of the i-th largest singular values, so each spectrum runs down
     axis 0 and phi_s is a few whole-row adds.
 
-    Each piece reads one partial sum np.sum(log_sigma[:m], axis=0), kept by m
-    in ``sums`` once taken: a caller that evaluates many s on one block passes
-    one dict, so each is taken once.  A non-integer s, or s >= d, writes its
-    result into ``out`` when one is given; an integer s below d returns the
-    partial sum itself, which a caller that passed ``sums`` must not write to.
+    The branch is the piece ``_piece`` gives s.  Each piece reads one partial
+    sum np.sum(log_sigma[:m], axis=0), kept by m in ``sums`` once taken: a
+    caller that evaluates many s on one block passes one dict, so each is
+    taken once.  A non-integer s, or s >= d, writes its result into ``out``
+    when one is given; an integer s below d returns the partial sum itself,
+    which a caller that passed ``sums`` must not write to.
     """
     d = log_sigma.shape[0]
     s = _exponent(s)
     sums = {} if sums is None else sums
-
-    def partial(m):
-        if m not in sums:
-            sums[m] = np.sum(log_sigma[:m], axis=0)
-        return sums[m]
-
-    if s >= d:
+    m = _piece(d, s)
+    if m > d:
         with np.errstate(over="ignore"):  # a huge s gives -inf, which the word sums refuse
-            return np.multiply(s / d, partial(d), out=out)
-    if s == math.floor(s):
+            return np.multiply(s / d, _partial(log_sigma, d, sums), out=out)
+    if s == m:
         # integer grade: plain product of the top s values (left limit)
-        return partial(int(s))
-    m = math.floor(s) + 1
+        return _partial(log_sigma, m, sums)
     out = np.multiply(s - m + 1, log_sigma[m - 1], out=out)
     if m > 1:  # the top 0 values sum to 0, which would add nothing but the sign of a zero
-        out += partial(m - 1)
+        out += _partial(log_sigma, m - 1, sums)
     return out
 
 

@@ -7,10 +7,12 @@ returns each word's point f_word(0) in lexicographic word order, and for
 d = 1 the partition sum at s = 1 is the sum of |T_word|.
 """
 
+import functools
 import itertools
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from affdim import (
 
 from affdim import code_tree
 from affdim.fs_checker import estimate_fullness
-from affdim.singular_values import _log_phi, phi_from_singular_values
+from affdim.singular_values import _log_phi, _piece, phi_from_singular_values
 
 from conftest import random_contraction
 
@@ -1323,7 +1325,15 @@ class TestSpectrumAxisFirst:
         for log_sigma in blocks:
             assert log_sigma.flags.c_contiguous == (d <= 3)  # d >= 4 hands out the SVD's transpose
             got = code_tree._log_sums(log_sigma, grid, slopes)
-            assert np.array_equal(got, per_s_log_sums(log_sigma, grid, slopes))
+            want = per_s_log_sums(log_sigma, grid, slopes)
+            # d + 0.25 and d + 3.5 follow s = d in its piece, so they are steps of
+            # the recurrence; every other s starts a run, an anchor
+            assert np.array_equal(got[..., :-2], want[..., :-2])
+            np.testing.assert_allclose(got[..., -2:], want[..., -2:], rtol=0, atol=1e-13)
+            # s = 0, 1, ..., d, the zero-finder's first pass, puts each s in its own piece
+            integers = [float(m) for m in range(d + 1)]
+            assert np.array_equal(code_tree._log_sums(log_sigma, integers, slopes),
+                                  per_s_log_sums(log_sigma, integers, slopes))
 
     @pytest.mark.parametrize("slopes", [False, True])
     @pytest.mark.parametrize("s, match", [(-0.5, "nonnegative, got -0.5"), (math.nan, "nonnegative, got nan"),
@@ -1342,6 +1352,72 @@ class TestSpectrumAxisFirst:
             got = phi_from_singular_values(sigma, s)
             assert got.shape == shape
             assert np.array_equal(got, np.exp(row_major_log_phi(np.log(sigma), s))), s
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestGeometricRecurrence:
+    """``_log_sums`` steps along each run of s in one piece by multiplying the
+    words' weights by exp(delta * B); evaluating every s afresh
+    (``per_s_log_sums``) is the reference."""
+
+    @staticmethod
+    def blocks(tree, k):
+        return code_tree._map_words(tree, k, lambda log_sigma, _: log_sigma)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 64.0, 21), np.arange(0.0, 64.5, 0.5)],
+                             ids=["s-max-64", "dyadic"])
+    def test_reanchored_runs_match_per_s_sums(self, monkeypatch, grid, slopes):
+        # above s = 2, phi_s of a level-4 word of 0.001 rotations falls by e^-27.6
+        # per unit of s, so the weights' sum falls below 2^-900 within a run
+        fam = IfsFamily("small", tuple(AffineMap(0.001 * rotation(t), c) for c, t in enumerate((0.3, 1.1, 2.0))))
+        tree = deterministic_tree(fam, 4)
+        grid = [float(s) for s in grid]
+        runs = len(list(itertools.groupby(grid, functools.partial(_piece, 2))))
+        anchors = []
+        log_phi = code_tree._log_phi
+        monkeypatch.setattr(code_tree, "_log_phi", lambda log_sigma, s, *rest, **kw:
+                            anchors.append(s) or log_phi(log_sigma, s, *rest, **kw))
+        for log_sigma in self.blocks(tree, 4):
+            anchors.clear()
+            got = code_tree._log_sums(log_sigma, grid, slopes)
+            assert runs < len(anchors) < len(grid)  # re-anchored, and still stepped
+            np.testing.assert_allclose(got, per_s_log_sums(log_sigma, grid, slopes), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("d, grid", [
+        (1, [1.0, 1.25, 4.5]),
+        (2, [0.1, 0.15, 0.4, 0.95, 1.0, 2.5, 2.6, 3.1, 5.0, 5.05, 9.0]),
+        (3, [1.2, 1.3, 1.9, 2.05, 2.5, 2.55, 3.0, 3.5, 7.25]),
+    ])
+    def test_uneven_runs_match_per_s_sums(self, d, grid, slopes):
+        # one rate for a whole uneven run would put its later s at the wrong place
+        for log_sigma in self.blocks(TestSpectrumAxisFirst.tree(d), 5):
+            np.testing.assert_allclose(code_tree._log_sums(log_sigma, grid, slopes),
+                                       per_s_log_sums(log_sigma, grid, slopes), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("grid", [[5.0, 4.0, 2.5, 2.25], [0.0, 0.0, 0.0, 2.5, 2.5], [0.9, 0.9, 0.4]],
+                             ids=["falling", "repeated", "repeated-then-falling"])
+    def test_falling_and_repeated_s_keep_every_bit(self, grid, slopes):
+        # a falling step would grow every weight, so it is an anchor; a repeated s
+        # takes the rate exp(0) = 1, which leaves the weights as they are
+        for log_sigma in self.blocks(TestSpectrumAxisFirst.tree(2), 5):
+            assert np.array_equal(code_tree._log_sums(log_sigma, grid, slopes),
+                                  per_s_log_sums(log_sigma, grid, slopes))
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_vast_step_is_refused_quietly(self, slopes):
+        # the rate of the step 2.5 -> 1e308 overflows to 0, and the anchor it forces refuses s
+        log_sigma = np.log([[1e-2, 1e-3], [1e-3, 1e-4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"log phi_s at s = 1e\+308 overflows the double range"):
+                code_tree._log_sums(log_sigma, [2.5, 1e308], slopes)
 
 
 class TestPartitionSumMc:

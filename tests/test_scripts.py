@@ -124,12 +124,23 @@ def test_demo_rows_are_dim_reports(doc, seeds, dim_args, docs, tmp_path):
         ("genericity_experiment.py", ["--tol", "-1"], 2,
          "argument --tol: must be finite and >= 0, got -1.0"),
         ("neck_gap_stats.py", ["{missing}"], 2, "error: [Errno 2] No such file or directory"),
+        ("neck_gap_stats.py", ["{corner}"], 2,
+         "error: graph: simulate needs a document with a graph section"),
     ],
     ids=["demo-shallow-depth", "demo-unknown-family", "demo-missing-doc", "demo-loose-bounds",
-         "genericity-tol-nan", "genericity-tol-negative", "neck-missing-doc"],
+         "genericity-tol-nan", "genericity-tol-negative", "neck-missing-doc", "neck-no-graph"],
 )
 def test_bad_input_exits_with_the_cli_code(script, args, code, message, docs, tmp_path):
     proc = run_script(script, [a.format(**docs) for a in args], tmp_path)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["{missing}"], ["--family", "nope"], ["{loose}"]],
+                         ids=["missing-doc", "unknown-family", "loose-bounds"])
+def test_refused_demo_prints_no_table(args, docs, tmp_path):
+    proc = run_script("dimension_demo.py", [a.format(**docs) for a in args], tmp_path)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
