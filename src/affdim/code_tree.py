@@ -57,14 +57,15 @@ smallest double stay finite.  The word sums (``_log_sums``) take each
 partial spectrum sum a block's s-values need once.  On a piece of
 ``singular_values._piece`` log phi_s of every word is affine in s, so they
 walk each run of s in one piece by a geometric recurrence: the first s is an
-anchor, evaluated exactly into one buffer of the block's length, and each
-later s multiplies the words' weights by exp(delta * B) from a second such
-buffer, one rate per evenly spaced run, and takes one sum.  A step re-anchors
-where the sum falls below 2^-900 or the rate would grow a weight, so the
-results stay within a few ulps of evaluating every s afresh.  The points at
-s = 0 carry uniform weights (phi_0 is 1), take no
-spectra and form no block linear parts.  Blocks are mapped one after
-another on the calling thread and their results folded in word order.
+anchor, evaluated exactly into one buffer of the block's length, and on an
+evenly spaced run whose rate exp(delta * B) grows no weight each later s
+multiplies the words' weights by that one rate, held in a second such
+buffer, and takes one sum.  Any other run is anchored at every s, and a step
+re-anchors where the sum falls below 2^-900, so the results stay within a
+few ulps of evaluating every s afresh.  The points at s = 0 carry uniform
+weights (phi_0 is 1), take no spectra and form no block linear parts.
+Blocks are mapped one after another on the calling thread and their
+results folded in word order.
 
 The d = 1 partition sums enumerate no word.  There phi_s(t) = |t|^s is
 multiplicative, so S(k, s) is a product of k small per-level transfer
@@ -727,9 +728,9 @@ def _log_spectra(mats, log_det, k):
 
 
 # The word sums' recurrence (``_log_sums``): a running sum of weights below
-# _SUM_FLOOR is taken afresh, and a run of s takes one rate if its points lie
-# within _STEP_BUDGET / max|B| of an even progression, so the one rate moves
-# no log phi_s by more than about _STEP_BUDGET.
+# _SUM_FLOOR is taken afresh, and a run of s steps by one rate only if its
+# points lie within _STEP_BUDGET / max|B| of an even progression, so the rate
+# moves no log phi_s by more than about _STEP_BUDGET.
 _SUM_FLOOR = 2.0**-900
 _STEP_BUDGET = 2.0**-46
 
@@ -746,21 +747,20 @@ def _log_sums(log_sigma, s_values, slopes=False):
     stands, and every s shares one dict of the block's partial spectrum sums,
     each taken once), which is shifted by its max, top, and exponentiated in
     place into weights; the log sum is top + log sum(weights), every bit as a
-    lone s gives it.  Each later s of the run multiplies the weights in place
-    by the rate exp(delta * B), delta its step from the s before, held in a
-    second (n,) buffer, and takes one sum: a multiply where an anchor takes a
-    subtract and an exp.  If every s of the run lies within
-    ``_STEP_BUDGET`` / max|B| of s_0 + j * delta, with delta from the run's
-    two ends, one rate serves the whole run; otherwise each step takes its
-    own.  A step is an anchor too where the rate would grow some weight (s
-    falling, or a singular value above 1), and where the running sum falls
-    below ``_SUM_FLOOR``.  So a weight only shrinks between anchors: one that
-    falls below the smallest normal double never grows back, and costs at
-    most 2^-1074 against a sum of at least 2^-900.  Against evaluating every s
-    afresh, a step's log sum then differs by the rounding of the rates,
-    about eps |delta B| each, which over a run is of the order of the
-    rounding of s * B itself, and by at most about 2 * ``_STEP_BUDGET`` more
-    where one rate serves a run.
+    lone s gives it.  A run steps when it is evenly spaced, every s within
+    ``_STEP_BUDGET`` / max|B| of s_0 + j * delta with delta from the run's
+    two ends, and its rate exp(delta * B) grows no weight (s does not fall,
+    and no singular value on the row is above 1).  The rate is then taken
+    once into a second (n,) buffer, and each later s multiplies the weights
+    in place by it and takes one sum: a multiply where an anchor takes a
+    subtract and an exp.  Any other run is anchored at every s, and a step
+    is an anchor too where the running sum falls below ``_SUM_FLOOR``.  So a
+    weight only shrinks between anchors: one that falls below the smallest
+    normal double never grows back, and costs at most 2^-1074 against a sum
+    of at least 2^-900.  Against evaluating every s afresh, a step's log sum
+    then differs by the rounding of the rate, about eps |delta B| per step,
+    which over a run is of the order of the rounding of s * B itself, and by
+    at most about 2 * ``_STEP_BUDGET`` more for the spacing.
 
     With ``slopes`` the result is (2, len(s_values)): row 0 as above, row 1
     log sum of phi_s * (-d/ds log phi_s), the right derivative, which is
@@ -796,29 +796,26 @@ def _log_sums(log_sigma, s_values, slopes=False):
     first = 0
     for m, run in itertools.groupby(s_values, functools.partial(_piece, d)):
         run = list(run)
-        top, total = anchor(run[0])
-        record(first, top, total)
+        stepped = False  # whether every s after the run's first steps by ``rate``
         if len(run) > 1:
             row, scale = _slope(log_sigma, m, sums)
             lo, hi = scale * float(np.min(row)), scale * float(np.max(row))
             delta = (run[-1] - run[0]) / (len(run) - 1)
             drift = max(abs(s - (run[0] + j * delta)) for j, s in enumerate(run))
-            even = drift * max(-lo, hi) <= _STEP_BUDGET
-            held = None  # the step whose rate ``rate`` holds
-            for j in range(1, len(run)):
-                step = delta if even else run[j] - run[j - 1]
-                if step * (hi if step > 0 else lo) > 0:  # the rate would grow some weight
-                    top, total = anchor(run[j])
-                else:
-                    if step != held:
-                        with np.errstate(over="ignore"):  # a vast step: rate 0, then an anchor
-                            np.exp(np.multiply(row, step * scale, out=rate), out=rate)
-                        held = step
-                    weights *= rate
-                    total = np.sum(weights)
-                    if total < _SUM_FLOOR:
-                        top, total = anchor(run[j])
-                record(first + j, top, total)
+            # evenly spaced, and a rate that grows no weight
+            stepped = drift * max(-lo, hi) <= _STEP_BUDGET and delta * (hi if delta > 0 else lo) <= 0
+            if stepped:
+                with np.errstate(over="ignore"):  # a vast step: rate 0, then an anchor
+                    np.exp(np.multiply(row, delta * scale, out=rate), out=rate)
+        for j, s in enumerate(run):
+            if j and stepped:
+                weights *= rate
+                total = np.sum(weights)
+                if total < _SUM_FLOOR:
+                    top, total = anchor(s)
+            else:
+                top, total = anchor(s)
+            record(first + j, top, total)
         first += len(run)
     return out
 

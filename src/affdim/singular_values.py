@@ -33,9 +33,10 @@ phi_s of every spectrum is affine in s.  ``_piece`` is the only rule for
 which piece an s lies in, and ``_log_phi`` branches on it; ``_slope`` hands
 out the piece's slope row B, log sigma_m below d and the mean log singular
 value from d on.  The word sums evaluate the first s of each run of s in
-one piece exactly, an anchor, and step along the rest by multiplying each
-word's weight by exp(delta * B), within a rounding budget of 2^-46 in log
-phi_s (``code_tree._log_sums`` says when they re-anchor).  So they and the
+one piece exactly, an anchor, and step along the rest of an evenly spaced
+run by multiplying each word's weight by one rate exp(delta * B), within a
+rounding budget of 2^-46 in log phi_s (``code_tree._log_sums`` says which
+runs step and when they re-anchor).  So they and the
 kernel cannot disagree about a piece, even at a grid point such as
 1.0000000000000002 next to an integer.
 """

@@ -1325,15 +1325,7 @@ class TestSpectrumAxisFirst:
         for log_sigma in blocks:
             assert log_sigma.flags.c_contiguous == (d <= 3)  # d >= 4 hands out the SVD's transpose
             got = code_tree._log_sums(log_sigma, grid, slopes)
-            want = per_s_log_sums(log_sigma, grid, slopes)
-            # d + 0.25 and d + 3.5 follow s = d in its piece, so they are steps of
-            # the recurrence; every other s starts a run, an anchor
-            assert np.array_equal(got[..., :-2], want[..., :-2])
-            np.testing.assert_allclose(got[..., -2:], want[..., -2:], rtol=0, atol=1e-13)
-            # s = 0, 1, ..., d, the zero-finder's first pass, puts each s in its own piece
-            integers = [float(m) for m in range(d + 1)]
-            assert np.array_equal(code_tree._log_sums(log_sigma, integers, slopes),
-                                  per_s_log_sums(log_sigma, integers, slopes))
+            assert np.array_equal(got, per_s_log_sums(log_sigma, grid, slopes))
 
     @pytest.mark.parametrize("slopes", [False, True])
     @pytest.mark.parametrize("s, match", [(-0.5, "nonnegative, got -0.5"), (math.nan, "nonnegative, got nan"),
@@ -1368,45 +1360,64 @@ class TestGeometricRecurrence:
     def blocks(tree, k):
         return code_tree._map_words(tree, k, lambda log_sigma, _: log_sigma)
 
+    @staticmethod
+    def anchors(monkeypatch):
+        """The s-values ``_log_sums`` evaluates afresh, in order."""
+        seen = []
+        log_phi = code_tree._log_phi
+        monkeypatch.setattr(code_tree, "_log_phi", lambda log_sigma, s, *rest, **kw:
+                            seen.append(s) or log_phi(log_sigma, s, *rest, **kw))
+        return seen
+
+    @staticmethod
+    def runs(grid, d):
+        return len(list(itertools.groupby(grid, functools.partial(_piece, d))))
+
     @pytest.mark.parametrize("slopes", [False, True])
-    @pytest.mark.parametrize("grid", [np.linspace(0.0, 64.0, 21), np.arange(0.0, 64.5, 0.5)],
-                             ids=["s-max-64", "dyadic"])
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 64.0, 65), np.arange(0.0, 64.5, 0.5)],
+                             ids=["s-max-64", "halves"])
     def test_reanchored_runs_match_per_s_sums(self, monkeypatch, grid, slopes):
         # above s = 2, phi_s of a level-4 word of 0.001 rotations falls by e^-27.6
-        # per unit of s, so the weights' sum falls below 2^-900 within a run
+        # per unit of s, so the weights' sum falls below 2^-900 within a run; the
+        # grids are evenly spaced to the bit, which a run must be within
+        # 2^-46 / 27.6 to step
         fam = IfsFamily("small", tuple(AffineMap(0.001 * rotation(t), c) for c, t in enumerate((0.3, 1.1, 2.0))))
         tree = deterministic_tree(fam, 4)
         grid = [float(s) for s in grid]
-        runs = len(list(itertools.groupby(grid, functools.partial(_piece, 2))))
-        anchors = []
-        log_phi = code_tree._log_phi
-        monkeypatch.setattr(code_tree, "_log_phi", lambda log_sigma, s, *rest, **kw:
-                            anchors.append(s) or log_phi(log_sigma, s, *rest, **kw))
+        anchors = self.anchors(monkeypatch)
         for log_sigma in self.blocks(tree, 4):
             anchors.clear()
             got = code_tree._log_sums(log_sigma, grid, slopes)
-            assert runs < len(anchors) < len(grid)  # re-anchored, and still stepped
+            assert self.runs(grid, 2) < len(anchors) < len(grid)  # re-anchored, and still stepped
             np.testing.assert_allclose(got, per_s_log_sums(log_sigma, grid, slopes), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_pressure_grid_steps_every_later_s(self, monkeypatch, slopes):
+        # ``affdim pressure``'s grid: np.linspace spacing is even within the budget,
+        # so each piece's first s is its only anchor
+        grid = [float(s) for s in np.linspace(0.0, 3.0, 64)]
+        anchors = self.anchors(monkeypatch)
+        for log_sigma in self.blocks(TestSpectrumAxisFirst.tree(3), 5):
+            anchors.clear()
+            got = code_tree._log_sums(log_sigma, grid, slopes)
+            assert len(anchors) == self.runs(grid, 3)
+            np.testing.assert_allclose(got, per_s_log_sums(log_sigma, grid, slopes), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("slopes", [False, True])
     @pytest.mark.parametrize("d, grid", [
         (1, [1.0, 1.25, 4.5]),
         (2, [0.1, 0.15, 0.4, 0.95, 1.0, 2.5, 2.6, 3.1, 5.0, 5.05, 9.0]),
         (3, [1.2, 1.3, 1.9, 2.05, 2.5, 2.55, 3.0, 3.5, 7.25]),
-    ])
-    def test_uneven_runs_match_per_s_sums(self, d, grid, slopes):
-        # one rate for a whole uneven run would put its later s at the wrong place
+        (2, [5.0, 4.0, 3.0, 2.0]),
+        (2, [0.0, 0.0, 0.0, 2.5, 2.5]),
+        (2, [0.9, 0.9, 0.4]),
+    ], ids=["uneven-d1", "uneven-d2", "uneven-d3", "falling", "repeated", "repeated-then-falling"])
+    def test_uneven_falling_and_repeated_runs_keep_every_bit(self, d, grid, slopes):
+        # an uneven run is anchored at every s (one rate for the whole run would put
+        # its later s at the wrong place), and so is a falling one, whose rate would
+        # grow every weight; a repeated s takes the rate exp(0) = 1, which leaves
+        # the weights as they are
         for log_sigma in self.blocks(TestSpectrumAxisFirst.tree(d), 5):
-            np.testing.assert_allclose(code_tree._log_sums(log_sigma, grid, slopes),
-                                       per_s_log_sums(log_sigma, grid, slopes), rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("slopes", [False, True])
-    @pytest.mark.parametrize("grid", [[5.0, 4.0, 2.5, 2.25], [0.0, 0.0, 0.0, 2.5, 2.5], [0.9, 0.9, 0.4]],
-                             ids=["falling", "repeated", "repeated-then-falling"])
-    def test_falling_and_repeated_s_keep_every_bit(self, grid, slopes):
-        # a falling step would grow every weight, so it is an anchor; a repeated s
-        # takes the rate exp(0) = 1, which leaves the weights as they are
-        for log_sigma in self.blocks(TestSpectrumAxisFirst.tree(2), 5):
             assert np.array_equal(code_tree._log_sums(log_sigma, grid, slopes),
                                   per_s_log_sums(log_sigma, grid, slopes))
 

@@ -135,12 +135,5 @@ def test_bad_input_exits_with_the_cli_code(script, args, code, message, docs, tm
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # a refused first run leaves no table header behind
 
-
-@pytest.mark.parametrize("args", [["{missing}"], ["--family", "nope"], ["{loose}"]],
-                         ids=["missing-doc", "unknown-family", "loose-bounds"])
-def test_refused_demo_prints_no_table(args, docs, tmp_path):
-    proc = run_script("dimension_demo.py", [a.format(**docs) for a in args], tmp_path)
-    assert proc.returncode != 0
-    assert proc.stderr.startswith("error: ")
-    assert proc.stdout == ""
