@@ -11,15 +11,15 @@ level are structurally identical by construction and are represented once.
 
 Necks of a graph-driven tree are the levels immediately after a graph label
 all of whose edges return to the root vertex; every node alive at a neck
-has the same state, so the same future.  ``count_full_blocks`` walks one
-tree from neck to neck: each block's table is built from the state its
-first level shares, and its words' last states give the next block's.
+has the same state, so the same future: the words between two necks are
+one table, built from the state their first level shares.
 
 A word is carried as a triple (linear part M, log|det M|, point f_word(0)),
-and one broadcast rule, ``_compose``, joins two words:
-(M, l, p)·(M', l', p') = (M M', l + l', p + M p').  Exact enumeration builds
-its tables from the leaves up (``_expand_block``).  A node's subtree depends
-only on its (level, state), so at level k each reachable state's table is
+and one rule, ``_compose``, joins a head word to every word of a table:
+(M, l, p)·(M', l', p') = (M M', l + l', p + M p').  Every word is enumerated
+exactly, and nothing samples words.  Enumeration builds its tables from the
+leaves up (``_expand_block``).  A node's subtree depends only on its
+(level, state), so at level k each reachable state's table is
 the empty word, and one level up each reachable state's table joins, in
 branch order, each branch's letter composed with its child's table
 (``_join``); each (level, state) table is built once per sweep, and a
@@ -30,15 +30,14 @@ parts (d, d, n), one row per matrix entry and one column per word, and
 points (d, n).  Each letter's linear parts are then one (d, d) @ (d, d·n)
 BLAS product and its points one (d, d) @ (d, n), both written in place
 into the joined table, with no gather of word rows.  Only the parts a caller
-needs are built: points alone need no linear parts below the prefixes.  The
-Monte Carlo estimator walks one random child per row, word-major, through
-the one level step ``_advance``.  Full enumeration runs through one block
-map, ``_map_words``: the level-k words are split at one level, the first at
-which no state has more than ``_BLOCK_LIMIT`` level-k descendants.  Each
-word to that level is a prefix, and its block is the prefix followed by
-every suffix word below its node, so the blocks run in lexicographic word
-order.  The prefixes are one table built from the root, and each state met
-at the split level, in order of first appearance, has its suffix table
+needs are built: points alone need no linear parts below the prefixes.
+Full enumeration runs through one block map, ``_map_words``: the
+level-k words are split at one level, the first at which no state has
+more than ``_BLOCK_LIMIT`` level-k descendants.  Each word to that
+level is a prefix, and its block is the prefix followed by every suffix
+word below its node, so the blocks run in lexicographic word order.
+The prefixes are one table built from the root, and each state met at
+the split level, in order of first appearance, has its suffix table
 built once; every block at that state is its prefix composed with that
 table in one ``_compose``, entry-major again.  The logs of a block's
 singular spectra are taken from those entry rows (``_log_spectra``: log|t|
@@ -72,8 +71,7 @@ multiplicative, so S(k, s) is a product of k small per-level transfer
 matrices over the (level, state) tables, which ``_transfer_sums`` carries
 in log form from the leaves up, like ``_expand_block``'s tables: any k is
 taken, with no enumeration cap and no underflow.  Points and their weights
-(``enumerate_points``) still enumerate in d = 1, and ``partition_sum_mc``
-still walks its samples.
+(``enumerate_points``) still enumerate in d = 1.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fs_checker import LinearFamily, estimate_fullness
 from .singular_values import _exponent, _log_phi, _piece, _slope, singular_values
 
 __all__ = [
@@ -101,9 +98,7 @@ __all__ = [
     "build_code_tree",
     "detect_necks",
     "partition_sums",
-    "partition_sum_mc",
     "enumerate_points",
-    "count_full_blocks",
 ]
 
 ENUMERATION_CAP = 10**7
@@ -457,18 +452,16 @@ def build_code_tree(gs: GraphSystem, g) -> CodeTreeRealization:
 
 
 def _compose(head, tail, out=(None, None, None)):
-    """The words head·tail of two (mats, log_det, points) triples, broadcast
-    against each other: linear parts M_h M_t, log|det| l_h + l_t and points
-    p_h + M_h p_t, each None where either triple's part is, and written into
-    ``out``'s parts where those are given.
+    """The words head·tail of one head word, ((d, d), (), (d,)), and every
+    word of an entry-major tail table: linear parts M_h M_t, log|det|
+    l_h + l_t and points p_h + M_h p_t, each None where either triple's part
+    is, and written into ``out``'s parts where those are given.
 
-    A walk composes two word-major batches, whose linear parts are (n, d, d),
-    and carries no points.  A table composes one head word, ((d, d), (), (d,)),
-    with every word of an entry-major table: linear parts (d, d, n), entry
-    (i, j, w) being M_w[i, j], and points (d, n).  Its linear parts are the
+    The tail's linear parts are (d, d, n), entry (i, j, w) being M_w[i, j],
+    and its points (d, n).  The linear parts of the words are the
     (d, d) @ (d, d·n) product, entry-major again, which numpy hands BLAS as
     one (d, d) @ (d, n) product per column j, so that each is written in
-    place into ``out`` (a fresh array unless given); its points are one
+    place into ``out`` (a fresh array unless given); their points are one
     (d, d) @ (d, n) product.  d = 1 composes with ``*``, where ``@``'s
     overhead outweighs one multiplication."""
     (mats, log_det, points), (tail_mats, tail_log_det, tail_points) = head, tail
@@ -481,29 +474,10 @@ def _compose(head, tail, out=(None, None, None)):
         out_log_det = np.add(log_det, tail_log_det, out=out_log_det)
     if mats is None or tail_mats is None:
         out_mats = None
-    elif mats.ndim == 2:  # a table: one product per column j, into out[:, j]
+    else:  # one product per column j, into out[:, j]
         out_mats = np.empty(tail_mats.shape) if out_mats is None else out_mats
         product(mats, tail_mats.swapaxes(0, 1), out=out_mats.swapaxes(0, 1))
-    else:
-        out_mats = product(mats, tail_mats, out=out_mats)
     return out_mats, out_log_det, out_points
-
-
-def _entry_major(mats):
-    """Word-major linear parts (n, d, d) as an entry-major (d, d, n) array,
-    copied unless the move leaves them contiguous, as it does for d = 1."""
-    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
-
-
-def _advance(tbl, states, word, branch):
-    """One walk step: row i of ``word``, a word-major (mats, log_det, points)
-    triple at ``states``, moves to child ``branch[i]`` of its state, and its
-    word takes that branch's letter on the right.  Parts the walk does not
-    carry (None) are not gathered."""
-    letters = (tbl._T, tbl._log_det, tbl._a)
-    word = _compose(word, tuple(None if part is None else letter[states, branch]
-                                for part, letter in zip(word, letters)))
-    return tbl._child[states, branch], word  # gathered last, so not alive while the words compose
 
 
 def _join(tbl, state, below):
@@ -954,40 +928,6 @@ def partition_sums(
     return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes)))
 
 
-def partition_sum_mc(
-    tree: CodeTreeRealization,
-    k: int,
-    s: float,
-    samples: int = 10000,
-    seed=0,
-) -> tuple[float, float]:
-    """Unbiased Monte Carlo estimate of S(k, s) with its standard error.
-
-    Paths are drawn uniformly branch by branch and reweighted by the product
-    of branching factors.
-    """
-    if k == 0:
-        return 1.0, 0.0
-    if not 1 <= k <= tree.depth:
-        raise ValueError(f"k must lie in 0..{tree.depth}, got {k}")
-    if samples < 2:
-        raise ValueError("need at least two samples for a standard error")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    states = np.full(samples, tree.root_state, dtype=np.intp)
-    word = (np.eye(tree.d)[None].repeat(samples, axis=0), np.zeros(samples), None)  # empty words
-    logw = np.zeros(samples)
-    for lev in range(k):
-        tbl = tree.levels[lev]
-        sz = tbl._sizes[states]
-        pick = np.floor(rng.random(samples) * sz).astype(np.intp)
-        logw += np.log(sz)
-        states, word = _advance(tbl, states, word, pick)
-    vals = np.exp(_log_phi(_log_spectra(_entry_major(word[0]), word[1], k), s)) * np.exp(logw)
-    # deviations from the first sample: equal samples give it back with err 0 exactly
-    dev = vals - vals[0]
-    return float(vals[0] + np.mean(dev)), float(np.std(dev, ddof=1) / math.sqrt(samples))
-
-
 def enumerate_points(
     tree: CodeTreeRealization,
     k: int,
@@ -1013,44 +953,3 @@ def enumerate_points(
                          "it overflows the double range")
     weights = np.exp(log_w - top)
     return points, weights / np.sum(weights)
-
-
-def count_full_blocks(
-    tree: CodeTreeRealization,
-    s: float,
-    c: float,
-    n_from: int,
-    n_to: int,
-    samples: int = 200,
-    seed=0,
-) -> int:
-    """Count neck blocks j in (n_from, n_to] whose composition family is
-    empirically (c, s)-full.
-
-    Block j runs from neck level N_{j-1} (the root level N_0 = 0) to N_j.  Its
-    family is every composition along a path between the two, expanded once
-    from the state that every node at N_{j-1} shares; the states its paths
-    reach at N_j must again be one, which the next block starts from.
-    ``estimate_fullness`` of the family must exceed c for the block to count.
-    The estimate is an upper bound for the true constant, so this is
-    empirical evidence, not a certificate.
-    """
-    if not 0 <= n_from <= n_to:
-        raise ValueError(f"need 0 <= n_from <= n_to, got ({n_from}, {n_to})")
-    if n_to == n_from:
-        return 0
-    if len(tree.necks) < n_to:
-        raise ValueError(f"insufficient realized necks: have {len(tree.necks)}, need {n_to}")
-    count, state = 0, tree.root_state
-    bounds = (0, *tree.necks[:n_to])
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-        states, (mats, _, _) = _expand_block(tree, lo, state, hi, mats=True, states=True)
-        if j > n_from:
-            fam = LinearFamily(tree.d, np.moveaxis(mats, -1, 0))
-            est = estimate_fullness(fam, s, sample_count=samples, seed=(seed, j))
-            count += int(est.c_hat > c)
-        reached = np.unique(states).tolist()
-        if len(reached) != 1:
-            raise ValueError(f"level {hi} is not a neck: reachable states {reached}")
-        state = reached[0]
-    return count

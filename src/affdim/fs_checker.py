@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,7 +54,7 @@ from .exterior_algebra import (
     _wedge_batch,
     compound_matrix,
 )
-from .singular_values import _nonsingular_spectra, phi_from_singular_values
+from .singular_values import _log_phi, _nonsingular_spectra
 
 __all__ = [
     "UnsupportedEigenstructure",
@@ -353,6 +354,8 @@ def check_cm(
     _check_tol(tol)
     if not 0 <= m <= d:
         raise ValueError(f"grade must satisfy 0 <= m <= {d}, got {m}")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     if m in (0, d):
         return Verdict(
             kind=VerdictKind.CERTIFIED_PASS,
@@ -360,8 +363,6 @@ def check_cm(
             margin=1.0,
             reason="grades 0 and d are spanned trivially by nonsingular maps",
         )
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
     n = math.comb(d, m)
     CC = _normalized_compounds(fam, m)
     reduced = _reduced_stack(CC)
@@ -476,6 +477,8 @@ def check_cs(
         raise ValueError(f"s must lie in (0, {d}), got {s}")
     if s == math.floor(s):
         raise ValueError(f"s = {s} is an integer; condition C({int(s)}) is check_cm's job")
+    if samples < 1:  # with no sampled quadruple a pass would have no margin
+        raise ValueError(f"C(s) needs at least one sampled quadruple, got samples = {samples}")
     m = int(math.floor(s))
 
     for grade, tag, lift in ((m, 1, _extend_to_quadruple), (m + 1, 2, _split_quadruple)):
@@ -731,26 +734,32 @@ def estimate_fullness(
 
     The sample at index t depends only on (seed, t), so enlarging
     ``sample_count`` extends the stream and the estimate is monotone
-    nonincreasing in it.
+    nonincreasing in it.  Each ratio is taken in log form, its sum over the
+    family shifted by the largest term, so phi_s far below the smallest
+    double does not underflow; a ``c_hat`` below the normal double range is
+    refused.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     s = float(s)
     d = fam.d
-    c_hat = math.inf
+
+    def log_phi(mats):  # log phi_s of a (..., d, d) stack
+        return _log_phi(np.moveaxis(np.log(np.linalg.svd(mats, compute_uv=False)), -1, 0), s)
+
+    log_c_hat = math.inf
     worst = None
     for t in range(sample_count):
         rng = _rng_for(seed, t)
         U, V = _fullness_pair(rng, d, t)
-        prods = np.einsum("ij,kjl,lm->kim", U, fam.maps, V)
-        sv = np.linalg.svd(prods, compute_uv=False)
-        total = float(np.sum(phi_from_singular_values(sv, s)))
-        denom = float(
-            phi_from_singular_values(np.linalg.svd(U, compute_uv=False), s)
-            * phi_from_singular_values(np.linalg.svd(V, compute_uv=False), s)
-        )
-        ratio = total / denom
-        if ratio < c_hat:
-            c_hat = ratio
+        terms = log_phi(np.einsum("ij,kjl,lm->kim", U, fam.maps, V))
+        top = np.max(terms)
+        log_ratio = float(top + np.log(np.sum(np.exp(terms - top))) - log_phi(U) - log_phi(V))
+        if log_ratio < log_c_hat:
+            log_c_hat = log_ratio
             worst = (U, V)
+    c_hat = math.exp(log_c_hat)
+    if c_hat < sys.float_info.min:
+        raise ValueError(f"c_hat at s = {s!r} is below the normal double range: "
+                         f"log c_hat = {log_c_hat!r}")
     return FullnessEstimate(c_hat=c_hat, worst_U=worst[0], worst_V=worst[1], samples=sample_count)

@@ -26,18 +26,15 @@ from affdim import (
     GraphSystem,
     IfsFamily,
     build_code_tree,
-    count_full_blocks,
     detect_necks,
     deterministic_tree,
     enumerate_points,
-    partition_sum_mc,
     parse_system,
     partition_sums,
     sample_graph_sequence,
 )
 
 from affdim import code_tree
-from affdim.fs_checker import estimate_fullness
 from affdim.singular_values import _log_phi, _piece, phi_from_singular_values
 
 from conftest import random_contraction
@@ -657,6 +654,11 @@ def expand_words(tree, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.moveaxis(mats, -1, 0), log_det, points.T
 
 
+def entry_major(mats) -> np.ndarray:
+    """Word-major linear parts (n, d, d) as a contiguous entry-major (d, d, n) array."""
+    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+
+
 class TestLogSpectra:
     def test_codiagonal_oracle_where_the_product_loses_sigma_2(self):
         # R diag(a, b) R^T words have spectrum (prod a, prod b); at k = 12 the
@@ -802,24 +804,19 @@ class TestLogSpectra:
             # the words whose product is a normal double take its log
             products = np.log([1e-170 * 0.5, 0.5 * 1e-170, 0.25])
             assert word_spectra(tree, 2)[1:, 0].tolist() == products.tolist()
-            # S(2, 1) = (1e-170 + 0.5)^2; an MC sample is 4 |t| of one word,
-            # 1 for word 11 and below 1e-169 for the others
+            # S(2, 1) = (1e-170 + 0.5)^2
             assert partition_sums(tree, 2, [1.0])[0] == pytest.approx(2 * math.log(0.5), rel=1e-15)
-            est, _ = partition_sum_mc(tree, 2, 1.0, samples=64, seed=0)
-            assert 0.0 < est <= 1.0
             return
         with pytest.raises(ValueError, match="level-2 word underflowed"):
             word_spectra(tree, 2)
         with pytest.raises(ValueError, match="level-2 word underflowed"):
             partition_sums(tree, 2, [1.0])
-        with pytest.raises(ValueError, match="level-2 word underflowed"):
-            partition_sum_mc(tree, 2, 1.0, samples=64, seed=0)
 
     def test_lost_second_singular_value_is_refused(self):
         # sigma_1 survives in the rank-one product, but sigma_1 sigma_2 is lost
         mats = np.array([np.diag([0.5, 0.0, 0.0]), 0.5 * np.eye(3)])
         with pytest.raises(ValueError, match="level-5 word underflowed"):
-            code_tree._log_spectra(code_tree._entry_major(mats), np.zeros(2), 5)
+            code_tree._log_spectra(entry_major(mats), np.zeros(2), 5)
 
 
 class TestSharedSuffixes:
@@ -851,7 +848,7 @@ class TestSharedSuffixes:
         tree = self.two_vertex_tree(rng, d)
         k = tree.depth
         mats, log_det, points = expand_words(tree, k)
-        spectra = code_tree._log_spectra(code_tree._entry_major(mats), log_det, k)
+        spectra = code_tree._log_spectra(entry_major(mats), log_det, k)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
         split = self.split_level(tree, k, 20)
         states = level_states(tree, 0, tree.root_state, split)
@@ -904,7 +901,7 @@ class TestSharedSuffixes:
                 got[0] is want[0] and got[1] == want[1] for got, want in zip(joined, expected))
             assert states.tolist() == [end for _, end in paths]
             words = [fold_right(tree, letters) for letters, _ in paths]
-            assert mats.tobytes() == code_tree._entry_major(np.array([w[0] for w in words])).tobytes()
+            assert mats.tobytes() == entry_major(np.array([w[0] for w in words])).tobytes()
             assert log_det.tobytes() == np.array([w[1] for w in words]).tobytes()
             np.testing.assert_allclose(points, np.array([w[2] for w in words]).T, rtol=1e-13, atol=0)
 
@@ -955,7 +952,7 @@ class TestSharedSuffixes:
         assert len(blocks) == tree.word_count(self.split_level(tree, k, limit))
         assert all(1 <= len(ld) <= limit for _, ld, _ in blocks)
         got_mats, got_log_det, got_points = zip(*blocks)
-        for got, want in ((np.concatenate(got_mats, axis=-1), code_tree._entry_major(mats)),
+        for got, want in ((np.concatenate(got_mats, axis=-1), entry_major(mats)),
                           (np.concatenate(got_log_det), log_det),
                           (np.concatenate(got_points, axis=-1), points.T)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -1055,7 +1052,7 @@ def per_word_blocks(tree, k, fold):
             mats.append(head[0] * tail[0] if tree.d == 1 else head[0] @ tail[0])
             if head[1] is not None:
                 log_det.append(head[1] + tail[1])
-        blocks.append((code_tree._entry_major(np.array(mats)), np.array(log_det) if log_det else None))
+        blocks.append((entry_major(np.array(mats)), np.array(log_det) if log_det else None))
     return blocks
 
 
@@ -1181,12 +1178,6 @@ class TestEntryMajorBlocks:
         for mats, (left, _) in zip(got, want):
             np.testing.assert_allclose(mats, left, rtol=1e-13, atol=0)
 
-    def test_one_dimensional_tables_are_not_copied(self):
-        mats = np.arange(1.0, 6.0).reshape(5, 1, 1)
-        moved = code_tree._entry_major(mats)
-        assert moved.shape == (1, 1, 5) and np.shares_memory(moved, mats)
-        assert not np.shares_memory(code_tree._entry_major(np.ones((5, 2, 2))), mats)
-
     def test_uniform_points_form_no_block_linear_parts(self, rng, monkeypatch):
         # at s = 0 the blocks compose points alone; with spectra wanted they
         # also form linear parts, and the points keep every bit either way
@@ -1237,7 +1228,7 @@ class TestEntryMajorBlocks:
         mats = special_columns(rng, 300).T.reshape(-1, 3, 3)
         log_det = np.log(np.abs(np.linalg.det(mats)))
         want = word_major_log_spectra3(mats.copy(), log_det)
-        got = code_tree._log_spectra(code_tree._entry_major(mats), log_det, 5)
+        got = code_tree._log_spectra(entry_major(mats), log_det, 5)
         assert got.shape == (3, 300) and got.tobytes() == want.tobytes()
 
 
@@ -1431,46 +1422,6 @@ class TestGeometricRecurrence:
                 code_tree._log_sums(log_sigma, [2.5, 1e308], slopes)
 
 
-class TestPartitionSumMc:
-    def test_similarity_tree_is_exact(self):
-        tree = deterministic_tree(thirds_family(), 6)
-        est, err = partition_sum_mc(tree, 6, 1.0, samples=500, seed=0)
-        assert err == 0.0
-        assert math.log(est) == pytest.approx(partition_sums(tree, 6, [1.0])[0], rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "d, r, s",
-        [(1, 0.3, 0.7), (2, 0.3, 0.7), (1, 0.15, 0.5), (2, 0.2, 1.5), (1, 1.0 / 3.0, 1.0), (2, 0.45, 2.0)],
-    )
-    def test_equal_samples_give_the_sample_with_zero_error(self, d, r, s):
-        # three copies of r * I: every sample is 3^6 phi_s(r^6 I), and the
-        # estimate is that sample, not a mean rounded an ulp away from it
-        fam = IfsFamily("sim", tuple(AffineMap(r * np.eye(d), c, np.full(d, c / 3)) for c in range(3)))
-        tree = deterministic_tree(fam, 6)
-        est, err = partition_sum_mc(tree, 6, s, samples=500, seed=0)
-        assert err == 0.0
-        assert est == partition_sum_mc(tree, 6, s, samples=2, seed=1)[0]
-        assert math.log(est) == pytest.approx(partition_sums(tree, 6, [s])[0], rel=1e-12)
-
-    def test_agrees_within_four_stderr(self, rng):
-        mats = [random_contraction(rng, 2, 0.2, 0.45) for _ in range(3)]
-        fam = IfsFamily("rand", tuple(AffineMap(T, c) for c, T in enumerate(mats)))
-        tree = deterministic_tree(fam, 5)
-        exact = math.exp(partition_sums(tree, 5, [1.2])[0])
-        est, err = partition_sum_mc(tree, 5, 1.2, samples=20_000, seed=1)
-        assert err > 0.0
-        assert abs(est - exact) <= 4 * err
-
-    def test_level_zero(self):
-        tree = deterministic_tree(thirds_family(), 2)
-        assert partition_sum_mc(tree, 0, 1.0) == (1.0, 0.0)
-
-    def test_needs_two_samples(self):
-        tree = deterministic_tree(thirds_family(), 2)
-        with pytest.raises(ValueError, match="two samples"):
-            partition_sum_mc(tree, 1, 1.0, samples=1)
-
-
 # ---------------------------------------------------------------------------
 # point clouds
 
@@ -1552,71 +1503,6 @@ class TestEnumeratePoints:
         ones = np.array([bin(i).count("1") for i in range(8)])
         expected = np.exp(200.0 * math.log(2.0) * (ones - 3))
         np.testing.assert_allclose(weights, expected / expected.sum(), rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# block fullness counting
-
-
-class TestCountFullBlocks:
-    def test_spinning_family_fills_every_block(self):
-        fam = IfsFamily("spin", (AffineMap(0.45 * np.eye(2), 0), AffineMap(0.45 * ROT90, 1)))
-        tree = deterministic_tree(fam, 4)
-        assert count_full_blocks(tree, 1.0, 0.1, 0, 3, samples=40) == 3
-
-    def test_single_map_fills_nothing(self):
-        fam = IfsFamily("solo", (AffineMap(0.45 * np.eye(2)),))
-        tree = deterministic_tree(fam, 4)
-        assert count_full_blocks(tree, 1.0, 0.1, 0, 3, samples=60) == 0
-
-    def test_empty_range(self):
-        tree = deterministic_tree(thirds_family(), 3)
-        assert count_full_blocks(tree, 0.5, 0.1, 2, 2) == 0
-
-    def test_range_validation(self):
-        tree = deterministic_tree(thirds_family(), 3)
-        with pytest.raises(ValueError, match="n_from"):
-            count_full_blocks(tree, 0.5, 0.1, 3, 1)
-        with pytest.raises(ValueError, match="necks"):
-            count_full_blocks(tree, 0.5, 0.1, 0, 9)
-
-    @pytest.mark.parametrize("g, necks", [
-        ([1, 1, 0, 1, 1, 1, 0, 1, 0], (3, 7, 9)),
-        ([0, 1, 1, 0, 0, 1, 1, 1, 1, 0], (1, 4, 5, 10)),
-    ])
-    def test_blocks_run_from_neck_to_neck(self, monkeypatch, g, necks):
-        # each block's family is bit for bit the expansion of the tree rerooted
-        # at the block's first level, up to its next neck
-        gs = walk_graph()
-        tree = build_code_tree(gs, g)
-        assert tree.necks == necks
-        seen = []
-
-        def record(fam, s, sample_count, seed):
-            seen.append((fam.maps, seed))
-            return estimate_fullness(fam, s, sample_count=sample_count, seed=seed)
-
-        monkeypatch.setattr(code_tree, "estimate_fullness", record)
-        assert count_full_blocks(tree, 0.5, 0.0, 1, len(necks), samples=3, seed=7) == len(necks) - 1
-        bounds = (0, *necks)
-        assert [seed for _, seed in seen] == [(7, j) for j in range(2, len(necks) + 1)]
-        for (maps, _), lo, hi in zip(seen, bounds[1:], bounds[2:]):
-            rerooted = CodeTreeRealization(tree.levels[lo:], gs.v0 - 1)
-            _, (expected, _, _) = code_tree._expand_block(rerooted, 0, gs.v0 - 1, hi - lo, mats=True)
-            np.testing.assert_array_equal(maps, np.moveaxis(expected, -1, 0))
-
-    def test_non_neck_is_refused(self):
-        # label 'x' sends the root to both vertices, so level 1 is no neck
-        m0, m1 = AffineMap([[0.3]], 0, [0.0]), AffineMap([[0.4]], 1, [0.5])
-        gs = GraphSystem(2, 1, (
-            GraphLabel("n", 0.5, (GraphEdge(1, 1, m0), GraphEdge(2, 1, m1))),
-            GraphLabel("x", 0.5, (GraphEdge(1, 1, m0), GraphEdge(1, 2, m1), GraphEdge(2, 2, m0))),
-        ))
-        tree = build_code_tree(gs, [1, 0])
-        assert tree.necks == (2,)
-        fake = CodeTreeRealization(tree.levels, tree.root_state, necks=(1, 2))
-        with pytest.raises(ValueError, match=r"level 1 is not a neck: reachable states \[0, 1\]"):
-            count_full_blocks(fake, 0.5, 0.1, 0, 2, samples=3)
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,11 @@ class TestCheckCm:
                 check_cm(fam, m)
 
     def test_negative_samples(self):
+        # the trivial grades 0 and d are refused too, not certified
         fam = LinearFamily.from_matrices([np.eye(2), ROT90])
-        with pytest.raises(ValueError, match="samples"):
-            check_cm(fam, 1, samples=-1)
+        for m in (0, 1, 2):
+            with pytest.raises(ValueError, match="samples"):
+                check_cm(fam, m, samples=-1)
 
     @pytest.mark.parametrize("depth", [1, 2, 4, 8])
     def test_triangular_family_fails_at_every_closure_depth(self, depth):
@@ -948,6 +950,17 @@ class TestEstimateFullness:
         num = np.linalg.svd(U @ V, compute_uv=False)[0]
         den = np.linalg.svd(U, compute_uv=False)[0] * np.linalg.svd(V, compute_uv=False)[0]
         assert math.isclose(num / den, est.c_hat, rel_tol=1e-12)
+
+    def test_ratios_below_the_smallest_double_are_taken_in_log_form(self):
+        # for s >= d phi_s is |det|^(s/d), so every ratio is sum_j |det S_j|^(s/d):
+        # about 7e-210 at s = 400, and 1e-523 at s = 1000, below every double
+        maps = [0.3 * np.eye(2), np.array([[0.2, 0.1], [0.0, 0.4]])]
+        fam = LinearFamily.from_matrices(maps)
+        est = estimate_fullness(fam, 400.0, sample_count=50)
+        want = sum(abs(np.linalg.det(m)) ** 200 for m in maps)
+        assert est.c_hat == pytest.approx(want, rel=1e-10, abs=0)
+        with pytest.raises(ValueError, match=r"s = 1000\.0"):
+            estimate_fullness(fam, 1000.0, sample_count=50)
 
     def test_sample_count_must_be_positive(self):
         fam = LinearFamily.from_matrices([np.eye(2)])

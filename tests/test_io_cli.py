@@ -153,6 +153,21 @@ WIDE_DOC = {
     ],
 }
 
+# three generic maps: every C(s) prefilter passes
+GENERIC_DOC = {
+    "d": 2,
+    "bounds": {"sigma_lo": 0.1, "sigma_hi": 0.45},
+    "families": [
+        {
+            "label": "generic",
+            "maps": [
+                {"T": [[0.3, 0.1], [0.05, 0.35]]},
+                {"T": [[0.4, -0.1], [0.1, 0.2]]},
+                {"T": [[0.2, 0.0], [0.15, 0.3]]},
+            ],
+        }
+    ],
+}
 
 # an integer literal past the largest double
 HUGE_INT = "1" + "0" * 400
@@ -1351,13 +1366,29 @@ class TestCli:
         assert target.read_bytes() == printed.encode()
         assert "witness v" in printed
 
-    @pytest.mark.parametrize("s", ["inf", "nan"])
-    def test_non_finite_grade_exits_two(self, tmp_path, capsys, s):
-        rc = cli(["check-fs", doc_path(tmp_path, SPIN_DOC), "--s", s])
+    @pytest.mark.parametrize("doc, argv, message", [
+        pytest.param(SPIN_DOC, ["--s", "inf"], "s must lie in", id="inf"),
+        pytest.param(SPIN_DOC, ["--s", "nan"], "s must lie in", id="nan"),
+        # C(s) with no sampled quadruple: once a pass with margin inf, and on
+        # d = 1 a pass with samples=-1, since grades 0 and d returned first
+        pytest.param(GENERIC_DOC, ["--s", "1.5", "--samples", "0"],
+                     "at least one sampled quadruple, got samples = 0", id="no-samples"),
+        pytest.param(THIRDS_DOC, ["--s", "0.5", "--samples", "-1"],
+                     "at least one sampled quadruple, got samples = -1", id="negative-samples"),
+    ])
+    def test_non_finite_grade_exits_two(self, tmp_path, capsys, doc, argv, message):
+        rc = cli(["check-fs", doc_path(tmp_path, doc)] + argv)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert "s must lie in" in captured.err
+        assert message in captured.err
+
+    def test_pool_scan_takes_no_samples(self, tmp_path, capsys):
+        # without --s only the candidate pool is scanned, which needs no sample
+        rc = cli(["check-fs", doc_path(tmp_path, GENERIC_DOC), "--samples", "0"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "samples=" in captured.out
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_boxdim_rejects_non_finite_points(self, tmp_path, capsys, cell):

@@ -8,8 +8,8 @@ another module) reaches it.  It passes when one of these holds:
 - it is listed in ``REACHED_THROUGH`` beside a function of its own module
   that is reached as above and whose source names it: the function returns
   or raises it, or calls it;
-- it is in ``AWAITING_PIPELINE``, the test-only code that ROADMAP item 6
-  connects to ``dim``: random trees and the probabilistic C(s).
+- it is in ``AWAITING_PIPELINE``, the test-only code that ROADMAP items 2
+  and 13 connect to ``dim``: the fullness constant of their lower bounds.
 
 A module-level private helper (``_function`` or ``_Class``) in ``src/affdim``
 stays only if code outside its own definition names it: a module of the
@@ -46,15 +46,11 @@ REACHED_THROUGH = {
     "SystemSpecError": "parse_system",
 }
 
-# ROADMAP item 6: reached only by tests until a graph document's ``dim`` uses them
-AWAITING_PIPELINE = {"partition_sum_mc", "count_full_blocks", "estimate_fullness", "FullnessEstimate"}
+# ROADMAP items 2 and 13: reached only by tests until ``dim``'s lower bounds use them
+AWAITING_PIPELINE = {"estimate_fullness", "FullnessEstimate"}
 
 # private helper -> the AWAITING_PIPELINE definition that is the only code naming it
-AWAITING_HELPERS = {
-    "_advance": "partition_sum_mc",
-    "_entry_major": "partition_sum_mc",
-    "_fullness_pair": "estimate_fullness",
-}
+AWAITING_HELPERS = {"_fullness_pair": "estimate_fullness"}
 
 
 def _outside_texts(module: str) -> list[str]:
