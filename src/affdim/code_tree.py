@@ -42,9 +42,14 @@ built once; every block at that state is its prefix composed with that
 table in one ``_compose``, entry-major again.  The logs of a block's
 singular spectra are taken from those entry rows (``_log_spectra``: log|t|
 for d = 1, from the summed log|det| where the product underflowed; a
-closed-form sigma_1 for d = 2, closed-form sigma_1 and sigma_1 sigma_2 for
-d = 3, each with the smallest singular value from the summed log|det|; one
-batched SVD for d >= 4) as a
+closed-form sigma_1 for d = 2, with sigma_2 from the summed log|det|; one
+batched SVD for d >= 4).  A d = 3 block composes no linear parts: its
+suffix table's are traded for their Gram matrices and their cofactor
+matrices' Grams once per state (``_gram_table``), and each block's Grams
+are the prefix's congruence applied to those, two (6, 6) @ (6, chunk)
+products, whose top eigenvalues give sigma_1 and sigma_1 sigma_2 in
+closed form, with sigma_3 from the summed log|det| (``_congruent_spectra``).
+Either way the spectra are a
 (d, n) array, one row per singular value and one column per word, so phi_s
 of every word is a few whole-row adds; a caller's reduction is applied per
 block.  The log partition sums log S(k, s) of d >= 2 trees (S sums phi_s
@@ -53,7 +58,8 @@ log of -dS/ds beside them for the pressure zero-finder's tangents, the
 weighted cylinder points and the zero-finder's cache are such reductions,
 all in log form over ``singular_values._log_phi``, so values far below the
 smallest double stay finite.  The word sums (``_log_sums``) take each
-partial spectrum sum a block's s-values need once.  On a piece of
+partial spectrum sum a block's s-values need once, into rows that every
+block of a pass reuses (``_reused_rows``).  On a piece of
 ``singular_values._piece`` log phi_s of every word is affine in s, so they
 walk each run of s in one piece by a geometric recurrence: the first s is an
 anchor, evaluated exactly into one buffer of the block's length, and on an
@@ -61,8 +67,9 @@ evenly spaced run whose rate exp(delta * B) grows no weight each later s
 multiplies the words' weights by that one rate, held in a second such
 buffer, and takes one sum.  Any other run is anchored at every s, and a step
 re-anchors where the sum falls below 2^-900, so the results stay within a
-few ulps of evaluating every s afresh.  The points at s = 0 carry uniform
-weights (phi_0 is 1), take no spectra and form no block linear parts.
+few ulps, or the rounding of s * B itself, of evaluating every s afresh.
+The points at s = 0 carry uniform weights (phi_0 is 1), take no spectra and
+form no block linear parts.
 Blocks are mapped one after another on the calling thread and their
 results folded in word order.
 
@@ -83,7 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .singular_values import _exponent, _log_phi, _piece, _slope, singular_values
+from .singular_values import _exponent, _log_phi, _Partials, _piece, _slope, singular_values
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -528,14 +535,17 @@ def _expand_block(tree, level0, state0, k, *, mats=False, log_det=False, points=
     return end_states, word
 
 
-# Rows whose two largest Gram eigenvalues nearly meet (1 + r below this in
-# ``_gram_top``) take sigma_1 and sigma_2 from the SVD: the closed form loses
-# half the digits where the arccos argument r reaches -1.
+# Columns whose two largest Gram eigenvalues nearly meet (1 + r below this in
+# ``_top_eigenvalue``) take them from ``np.linalg.eigvalsh``: the closed form
+# loses half the digits where the arccos argument r reaches -1.
 _CLOSED_FORM_GAP = 1e-3
-# d = 3 spectra are taken this many rows at a time, which keeps the closed
-# form's temporaries in cache and the block's peak memory that of its expansion
+# d = 3 Grams are taken this many columns at a time, which keeps the closed
+# form's temporaries in cache and a block's buffers small
 _SPECTRUM_CHUNK = 1 << 13
 _LN2 = math.log(2.0)
+# The rows of a symmetric 3×3 G in ``_gram``'s layout: entries (i, j), i <= j
+_GRAM_I = np.array([0, 1, 2, 0, 0, 1])
+_GRAM_J = np.array([0, 1, 2, 1, 2, 2])
 
 
 def _underflow(k):
@@ -568,10 +578,22 @@ def _minor(a, b, c, e, out, tmp):
     return out
 
 
-def _gram_top(x, top, gap, work):
-    """Largest eigenvalue of X Xᵀ for each column of ``x`` (9, n), the row-major
-    entries of a 3×3 X, written into ``top`` (n,), and 1 + r into ``gap`` (n,),
-    which is 0 where the top two eigenvalues meet; ``work`` is (10, n) scratch.
+def _gram(x, g, tmp):
+    """The Gram matrix X Xᵀ of each column of ``x`` (9, n), the row-major
+    entries of a 3×3 X, written into ``g`` (6, n) as its entries (i, j), i <= j,
+    in the order (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2); ``tmp`` is
+    (n,) scratch."""
+    rows = x[0:3], x[3:6], x[6:9]
+    for out, i, j in zip(g, _GRAM_I, _GRAM_J):
+        _sum_products(zip(rows[i], rows[j]), out, tmp)
+    return g
+
+
+def _top_eigenvalue(g, top, gap, work):
+    """Largest eigenvalue of each symmetric 3×3 column of ``g`` (6, n), laid out
+    as ``_gram`` writes it, written into ``top`` (n,), and 1 + r into ``gap``
+    (n,), which is 0 where the top two eigenvalues meet; ``work`` is (7, n)
+    scratch, and ``g`` is left as it is.
 
     Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,
     p² = |G - qI|_F² / 6 and r = det(G - qI) / (2p³) in [-1, 1], the largest
@@ -579,26 +601,24 @@ def _gram_top(x, top, gap, work):
     (p <= 64 eps q) takes r = 1: the computed and the true eigenvalue then both
     lie in [q + p, q + 2p], so the error is at most p.
     """
-    g00, g11, g22, g01, g02, g12, p, t, u, v = work
-    r0, r1, r2 = x[0:3], x[3:6], x[6:9]
-    for g, (a, b) in zip(work, ((r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2))):
-        _sum_products(zip(a, b), g, t)
+    g00, g11, g22, g01, g02, g12 = g
+    a00, a11, a22, p, t, u, v = work
     q = np.add(g00, g11, out=top)  # top holds q until the end
     q += g22
     q /= 3.0
-    g00 -= q
-    g11 -= q
-    g22 -= q
-    _sum_products(((g00, g00), (g11, g11), (g22, g22)), p, t)
+    np.subtract(g00, q, out=a00)
+    np.subtract(g11, q, out=a11)
+    np.subtract(g22, q, out=a22)
+    _sum_products(((a00, a00), (a11, a11), (a22, a22)), p, t)
     _sum_products(((g01, g01), (g02, g02), (g12, g12)), u, t)
     u *= 2.0
     p += u
     p /= 6.0
     np.sqrt(p, out=p)
-    det = _minor(g11, g22, g12, g12, u, t)
-    det *= g00
-    det -= np.multiply(_minor(g01, g22, g12, g02, v, t), g01, out=v)
-    det += np.multiply(_minor(g01, g12, g11, g02, v, t), g02, out=v)
+    det = _minor(a11, a22, g12, g12, u, t)
+    det *= a00
+    det -= np.multiply(_minor(g01, a22, g12, g02, v, t), g01, out=v)
+    det += np.multiply(_minor(g01, g12, a11, g02, v, t), g02, out=v)
     np.multiply(p, 2.0, out=v)
     v *= p
     v *= p
@@ -615,7 +635,8 @@ def _cofactors(x, out, tmp):
     """Cofactor matrices of the 3×3 columns of ``x`` (9, n), row-major, written
     into ``out`` (9, n) with ``tmp`` (n,) as scratch: row i is the cross product
     of the other two rows of X, and its singular values are
-    sigma_1 sigma_2 >= sigma_1 sigma_3 >= sigma_2 sigma_3 of X."""
+    sigma_1 sigma_2 >= sigma_1 sigma_3 >= sigma_2 sigma_3 of X.  The cofactor
+    matrix of a product is the product of the cofactor matrices."""
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
     for o, args in zip(out, ((x4, x8, x5, x7), (x5, x6, x3, x8), (x3, x7, x4, x6),
                              (x7, x2, x8, x1), (x8, x0, x6, x2), (x6, x1, x7, x0),
@@ -624,29 +645,103 @@ def _cofactors(x, out, tmp):
     return out
 
 
-def _log_spectra3(x, out, work):
-    """Log sigma_1 and log sigma_1 sigma_2 of the 3×3 columns of ``x`` (9, n),
-    row-major entries, written into rows 0 and 1 of ``out`` (3, n); ``work``
-    is (23, n) scratch and ``x`` is scaled in place.
+def _gram_table(mats):
+    """The Grams a d = 3 suffix table's blocks take their spectra from
+    (``_congruent_spectra``), from its entry-major linear parts ``mats``
+    (3, 3, n), which are scaled in place: (G, e, H, f) with T Tᵀ = 4^e G and
+    cof(T) cof(T)ᵀ = 4^f H for each word T, G and H (6, n) in ``_gram``'s
+    layout.  Each T is scaled by a power of two, 2^-e, before its Gram and its
+    cofactor matrix are taken, and that cofactor matrix by another, so every
+    Gram entry is at most 3 and the largest diagonal one at least 1/4.  Taken
+    ``_SPECTRUM_CHUNK`` columns at a time."""
+    n = mats.shape[-1]
+    x = mats.reshape(9, n)
+    width = min(n, _SPECTRUM_CHUNK)
+    g, h = np.empty((6, n)), np.empty((6, n))
+    e, f = np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc)
+    cof, tmp = np.empty(9 * width), np.empty(width)
+    for lo in range(0, n, _SPECTRUM_CHUNK):
+        cols = slice(lo, lo + _SPECTRUM_CHUNK)
+        m = min(n - lo, _SPECTRUM_CHUNK)
+        e[cols] = _scaled(x[:, cols])
+        _gram(x[:, cols], g[:, cols], tmp[:m])
+        c = _cofactors(x[:, cols], cof[:9 * m].reshape(9, m), tmp[:m])
+        f[cols] = 2 * e[cols] + _scaled(c)
+        _gram(c, h[:, cols], tmp[:m])
+    return g, e, h, f
 
-    Each product X is scaled by a power of two; sigma_1² is then the largest
-    eigenvalue of its Gram matrix, (sigma_1 sigma_2)² that of its (again
-    scaled) cofactor matrix's.  Columns where either top pair of eigenvalues
-    nearly meets take sigma_1 and sigma_2 from the SVD of those scaled columns.
+
+def _congruence(m):
+    """The 6×6 matrix of G -> M G Mᵀ on symmetric 3×3 G in ``_gram``'s layout:
+    entry ((i, j), (a, b)) is M_ia M_jb + M_ib M_ja, or M_ia M_ja where a = b."""
+    mi, mj = m[_GRAM_I], m[_GRAM_J]  # rows i and j of each output entry (i, j)
+    cross = mi[:, _GRAM_I] * mj[:, _GRAM_J]
+    return np.where(_GRAM_I == _GRAM_J, cross, cross + mi[:, _GRAM_J] * mj[:, _GRAM_I])
+
+
+def _symmetric(g):
+    """The symmetric 3×3 matrices (n, 3, 3) of the columns of ``g`` (6, n)."""
+    out = np.empty((g.shape[1], 3, 3))
+    out[:, _GRAM_I, _GRAM_J] = g.T
+    out[:, _GRAM_J, _GRAM_I] = g.T
+    return out
+
+
+def _congruent_spectra(m, table, log_det, k):
+    """Log singular values (3, n) of the words M T of a d = 3 block, one prefix
+    word ``m`` (3, 3) followed by every word T of a suffix table, from the
+    table's Grams ``table`` (``_gram_table``) and the words' summed
+    ``log_det``, with no product M T formed; row i holds log sigma_{i+1}.
+
+    Gram matrices compose by congruence, (M T)(M T)ᵀ = M (T Tᵀ) Mᵀ, and so do
+    the cofactor matrices' Grams, since cof(M T) = cof(M) cof(T).  On a Gram's
+    6 distinct entries the congruence is a 6×6 matrix (``_congruence``), so
+    each ``_SPECTRUM_CHUNK`` columns of the block's two Grams are two (6, 6) @
+    (6, chunk) BLAS products into reused buffers.  M is scaled by a power of
+    two, 2^-a, and its cofactor matrix by another; sigma_1² is then the largest
+    eigenvalue of the block's Gram, and (sigma_1 sigma_2)² that of its cofactor
+    Gram (``_top_eigenvalue``), each times its power of four.  Columns where
+    either top pair nearly meets take those eigenvalues from
+    ``np.linalg.eigvalsh`` of the two Grams.  log sigma_3 is ``log_det`` less
+    log sigma_1 sigma_2.  A lost sigma_1 or sigma_1 sigma_2 can only be an
+    underflow (the maps are nonsingular) and is refused.
     """
-    c, (top1, gap1, top12, gap12), scratch = work[:9], work[9:13], work[13:]
-    e = _scaled(x)
-    _gram_top(x, top1, gap1, scratch)
-    f = _scaled(_cofactors(x, c, scratch[0]))
-    _gram_top(c, top12, gap12, scratch)
-    with np.errstate(divide="ignore"):  # a lost sigma_1 sigma_2 gives -inf, refused by the caller
-        out[0] = 0.5 * np.log(top1) + e * _LN2
-        out[1] = 0.5 * np.log(top12) + (2 * e + f) * _LN2
-        near = np.flatnonzero((gap1 < _CLOSED_FORM_GAP) | (gap12 < _CLOSED_FORM_GAP))
-        if near.size:
-            sv = np.log(np.linalg.svd(x[:, near].T.reshape(-1, 3, 3), compute_uv=False)[:, :2])
-            out[0, near] = sv[:, 0] + e[near] * _LN2
-            out[1, near] = sv[:, 0] + sv[:, 1] + 2 * e[near] * _LN2
+    g_table, e, h_table, f = table
+    n = g_table.shape[1]
+    x = m.reshape(9, 1).copy()
+    a = int(_scaled(x)[0])  # M = 2^a X
+    c = _cofactors(x, np.empty((9, 1)), np.empty(1))
+    b = 2 * a + int(_scaled(c)[0])  # cof(M) = 2^b C
+    # per Gram: its congruence, the table's Grams and the block words' powers of two
+    parts = ((_congruence(x.reshape(3, 3)), g_table, a, e),
+             (_congruence(c.reshape(3, 3)), h_table, b, f))
+    width = min(n, _SPECTRUM_CHUNK)
+    buffers, tops, gaps = np.empty((2, 6 * width)), np.empty((2, width)), np.empty((2, width))
+    work = np.empty((7, width))
+    log_sigma = np.empty((3, n))
+    for lo in range(0, n, _SPECTRUM_CHUNK):
+        cols, w = slice(lo, lo + _SPECTRUM_CHUNK), min(n - lo, _SPECTRUM_CHUNK)
+        grams = []
+        for (congruence, table_grams, _, _), buffer, top, gap in zip(
+                parts, buffers, tops[:, :w], gaps[:, :w]):
+            gram = np.matmul(congruence, table_grams[:, cols], out=buffer[:6 * w].reshape(6, w))
+            _top_eigenvalue(gram, top, gap, work[:, :w])
+            grams.append(gram)
+        near = np.flatnonzero((gaps[0, :w] < _CLOSED_FORM_GAP) | (gaps[1, :w] < _CLOSED_FORM_GAP))
+        for row, ((_, _, scale, exponents), gram, top) in enumerate(zip(parts, grams, tops[:, :w])):
+            if near.size:
+                top[near] = np.linalg.eigvalsh(_symmetric(gram[:, near]))[:, -1]
+            # a lost eigenvalue gives -inf (nan where rounding took it below 0), refused below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log(top, out=top)
+            top *= 0.5
+            np.multiply(scale + exponents[cols], _LN2, out=log_sigma[row, cols])
+            log_sigma[row, cols] += top
+    if not np.all(log_sigma[:2] > -np.inf):
+        raise _underflow(k)
+    log_sigma[2] = log_det - log_sigma[1]
+    log_sigma[1] -= log_sigma[0]
+    return log_sigma
 
 
 def _log_spectra(mats, log_det, k):
@@ -661,34 +756,20 @@ def _log_spectra(mats, log_det, k):
     [[a, b], [c, e]], each entry one row of ``mats``, and log sigma_2 =
     log|det| - log sigma_1 from the word's summed ``log_det``, which stays
     exact where the product's own sigma_2 or det is lost to cancellation.
-    d = 3 takes sigma_1 and sigma_1 sigma_2 in closed form (``_log_spectra3``,
-    which scales ``mats`` in place), ``_SPECTRUM_CHUNK`` columns at a time
-    into one (3, n) array, and log sigma_3 from ``log_det`` the same way.
-    d >= 4 hands one batched SVD an axis-moved view of ``mats``; its (n, d)
-    output is handed out transposed, not copied: sums of 8 or more rows of a
-    copy would round differently.  For d >= 2 a zero sigma_1, or sigma_1
-    sigma_2 for d = 3 (sigma_d through the SVD), can only be an underflow
-    (the maps are nonsingular) and is refused.
+    Any other d hands one batched SVD an axis-moved view of ``mats``; its
+    (n, d) output is handed out transposed, not copied: sums of 8 or more rows
+    of a copy would round differently.  ``_map_words`` sends d >= 4 here: a
+    d = 3 block forms no products and takes its spectra from its suffix
+    table's Grams (``_congruent_spectra``).  For d >= 2 a zero singular value
+    can only be an underflow (the maps are nonsingular) and is refused.
     """
-    d, n = mats.shape[0], mats.shape[-1]
+    d = mats.shape[0]
     if d == 1:
         log_sigma = np.abs(mats[0], out=mats[0])
         lost = log_sigma < np.finfo(float).tiny
         with np.errstate(divide="ignore"):  # a t lost to 0 is replaced below
             np.log(log_sigma, out=log_sigma)
         np.copyto(log_sigma, log_det, where=lost)
-        return log_sigma
-    if d == 3:
-        x = mats.reshape(9, n)
-        log_sigma = np.empty((3, n))
-        work = np.empty((23, min(n, _SPECTRUM_CHUNK)))
-        for lo in range(0, n, _SPECTRUM_CHUNK):
-            cols = slice(lo, lo + _SPECTRUM_CHUNK)
-            _log_spectra3(x[:, cols], log_sigma[:, cols], work[:, :min(n - lo, _SPECTRUM_CHUNK)])
-        if not np.all(log_sigma[1] > -np.inf):  # a zero sigma_1 zeroes the cofactors too
-            raise _underflow(k)
-        log_sigma[2] = log_det - log_sigma[1]
-        log_sigma[1] -= log_sigma[0]
         return log_sigma
     if d == 2:
         a, b, c, e = mats[0, 0], mats[0, 1], mats[1, 0], mats[1, 1]
@@ -704,12 +785,30 @@ def _log_spectra(mats, log_det, k):
 # The word sums' recurrence (``_log_sums``): a running sum of weights below
 # _SUM_FLOOR is taken afresh, and a run of s steps by one rate only if its
 # points lie within _STEP_BUDGET / max|B| of an even progression, so the rate
-# moves no log phi_s by more than about _STEP_BUDGET.
+# moves no log phi_s by more than about _STEP_BUDGET, or within the rounding
+# eps * max s of the run's largest s, which moves none by more than the
+# rounding of s * B itself.
 _SUM_FLOOR = 2.0**-900
 _STEP_BUDGET = 2.0**-46
+_EPS = float(np.finfo(float).eps)
 
 
-def _log_sums(log_sigma, s_values, slopes=False):
+def _reused_rows(count):
+    """A function n -> a (count, n) view of one buffer, which is allocated
+    anew only for a block wider than every block before it: the word sums of
+    one pass share it, sized by its widest block."""
+    buffer = np.empty((count, 0))
+
+    def rows(n):
+        nonlocal buffer
+        if buffer.shape[1] < n:
+            buffer = np.empty((count, n))
+        return buffer[:, :n]
+
+    return rows
+
+
+def _log_sums(log_sigma, s_values, slopes=False, rows=None):
     """Per s, log sum of phi_s over the words (the columns of ``log_sigma``),
     by a geometric recurrence along each run of s in one piece.
 
@@ -718,14 +817,15 @@ def _log_sums(log_sigma, s_values, slopes=False):
     where log phi_s of every word is affine in s with slope row B
     (``_slope``).  The first s of a run is an anchor: ``_log_phi`` writes log
     phi_s into one (n,) buffer (an integer s reads its partial sum as it
-    stands, and every s shares one dict of the block's partial spectrum sums,
-    each taken once), which is shifted by its max, top, and exponentiated in
-    place into weights; the log sum is top + log sum(weights), every bit as a
-    lone s gives it.  A run steps when it is evenly spaced, every s within
-    ``_STEP_BUDGET`` / max|B| of s_0 + j * delta with delta from the run's
-    two ends, and its rate exp(delta * B) grows no weight (s does not fall,
-    and no singular value on the row is above 1).  The rate is then taken
-    once into a second (n,) buffer, and each later s multiplies the weights
+    stands, and every s shares the block's partial spectrum sums, each taken
+    once into its own row), which is shifted by its max, top, and
+    exponentiated in place into weights; the log sum is top + log
+    sum(weights), every bit as a lone s gives it.  A run steps when it is
+    evenly spaced, every s within ``_STEP_BUDGET`` / max|B|, or within the
+    rounding eps * max s of its largest s, of s_0 + j * delta with delta from
+    the run's two ends, and its rate exp(delta * B) grows no weight (s does
+    not fall, and no singular value on the row is above 1).  The rate is then
+    taken once into a second (n,) buffer, and each later s multiplies the weights
     in place by it and takes one sum: a multiply where an anchor takes a
     subtract and an exp.  Any other run is anchored at every s, and a step
     is an anchor too where the running sum falls below ``_SUM_FLOOR``.  So a
@@ -734,7 +834,10 @@ def _log_sums(log_sigma, s_values, slopes=False):
     of at least 2^-900.  Against evaluating every s afresh, a step's log sum
     then differs by the rounding of the rate, about eps |delta B| per step,
     which over a run is of the order of the rounding of s * B itself, and by
-    at most about 2 * ``_STEP_BUDGET`` more for the spacing.
+    at most about 2 * max(``_STEP_BUDGET``, eps max|s B|) more for the
+    spacing.  The weights, the rate and the d partial sums are the d + 2
+    rows of ``rows(n)`` (``_reused_rows``), which a pass shares between its
+    blocks, or of a fresh array.
 
     With ``slopes`` the result is (2, len(s_values)): row 0 as above, row 1
     log sum of phi_s * (-d/ds log phi_s), the right derivative, which is
@@ -746,8 +849,8 @@ def _log_sums(log_sigma, s_values, slopes=False):
     s_values = [_exponent(s) for s in s_values]
     d, n = log_sigma.shape
     out = np.empty((2, len(s_values)) if slopes else len(s_values))
-    sums = {}
-    weights, rate = np.empty(n), np.empty(n)
+    buffer = np.empty((d + 2, n)) if rows is None else rows(n)
+    weights, rate, sums = buffer[0], buffer[1], _Partials(buffer[2:])
 
     def anchor(s):
         log_phi = _log_phi(log_sigma, s, sums, out=weights)
@@ -777,7 +880,8 @@ def _log_sums(log_sigma, s_values, slopes=False):
             delta = (run[-1] - run[0]) / (len(run) - 1)
             drift = max(abs(s - (run[0] + j * delta)) for j, s in enumerate(run))
             # evenly spaced, and a rate that grows no weight
-            stepped = drift * max(-lo, hi) <= _STEP_BUDGET and delta * (hi if delta > 0 else lo) <= 0
+            even = drift * max(-lo, hi) <= _STEP_BUDGET or drift <= _EPS * max(run)
+            stepped = even and delta * (hi if delta > 0 else lo) <= 0
             if stepped:
                 with np.errstate(over="ignore"):  # a vast step: rate 0, then an anchor
                     np.exp(np.multiply(row, delta * scale, out=rate), out=rate)
@@ -862,14 +966,20 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     built once, entry-major, and each block at the state is composed from its
     prefix and that table in one ``_compose``.  Only one suffix table is
     alive at a time; a deterministic tree has one state.  ``log_sigma`` is
-    ``_log_spectra`` of the block's composed words, (d, n) for the block's n
-    words; without ``want_spectra`` it is None and the blocks form neither
-    linear parts nor log|det|, and the tables form linear parts only in the
-    prefixes, to map the suffixes' points.  ``points`` are the words' points
-    f_word(0), entry-major (d, n) (None unless ``want_points``).  Each result is
-    stored at its block's index.  A level of more than ``ENUMERATION_CAP``
-    words is refused, naming the largest level within the cap; word counts
-    never decrease with the level, since every state has a child.
+    the log spectra of the block's words, (d, n) for the block's n words:
+    ``_log_spectra`` of the composed linear parts, except for d = 3, where
+    the suffix table's linear parts are traded for their Grams
+    (``_gram_table``) once per state, each block composes only log|det| (and
+    points), and ``_congruent_spectra`` takes the spectra from its prefix
+    word and those Grams; with the split at level 0 the prefix is the empty
+    word, the identity.  Without ``want_spectra`` ``log_sigma`` is None and
+    the blocks form neither linear parts nor log|det|, and the tables form
+    linear parts only in the prefixes, to map the suffixes' points.
+    ``points`` are the words' points f_word(0), entry-major (d, n) (None
+    unless ``want_points``).  Each result is stored at its block's index.  A
+    level of more than ``ENUMERATION_CAP`` words is refused, naming the
+    largest level within the cap; word counts never decrease with the level,
+    since every state has a child.
     """
     _check_level(tree, k)
     counts = tree._suffix_counts(k)
@@ -886,19 +996,27 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     states, prefixes = _expand_block(tree, 0, tree.root_state, split,
                                      mats=want_spectra or want_points, log_det=want_spectra,
                                      points=want_points, states=True)
+    congruent = want_spectra and tree.d == 3
 
-    def work(i, suffix):  # a block's words die with this call, before the next block's
+    def work(i, suffix, grams):  # a block's words die with this call, before the next block's
         head = tuple(None if part is None else part[..., i].copy() for part in prefixes)
         mats, log_det, points = _compose(head, suffix)
-        return reduce(_log_spectra(mats, log_det, k) if want_spectra else None, points)
+        if congruent:
+            log_sigma = _congruent_spectra(head[0], grams, log_det, k)
+        else:
+            log_sigma = _log_spectra(mats, log_det, k) if want_spectra else None
+        return reduce(log_sigma, points)
 
     out = [None] * len(states)
     for state in dict.fromkeys(states.tolist()):
         suffix = _expand_block(tree, split, state, k, mats=want_spectra, log_det=want_spectra,
                                points=want_points)[1]
+        grams = None
+        if congruent:  # the blocks need the table's Grams, not its linear parts
+            grams, suffix = _gram_table(suffix[0]), (None, *suffix[1:])
         for i in np.flatnonzero(states == state):
-            out[i] = work(i, suffix)
-        del suffix  # before the next state's table is built
+            out[i] = work(i, suffix, grams)
+        del suffix, grams  # before the next state's table is built
     return out
 
 
@@ -925,7 +1043,8 @@ def partition_sums(
         return np.stack([zeros, zeros - np.inf]) if slopes else zeros
     if tree.d == 1:
         return _transfer_sums(tree, k, s_values, slopes)
-    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes)))
+    rows = _reused_rows(tree.d + 2)
+    return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes, rows)))
 
 
 def enumerate_points(

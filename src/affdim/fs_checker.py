@@ -737,7 +737,12 @@ def estimate_fullness(
     nonincreasing in it.  Each ratio is taken in log form, its sum over the
     family shifted by the largest term, so phi_s far below the smallest
     double does not underflow; a ``c_hat`` below the normal double range is
-    refused.
+    refused.  For s >= d, phi_s = |det|^(s/d) is multiplicative, so every
+    pair's ratio is sum_j |det S_j|^(s/d): it is taken from the maps' own
+    log|det| (``np.linalg.slogdet``), and the first pair is the worst.  The
+    SVD of U S_j V would lose its smallest singular values' relative accuracy
+    at the adversarial pairs' condition numbers, and phi_s raises that error
+    to the power s / d.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -747,17 +752,20 @@ def estimate_fullness(
     def log_phi(mats):  # log phi_s of a (..., d, d) stack
         return _log_phi(np.moveaxis(np.log(np.linalg.svd(mats, compute_uv=False)), -1, 0), s)
 
-    log_c_hat = math.inf
-    worst = None
-    for t in range(sample_count):
-        rng = _rng_for(seed, t)
-        U, V = _fullness_pair(rng, d, t)
-        terms = log_phi(np.einsum("ij,kjl,lm->kim", U, fam.maps, V))
-        top = np.max(terms)
-        log_ratio = float(top + np.log(np.sum(np.exp(terms - top))) - log_phi(U) - log_phi(V))
-        if log_ratio < log_c_hat:
-            log_c_hat = log_ratio
-            worst = (U, V)
+    pairs = (_fullness_pair(_rng_for(seed, t), d, t) for t in range(sample_count))
+    if s >= d:
+        with np.errstate(over="ignore"):  # a huge s gives -inf, refused below
+            log_c_hat = float(np.logaddexp.reduce((s / d) * np.linalg.slogdet(fam.maps)[1]))
+        worst = next(pairs)
+    else:
+        log_c_hat, worst = math.inf, None
+        for U, V in pairs:
+            terms = log_phi(np.einsum("ij,kjl,lm->kim", U, fam.maps, V))
+            top = np.max(terms)
+            log_ratio = float(top + np.log(np.sum(np.exp(terms - top))) - log_phi(U) - log_phi(V))
+            if log_ratio < log_c_hat:
+                log_c_hat = log_ratio
+                worst = (U, V)
     c_hat = math.exp(log_c_hat)
     if c_hat < sys.float_info.min:
         raise ValueError(f"c_hat at s = {s!r} is below the normal double range: "

@@ -25,8 +25,9 @@ straight from the block's linear parts, which it lays out entry axes first,
 and exponentiates the kernel.  The word sums of
 ``code_tree`` reduce it in log form, where phi_s far below the smallest
 double stays finite; they evaluate many s on one block of words, so they
-hand the kernel one dict that keeps each partial sum once taken, and one
-output buffer.
+hand the kernel one store that keeps each partial sum once taken
+(``_Partials``, whose rows they reuse from block to block), and one output
+buffer.
 
 On each piece m - 1 < s <= m < d, on d - 1 < s < d, and on s >= d, log
 phi_s of every spectrum is affine in s.  ``_piece`` is the only rule for
@@ -82,12 +83,14 @@ def singular_values(T) -> np.ndarray:
     whose determinant must exceed ``SINGULARITY_RTOL`` relative to
     sigma_1^d (smaller ones are rejected as numerically singular), but not
     for deep products of maps: their spectra are taken by
-    ``code_tree._log_spectra``.  For d = 2 and d = 3 it takes the smallest
-    singular value from the letters' summed log|det|, which stays accurate
-    however ill-conditioned the product is; the d = 3 sigma_2 is still known
-    to about eps * sigma_1 only.  It takes no SVD of a product for d <= 3,
-    except for the d = 3 words whose sigma_1 and sigma_2, or sigma_2 and
-    sigma_3, nearly meet.
+    ``code_tree._log_spectra`` and, for d = 3, ``code_tree._congruent_spectra``.
+    For d = 2 and d = 3 they take the smallest singular value from the
+    letters' summed log|det|, which stays accurate however ill-conditioned
+    the product is; the d = 3 sigma_2 is still known only to about
+    eps * sigma_1 / sigma_2, relatively, of the worse conditioned of the
+    word's two parts, its prefix and its suffix.  They take no SVD for
+    d <= 3: the d = 3 words whose sigma_1 and sigma_2, or sigma_2 and
+    sigma_3, nearly meet take ``np.linalg.eigvalsh`` of their Grams.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -103,10 +106,21 @@ def _exponent(s) -> float:
     return s
 
 
+class _Partials(dict):
+    """A store of partial sums for ``_partial`` that writes sum m into row
+    m - 1 of ``rows`` (d, n), a buffer its owner reuses from block to block."""
+
+    def __init__(self, rows: np.ndarray):
+        super().__init__()
+        self.rows = rows
+
+
 def _partial(log_sigma: np.ndarray, m: int, sums: dict) -> np.ndarray:
-    """np.sum(log_sigma[:m], axis=0), kept by m in ``sums`` once taken."""
+    """np.sum(log_sigma[:m], axis=0) for m >= 1, kept by m in ``sums`` once
+    taken, and written into its row if ``sums`` is a ``_Partials``."""
     if m not in sums:
-        sums[m] = np.sum(log_sigma[:m], axis=0)
+        out = sums.rows[m - 1] if isinstance(sums, _Partials) else None
+        sums[m] = np.sum(log_sigma[:m], axis=0, out=out)
     return sums[m]
 
 
@@ -139,14 +153,19 @@ def _log_phi(log_sigma: np.ndarray, s: float, sums: dict | None = None,
     The branch is the piece ``_piece`` gives s.  Each piece reads one partial
     sum np.sum(log_sigma[:m], axis=0), kept by m in ``sums`` once taken: a
     caller that evaluates many s on one block passes one dict, so each is
-    taken once.  A non-integer s, or s >= d, writes its result into ``out``
-    when one is given; an integer s below d returns the partial sum itself,
-    which a caller that passed ``sums`` must not write to.
+    taken once.  s = 0, a non-integer s, or s >= d, writes its result into
+    ``out`` when one is given; any other integer s below d returns the partial
+    sum itself, which a caller that passed ``sums`` must not write to.
     """
     d = log_sigma.shape[0]
     s = _exponent(s)
     sums = {} if sums is None else sums
     m = _piece(d, s)
+    if m == 0:  # phi_0 is 1, so log phi_0 is 0 with no partial sum taken
+        if out is None:
+            return np.zeros(log_sigma.shape[1:])
+        out.fill(0.0)
+        return out
     if m > d:
         with np.errstate(over="ignore"):  # a huge s gives -inf, which the word sums refuse
             return np.multiply(s / d, _partial(log_sigma, d, sums), out=out)

@@ -711,18 +711,14 @@ class TestLogSpectra:
 
     def test_block_diagonal_oracle_with_equal_top_pair(self, rng, monkeypatch):
         # a > b: sigma_1 = sigma_2 = prod a, where the closed form is least
-        # accurate, so every word takes the SVD of its scaled product
+        # accurate, so every word takes eigvalsh of its two Grams, and no SVD
         tree, oracle = self.block_diagonal_tree(rng, [(0.5, 0.3, 0.2), (0.4, 1.1, 0.1)], 8)
-        svd = np.linalg.svd
+        eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
         seen = []
-
-        def counted(a, *args, **kwargs):
-            seen.append(len(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append("svd") or svd(*a, **kw))
         log_sigma = word_spectra(tree, 8)
-        assert seen == [2**8]
+        assert seen == [2**8, 2**8]
         expected = np.stack([oracle[:, 0], oracle[:, 0], oracle[:, 1]], axis=1)
         np.testing.assert_allclose(log_sigma, expected, rtol=0, atol=1e-12)
 
@@ -813,10 +809,52 @@ class TestLogSpectra:
             partition_sums(tree, 2, [1.0])
 
     def test_lost_second_singular_value_is_refused(self):
-        # sigma_1 survives in the rank-one product, but sigma_1 sigma_2 is lost
+        # sigma_1 survives in the rank-one word, but sigma_1 sigma_2 is lost
         mats = np.array([np.diag([0.5, 0.0, 0.0]), 0.5 * np.eye(3)])
         with pytest.raises(ValueError, match="level-5 word underflowed"):
-            code_tree._log_spectra(entry_major(mats), np.zeros(2), 5)
+            one_block_spectra(entry_major(mats), np.zeros(2), 5)
+
+    def test_codiagonal_d3_oracle_across_blocks(self, monkeypatch):
+        # Q diag(a_i) Qᵀ maps share one rotation, so each word's exact log
+        # sigma_j is sum log a_ij.  A block takes sigma_1 sigma_2 from its
+        # prefix's and its suffixes' cofactor matrices, each a shorter word
+        # than the block's: taking it from the cofactors of each composed
+        # level-8 product is 1.2e-9 off here
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        diagonals = [(0.45, 0.05, 0.02), (0.4, 0.06, 0.03)]
+        fam = IfsFamily("co", tuple(AffineMap(Q @ np.diag(a) @ Q.T, c) for c, a in enumerate(diagonals)))
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 2**5)
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", 7)
+        tree = deterministic_tree(fam, 8)
+        assert len(code_tree._map_words(tree, 8, lambda *_: None)) == 2**3
+        log_a = np.log(np.array(diagonals))
+        oracle = np.array([log_a[list(w)].sum(axis=0) for w in itertools.product(range(2), repeat=8)])
+        error = np.max(np.abs(word_spectra(tree, 8) - oracle), axis=0)
+        assert error[0] <= 1e-13
+        assert error[1] <= 1e-9
+
+    def test_near_gap_columns_take_the_fallback(self, monkeypatch):
+        # behind a similarity prefix 0.5 R, Q diag(a, a, b) Qᵀ has a repeated top
+        # Gram eigenvalue and Q diag(a, b, b) Qᵀ a repeated top cofactor Gram
+        # eigenvalue: both take eigvalsh of their two Grams.  0.4 Q has scalar
+        # Grams, where r = 1 and the closed form is exact to rounding
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", 5)
+        rng = np.random.default_rng(5)
+        mats, sigma = [], []
+        for t in range(30):
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            a, b = rng.uniform(0.5, 0.9), rng.uniform(0.1, 0.4)
+            spectrum = [(0.4, 0.4, 0.4), (a, a, b), (a, b, b)][t % 3]
+            mats.append(0.4 * Q if t % 3 == 0 else Q @ np.diag(spectrum) @ Q.T)
+            sigma.append(spectrum)
+        head = 0.5 * np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        want = np.log(0.5 * np.array(sigma)).T
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+        got = code_tree._congruent_spectra(head, code_tree._gram_table(entry_major(np.array(mats))),
+                                           np.sum(want, axis=0), 4)
+        assert sum(calls) == 2 * 20
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 class TestSharedSuffixes:
@@ -848,7 +886,7 @@ class TestSharedSuffixes:
         tree = self.two_vertex_tree(rng, d)
         k = tree.depth
         mats, log_det, points = expand_words(tree, k)
-        spectra = code_tree._log_spectra(entry_major(mats), log_det, k)
+        spectra = one_block_spectra(entry_major(mats), log_det, k)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
         split = self.split_level(tree, k, 20)
         states = level_states(tree, 0, tree.root_state, split)
@@ -909,7 +947,9 @@ class TestSharedSuffixes:
     def test_underflow_only_the_product_shows_is_refused(self, monkeypatch, d):
         # every block hangs at level 3: prefix 000 (1e-300 I) and suffix 0
         # (1e-100 I) are representable, but their product, word 0000, is not.
-        # d = 1 takes log|t| from the summed log|det| where the product underflows
+        # d = 1 takes log|t| from the summed log|det| where the product
+        # underflows, and d = 3 forms no product: its spectra come from the
+        # prefix and the suffix table's Grams, each scaled by powers of two
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 2)
         fam = IfsFamily("tiny", (AffineMap(1e-100 * np.eye(d), 0), AffineMap(0.5 * np.eye(d), 1)))
         tree = deterministic_tree(fam, 4)
@@ -930,11 +970,28 @@ class TestSharedSuffixes:
             assert log_sigma[0, 0] == pytest.approx(-400 * math.log(10.0), rel=1e-15)
             assert np.all(np.isfinite(log_sigma))
             return
+        if d == 3:
+            assert partition_sums(tree, 4, [1.0])[0] == pytest.approx(4 * math.log(0.5), rel=1e-15)
+            assert expanded == [(0, 0, 3, True), (3, 0, 4, True)]
+            log_sigma = word_spectra(tree, 4)
+            np.testing.assert_allclose(log_sigma[0], -400 * math.log(10.0), rtol=1e-15, atol=0)
+            assert np.all(np.isfinite(log_sigma))
+            return
         with pytest.raises(ValueError, match="level-4 word underflowed"):
             partition_sums(tree, 4, [1.0])
         assert expanded == [(0, 0, 3, True), (3, 0, 4, True)]
         with pytest.raises(ValueError, match="level-4 word underflowed"):
             word_spectra(tree, 4)
+
+    def test_underflow_in_a_d3_prefix_is_refused(self, monkeypatch):
+        # every block hangs at level 2, and prefix 00 (1e-340 I) underflows to
+        # the zero matrix, whose Gram congruence loses every block word
+        monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 2)
+        fam = IfsFamily("mixed", (AffineMap(1e-170 * np.eye(3), 0), AffineMap(0.5 * np.eye(3), 1)))
+        tree = deterministic_tree(fam, 3)
+        assert self.split_level(tree, 3, 2) == 2
+        with pytest.raises(ValueError, match="level-3 word underflowed"):
+            partition_sums(tree, 3, [1.0])
 
     @pytest.mark.parametrize("limit", range(1, 41))
     def test_split_blocks_are_bounded_and_in_word_order(self, rng, monkeypatch, limit):
@@ -1039,37 +1096,47 @@ def per_word_blocks(tree, k, fold):
     """Every block's words composed one word at a time: the block's prefix
     word, to the split level, and each suffix word below it are folded by
     ``fold`` from the letters, and the block's word is their product, ``*``
-    for d = 1 and one (d, d) ``@`` otherwise.  One (linear parts, log|det|)
-    pair per block, entry-major (d, d, n) and (n,); log|det| is None unless
-    ``fold`` gives one."""
+    for d = 1 and one (d, d) ``@`` otherwise.  One (linear parts, log|det|,
+    prefix, suffixes) tuple per block: the words' linear parts entry-major
+    (d, d, n), their log|det| (n,) (None unless ``fold`` gives one), the
+    prefix word's linear part (d, d) and the suffix words' entry-major."""
     split = TestSharedSuffixes.split_level(tree, k, code_tree._BLOCK_LIMIT)
     blocks = []
     for head, state in letter_paths(tree, 0, tree.root_state, split):
-        mats, log_det = [], []
+        mats, log_det, tails = [], [], []
         head = fold(tree, head)
         for tail, _ in letter_paths(tree, split, state, k):
             tail = fold(tree, tail)
+            tails.append(tail[0])
             mats.append(head[0] * tail[0] if tree.d == 1 else head[0] @ tail[0])
             if head[1] is not None:
                 log_det.append(head[1] + tail[1])
-        blocks.append((entry_major(np.array(mats)), np.array(log_det) if log_det else None))
+        blocks.append((entry_major(np.array(mats)), np.array(log_det) if log_det else None,
+                       head[0], entry_major(np.array(tails))))
     return blocks
 
 
-def unbuffered_gram_top(x):
-    """``code_tree._gram_top`` as it was before it wrote into buffers, one
-    temporary per operation, kept as a bit reference."""
+def unbuffered_gram(x):
+    """``code_tree._gram`` with one temporary per operation, kept as a bit
+    reference: the Gram entries (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)
+    of the row-major 3×3 columns of ``x``."""
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
-    g00 = x0 * x0 + x1 * x1 + x2 * x2
-    g11 = x3 * x3 + x4 * x4 + x5 * x5
-    g22 = x6 * x6 + x7 * x7 + x8 * x8
-    g01 = x0 * x3 + x1 * x4 + x2 * x5
-    g02 = x0 * x6 + x1 * x7 + x2 * x8
-    g12 = x3 * x6 + x4 * x7 + x5 * x8
+    return np.stack([
+        x0 * x0 + x1 * x1 + x2 * x2,
+        x3 * x3 + x4 * x4 + x5 * x5,
+        x6 * x6 + x7 * x7 + x8 * x8,
+        x0 * x3 + x1 * x4 + x2 * x5,
+        x0 * x6 + x1 * x7 + x2 * x8,
+        x3 * x6 + x4 * x7 + x5 * x8,
+    ])
+
+
+def unbuffered_top_eigenvalue(g):
+    """``code_tree._top_eigenvalue`` as it was before it wrote into buffers,
+    one temporary per operation, kept as a bit reference."""
+    g00, g11, g22, g01, g02, g12 = g
     q = (g00 + g11 + g22) / 3.0
-    g00 -= q
-    g11 -= q
-    g22 -= q
+    g00, g11, g22 = g00 - q, g11 - q, g22 - q
     p = np.sqrt((g00 * g00 + g11 * g11 + g22 * g22
                  + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
     det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
@@ -1090,30 +1157,69 @@ def unbuffered_cofactors(x):
     ])
 
 
-def word_major_log_spectra3(mats, log_det):
-    """``code_tree._log_spectra`` of a word-major (n, 3, 3) stack as it was
-    before blocks went entry-major: a transposed copy of the entries, the
-    unbuffered kernels and one chunk (every step is column by column), kept
-    as a bit reference."""
-    x = np.ascontiguousarray(mats.reshape(-1, 9).T)
+GRAM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def congruence_matrix(m):
+    """The 6×6 matrix of G -> M G Mᵀ on the Gram rows, entry by entry."""
+    return np.array([[m[i, a] * m[j, a] if a == b else m[i, a] * m[j, b] + m[i, b] * m[j, a]
+                      for a, b in GRAM_PAIRS] for i, j in GRAM_PAIRS])
+
+
+def symmetric(g):
+    """The symmetric (n, 3, 3) matrices of Gram rows (6, n)."""
+    out = np.empty((g.shape[1], 3, 3))
+    for row, (i, j) in zip(g, GRAM_PAIRS):
+        out[:, i, j] = out[:, j, i] = row
+    return out
+
+
+def unbuffered_congruent_spectra(head, mats, log_det):
+    """``code_tree._congruent_spectra`` of a prefix word ``head`` (3, 3) and a
+    suffix table's entry-major linear parts ``mats`` (3, 3, n), as one chunk
+    with one temporary per operation and the table's Grams taken beside it,
+    kept as a bit reference."""
+    x = mats.reshape(9, -1).copy()
     e = code_tree._scaled(x)
-    top1, gap1 = unbuffered_gram_top(x)
     c = unbuffered_cofactors(x)
-    f = code_tree._scaled(c)
-    top12, gap12 = unbuffered_gram_top(c)
-    log_sigma = np.empty((3, len(e)))
+    f = 2 * e + code_tree._scaled(c)
+    m = head.reshape(9, 1).copy()
+    a = code_tree._scaled(m)[0]
+    m_c = unbuffered_cofactors(m)
+    b = 2 * a + code_tree._scaled(m_c)[0]
+    g = congruence_matrix(m.reshape(3, 3)) @ unbuffered_gram(x)
+    h = congruence_matrix(m_c.reshape(3, 3)) @ unbuffered_gram(c)
+    (top1, gap1), (top12, gap12) = unbuffered_top_eigenvalue(g), unbuffered_top_eigenvalue(h)
+    near = np.flatnonzero((gap1 < code_tree._CLOSED_FORM_GAP) | (gap12 < code_tree._CLOSED_FORM_GAP))
+    top1[near] = np.linalg.eigvalsh(symmetric(g[:, near]))[:, -1]
+    top12[near] = np.linalg.eigvalsh(symmetric(h[:, near]))[:, -1]
     ln2 = math.log(2.0)
-    with np.errstate(divide="ignore"):
-        log_sigma[0] = 0.5 * np.log(top1) + e * ln2
-        log_sigma[1] = 0.5 * np.log(top12) + (2 * e + f) * ln2
-        near = np.flatnonzero((gap1 < code_tree._CLOSED_FORM_GAP) | (gap12 < code_tree._CLOSED_FORM_GAP))
-        if near.size:
-            sv = np.log(np.linalg.svd(x[:, near].T.reshape(-1, 3, 3), compute_uv=False)[:, :2])
-            log_sigma[0, near] = sv[:, 0] + e[near] * ln2
-            log_sigma[1, near] = sv[:, 0] + sv[:, 1] + 2 * e[near] * ln2
+    log_sigma = np.empty((3, x.shape[1]))
+    log_sigma[0] = 0.5 * np.log(top1) + (a + e) * ln2
+    log_sigma[1] = 0.5 * np.log(top12) + (b + f) * ln2
     log_sigma[2] = log_det - log_sigma[1]
     log_sigma[1] -= log_sigma[0]
     return log_sigma
+
+
+def per_word_gram_spectra(words):
+    """log sigma_1 and log sigma_1 sigma_2, (2, n), of word-major 3×3 products
+    (n, 3, 3), each from the largest eigenvalue (``np.linalg.eigvalsh``) of the
+    product's own Gram matrix and of its cofactor matrix's."""
+    rows = words[:, 0], words[:, 1], words[:, 2]
+    cof = np.stack([np.cross(rows[1], rows[2]), np.cross(rows[2], rows[0]),
+                    np.cross(rows[0], rows[1])], axis=1)
+    return np.stack([0.5 * np.log(np.linalg.eigvalsh(x @ np.swapaxes(x, 1, 2))[:, -1])
+                     for x in (words, cof)])
+
+
+def one_block_spectra(mats, log_det, k):
+    """The log spectra of entry-major products (d, d, n) as ``_map_words`` takes
+    them for one block whose prefix is the empty word: for d = 3 from their
+    Grams (``_congruent_spectra`` of the identity), else ``_log_spectra``."""
+    if mats.shape[0] != 3:
+        return code_tree._log_spectra(mats, log_det, k)
+    return code_tree._congruent_spectra(np.eye(3), code_tree._gram_table(mats), log_det, k)
 
 
 def special_columns(rng, n):
@@ -1131,17 +1237,38 @@ def special_columns(rng, n):
 class TestEntryMajorBlocks:
     """Blocks formed as one (d, d) @ (d, d·n) product from entry-major suffix
     tables, which are built from the leaves up one product per letter, keep
-    every bit of the per-word right-associated products, and the buffered
-    d = 3 spectrum kernels every bit of their unbuffered bodies."""
+    every bit of the per-word right-associated products.  A d = 3 block forms
+    no products: its spectra, from its prefix word and its suffix table's
+    Grams, keep every bit of the one-chunk unbuffered kernel on the per-word
+    parts, and the buffered d = 3 kernels every bit of their unbuffered
+    bodies."""
 
     @staticmethod
     def assert_blocks_keep_every_bit(monkeypatch, tree, k, count):
         want = per_word_blocks(tree, k, fold_right)
+        if tree.d == 3:
+            # the stand-in hands the block kernel's inputs to the reduction beside its result
+            spectra = code_tree._congruent_spectra
+            monkeypatch.setattr(code_tree, "_congruent_spectra", lambda m, table, log_det, k:
+                                (m, table, log_det, spectra(m, table, log_det, k)))
+            got = code_tree._map_words(tree, k, lambda words, _: words)
+            assert len(got) == len(want) == count
+            for (head, table, log_det, log_sigma), (products, want_log_det, want_head, tails) in zip(got, want):
+                assert head.tobytes() == want_head.tobytes()
+                assert log_det.tobytes() == want_log_det.tobytes()
+                for part, want_part in zip(table, code_tree._gram_table(tails.copy())):
+                    assert part.tobytes() == want_part.tobytes()
+                want_sigma = unbuffered_congruent_spectra(want_head, tails, want_log_det)
+                assert log_sigma.tobytes() == want_sigma.tobytes()
+                np.testing.assert_allclose(np.cumsum(log_sigma[:2], axis=0),
+                                           per_word_gram_spectra(np.moveaxis(products, -1, 0)),
+                                           rtol=0, atol=1e-13)
+            return
         # the stand-in hands each block's composed linear parts and log|det| to the reduction
         monkeypatch.setattr(code_tree, "_log_spectra", lambda mats, log_det, k: (mats, log_det))
         got = code_tree._map_words(tree, k, lambda words, _: words)
         assert len(got) == len(want) == count
-        for (mats, log_det), (want_mats, want_log_det) in zip(got, want):
+        for (mats, log_det), (want_mats, want_log_det, _, _) in zip(got, want):
             assert mats.shape == want_mats.shape and mats.flags.c_contiguous
             assert mats.tobytes() == want_mats.tobytes()
             assert log_det.tobytes() == want_log_det.tobytes()
@@ -1155,6 +1282,7 @@ class TestEntryMajorBlocks:
             mats = [random_contraction(rng, d, 0.2, 0.6) for _ in range(3)]
         tree = deterministic_tree(IfsFamily("bits", tuple(AffineMap(T, c) for c, T in enumerate(mats))), 7)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 3**4)
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", 7)  # d = 3 spectra in chunks of odd width
         self.assert_blocks_keep_every_bit(monkeypatch, tree, 7, 3**3)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -1168,19 +1296,29 @@ class TestEntryMajorBlocks:
     @pytest.mark.parametrize("d", [2, 3])
     def test_blocks_match_the_left_associated_products(self, rng, monkeypatch, d):
         # the top-down walk composed every word from the left; on positive
-        # entries the two orders agree to rounding
+        # entries the two orders agree to rounding, and so do a d = 3 block's
+        # spectra and those of the left-associated products' own Grams
         tree = TestSharedSuffixes.two_vertex_tree(rng, d)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
+        want = per_word_blocks(tree, tree.depth, fold_left)
+        if d == 3:
+            got = code_tree._map_words(tree, tree.depth, lambda log_sigma, _: log_sigma)
+            assert len(got) == len(want) > 2
+            for log_sigma, (left, _, _, _) in zip(got, want):
+                np.testing.assert_allclose(np.cumsum(log_sigma[:2], axis=0),
+                                           per_word_gram_spectra(np.moveaxis(left, -1, 0)),
+                                           rtol=0, atol=1e-13)
+            return
         monkeypatch.setattr(code_tree, "_log_spectra", lambda mats, log_det, k: mats)
         got = code_tree._map_words(tree, tree.depth, lambda mats, _: mats)
-        want = per_word_blocks(tree, tree.depth, fold_left)
         assert len(got) == len(want) > 2
-        for mats, (left, _) in zip(got, want):
+        for mats, (left, _, _, _) in zip(got, want):
             np.testing.assert_allclose(mats, left, rtol=1e-13, atol=0)
 
     def test_uniform_points_form_no_block_linear_parts(self, rng, monkeypatch):
-        # at s = 0 the blocks compose points alone; with spectra wanted they
-        # also form linear parts, and the points keep every bit either way
+        # at s = 0 the blocks compose points alone; with spectra wanted a d = 3
+        # block composes log|det| too, but still no linear parts, and the
+        # points keep every bit either way
         tree = TestSharedSuffixes.two_vertex_tree(rng, 3)
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 20)
         blocks = []
@@ -1189,47 +1327,68 @@ class TestEntryMajorBlocks:
         def spy(head, tail, out=(None, None, None)):
             words = compose(head, tail, out)
             if all(part is None for part in out):  # a block: one prefix word on a whole table
-                blocks.append(words[0] is None and words[1] is None)
+                blocks.append((words[0] is None, words[1] is None))
             return words
 
         monkeypatch.setattr(code_tree, "_compose", spy)
         uniform, weights = enumerate_points(tree, tree.depth, 0.0)
         count = len(blocks)
-        assert count > 2 and all(blocks)
+        assert count > 2 and blocks == [(True, True)] * count
         weighted, _ = enumerate_points(tree, tree.depth, 0.7)
-        assert len(blocks) == 2 * count and not any(blocks[count:])
+        assert blocks[count:] == [(True, False)] * count
         assert uniform.tobytes() == weighted.tobytes()
         assert weights.tobytes() == np.full(len(weights), 1 / len(weights)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 8192])
     def test_buffered_kernels_keep_every_bit(self, n):
         x = special_columns(np.random.default_rng(n), n)
-        code_tree._scaled(x[:, n // 2:])  # half the columns as _log_spectra3 scales them
-        # a slice of a wider array, as _log_spectra hands out its chunks
-        wide = np.full((9, n + 5), np.nan)
+        code_tree._scaled(x[:, n // 2:])  # half the columns as _gram_table scales them
+        # slices of wider arrays, as _gram_table reads and writes its chunks
+        wide, wide_gram = np.full((9, n + 5), np.nan), np.full((6, n + 5), np.nan)
         wide[:, 2:-3] = x
-        view = wide[:, 2:-3]
-        work, top, gap, c = (np.full(shape, np.nan) for shape in ((10, n), n, n, (9, n)))
-        want_top, want_gap = unbuffered_gram_top(x)
+        view, gram = wide[:, 2:-3], wide_gram[:, 2:-3]
+        work, top, gap, c, tmp = (np.full(shape, np.nan) for shape in ((7, n), n, n, (9, n), n))
+        want_gram = unbuffered_gram(x)
+        want_top, want_gap = unbuffered_top_eigenvalue(want_gram)
         for _ in range(2):  # the second call finds the first's values in the buffers
-            code_tree._gram_top(view, top, gap, work)
+            assert code_tree._gram(view, gram, tmp) is gram
+            assert gram.tobytes() == want_gram.tobytes()
+            code_tree._top_eigenvalue(gram, top, gap, work)
             assert top.tobytes() == want_top.tobytes()
             assert gap.tobytes() == want_gap.tobytes()
-            assert code_tree._cofactors(view, c, work[0]) is c
+            assert gram.tobytes() == want_gram.tobytes()  # kept for the fallback
+            assert code_tree._cofactors(view, c, tmp) is c
             assert c.tobytes() == unbuffered_cofactors(x).tobytes()
         assert view.tobytes() == x.tobytes()
+        # against each column's own Gram, where the top pair is apart
+        apart = want_gap >= code_tree._CLOSED_FORM_GAP
+        own = np.linalg.eigvalsh(symmetric(want_gram))[:, -1]
+        np.testing.assert_allclose(top[apart], own[apart], rtol=1e-13, atol=0)
         if n > 1:  # both special kinds of column are there
             assert np.any(want_gap < code_tree._CLOSED_FORM_GAP) and np.any(want_gap == 2.0)
 
     @pytest.mark.parametrize("chunk", [7, 1 << 13])
     def test_entry_major_d3_spectra_keep_every_bit(self, chunk, monkeypatch):
+        # one block: a prefix word on a 300-word suffix table of special columns.
+        # A similarity prefix keeps their repeated top eigenvalues, which take
+        # the fallback in both Grams; a generic one mixes them
         monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         mats = special_columns(rng, 300).T.reshape(-1, 3, 3)
-        log_det = np.log(np.abs(np.linalg.det(mats)))
-        want = word_major_log_spectra3(mats.copy(), log_det)
-        got = code_tree._log_spectra(entry_major(mats), log_det, 5)
-        assert got.shape == (3, 300) and got.tobytes() == want.tobytes()
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+        similarity = 0.5 * np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        for head, similar in ((similarity, True), (random_contraction(rng, 3, 0.2, 0.6), False)):
+            words = head @ mats
+            log_det = np.log(np.abs(np.linalg.det(words)))
+            want = unbuffered_congruent_spectra(head, entry_major(mats), log_det)
+            calls.clear()
+            got = code_tree._congruent_spectra(head, code_tree._gram_table(entry_major(mats)), log_det, 5)
+            assert got.shape == (3, 300) and got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(np.cumsum(got[:2], axis=0), per_word_gram_spectra(words),
+                                       rtol=0, atol=1e-13)
+            if similar:  # every sixth column's top pair meets: both its Grams go to eigvalsh
+                assert sum(calls) >= 2 * 50
 
 
 def row_major_log_phi(log_sigma, s):
@@ -1381,6 +1540,27 @@ class TestGeometricRecurrence:
             got = code_tree._log_sums(log_sigma, grid, slopes)
             assert self.runs(grid, 2) < len(anchors) < len(grid)  # re-anchored, and still stepped
             np.testing.assert_allclose(got, per_s_log_sums(log_sigma, grid, slopes), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_linspace_grid_within_the_rounding_of_s_steps(self, monkeypatch, slopes):
+        # np.linspace(0, 64, 21) strays from an even progression by about 1.8e-15,
+        # above 2^-46 / max|B| with max|B| = 13.8 on these words, but within the
+        # rounding eps * 64 of its largest s, so its run above s = 2 steps; it
+        # then stays within the documented bound of evaluating every s afresh
+        fam = IfsFamily("small", tuple(AffineMap(0.001 * rotation(t), c) for c, t in enumerate((0.3, 1.1, 2.0))))
+        tree = deterministic_tree(fam, 4)
+        grid = [float(s) for s in np.linspace(0.0, 64.0, 21)]
+        eps = np.finfo(float).eps
+        anchors = self.anchors(monkeypatch)
+        for log_sigma in self.blocks(tree, 4):
+            steep = float(np.max(np.abs(np.sum(log_sigma, axis=0)))) / 2  # max|B| for s >= d = 2
+            delta = (grid[-1] - grid[1]) / (len(grid) - 2)
+            assert max(abs(s - (grid[1] + j * delta)) for j, s in enumerate(grid[1:])) * steep > 2.0**-46
+            anchors.clear()
+            got = code_tree._log_sums(log_sigma, grid, slopes)
+            assert self.runs(grid, 2) < len(anchors) < len(grid)  # it steps, re-anchoring below 2^-900
+            bound = 2 * max(2.0**-46, eps * grid[-1] * steep) + 4 * eps * grid[-1] * steep
+            np.testing.assert_allclose(got, per_s_log_sums(log_sigma, grid, slopes), rtol=0, atol=bound)
 
     @pytest.mark.parametrize("slopes", [False, True])
     def test_pressure_grid_steps_every_later_s(self, monkeypatch, slopes):

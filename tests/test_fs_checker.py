@@ -962,6 +962,19 @@ class TestEstimateFullness:
         with pytest.raises(ValueError, match=r"s = 1000\.0"):
             estimate_fullness(fam, 1000.0, sample_count=50)
 
+    def test_ratio_from_d_on_is_the_closed_form_at_any_sample_count(self):
+        # every fourth pair is conditioned up to 1e12, which costs the SVD of
+        # U S_j V about eps * 1e12 of relative accuracy in sigma_min, raised to
+        # the power s / d = 200; from s = d on the ratio is taken from the maps'
+        # own log|det|, so every pair gives sum_j |det S_j|^(s/d)
+        maps = [0.3 * np.eye(2), np.array([[0.2, 0.1], [0.0, 0.4]])]
+        fam = LinearFamily.from_matrices(maps)
+        want = sum(abs(np.linalg.det(m)) ** 200 for m in maps)
+        est = estimate_fullness(fam, 400.0, sample_count=1000)
+        assert est.c_hat == pytest.approx(want, rel=1e-13, abs=0)
+        assert est.samples == 1000
+        assert estimate_fullness(fam, 2.0, sample_count=20).c_hat == pytest.approx(0.17, rel=1e-14)
+
     def test_sample_count_must_be_positive(self):
         fam = LinearFamily.from_matrices([np.eye(2)])
         with pytest.raises(ValueError, match="positive"):

@@ -801,9 +801,10 @@ class TestCli:
 
     def test_generic_d3_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # one process per BLAS thread count runs four subcommands on a seeded
-        # generic d = 3 family: the block products (3, 3) @ (3, 3n), the slope
-        # sums' (3, n) @ (n,) products and the rank margins' QR go through BLAS
-        # or LAPACK
+        # generic d = 3 family: the tables' products (3, 3) @ (3, 3n), the
+        # blocks' Gram congruences (6, 6) @ (6, 8192) in full-width chunks, the
+        # slope sums' (3, n) @ (n,) products and the rank margins' QR go
+        # through BLAS or LAPACK
         system = self.generic_system(tmp_path, 3, 16)
         steps = [["pressure", system, "--k", "9", "--grid", "16"],
                  ["dim", system, "--k", "9", "--depth", "8"],
