@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_tree import (CodeTreeRealization, _fold, _log_sums, _map_words, _reused_rows,
-                        enumerate_points, partition_sums)
+from .code_tree import (CodeTreeRealization, _fold, _log_sums, _map_words, enumerate_points,
+                        partition_sums)
 from .fs_checker import _check_tol
 from .singular_values import _exponent
 
@@ -172,7 +172,6 @@ def pressure_zero(
     cache = None
     if d > 1 and tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
         cache = _map_words(tree, k, lambda log_sigma, _: log_sigma)
-    rows = _reused_rows(d + 2)  # the word sums' buffers, shared by every block and pass
     points: list[_Point] = []
     passes = 0
 
@@ -180,7 +179,7 @@ def pressure_zero(
         nonlocal passes
         passes += 1
         if cache is not None:
-            sums = _fold([_log_sums(block, s_values, True, rows) for block in cache])
+            sums = _fold([_log_sums(block, s_values, slopes=True) for block in cache])
         else:
             sums = partition_sums(tree, k, s_values, slopes=True)
         dp = -np.exp(sums[1] - sums[0]) / k

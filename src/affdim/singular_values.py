@@ -25,9 +25,8 @@ straight from the block's linear parts, which it lays out entry axes first,
 and exponentiates the kernel.  The word sums of
 ``code_tree`` reduce it in log form, where phi_s far below the smallest
 double stays finite; they evaluate many s on one block of words, so they
-hand the kernel one store that keeps each partial sum once taken
-(``_Partials``, whose rows they reuse from block to block), and one output
-buffer.
+hand the kernel one dict that keeps each partial sum once taken, and one
+output buffer.
 
 On each piece m - 1 < s <= m < d, on d - 1 < s < d, and on s >= d, log
 phi_s of every spectrum is affine in s.  ``_piece`` is the only rule for
@@ -88,9 +87,11 @@ def singular_values(T) -> np.ndarray:
     letters' summed log|det|, which stays accurate however ill-conditioned
     the product is; the d = 3 sigma_2 is still known only to about
     eps * sigma_1 / sigma_2, relatively, of the worse conditioned of the
-    word's two parts, its prefix and its suffix.  They take no SVD for
-    d <= 3: the d = 3 words whose sigma_1 and sigma_2, or sigma_2 and
-    sigma_3, nearly meet take ``np.linalg.eigvalsh`` of their Grams.
+    word's two parts, its prefix and its suffix, and its sigma_1 and
+    sigma_1 sigma_2 to about eps * rho², where rho is how far the prefix
+    shrinks the suffix's top direction (``_congruent_spectra``).  They take
+    no SVD for d <= 3: the d = 3 words whose sigma_1 and sigma_2, or sigma_2
+    and sigma_3, nearly meet take ``np.linalg.eigvalsh`` of their Grams.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -106,21 +107,10 @@ def _exponent(s) -> float:
     return s
 
 
-class _Partials(dict):
-    """A store of partial sums for ``_partial`` that writes sum m into row
-    m - 1 of ``rows`` (d, n), a buffer its owner reuses from block to block."""
-
-    def __init__(self, rows: np.ndarray):
-        super().__init__()
-        self.rows = rows
-
-
 def _partial(log_sigma: np.ndarray, m: int, sums: dict) -> np.ndarray:
-    """np.sum(log_sigma[:m], axis=0) for m >= 1, kept by m in ``sums`` once
-    taken, and written into its row if ``sums`` is a ``_Partials``."""
+    """np.sum(log_sigma[:m], axis=0), kept by m in ``sums`` once taken."""
     if m not in sums:
-        out = sums.rows[m - 1] if isinstance(sums, _Partials) else None
-        sums[m] = np.sum(log_sigma[:m], axis=0, out=out)
+        sums[m] = np.sum(log_sigma[:m], axis=0)
     return sums[m]
 
 

@@ -833,6 +833,31 @@ class TestLogSpectra:
         assert error[0] <= 1e-13
         assert error[1] <= 1e-9
 
+    def test_misaligned_prefix_costs_sigma_1_eps_rho_squared(self):
+        # Q diag(0.9, 1e-3, 1e-3) Qᵀ and its two permuted copies: a prefix that
+        # crushes its suffix's top direction has rho = sigma_1(M) sigma_1(T) /
+        # sigma_1(M T) = 900.  The block's Gram L(M) G_T carries the suffix
+        # Gram's rounding, eps sigma_1(T)², times sigma_1(M)², so log sigma_1 is
+        # known to about eps rho² (6e-12 measured), where the composed product's
+        # own Gram gives eps rho (1.1e-13 measured).  The aligned words, rho = 1,
+        # are exact to rounding either way.  Each sigma_1 sigma_2 here has
+        # rho = 1 and keeps the eps sigma_1 / sigma_2 of its suffix
+        eps = np.finfo(float).eps
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        diagonals = np.array([(0.9, 1e-3, 1e-3), (1e-3, 0.9, 1e-3), (1e-3, 1e-3, 0.9)])
+        maps = np.array([Q @ np.diag(a) @ Q.T for a in diagonals])
+        table = code_tree._gram_table(entry_major(maps))
+        for head, a in zip(maps, diagonals):
+            exact = np.sort(a * diagonals, axis=1)[:, ::-1]  # the words M T, exactly
+            want = np.log(np.stack([exact[:, 0], exact[:, 0] * exact[:, 1]]))
+            got = code_tree._congruent_spectra(head, table, np.log(exact).sum(axis=1), 1)
+            composed = per_word_gram_spectra(head @ maps)
+            rho = 0.9 * 0.9 / exact[:, 0]
+            assert set(np.round(rho)) == {1.0, 900.0}
+            assert np.all(np.abs(got[0] - want[0]) <= 4 * eps * rho**2)
+            assert np.all(np.abs(composed[0] - want[0]) <= 4 * eps * rho)
+            assert np.all(np.abs(got[0] + got[1] - want[1]) <= 4 * eps * 900)
+
     def test_near_gap_columns_take_the_fallback(self, monkeypatch):
         # behind a similarity prefix 0.5 R, Q diag(a, a, b) Qᵀ has a repeated top
         # Gram eigenvalue and Q diag(a, b, b) Qᵀ a repeated top cofactor Gram
