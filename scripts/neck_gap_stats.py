@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Are neck levels of a random graph-directed sequence geometrically spaced?
 
-Samples a long i.i.d. label sequence from a graph system, reads off the neck
-levels (one past every all-to-root label), and compares the gaps between
-consecutive necks to the Geometric(p) law they should follow, where p is the
-total probability of neck labels.  Prints the gap histogram, the sample mean
-against 1/p, and a chi-square p-value with the tail pooled so every expected
-count stays at least 5.
+Runs ``affdim simulate`` once and tabulates the gaps between consecutive neck
+levels it reports against the Geometric(p) law they should follow, where p is
+the total probability of neck labels.  Prints the gap histogram, the sample
+mean against thinning/p, and a chi-square p-value with the tail pooled so
+every expected count stays at least 5.  Whatever ``simulate`` refuses ends
+the run with ``simulate``'s error and exit code, and prints no table.
 """
 
 import argparse
+import contextlib
+import io
 import pathlib
 import sys
 
 import numpy as np
 from scipy import stats
 
-from affdim import SystemSpecError, detect_necks, parse_system, sample_graph_sequence
+from affdim import cli, parse_system
 
 # Two-vertex system: label "neck" (prob 0.3) sends everything back to vertex 1,
 # label "spread" (prob 0.7) branches away from it, so necks recur at rate 0.3.
@@ -35,24 +37,20 @@ def main(argv=None) -> int:
         if getattr(args, flag) < 1:
             parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
 
-    try:
-        gs = parse_system(args.doc).graph
-        if gs is None:
-            raise SystemSpecError("graph", "simulate needs a document with a graph section")
-    except (ValueError, OSError) as exc:  # as ``affdim simulate`` reports a bad document
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    p_neck = gs.neck_probability()
-    g = sample_graph_sequence(gs, args.seed, args.length)
-    necks = np.array(detect_necks(g, gs, thinning=args.thinning))
-    if necks.size < 2:
-        print(f"only {necks.size} neck(s) in {args.length} levels; increase --length", file=sys.stderr)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli(["simulate", str(args.doc), "--length", str(args.length),
+                    "--thinning", str(args.thinning), "--seed", str(args.seed)])
+    if code:
+        return code
+    gaps = np.array([int(row.split(",")[1]) for row in out.getvalue().splitlines()[1:]], dtype=int)
+    if gaps.size < 2:
+        print(f"only {gaps.size} neck(s) in {args.length} levels; increase --length", file=sys.stderr)
         return 1
-    gaps = np.diff(np.concatenate([[0], necks]))
+    p_neck = parse_system(args.doc).graph.neck_probability()
 
     print(f"length = {args.length}, seed = {args.seed}, thinning = {args.thinning}")
-    print(f"neck probability: {p_neck:.6g}   necks found: {necks.size}")
+    print(f"neck probability: {p_neck:.6g}   necks found: {gaps.size}")
     print(f"gap mean: {gaps.mean():.4f}   "
           f"theory (thinning/p): {args.thinning / p_neck:.4f}")
 

@@ -55,16 +55,17 @@ of every word is a few whole-row adds; a caller's reduction is applied per
 block.  The log partition sums log S(k, s) of d >= 2 trees (S sums phi_s
 of the composed linear parts over the level-k words), on request with the
 log of -dS/ds beside them for the pressure zero-finder's tangents, the
-weighted cylinder points and the zero-finder's cache are such reductions,
-all in log form over ``singular_values._log_phi``, so values far below the
-smallest double stay finite.  The word sums (``_log_sums``) take each
-partial spectrum sum a block's s-values need once.  On a piece of
-``singular_values._piece`` log phi_s of every word is affine in s, so they
-walk each run of s in one piece by a geometric recurrence: the first s is an
-anchor, evaluated exactly into one buffer of the block's length, and on an
-evenly spaced run whose rate exp(delta * B) grows no weight each later s
-multiplies the words' weights by that one rate, held in a second such
-buffer, and takes one sum.  Any other run is anchored at every s, and a step
+weighted cylinder points and the zero-finder's cache (``_level_sums``) are
+such reductions, all in log form over ``singular_values._log_phi``, so
+values far below the smallest double stay finite.  The word sums
+(``_log_sums``) take each partial spectrum sum a block's s-values need
+once.  On a piece of ``singular_values._piece`` log phi_s of every word is
+affine in s, so they walk each run of s in one piece by a geometric
+recurrence: the first s is an anchor, evaluated exactly and exponentiated
+into one buffer of weights of the block's length, and on an evenly spaced
+run whose rate exp(delta * B) grows no weight each later s multiplies the
+words' weights by that one rate, held in a second such buffer, and takes
+one sum.  Any other run is anchored at every s, and a step
 re-anchors where the sum falls below 2^-900, so the results stay within a
 few ulps, or the rounding of s * B itself, of evaluating every s afresh.
 The points at s = 0 carry uniform weights (phi_0 is 1), take no spectra and
@@ -109,6 +110,9 @@ __all__ = [
 
 ENUMERATION_CAP = 10**7
 _BLOCK_LIMIT = 1 << 16
+# ``_level_sums`` keeps a d >= 2 level's log spectra in memory up to this many
+# words; a d = 1 pass is a transfer product, cheaper than the cache
+_SPECTRUM_CACHE_WORDS = 10**6
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -468,8 +472,9 @@ def _compose(head, tail, out=(None, None, None)):
     (d, d) @ (d, d·n) product, entry-major again, which numpy hands BLAS as
     one (d, d) @ (d, n) product per column j, so that each is written in
     place into ``out`` (a fresh array unless given); their points are one
-    (d, d) @ (d, n) product.  d = 1 composes with ``*``, where ``@``'s
-    overhead outweighs one multiplication."""
+    (d, d) @ (d, n) product.  d = 1 composes with ``*``: numpy's ``@`` takes a
+    (1, 1) @ (1, n) product one column at a time, about 8 times slower at
+    n = 65,536, and gives +0 where ``*`` keeps the sign of a zero product."""
     (mats, log_det, points), (tail_mats, tail_log_det, tail_points) = head, tail
     out_mats, out_log_det, out_points = out
     product = None if mats is None else np.multiply if mats.shape[-1] == 1 else np.matmul
@@ -756,9 +761,9 @@ def _log_spectra(mats, log_det, k):
     parts ``mats`` (d, d, n), as a (d, n) array: row i holds every product's
     log sigma_{i+1}, so each column descends.
 
-    d = 1 takes log|t|, in place of ``mats``, where the product t is a normal
-    double, and the word's summed ``log_det`` where it underflowed, so a d = 1
-    word is never lost.  d = 2 takes sigma_1 = (p + q) / 2 with
+    d = 1 takes log|t| where the product t is a normal double, and the word's
+    summed ``log_det`` where it underflowed, so a d = 1 word is never lost;
+    ``mats`` is left as it is.  d = 2 takes sigma_1 = (p + q) / 2 with
     p = |(a + e, c - b)| and q = |(a - e, c + b)| for the product
     [[a, b], [c, e]], each entry one row of ``mats``, and log sigma_2 =
     log|det| - log sigma_1 from the word's summed ``log_det``, which stays
@@ -772,12 +777,9 @@ def _log_spectra(mats, log_det, k):
     """
     d = mats.shape[0]
     if d == 1:
-        log_sigma = np.abs(mats[0], out=mats[0])
-        lost = log_sigma < np.finfo(float).tiny
-        with np.errstate(divide="ignore"):  # a t lost to 0 is replaced below
-            np.log(log_sigma, out=log_sigma)
-        np.copyto(log_sigma, log_det, where=lost)
-        return log_sigma
+        t = np.abs(mats[0])
+        with np.errstate(divide="ignore"):  # a t lost to 0 is replaced by its log|det|
+            return np.where(t < np.finfo(float).tiny, log_det, np.log(t))
     if d == 2:
         a, b, c, e = mats[0, 0], mats[0, 1], mats[1, 0], mats[1, 1]
         sigma = 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, c + b))
@@ -807,13 +809,12 @@ def _log_sums(log_sigma, s_values, slopes=False):
     A negative or nan s is refused first.  The s-values are then taken in
     runs of consecutive values in one piece of ``singular_values._piece``,
     where log phi_s of every word is affine in s with slope row B
-    (``_slope``).  The first s of a run is an anchor: ``_log_phi`` writes log
-    phi_s into one (n,) buffer (an integer s reads its partial sum as it
-    stands, and every s shares one dict of the block's partial spectrum sums,
-    each taken once), which is shifted by its max, top, and
-    exponentiated in place into weights; the log sum is top + log
-    sum(weights), every bit as a lone s gives it.  A run steps when it is
-    evenly spaced, every s within ``_STEP_BUDGET`` / max|B|, or within the
+    (``_slope``).  The first s of a run is an anchor: ``_log_phi`` gives log
+    phi_s (an integer s below d reads its partial sum as it stands, and every
+    s shares one dict of the block's partial spectrum sums, each taken once),
+    which is shifted by its max, top, and exponentiated into one (n,) buffer
+    of weights; the log sum is top + log sum(weights), every bit as a lone s
+    gives it.  A run steps when it is evenly spaced, every s within ``_STEP_BUDGET`` / max|B|, or within the
     rounding eps * max s of its largest s, of s_0 + j * delta with delta from
     the run's two ends, and its rate exp(delta * B) grows no weight (s does
     not fall, and no singular value on the row is above 1).  The rate is then
@@ -843,7 +844,7 @@ def _log_sums(log_sigma, s_values, slopes=False):
     weights, rate = np.empty(n), np.empty(n)
 
     def anchor(s):
-        log_phi = _log_phi(log_sigma, s, sums, out=weights)
+        log_phi = _log_phi(log_sigma, s, sums)
         top = np.max(log_phi)
         if top == -np.inf:
             raise ValueError(f"log phi_s at s = {s!r} overflows the double range")
@@ -1034,6 +1035,22 @@ def partition_sums(
     if tree.d == 1:
         return _transfer_sums(tree, k, s_values, slopes)
     return _fold(_map_words(tree, k, lambda ls, _: _log_sums(ls, s_values, slopes)))
+
+
+def _level_sums(tree, k):
+    """The passes of a search over level k: a function taking s-values to
+    ``partition_sums(tree, k, s_values, slopes=True)``, every bit as that.
+
+    A d >= 2 level of at most ``_SPECTRUM_CACHE_WORDS`` words keeps its
+    blocks' log spectra, enumerated once here, and each pass folds
+    ``_log_sums`` over them; any other level streams every pass through
+    ``partition_sums``, looked up at each call, which in d = 1 is the
+    transfer product.
+    """
+    if tree.d > 1 and tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
+        blocks = _map_words(tree, k, lambda log_sigma, _: log_sigma)
+        return lambda s_values: _fold([_log_sums(block, s_values, slopes=True) for block in blocks])
+    return lambda s_values: partition_sums(tree, k, s_values, slopes=True)
 
 
 def enumerate_points(

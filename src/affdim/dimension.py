@@ -15,12 +15,11 @@ translation choice rather than silently ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .code_tree import (CodeTreeRealization, _fold, _log_sums, _map_words, enumerate_points,
-                        partition_sums)
+from .code_tree import CodeTreeRealization, _level_sums, enumerate_points, partition_sums
 from .fs_checker import _check_tol
 from .singular_values import _exponent
 
@@ -37,9 +36,6 @@ __all__ = [
 ]
 
 _MONOTONE_TOL = 1e-10
-# for d >= 2 pressure_zero keeps every word's log spectrum in memory up to
-# this many words; a d = 1 pass is a transfer product, cheaper than the cache
-_SPECTRUM_CACHE_WORDS = 10**6
 # pressure_zero makes at most this many passes, and reports a zero above
 # max(d, _S_CAP) as _S_CAP, flagged
 _MAX_PASSES = 60
@@ -145,10 +141,11 @@ def pressure_zero(
     On each piece [m - 1, m], m <= d, and on [d, inf), log phi_s of every word
     is affine in s, so p_k is a log-sum-exp of affine functions there: convex
     as well as decreasing.  Each pass evaluates p_k and its right derivative
-    p_k' at several s at once: one transfer product for d = 1, one
-    enumeration for d >= 2, served from a spectrum cache up to
-    ``_SPECTRUM_CACHE_WORDS`` words.  The first takes s = 0, 1, ..., d,
-    which picks the piece that holds the zero.  Let a be the largest point
+    p_k' at several s at once, as ``code_tree._level_sums`` serves them: one
+    transfer product for d = 1, one enumeration for d >= 2, or a fold over
+    the level's log spectra, kept from one enumeration when they fit its
+    cache.  The first takes s = 0, 1, ..., d, which picks the piece that
+    holds the zero.  Let a be the largest point
     so far with p > 0 and b the smallest with p <= 0.  The tangent root t of
     p_k at a is then a lower bound on the zero and the chord root c between
     a and b an upper bound, and each later pass evaluates both.  The search
@@ -167,21 +164,14 @@ def pressure_zero(
         raise ValueError("k must be >= 1")
     _check_tol(tol)
     d = tree.d
-
-    # per-block log spectra when affordable, folded exactly as a streamed pass
-    cache = None
-    if d > 1 and tree.word_count(k) <= _SPECTRUM_CACHE_WORDS:
-        cache = _map_words(tree, k, lambda log_sigma, _: log_sigma)
+    level_sums = _level_sums(tree, k)
     points: list[_Point] = []
     passes = 0
 
     def evaluate(s_values):
         nonlocal passes
         passes += 1
-        if cache is not None:
-            sums = _fold([_log_sums(block, s_values, slopes=True) for block in cache])
-        else:
-            sums = partition_sums(tree, k, s_values, slopes=True)
+        sums = level_sums(s_values)
         dp = -np.exp(sums[1] - sums[0]) / k
         points.extend(_Point(s, float(v) / k, float(g)) for s, v, g in zip(s_values, sums[0], dp))
 
@@ -237,13 +227,7 @@ class BoxCountFit:
     counts: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "slope_stderr": self.slope_stderr,
-            "residual_rms": self.residual_rms,
-            "scales": list(self.scales),
-            "counts": list(self.counts),
-        }
+        return asdict(self)
 
 
 def box_dimension(points, j_min: int, j_max: int) -> BoxCountFit:

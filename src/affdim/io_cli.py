@@ -69,6 +69,7 @@ from .code_tree import (
     sample_graph_sequence,
 )
 from .dimension import HypothesisViolation, box_dimension, dimension_report, pressure_curve
+from .exterior_algebra import MAX_DIM
 from .fs_checker import (
     LinearFamily,
     UnsupportedEigenstructure,
@@ -216,7 +217,7 @@ def _build(doc: dict) -> SystemSpec:
     ``_numbers``, so a malformed document is refused at the field being read.
     """
     _object(doc, "(document)", ("d", "families", "bounds"), ("translations", "graph"))
-    d = _integer(doc["d"], "d", 1, 12)
+    d = _integer(doc["d"], "d", 1, MAX_DIM)
     bounds = _object(doc["bounds"], "bounds", ("sigma_lo", "sigma_hi"))
     lo = float(_numbers(bounds["sigma_lo"], "bounds.sigma_lo", 0))
     if lo <= 0.0:

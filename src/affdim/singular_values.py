@@ -25,8 +25,7 @@ straight from the block's linear parts, which it lays out entry axes first,
 and exponentiates the kernel.  The word sums of
 ``code_tree`` reduce it in log form, where phi_s far below the smallest
 double stays finite; they evaluate many s on one block of words, so they
-hand the kernel one dict that keeps each partial sum once taken, and one
-output buffer.
+hand the kernel one dict that keeps each partial sum once taken.
 
 On each piece m - 1 < s <= m < d, on d - 1 < s < d, and on s >= d, log
 phi_s of every spectrum is affine in s.  ``_piece`` is the only rule for
@@ -134,8 +133,7 @@ def _slope(log_sigma: np.ndarray, m: int, sums: dict) -> tuple[np.ndarray, float
     return log_sigma[max(m, 1) - 1], 1.0
 
 
-def _log_phi(log_sigma: np.ndarray, s: float, sums: dict | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
+def _log_phi(log_sigma: np.ndarray, s: float, sums: dict | None = None) -> np.ndarray:
     """log phi_s, shape (...), from log spectra of shape (d, ...): row i holds
     the logs of the i-th largest singular values, so each spectrum runs down
     axis 0 and phi_s is a few whole-row adds.
@@ -143,26 +141,23 @@ def _log_phi(log_sigma: np.ndarray, s: float, sums: dict | None = None,
     The branch is the piece ``_piece`` gives s.  Each piece reads one partial
     sum np.sum(log_sigma[:m], axis=0), kept by m in ``sums`` once taken: a
     caller that evaluates many s on one block passes one dict, so each is
-    taken once.  s = 0, a non-integer s, or s >= d, writes its result into
-    ``out`` when one is given; any other integer s below d returns the partial
-    sum itself, which a caller that passed ``sums`` must not write to.
+    taken once.  An integer s below d returns the partial sum itself, which a
+    caller that passed ``sums`` must not write to; any other s returns a fresh
+    array.
     """
     d = log_sigma.shape[0]
     s = _exponent(s)
     sums = {} if sums is None else sums
     m = _piece(d, s)
     if m == 0:  # phi_0 is 1, so log phi_0 is 0 with no partial sum taken
-        if out is None:
-            return np.zeros(log_sigma.shape[1:])
-        out.fill(0.0)
-        return out
+        return np.zeros(log_sigma.shape[1:])
     if m > d:
         with np.errstate(over="ignore"):  # a huge s gives -inf, which the word sums refuse
-            return np.multiply(s / d, _partial(log_sigma, d, sums), out=out)
+            return (s / d) * _partial(log_sigma, d, sums)
     if s == m:
         # integer grade: plain product of the top s values (left limit)
         return _partial(log_sigma, m, sums)
-    out = np.multiply(s - m + 1, log_sigma[m - 1], out=out)
+    out = (s - m + 1) * log_sigma[m - 1]
     if m > 1:  # the top 0 values sum to 0, which would add nothing but the sign of a zero
         out += _partial(log_sigma, m - 1, sums)
     return out

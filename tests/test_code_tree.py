@@ -833,6 +833,20 @@ class TestLogSpectra:
         assert error[0] <= 1e-13
         assert error[1] <= 1e-9
 
+    @pytest.mark.xfail(strict=True, reason="the suffix's cofactor matrices are taken from its "
+                       "composed products, whose 2×2 minors cancel at rate eps sigma_1 / sigma_2")
+    def test_codiagonal_d3_oracle_at_depth_16(self):
+        # the maps of the test above at k = 16: 2^16 words make one block, whose
+        # suffix is the whole word, so each sigma_1 sigma_2 comes from a composed
+        # 16-letter product; sigma_1 holds to 1e-14, sigma_2 and sigma_3 miss by 0.089
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        diagonals = [(0.45, 0.05, 0.02), (0.4, 0.06, 0.03)]
+        fam = IfsFamily("co", tuple(AffineMap(Q @ np.diag(a) @ Q.T, c) for c, a in enumerate(diagonals)))
+        words = np.array(list(itertools.product(range(2), repeat=16)))
+        oracle = np.log(np.array(diagonals))[words].sum(axis=1)
+        error = np.max(np.abs(word_spectra(deterministic_tree(fam, 16), 16) - oracle), axis=0)
+        assert np.all(error <= 1e-12), error
+
     def test_misaligned_prefix_costs_sigma_1_eps_rho_squared(self):
         # Q diag(0.9, 1e-3, 1e-3) Qᵀ and its two permuted copies: a prefix that
         # crushes its suffix's top direction has rho = sigma_1(M) sigma_1(T) /
@@ -1482,9 +1496,9 @@ class TestSpectrumAxisFirst:
                 assert np.array_equal(_log_phi(log_sigma, s), row_major_log_phi(row_major, s)), s
         sums = partition_sums(tree, 5, grid)
         _, weights = enumerate_points(tree, 5, s=1.3)
-        # the stand-in ignores the shared partial sums and the buffer, so the word
-        # sums then take every log phi_s fresh from the row-major body
-        monkeypatch.setattr(code_tree, "_log_phi", lambda log_sigma, s, sums=None, out=None:
+        # the stand-in ignores the shared partial sums, so the word sums then
+        # take every log phi_s fresh from the row-major body
+        monkeypatch.setattr(code_tree, "_log_phi", lambda log_sigma, s, sums=None:
                             row_major_log_phi(np.ascontiguousarray(log_sigma.T), s))
         assert np.array_equal(partition_sums(tree, 5, grid), sums)
         assert np.array_equal(enumerate_points(tree, 5, s=1.3)[1], weights)

@@ -192,16 +192,16 @@ class TestPressureZero:
         # small blocks, so that the cache holds several blocks to fold
         monkeypatch.setattr(code_tree, "_BLOCK_LIMIT", 50)
         passes = []
-        counted = dimension.partition_sums
+        counted = code_tree.partition_sums
 
         def counting(*args, **kwargs):
             passes.append(1)
             return counted(*args, **kwargs)
 
-        monkeypatch.setattr(dimension, "partition_sums", counting)
+        monkeypatch.setattr(code_tree, "partition_sums", counting)
         cached = pressure_zero(tree, 6)
         assert not passes
-        monkeypatch.setattr(dimension, "_SPECTRUM_CACHE_WORDS", tree.word_count(6) - 1)
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CACHE_WORDS", tree.word_count(6) - 1)
         streamed = pressure_zero(tree, 6)
         assert passes
         assert cached.flag is None and streamed.flag is None
@@ -299,14 +299,14 @@ class TestTangentAndChord:
     def test_streamed_search_takes_few_passes(self, rng, monkeypatch, d):
         tree = random_tree(rng, d, 7)
         passes = []
-        counted = dimension.partition_sums
+        counted = code_tree.partition_sums
 
         def counting(*args, **kwargs):
             passes.append(1)
             return counted(*args, **kwargs)
 
-        monkeypatch.setattr(dimension, "partition_sums", counting)
-        monkeypatch.setattr(dimension, "_SPECTRUM_CACHE_WORDS", 0)
+        monkeypatch.setattr(code_tree, "partition_sums", counting)
+        monkeypatch.setattr(code_tree, "_SPECTRUM_CACHE_WORDS", 0)
         res = pressure_zero(tree, 7)
         assert res.flag is None
         assert res.iterations == len(passes) <= 3
@@ -315,9 +315,9 @@ class TestTangentAndChord:
         # 3^7 words fit the spectrum cache, but a d = 1 pass is a transfer product
         t = rng.uniform(0.1, 0.45, size=3) * rng.choice([-1.0, 1.0], size=3)
         tree = family_tree([np.array([[x]]) for x in t], 7)
-        assert tree.word_count(7) <= dimension._SPECTRUM_CACHE_WORDS
+        assert tree.word_count(7) <= code_tree._SPECTRUM_CACHE_WORDS
         passes = []
-        counted = dimension.partition_sums
+        counted = code_tree.partition_sums
 
         def counting(*args, **kwargs):
             passes.append(1)
@@ -326,8 +326,8 @@ class TestTangentAndChord:
         def enumerate_nothing(*args, **kwargs):
             raise AssertionError("pressure_zero built a spectrum cache")
 
-        monkeypatch.setattr(dimension, "partition_sums", counting)
-        monkeypatch.setattr(dimension, "_map_words", enumerate_nothing)
+        monkeypatch.setattr(code_tree, "partition_sums", counting)
+        monkeypatch.setattr(code_tree, "_map_words", enumerate_nothing)
         res = pressure_zero(tree, 7, tol=1e-10)
         assert res.flag is None
         assert res.iterations == len(passes)

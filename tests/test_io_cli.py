@@ -27,7 +27,7 @@ from affdim import (
     parse_system,
     pressure_curve,
 )
-from affdim import code_tree, dimension, io_cli
+from affdim import code_tree, io_cli
 
 from conftest import random_contraction
 
@@ -926,8 +926,8 @@ class TestCli:
     def test_dim_bytes_match_across_cache_and_threads(self, tmp_path, capsys, monkeypatch):
         system = doc_path(tmp_path, CERT_DOC)
         outputs = []
-        for cache in (dimension._SPECTRUM_CACHE_WORDS, 0):
-            monkeypatch.setattr(dimension, "_SPECTRUM_CACHE_WORDS", cache)
+        for cache in (code_tree._SPECTRUM_CACHE_WORDS, 0):
+            monkeypatch.setattr(code_tree, "_SPECTRUM_CACHE_WORDS", cache)
             for threads in ("1", "4"):
                 assert cli(["dim", system, "--k", "7", "--threads", threads]) == 0
                 outputs.append(capsys.readouterr().out.encode())

@@ -4,7 +4,8 @@ Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, as
 a user would run it from a checkout, and must exit 0 with some output and
 leave nothing behind in its temporary directory.  A count below 1 is a
 usage error, exit 2, as in the CLI, and no bad input ends in a traceback.
-``dimension_demo.py`` tabulates ``affdim dim`` runs, so its rows are the CLI's.
+``dimension_demo.py`` tabulates ``affdim dim`` runs and ``neck_gap_stats.py``
+an ``affdim simulate`` run, so their figures are the CLI's.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from affdim import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORNER = ROOT / "docs" / "examples" / "corner_system.json"
+GRAPH = ROOT / "docs" / "examples" / "graph_system.json"
 
 
 @pytest.fixture
@@ -108,6 +110,17 @@ def test_demo_rows_are_dim_reports(doc, seeds, dim_args, docs, tmp_path):
         gap = abs(r["box_estimate"] - r["dimension"])
         assert row == (f"{seed:>4}  {r['s0']:>10.6f}  {r['box_estimate']:>10.6f}"
                        f"  {gap:>8.4f}  {r['dimension']:>10.6f}  {r['flag'] or '-'}")
+
+
+def test_neck_gap_mean_is_the_simulated_one(tmp_path):
+    args = ["--seed", "3", "--thinning", "2"]
+    proc = run_script("neck_gap_stats.py", args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli(["simulate", str(GRAPH), *args]) == 0
+    gaps = [int(row.split(",")[1]) for row in out.getvalue().splitlines()[1:]]
+    assert f"gap mean: {sum(gaps) / len(gaps):.4f} " in proc.stdout
 
 
 @pytest.mark.parametrize(

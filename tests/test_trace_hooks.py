@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from affdim import cli, dimension, io_cli
+from affdim import cli, code_tree, io_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CORNER = str(ROOT / "docs" / "examples" / "corner_system.json")
@@ -36,7 +36,7 @@ def test_tracer_targets_resolve_and_leave_stdout_alone(capsys, monkeypatch):
     for modname, attr, *_ in tracer.TARGETS:
         assert callable(getattr(sys.modules[modname], attr)), (modname, attr)
     # below the word count, pressure_zero streams its passes through partition_sums
-    monkeypatch.setattr(dimension, "_SPECTRUM_CACHE_WORDS", 0)
+    monkeypatch.setattr(code_tree, "_SPECTRUM_CACHE_WORDS", 0)
     argv = ["dim", CORNER, "--k", "5", "--depth", "7"]
     assert cli(argv) == 0
     plain = capsys.readouterr().out
