@@ -47,6 +47,7 @@ function of ``--seed`` and never of ``--threads`` or scheduling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -412,17 +413,11 @@ def _verdict_text(tag: str, v: Verdict) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _linear_family(spec: SystemSpec, key, depth: int) -> LinearFamily:
-    fam = spec.family(key)
-    base = LinearFamily.from_matrices([m.T for m in fam.maps])
-    if depth > 1:
-        base = iterate_closure(base, depth)
-    return base
-
-
 def _cmd_check_fs(args) -> int:
     spec = parse_system(args.system)
-    fam = _linear_family(spec, args.family, args.depth)
+    fam = LinearFamily.from_matrices([m.T for m in spec.family(args.family).maps])
+    if args.depth > 1:
+        fam = iterate_closure(fam, args.depth)
     opts = {"samples": args.samples, "tol": args.tol, "seed": args.seed}
     d = spec.d
 
@@ -526,11 +521,18 @@ def _cmd_boxdim(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``affdim`` parser, built once per process: ``parse_args`` writes
+    only the namespace it returns, so every ``cli`` call can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--threads", type=int, default=1,
                         help="at least 1; accepted, but enumeration runs on one thread")
+    document = argparse.ArgumentParser(add_help=False, parents=[common])
+    document.add_argument("system", help="system JSON (path or literal text)")
+    family = argparse.ArgumentParser(add_help=False, parents=[document])
+    family.add_argument("--family", default=None, help="family label or index (default: first)")
 
     parser = argparse.ArgumentParser(
         prog="affdim",
@@ -539,10 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-fs", parents=[common],
+    p = sub.add_parser("check-fs", parents=[family],
                        help="test the spanning condition C(m) / C(s) for a family")
-    p.add_argument("system", help="system JSON (path or literal text)")
-    p.add_argument("--family", default=None, help="family label or index (default: first)")
     p.add_argument("--s", type=float, default=None,
                    help="grade to test; integer -> C(m), fractional -> C(s); "
                         "default: every integer grade")
@@ -552,29 +552,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the samples")
     p.set_defaults(handler=_cmd_check_fs)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[family],
                        help="two-map eigenstructure certificate")
-    p.add_argument("system")
-    p.add_argument("--family", default=None)
     p.add_argument("--maps", type=int, nargs=2, default=(0, 1), metavar=("I", "J"),
                    help="indices of the two maps (default: 0 1)")
     p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
     p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("pressure", parents=[common],
+    p = sub.add_parser("pressure", parents=[family],
                        help="pressure curve p_k(s) as CSV (s,p,diag)")
-    p.add_argument("system")
-    p.add_argument("--family", default=None)
     p.add_argument("--s-min", type=float, default=0.0)
     p.add_argument("--s-max", type=float, default=None, help="default: ambient dimension")
     p.add_argument("--grid", type=int, default=21, help="number of grid points")
     p.add_argument("--k", type=int, default=6, help="composition level")
     p.set_defaults(handler=_cmd_pressure)
 
-    p = sub.add_parser("dim", parents=[common],
+    p = sub.add_parser("dim", parents=[family],
                        help="dimension report (pressure zero vs box counting) as JSON")
-    p.add_argument("system")
-    p.add_argument("--family", default=None)
     p.add_argument("--j-min", type=int, default=2, help="finest dyadic scale is 2^-j_max")
     p.add_argument("--j-max", type=int, default=None, help="default: set from depth and bounds")
     p.add_argument("--k", type=int, default=6, help="composition level of the pressure")
@@ -583,18 +577,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for unbound translations")
     p.set_defaults(handler=_cmd_dim)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[document],
                        help="draw a graph label sequence; emit neck gaps as CSV (index,gap)")
-    p.add_argument("system")
     p.add_argument("--length", type=int, default=10000, help="number of labels to draw")
     p.add_argument("--thinning", type=int, default=1, help="keep every t-th neck")
     p.add_argument("--seed", type=int, default=0, help="seed for the label draws")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("points", parents=[common],
+    p = sub.add_parser("points", parents=[family],
                        help="enumerate cylinder points as CSV (x1,...,xd,weight)")
-    p.add_argument("system")
-    p.add_argument("--family", default=None)
     p.add_argument("--s", type=float, default=0.0, help="weight exponent (default 0: uniform)")
     p.add_argument("--depth", type=int, default=8, help="tree depth")
     p.add_argument("--seed", type=int, default=0, help="seed for unbound translations")

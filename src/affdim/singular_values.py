@@ -18,9 +18,11 @@ rounding of s.  One kernel, ``_log_phi``, evaluates log phi_s from log
 spectra laid out spectrum axis first, one row per singular value, so that
 phi_s is a sum of whole rows: on each piece it is a partial sum of the top
 rows, scaled by s / d above s = d or plus a fraction of the next row
-between integers.  ``code_tree`` takes a block's spectra in this layout
-straight from the block's linear parts, which it lays out entry axes first,
-(d, d, n), so no transpose is copied on either side.
+between integers.  ``code_tree`` takes a block's spectra in this layout,
+so no transpose is copied on either side: for d = 3 in closed form from
+the block's Grams, got by congruence from its suffix table's Grams, and
+for any other d from the block's linear parts, laid out entry axes first,
+(d, d, n).
 ``phi_from_singular_values`` moves its trailing spectrum axis to the front
 and exponentiates the kernel.  The word sums of
 ``code_tree`` reduce it in log form, where phi_s far below the smallest

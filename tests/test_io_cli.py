@@ -1367,6 +1367,39 @@ class TestCli:
         assert target.read_bytes() == printed.encode()
         assert "witness v" in printed
 
+    @pytest.mark.parametrize("argv", [["dim", "--k", "5", "--depth", "7"], ["pressure", "--k", "4"]],
+                             ids=["dim-json", "pressure-csv"])
+    def test_out_dash_is_stdout(self, tmp_path, capsys, argv):
+        argv = argv[:1] + [doc_path(tmp_path, CORNER_DOC)] + argv[1:]
+        assert cli(argv) == 0
+        printed = capsys.readouterr().out
+        assert cli(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out == printed
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        dim = ["dim", doc_path(tmp_path, CORNER_DOC), "--k", "5", "--depth", "7"]
+        check_fs = ["check-fs", doc_path(tmp_path, SPIN_DOC, "spin.json"), "--samples", "200"]
+        io_cli._build_parser.cache_clear()
+        fresh = []
+        for argv in (dim, check_fs):
+            rc = cli(argv)
+            fresh.append((rc, capsys.readouterr()))
+        assert io_cli._build_parser() is io_cli._build_parser()
+
+        for refused, message in ((["--depth", "0"], "argument --depth: must be at least 1"),
+                                 (["--bogus", "1"], "unrecognized arguments: --bogus 1")):
+            with pytest.raises(SystemExit) as info:
+                cli(dim + refused)
+            assert info.value.code == 2
+            assert message in capsys.readouterr().err
+
+        again = []
+        for argv in (dim, check_fs):
+            rc = cli(argv)
+            again.append((rc, capsys.readouterr()))
+        assert again == fresh
+        assert [rc for rc, _ in fresh] == [0, 0]
+
     @pytest.mark.parametrize("doc, argv, message", [
         pytest.param(SPIN_DOC, ["--s", "inf"], "s must lie in", id="inf"),
         pytest.param(SPIN_DOC, ["--s", "nan"], "s must lie in", id="nan"),
