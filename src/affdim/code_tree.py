@@ -44,32 +44,29 @@ singular spectra are taken from those entry rows (``_log_spectra``: log|t|
 for d = 1, from the summed log|det| where the product underflowed; a
 closed-form sigma_1 for d = 2, with sigma_2 from the summed log|det|; one
 batched SVD for d >= 4).  A d = 3 block composes no linear parts: its
-suffix table's are traded for their Gram matrices and their cofactor
-matrices' Grams once per state (``_gram_table``), and each block's Grams
-are the prefix's congruence applied to those, two (6, 6) @ (6, chunk)
-products, whose top eigenvalues give sigma_1 and sigma_1 sigma_2 in
-closed form, with sigma_3 from the summed log|det| (``_congruent_spectra``).
-Either way the spectra are a
-(d, n) array, one row per singular value and one column per word, so phi_s
-of every word is a few whole-row adds; a caller's reduction is applied per
-block.  The log partition sums log S(k, s) of d >= 2 trees (S sums phi_s
-of the composed linear parts over the level-k words), on request with the
-log of -dS/ds beside them for the pressure zero-finder's tangents, the
-weighted cylinder points and the zero-finder's cache (``_level_sums``) are
-such reductions, all in log form over ``singular_values._log_phi``, so
-values far below the smallest double stay finite.  The word sums
-(``_log_sums``) take each partial spectrum sum a block's s-values need
-once.  On a piece of ``singular_values._piece`` log phi_s of every word is
-affine in s, so they walk each run of s in one piece by a geometric
-recurrence: the first s is an anchor, evaluated exactly and exponentiated
-into one buffer of weights of the block's length, and on an evenly spaced
-run whose rate exp(delta * B) grows no weight each later s multiplies the
-words' weights by that one rate, held in a second such buffer, and takes
-one sum.  Any other run is anchored at every s, and a step
-re-anchors where the sum falls below 2^-900, so the results stay within a
-few ulps, or the rounding of s * B itself, of evaluating every s afresh.
-The points at s = 0 carry uniform weights (phi_0 is 1), take no spectra and
-form no block linear parts.
+suffix table's are traded for their Grams once per state (``_gram_table``),
+and the block's spectra are taken from those and its prefix word
+(``_congruent_spectra``).  Either way the spectra are a (d, n) array, one
+row per singular value and one column per word, so phi_s of every word is a
+few whole-row adds; a caller's reduction is applied per block.  The log
+partition sums log S(k, s) of d >= 2 trees (S sums phi_s of the composed
+linear parts over the level-k words), on request with the log of -dS/ds
+beside them for the pressure zero-finder's tangents, the weighted cylinder
+points and the zero-finder's cache (``_level_sums``) are such reductions,
+all in log form over ``singular_values._log_phi``, so values far below the
+smallest double stay finite.  The word sums (``_log_sums``) take each
+partial spectrum sum a block's s-values need once.  On a piece of
+``singular_values._piece`` log phi_s of every word is affine in s, so they
+walk each run of s in one piece by a geometric recurrence: the first s is
+an anchor, evaluated exactly and exponentiated into one buffer of weights
+of the block's length, and on an evenly spaced run whose rate
+exp(delta * B) grows no weight each later s multiplies the words' weights
+by that one rate, held in a second such buffer, and takes one sum.  Any
+other run is anchored at every s, and a step re-anchors where the sum
+falls below 2^-900, so the results stay within a few ulps, or the rounding
+of s * B itself, of evaluating every s afresh.  The points at s = 0 carry
+uniform weights (phi_0 is 1), take no spectra and form no block linear
+parts.
 Blocks are mapped one after another on the calling thread and their
 results folded in word order.
 
@@ -594,10 +591,11 @@ def _gram(x, g, tmp):
 
 
 def _top_eigenvalue(g, top, gap, work):
-    """Largest eigenvalue of each symmetric 3×3 column of ``g`` (6, n), laid out
-    as ``_gram`` writes it, written into ``top`` (n,), and 1 + r into ``gap``
-    (n,), which is 0 where the top two eigenvalues meet; ``work`` is (7, n)
-    scratch, and ``g`` is left as it is.
+    """Largest eigenvalue of each symmetric 3×3 column of ``g`` (6, ...), laid
+    out as ``_gram`` writes it, written into ``top`` (...), and 1 + r into
+    ``gap`` (...), which is 0 where the top two eigenvalues meet; ``work`` is
+    (7, ...) scratch, and ``g`` is left as it is.  Elementwise, so the trailing
+    axes may be a stack of Grams, as ``_congruent_spectra`` hands them in.
 
     Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,
     p² = |G - qI|_F² / 6 and r = det(G - qI) / (2p³) in [-1, 1], the largest
@@ -652,27 +650,28 @@ def _cofactors(x, out, tmp):
 def _gram_table(mats):
     """The Grams a d = 3 suffix table's blocks take their spectra from
     (``_congruent_spectra``), from its entry-major linear parts ``mats``
-    (3, 3, n), which are scaled in place: (G, e, H, f) with T Tᵀ = 4^e G and
-    cof(T) cof(T)ᵀ = 4^f H for each word T, G and H (6, n) in ``_gram``'s
-    layout.  Each T is scaled by a power of two, 2^-e, before its Gram and its
-    cofactor matrix are taken, and that cofactor matrix by another, so every
-    Gram entry is at most 3 and the largest diagonal one at least 1/4.  Taken
-    ``_SPECTRUM_CHUNK`` columns at a time."""
+    (3, 3, n), which are scaled in place: (grams, exponents), one stack of
+    each.  ``grams`` (2, 6, n) holds each word T's Gram G in slot 0 and its
+    cofactor matrix's Gram H in slot 1, both in ``_gram``'s layout, and
+    ``exponents`` (2, n) their powers of four e and f: T Tᵀ = 4^e G and
+    cof(T) cof(T)ᵀ = 4^f H.  Each T is scaled by a power of two, 2^-e, before
+    its Gram and its cofactor matrix are taken, and that cofactor matrix by
+    another, so every Gram entry is at most 3 and the largest diagonal one at
+    least 1/4.  Taken ``_SPECTRUM_CHUNK`` columns at a time."""
     n = mats.shape[-1]
     x = mats.reshape(9, n)
     width = min(n, _SPECTRUM_CHUNK)
-    g, h = np.empty((6, n)), np.empty((6, n))
-    e, f = np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc)
+    grams, exponents = np.empty((2, 6, n)), np.empty((2, n), dtype=np.intc)
     cof, tmp = np.empty(9 * width), np.empty(width)
     for lo in range(0, n, _SPECTRUM_CHUNK):
         cols = slice(lo, lo + _SPECTRUM_CHUNK)
         m = min(n - lo, _SPECTRUM_CHUNK)
-        e[cols] = _scaled(x[:, cols])
-        _gram(x[:, cols], g[:, cols], tmp[:m])
+        exponents[0, cols] = _scaled(x[:, cols])
+        _gram(x[:, cols], grams[0, :, cols], tmp[:m])
         c = _cofactors(x[:, cols], cof[:9 * m].reshape(9, m), tmp[:m])
-        f[cols] = 2 * e[cols] + _scaled(c)
-        _gram(c, h[:, cols], tmp[:m])
-    return g, e, h, f
+        exponents[1, cols] = 2 * exponents[0, cols] + _scaled(c)
+        _gram(c, grams[1, :, cols], tmp[:m])
+    return grams, exponents
 
 
 def _congruence(m):
@@ -694,19 +693,21 @@ def _symmetric(g):
 def _congruent_spectra(m, table, log_det, k):
     """Log singular values (3, n) of the words M T of a d = 3 block, one prefix
     word ``m`` (3, 3) followed by every word T of a suffix table, from the
-    table's Grams ``table`` (``_gram_table``) and the words' summed
+    table's stacked Grams ``table`` (``_gram_table``) and the words' summed
     ``log_det``, with no product M T formed; row i holds log sigma_{i+1}.
 
     Gram matrices compose by congruence, (M T)(M T)ᵀ = M (T Tᵀ) Mᵀ, and so do
     the cofactor matrices' Grams, since cof(M T) = cof(M) cof(T).  On a Gram's
     6 distinct entries the congruence is a 6×6 matrix (``_congruence``), so
-    each ``_SPECTRUM_CHUNK`` columns of the block's two Grams are two (6, 6) @
-    (6, chunk) BLAS products into reused buffers.  M is scaled by a power of
-    two, 2^-a, and its cofactor matrix by another; sigma_1² is then the largest
-    eigenvalue of the block's Gram, and (sigma_1 sigma_2)² that of its cofactor
-    Gram (``_top_eigenvalue``), each times its power of four.  Columns where
-    either top pair nearly meets take those eigenvalues from
-    ``np.linalg.eigvalsh`` of the two Grams.  log sigma_3 is ``log_det`` less
+    the block's two Grams travel as one stack, like the table's: each
+    ``_SPECTRUM_CHUNK`` columns are one (2, 6, 6) @ (2, 6, chunk) BLAS product
+    of the stacked congruences of M and cof(M) with the table's slice, into a
+    reused buffer.  M is scaled by a power of two, 2^-a, and its cofactor
+    matrix by another; sigma_1² is then the largest eigenvalue of the block's
+    Gram, and (sigma_1 sigma_2)² that of its cofactor Gram, both taken by one
+    ``_top_eigenvalue`` call on the stack, each times its power of four.
+    Columns where either top pair nearly meets take both Grams' eigenvalues
+    from one ``np.linalg.eigvalsh`` call.  log sigma_3 is ``log_det`` less
     log sigma_1 sigma_2.  A lost sigma_1 or sigma_1 sigma_2 can only be an
     underflow (the maps are nonsingular) and is refused.
 
@@ -718,37 +719,33 @@ def _congruent_spectra(m, table, log_det, k):
     M crushes it (900 for diag(0.9, 1e-3, 1e-3) behind a permuted copy,
     about 1e-11 against 1e-13).
     """
-    g_table, e, h_table, f = table
-    n = g_table.shape[1]
+    grams, exponents = table
+    n = grams.shape[-1]
     x = m.reshape(9, 1).copy()
     a = int(_scaled(x)[0])  # M = 2^a X
     c = _cofactors(x, np.empty((9, 1)), np.empty(1))
     b = 2 * a + int(_scaled(c)[0])  # cof(M) = 2^b C
-    # per Gram: its congruence, the table's Grams and the block words' powers of two
-    parts = ((_congruence(x.reshape(3, 3)), g_table, a, e),
-             (_congruence(c.reshape(3, 3)), h_table, b, f))
+    congruences = np.stack([_congruence(x.reshape(3, 3)), _congruence(c.reshape(3, 3))])
     width = min(n, _SPECTRUM_CHUNK)
-    buffers, tops, gaps = np.empty((2, 6 * width)), np.empty((2, width)), np.empty((2, width))
-    work = np.empty((7, width))
+    buffer, tops, gaps = np.empty((2, 6 * width)), np.empty((2, width)), np.empty((2, width))
+    work = np.empty((7, 2, width))
     log_sigma = np.empty((3, n))
     for lo in range(0, n, _SPECTRUM_CHUNK):
         cols, w = slice(lo, lo + _SPECTRUM_CHUNK), min(n - lo, _SPECTRUM_CHUNK)
-        grams = []
-        for (congruence, table_grams, _, _), buffer, top, gap in zip(
-                parts, buffers, tops[:, :w], gaps[:, :w]):
-            gram = np.matmul(congruence, table_grams[:, cols], out=buffer[:6 * w].reshape(6, w))
-            _top_eigenvalue(gram, top, gap, work[:, :w])
-            grams.append(gram)
-        near = np.flatnonzero((gaps[0, :w] < _CLOSED_FORM_GAP) | (gaps[1, :w] < _CLOSED_FORM_GAP))
-        for row, ((_, _, scale, exponents), gram, top) in enumerate(zip(parts, grams, tops[:, :w])):
-            if near.size:
-                top[near] = np.linalg.eigvalsh(_symmetric(gram[:, near]))[:, -1]
-            # a lost eigenvalue gives -inf (nan where rounding took it below 0), refused below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.log(top, out=top)
-            top *= 0.5
-            np.multiply(scale + exponents[cols], _LN2, out=log_sigma[row, cols])
-            log_sigma[row, cols] += top
+        top, gap = tops[:, :w], gaps[:, :w]
+        gram = np.matmul(congruences, grams[:, :, cols], out=buffer[:, :6 * w].reshape(2, 6, w))
+        gram = gram.transpose(1, 0, 2)  # (6, 2, w), one row per Gram entry
+        _top_eigenvalue(gram, top, gap, work[:, :, :w])
+        near = np.flatnonzero(np.any(gap < _CLOSED_FORM_GAP, axis=0))
+        if near.size:  # both Grams' near columns in one call, G's then H's
+            pairs = np.linalg.eigvalsh(_symmetric(gram[:, :, near].reshape(6, -1)))
+            top[:, near] = pairs[:, -1].reshape(2, -1)
+        # a lost eigenvalue gives -inf (nan where rounding took it below 0), refused below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(top, out=top)
+        top *= 0.5
+        np.multiply([[a], [b]] + exponents[:, cols], _LN2, out=log_sigma[:2, cols])
+        log_sigma[:2, cols] += top
     if not np.all(log_sigma[:2] > -np.inf):
         raise _underflow(k)
     log_sigma[2] = log_det - log_sigma[1]
@@ -959,16 +956,15 @@ def _map_words(tree, k, reduce, want_points=False, want_spectra=True):
     alive at a time; a deterministic tree has one state.  ``log_sigma`` is
     the log spectra of the block's words, (d, n) for the block's n words:
     ``_log_spectra`` of the composed linear parts, except for d = 3, where
-    the suffix table's linear parts are traded for their Grams
-    (``_gram_table``) once per state, each block composes only log|det| (and
-    points), and ``_congruent_spectra`` takes the spectra from its prefix
-    word and those Grams; with the split at level 0 the prefix is the empty
-    word, the identity.  Without ``want_spectra`` ``log_sigma`` is None and
-    the blocks form neither linear parts nor log|det|, and the tables form
-    linear parts only in the prefixes, to map the suffixes' points.
-    ``points`` are the words' points f_word(0), entry-major (d, n) (None
-    unless ``want_points``).  Each result is stored at its block's index.  A
-    level of more than ``ENUMERATION_CAP`` words is refused, naming the
+    each block composes only log|det| (and points) and ``_congruent_spectra``
+    takes the spectra from its prefix word and the suffix table's Grams,
+    taken once per state (``_gram_table``); with the split at level 0 the
+    prefix is the empty word, the identity.  Without ``want_spectra``
+    ``log_sigma`` is None and the blocks form neither linear parts nor
+    log|det|, and the tables form linear parts only in the prefixes, to map
+    the suffixes' points.  ``points`` are the words' points f_word(0),
+    entry-major (d, n) (None unless ``want_points``).  Each result is stored
+    at its block's index.  A level of more than ``ENUMERATION_CAP`` words is refused, naming the
     largest level within the cap; word counts never decrease with the level,
     since every state has a child.
     """

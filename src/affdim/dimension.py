@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .code_tree import CodeTreeRealization, _level_sums, enumerate_points, partition_sums
-from .fs_checker import _check_tol
-from .singular_values import _exponent
+from .singular_values import _check_tol, _exponent
 
 __all__ = [
     "HypothesisViolation",
@@ -248,6 +247,8 @@ def box_dimension(points, j_min: int, j_max: int) -> BoxCountFit:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
+    if points.shape[1] < 1:
+        raise ValueError("points have no coordinate columns x1, ..., xd; at least one is needed")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite; the cloud holds a nan or inf coordinate")
     n, _ = points.shape

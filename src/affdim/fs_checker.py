@@ -54,7 +54,7 @@ from .exterior_algebra import (
     _wedge_batch,
     compound_matrix,
 )
-from .singular_values import _log_phi, _nonsingular_spectra
+from .singular_values import _check_tol, _log_phi, _nonsingular_spectra
 
 __all__ = [
     "UnsupportedEigenstructure",
@@ -274,11 +274,6 @@ def _rng_for(seed, index: int) -> np.random.Generator:
     # one stream per index, spawned from the seed: what index t draws does not
     # depend on the draws before it, so a larger sample count only appends
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _batches(samples: int, seed):

@@ -19,10 +19,9 @@ spectra laid out spectrum axis first, one row per singular value, so that
 phi_s is a sum of whole rows: on each piece it is a partial sum of the top
 rows, scaled by s / d above s = d or plus a fraction of the next row
 between integers.  ``code_tree`` takes a block's spectra in this layout,
-so no transpose is copied on either side: for d = 3 in closed form from
-the block's Grams, got by congruence from its suffix table's Grams, and
-for any other d from the block's linear parts, laid out entry axes first,
-(d, d, n).
+so no transpose is copied on either side: for d = 3 from its suffix
+table's Grams (``code_tree._congruent_spectra``), and for any other d from
+the block's linear parts, laid out entry axes first, (d, d, n).
 ``phi_from_singular_values`` moves its trailing spectrum axis to the front
 and exponentiates the kernel.  The word sums of
 ``code_tree`` reduce it in log form, where phi_s far below the smallest
@@ -83,16 +82,14 @@ def singular_values(T) -> np.ndarray:
     whose determinant must exceed ``SINGULARITY_RTOL`` relative to
     sigma_1^d (smaller ones are rejected as numerically singular), but not
     for deep products of maps: their spectra are taken by
-    ``code_tree._log_spectra`` and, for d = 3, ``code_tree._congruent_spectra``.
-    For d = 2 and d = 3 they take the smallest singular value from the
-    letters' summed log|det|, which stays accurate however ill-conditioned
-    the product is; the d = 3 sigma_2 is still known only to about
-    eps * sigma_1 / sigma_2, relatively, of the worse conditioned of the
-    word's two parts, its prefix and its suffix, and its sigma_1 and
-    sigma_1 sigma_2 to about eps * rho², where rho is how far the prefix
-    shrinks the suffix's top direction (``_congruent_spectra``).  They take
-    no SVD for d <= 3: the d = 3 words whose sigma_1 and sigma_2, or sigma_2
-    and sigma_3, nearly meet take ``np.linalg.eigvalsh`` of their Grams.
+    ``code_tree._log_spectra`` and, for d = 3, ``code_tree._congruent_spectra``,
+    with no SVD for d <= 3.  For d = 2 and d = 3 they take the smallest
+    singular value from the letters' summed log|det|, which stays accurate
+    however ill-conditioned the product is; the d = 3 sigma_2 is still known
+    only to about eps * sigma_1 / sigma_2, relatively, of the worse
+    conditioned of the word's two parts, its prefix and its suffix, and its
+    sigma_1 and sigma_1 sigma_2 to about eps * rho² (``_congruent_spectra``
+    says what rho is).
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -106,6 +103,11 @@ def _exponent(s) -> float:
     if not s >= 0:
         raise ValueError(f"exponent must be nonnegative, got {s}")
     return s
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _partial(log_sigma: np.ndarray, m: int, sums: dict) -> np.ndarray:

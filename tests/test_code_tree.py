@@ -711,14 +711,15 @@ class TestLogSpectra:
 
     def test_block_diagonal_oracle_with_equal_top_pair(self, rng, monkeypatch):
         # a > b: sigma_1 = sigma_2 = prod a, where the closed form is least
-        # accurate, so every word takes eigvalsh of its two Grams, and no SVD
+        # accurate, so every word takes eigvalsh of its two Grams, all in one
+        # call, and no SVD
         tree, oracle = self.block_diagonal_tree(rng, [(0.5, 0.3, 0.2), (0.4, 1.1, 0.1)], 8)
         eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
         seen = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append("svd") or svd(*a, **kw))
         log_sigma = word_spectra(tree, 8)
-        assert seen == [2**8, 2**8]
+        assert seen == [2 * 2**8]
         expected = np.stack([oracle[:, 0], oracle[:, 0], oracle[:, 1]], axis=1)
         np.testing.assert_allclose(log_sigma, expected, rtol=0, atol=1e-12)
 
@@ -892,7 +893,7 @@ class TestLogSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
         got = code_tree._congruent_spectra(head, code_tree._gram_table(entry_major(np.array(mats))),
                                            np.sum(want, axis=0), 4)
-        assert sum(calls) == 2 * 20
+        assert sum(calls) == 2 * 20 and len(calls) == 6  # one call per chunk of 5
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -1263,13 +1264,17 @@ def one_block_spectra(mats, log_det, k):
 
 def special_columns(rng, n):
     """``n`` 3×3 matrices as (9, n) row-major columns: generic ones over a wide
-    range of scales, scaled rotations (a scalar Gram matrix, r = 1) and
-    Q diag(a, a, b) Qᵀ (a repeated top eigenvalue, r near -1)."""
+    range of scales, scaled rotations (a scalar Gram matrix, r = 1),
+    Q diag(a, a, b) Qᵀ (a repeated top Gram eigenvalue, r near -1) and, right
+    after each, Q diag(a, b, b) Qᵀ, where sigma_2 = sigma_3, so only the
+    cofactor Gram's top eigenvalue repeats."""
     x = rng.standard_normal((9, n)) * 2.0 ** rng.integers(-30, 30, size=n)
     for j in range(0, n, 3):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         a, b = sorted(rng.uniform(0.1, 1.0, size=2), reverse=True)
         x[:, j] = (0.4 * q if j % 2 else q @ np.diag([a, a, b]) @ q.T).reshape(9)
+        if j % 2 == 0 and j + 1 < n:
+            x[:, j + 1] = (q @ np.diag([a, b, b]) @ q.T).reshape(9)
     return x
 
 
@@ -1410,7 +1415,8 @@ class TestEntryMajorBlocks:
     def test_entry_major_d3_spectra_keep_every_bit(self, chunk, monkeypatch):
         # one block: a prefix word on a 300-word suffix table of special columns.
         # A similarity prefix keeps their repeated top eigenvalues, which take
-        # the fallback in both Grams; a generic one mixes them
+        # the fallback in both Grams, whether G's or only H's top pair meets;
+        # a generic one mixes them
         monkeypatch.setattr(code_tree, "_SPECTRUM_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         mats = special_columns(rng, 300).T.reshape(-1, 3, 3)
@@ -1426,8 +1432,8 @@ class TestEntryMajorBlocks:
             assert got.shape == (3, 300) and got.tobytes() == want.tobytes()
             np.testing.assert_allclose(np.cumsum(got[:2], axis=0), per_word_gram_spectra(words),
                                        rtol=0, atol=1e-13)
-            if similar:  # every sixth column's top pair meets: both its Grams go to eigvalsh
-                assert sum(calls) >= 2 * 50
+            if similar:  # in every sixth column G's top pair meets, in the next only H's:
+                assert sum(calls) >= 2 * 100  # both Grams of each go to eigvalsh
 
 
 def row_major_log_phi(log_sigma, s):

@@ -420,6 +420,11 @@ class TestBoxDimension:
         with pytest.raises(ValueError, match="points"):
             box_dimension(np.zeros(2000), 2, 6)
 
+    def test_rejects_a_cloud_without_coordinates(self):
+        # 1,200 rows and no column: the cloud has points, but no x1, ..., xd
+        with pytest.raises(ValueError, match="no coordinate columns x1, ..., xd"):
+            box_dimension(np.zeros((1200, 0)), 2, 6)
+
     def test_json_round_trip(self):
         points = np.random.default_rng(1).uniform(size=(3000, 2))
         payload = box_dimension(points, 2, 6).to_json_dict()

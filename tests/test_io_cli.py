@@ -802,9 +802,9 @@ class TestCli:
     def test_generic_d3_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # one process per BLAS thread count runs four subcommands on a seeded
         # generic d = 3 family: the tables' products (3, 3) @ (3, 3n), the
-        # blocks' Gram congruences (6, 6) @ (6, 8192) in full-width chunks, the
-        # slope sums' (3, n) @ (n,) products and the rank margins' QR go
-        # through BLAS or LAPACK
+        # blocks' stacked Gram congruences (2, 6, 6) @ (2, 6, 8192) in
+        # full-width chunks, the slope sums' (3, n) @ (n,) products and the
+        # rank margins' QR go through BLAS or LAPACK
         system = self.generic_system(tmp_path, 3, 16)
         steps = [["pressure", system, "--k", "9", "--grid", "16"],
                  ["dim", system, "--k", "9", "--depth", "8"],
@@ -1519,6 +1519,17 @@ class TestCli:
         assert rc == 2
         assert captured.out == ""
         assert "rows have 3 columns, the header 2" in captured.err
+
+    def test_boxdim_refuses_a_weight_only_file(self, tmp_path, capsys):
+        # once the weight column is dropped no coordinate column is left
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("weight\n" + "0.001\n" * 1200)
+        rc = cli(["boxdim", str(cloud)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: points have no coordinate columns x1, ..., xd" in captured.err
+        assert "zero-size array" not in captured.err
 
     def test_unknown_family_is_a_document_error(self, tmp_path, capsys):
         rc = cli(["check-fs", doc_path(tmp_path, CERT_DOC), "--family", "nope"])

@@ -17,6 +17,8 @@ package, a script or the benchmark harness, not only tests.  Comments and
 docstrings do not count.  Code inside an ``AWAITING_PIPELINE`` definition does
 not reach a helper either; the helpers only it names are listed in
 ``AWAITING_HELPERS``.
+
+Each module imports from exactly the package modules ``IMPORTS`` lists for it.
 """
 
 import ast
@@ -141,3 +143,24 @@ def test_private_helper_is_reached(module, name):
 def test_awaiting_helpers_are_package_helpers():
     assert set(AWAITING_HELPERS) <= {name for _, name in HELPERS}
     assert set(AWAITING_HELPERS.values()) <= AWAITING_PIPELINE
+
+
+# module -> the package modules it imports from: the pressure branch
+# (singular_values, code_tree, dimension) needs no spanning check
+IMPORTS = {
+    "exterior_algebra": set(),
+    "singular_values": set(),
+    "fs_checker": {"exterior_algebra", "singular_values"},
+    "code_tree": {"singular_values"},
+    "dimension": {"code_tree", "singular_values"},
+    "io_cli": {"code_tree", "dimension", "exterior_algebra", "fs_checker"},
+}
+
+
+def test_package_imports_follow_the_pipeline():
+    assert set(IMPORTS) == set(MODULES)
+    for module, expected in IMPORTS.items():
+        body = ast.parse((ROOT / "src" / "affdim" / f"{module}.py").read_text(encoding="utf-8"))
+        found = {node.module for node in ast.walk(body)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert found == expected, module
