@@ -39,9 +39,11 @@ The CLI wraps the pipeline::
 
 Each subcommand takes only the flags it reads, plus ``--out PATH`` and
 ``--threads N``; ``--threads`` must be at least 1 and changes nothing.
-Exit codes: 0 = success or passing verdict; 1 = Fail verdict or a hypothesis
-violated at run time; 2 = invalid input.  All randomized output is a pure
-function of ``--seed`` and never of ``--threads`` or scheduling.
+:func:`cli` reads the system document and writes the output, once each; the
+``_cmd_*`` handlers only compute, so a refused run writes no stdout and no
+``--out`` file.  Exit codes: 0 = success or passing verdict; 1 = Fail verdict or
+a hypothesis violated at run time; 2 = invalid input.  All randomized output is
+a pure function of ``--seed`` and never of ``--threads`` or scheduling.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .code_tree import (
 from .dimension import HypothesisViolation, box_dimension, dimension_report, pressure_curve
 from .exterior_algebra import MAX_DIM
 from .fs_checker import (
+    DEFAULT_TOL,
     LinearFamily,
     UnsupportedEigenstructure,
     Verdict,
@@ -413,31 +416,24 @@ def _verdict_text(tag: str, v: Verdict) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _cmd_check_fs(args) -> int:
-    spec = parse_system(args.system)
+def _cmd_check_fs(args, spec) -> tuple[list[str], int]:
     fam = LinearFamily.from_matrices([m.T for m in spec.family(args.family).maps])
     if args.depth > 1:
         fam = iterate_closure(fam, args.depth)
     opts = {"samples": args.samples, "tol": args.tol, "seed": args.seed}
-    d = spec.d
-
     if args.s is None:
-        grades = list(range(1, d))
-        if not grades:
-            grades = [0]
+        grades = list(range(1, spec.d)) or [0]
         verdicts = [(f"C({m})", check_cm(fam, m, **opts)) for m in grades]
     elif args.s.is_integer():
         m = int(args.s)
         verdicts = [(f"C({m})", check_cm(fam, m, **opts))]
     else:
         verdicts = [(f"C({args.s})", check_cs(fam, args.s, **opts))]
+    passed = all(v.passed for _, v in verdicts)
+    return [_verdict_text(tag, v) for tag, v in verdicts], 0 if passed else 1
 
-    _emit([_verdict_text(tag, v) for tag, v in verdicts], args.out)
-    return 0 if all(v.passed for _, v in verdicts) else 1
 
-
-def _cmd_certify(args) -> int:
-    spec = parse_system(args.system)
+def _cmd_certify(args, spec) -> tuple[list[str], int]:
     fam = spec.family(args.family)
     i, j = args.maps
     if not (0 <= i < fam.size and 0 <= j < fam.size) or i == j:
@@ -445,23 +441,18 @@ def _cmd_certify(args) -> int:
             "maps", f"need two distinct map indices in 0..{fam.size - 1}, got ({i}, {j})"
         )
     report = criterion_cscm(fam.maps[i].T, fam.maps[j].T, tol=args.tol)
-    _emit([json.dumps(report.to_json_dict(), indent=2) + "\n"], args.out)
-    return 0 if report.passed else 1
+    return [json.dumps(report.to_json_dict(), indent=2) + "\n"], 0 if report.passed else 1
 
 
-def _cmd_pressure(args) -> int:
-    spec = parse_system(args.system)
-    fam = spec.family(args.family)
+def _cmd_pressure(args, spec) -> tuple[list[str], int]:
     s_max = float(spec.d) if args.s_max is None else args.s_max
     grid = np.linspace(args.s_min, s_max, args.grid)
-    tree = deterministic_tree(fam, args.k)
+    tree = deterministic_tree(spec.family(args.family), args.k)
     curve = pressure_curve(tree, grid, args.k)
-    _emit(_csv_text("s,p,diag", (curve.s, curve.p, curve.diagnostic)), args.out)
-    return 0
+    return _csv_text("s,p,diag", (curve.s, curve.p, curve.diagnostic)), 0
 
 
-def _cmd_dim(args) -> int:
-    spec = parse_system(args.system)
+def _cmd_dim(args, spec) -> tuple[list[str], int]:
     lo, hi = spec.bounds
     if not 0.0 < lo <= hi < 0.5:
         raise HypothesisViolation(
@@ -472,12 +463,10 @@ def _cmd_dim(args) -> int:
     fam = spec.family(args.family)
     tree = deterministic_tree(fam, max(args.k, args.depth))
     report = dimension_report(tree, args.k, args.depth, tol=args.tol, j_min=args.j_min, j_max=args.j_max)
-    _emit([json.dumps(report.to_json_dict(), indent=2) + "\n"], args.out)
-    return 0
+    return [json.dumps(report.to_json_dict(), indent=2) + "\n"], 0
 
 
-def _cmd_simulate(args) -> int:
-    spec = parse_system(args.system)
+def _cmd_simulate(args, spec) -> tuple[list[str], int]:
     if spec.graph is None:
         raise SystemSpecError("graph", "simulate needs a document with a graph section")
     gs = spec.graph
@@ -490,21 +479,19 @@ def _cmd_simulate(args) -> int:
         f"necks realized: {len(necks)}\n"
         + (f"mean gap: {float(np.mean(gaps))!r}\n" if len(gaps) else "")
     )
-    _emit(_csv_text("index,gap", (np.arange(1, len(gaps) + 1), gaps)), args.out)
-    return 0
+    return _csv_text("index,gap", (np.arange(1, len(gaps) + 1), gaps)), 0
 
 
-def _cmd_points(args) -> int:
-    spec = bind_translations(parse_system(args.system), args.seed)
+def _cmd_points(args, spec) -> tuple[list[str], int]:
+    spec = bind_translations(spec, args.seed)
     fam = spec.family(args.family)
     tree = deterministic_tree(fam, args.depth)
     points, weights = enumerate_points(tree, args.depth, args.s)
     header = ",".join(f"x{i + 1}" for i in range(spec.d)) + ",weight"
-    _emit(_csv_text(header, (points, weights)), args.out)
-    return 0
+    return _csv_text(header, (points, weights)), 0
 
 
-def _cmd_boxdim(args) -> int:
+def _cmd_boxdim(args, spec) -> tuple[list[str], int]:
     with open(args.points, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     with warnings.catch_warnings():  # a header-only file is refused below, without numpy's warning
@@ -517,8 +504,7 @@ def _cmd_boxdim(args) -> int:
     if header[-1].strip() == "weight":
         data = data[:, :-1]
     fit = box_dimension(data, args.j_min, args.j_max)
-    _emit([json.dumps(fit.to_json_dict(), indent=2) + "\n"], args.out)
-    return 0
+    return [json.dumps(fit.to_json_dict(), indent=2) + "\n"], 0
 
 
 @functools.cache
@@ -548,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "default: every integer grade")
     p.add_argument("--depth", type=int, default=1, help="closure depth")
     p.add_argument("--samples", type=int, default=1000, help="random sample count")
-    p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
     p.add_argument("--seed", type=int, default=0, help="seed for the samples")
     p.set_defaults(handler=_cmd_check_fs)
 
@@ -556,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="two-map eigenstructure certificate")
     p.add_argument("--maps", type=int, nargs=2, default=(0, 1), metavar=("I", "J"),
                    help="indices of the two maps (default: 0 1)")
-    p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("pressure", parents=[family],
@@ -602,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv=None) -> int:
-    """Run one subcommand; returns the process exit code."""
+    """Run one subcommand: read its document, compute, write the output; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     for flag in ("threads", "depth", "grid", "k"):
@@ -614,7 +600,10 @@ def cli(argv=None) -> int:
         if value is not None and not math.isfinite(value):
             parser.error(f"argument --{flag.replace('_', '-')}: must be finite, got {value}")
     try:
-        return args.handler(args)
+        spec = parse_system(args.system) if hasattr(args, "system") else None
+        pieces, code = args.handler(args, spec)
+        _emit(pieces, args.out)
+        return code
     except (UnsupportedEigenstructure, HypothesisViolation, EnumerationCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1400,6 +1400,43 @@ class TestCli:
         assert again == fresh
         assert [rc for rc, _ in fresh] == [0, 0]
 
+    @pytest.mark.parametrize("doc, argv", [
+        (SPIN_DOC, ["check-fs", "--samples", "50"]),
+        (CERT_DOC, ["certify"]),
+        (CORNER_DOC, ["pressure", "--k", "3", "--grid", "5"]),
+        (CORNER_DOC, ["dim", "--k", "4", "--depth", "7"]),
+        (GRAPH_DOC, ["simulate", "--length", "200"]),
+        (CORNER_DOC, ["points", "--depth", "3"]),
+    ], ids=["check-fs", "certify", "pressure", "dim", "simulate", "points"])
+    def test_the_document_is_read_once(self, tmp_path, monkeypatch, doc, argv):
+        system = doc_path(tmp_path, doc)
+        read, parse = [], io_cli.parse_system
+        monkeypatch.setattr(io_cli, "parse_system", lambda source: read.append(source) or parse(source))
+        assert cli(argv[:1] + [system] + argv[1:]) in (0, 1)
+        assert read == [system]
+
+        if argv[0] == "points":
+            cloud = tmp_path / "cloud.csv"
+            assert cli(["points", system, "--depth", "7", "--out", str(cloud)]) == 0
+            read.clear()
+            assert cli(["boxdim", str(cloud), "--j-min", "2", "--j-max", "4"]) == 0
+            assert read == []
+
+    @pytest.mark.parametrize("doc, argv, code", [
+        (CERT_DOC, ["certify", "--maps", "0", "0"], 2),
+        (WIDE_DOC, ["dim"], 1),
+        (CERT_DOC, ["simulate"], 2),
+    ], ids=["certify-equal-maps", "dim-wide-bounds", "simulate-no-graph"])
+    def test_a_refused_run_writes_nothing(self, tmp_path, capsys, doc, argv, code):
+        system = doc_path(tmp_path, doc)
+        target = tmp_path / "out.txt"
+        for out in ([], ["--out", str(target)]):
+            assert cli(argv[:1] + [system] + argv[1:] + out) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+        assert not target.exists()
+
     @pytest.mark.parametrize("doc, argv, message", [
         pytest.param(SPIN_DOC, ["--s", "inf"], "s must lie in", id="inf"),
         pytest.param(SPIN_DOC, ["--s", "nan"], "s must lie in", id="nan"),

@@ -18,7 +18,8 @@ docstrings do not count.  Code inside an ``AWAITING_PIPELINE`` definition does
 not reach a helper either; the helpers only it names are listed in
 ``AWAITING_HELPERS``.
 
-Each module imports from exactly the package modules ``IMPORTS`` lists for it.
+Each module imports from exactly the package modules ``IMPORTS`` lists for it,
+and the package imports no module outside the standard library but numpy.
 """
 
 import ast
@@ -164,3 +165,14 @@ def test_package_imports_follow_the_pipeline():
         found = {node.module for node in ast.walk(body)
                  if isinstance(node, ast.ImportFrom) and node.level == 1}
         assert found == expected, module
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    top = set()
+    for path in sorted((ROOT / "src" / "affdim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                top |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                top.add(node.module.split(".")[0])
+    assert top - set(sys.stdlib_module_names) - {"affdim"} == {"numpy"}
