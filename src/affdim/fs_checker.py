@@ -30,7 +30,15 @@ v, n = C(d, m).  ``check_cm`` takes one QR factorization of the k maps'
 compounds, stacked side by side, and reads every margin off its R factor: an
 r x n matrix per blade with r <= n^2 and the same singular values.  The cost
 of a margin therefore does not grow with k, which doubles with each level of
-a two-map closure.
+a two-map closure.  Only the least margin and a margin at or below tol are
+ever reported, so each batch is screened first: ``_screen`` reads every
+blade's squared margin off the eigenvalues of its n x n image Gram, and only
+the blades whose screened value lies within a rounding band of the batch's
+least or of tol^2 get their exact margin, a LAPACK SVD of the r x n images.
+The band bounds the Gram's and ``eigvalsh``'s rounding (see ``_screen``), so
+no other blade can be the least or at most tol; it is scored +inf.  Verdicts,
+sample counts, margins and witnesses are those of exact margins on every
+blade, bit for bit.
 
 All pass/fail thresholds are applied to scale-free quantities: compounds are
 normalized by their spectral norms, minors by sigma_max(A)^order, so scaling
@@ -40,6 +48,7 @@ any map or eigenvector never flips a verdict.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import sys
@@ -119,6 +128,12 @@ class LinearFamily:
 
     def __len__(self) -> int:
         return len(self.maps)
+
+    @functools.cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eig`` of the maps, taken once per family: the candidate
+        pools of every grade read it."""
+        return np.linalg.eig(self.maps)
 
 
 class VerdictKind(enum.Enum):
@@ -212,7 +227,7 @@ def _candidate_factors(fam: LinearFamily, m: int) -> np.ndarray:
     by map in combination order."""
     d = fam.d
     combos = _rows_array(d, m)
-    lam, vec = np.linalg.eig(fam.maps)
+    lam, vec = fam._eig
     real = np.abs(lam.imag) <= 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
     # eigenvectors as contiguous rows: each norm is then numpy's pairwise sum
     # over one vector, whose last bits for d >= 8 depend on that layout
@@ -268,6 +283,42 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
     W = np.einsum("kij,tj->tki", CC, vs)
     sv = np.linalg.svd(W, compute_uv=False)
     return sv[:, n - 1] / sv[:, 0]
+
+
+def _screen(reduced: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the blades vs whose exact margin could be the least or at most tol.
+
+    The squared margin of v is lambda_min / lambda_max of the n x n Gram
+    G_v = W_v^T W_v of its images W_v in the (r, n, n) reduced stack, and one
+    BLAS product forms every W_v of the batch.  Forming W_v and G_v rounds
+    each Gram entry by at most gamma_{n r} sigma_1^2, so ||dG||_2 <= n^2 r eps
+    sigma_1^2 to first order, and ``eigvalsh`` adds a backward error of about
+    10 n eps ||G||_2: a screened value is within (n^2 r + 10 n) eps of the
+    exact squared margin.  Two screened values are compared, and the margins'
+    own SVD rounding comes on top, so the band is 8 (n^2 r + 10 n) eps.
+
+    A blade is kept when its screened value lies within the band of the
+    batch's least or of tol^2.  A blade that is not kept is not the least,
+    and lies clearly above or clearly below tol; below it, the least, which is
+    kept, is below tol too, so a Fail and its witness come from kept blades.
+    The band is wider than the tie floor (at most 2 _TIE_FLOOR on squared
+    margins), so every blade tied with the least is kept.  A screened value
+    that is NaN or infinite, or whose lambda_max is not positive, is always
+    kept, and so is every blade when r < n.
+    """
+    r, n = reduced.shape[:2]
+    if r < n:
+        return np.arange(vs.shape[0])
+    W = (vs @ reduced.reshape(r * n, n).T).reshape(-1, r, n)
+    G = W.transpose(0, 2, 1) @ W
+    # a Gram with a NaN or inf entry is screened as zero, so it is kept
+    lam = np.linalg.eigvalsh(np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], G, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = lam[:, 0] / lam[:, -1]
+    odd = ~(np.isfinite(sq) & (lam[:, -1] > 0))
+    band = 8 * (n * n * r + 10 * n) * np.finfo(float).eps
+    least = np.min(sq[~odd], initial=math.inf)
+    return np.flatnonzero(odd | (sq <= least + band) | (np.abs(sq - tol * tol) <= band))
 
 
 def _rng_for(seed, index: int) -> np.random.Generator:
@@ -372,7 +423,10 @@ def check_cm(
         scan = itertools.chain(scan, _sampled_blades(d, m, samples, seed))
     worst = math.inf
     for drawn, coords, factors in scan:
-        margins = _rank_margins(reduced, coords)
+        # exact margins only where the screen says they can matter; +inf elsewhere
+        margins = np.full(coords.shape[0], math.inf)
+        kept = _screen(reduced, coords, tol)
+        margins[kept] = _rank_margins(reduced, coords[kept])
         bad = np.flatnonzero(margins <= tol)
         if bad.size == 0:
             worst = min(worst, float(np.min(margins, initial=math.inf)))

@@ -43,7 +43,8 @@ Each subcommand takes only the flags it reads, plus ``--out PATH`` and
 ``_cmd_*`` handlers only compute, so a refused run writes no stdout and no
 ``--out`` file.  Exit codes: 0 = success or passing verdict; 1 = Fail verdict or
 a hypothesis violated at run time; 2 = invalid input.  All randomized output is
-a pure function of ``--seed`` and never of ``--threads`` or scheduling.
+a pure function of ``--seed``, which must be at least 0, and never of
+``--threads`` or scheduling.
 """
 
 from __future__ import annotations
@@ -591,10 +592,10 @@ def cli(argv=None) -> int:
     """Run one subcommand: read its document, compute, write the output; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for flag in ("threads", "depth", "grid", "k"):
+    for flag, least in (("threads", 1), ("depth", 1), ("grid", 1), ("k", 1), ("seed", 0)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            parser.error(f"argument --{flag}: must be at least 1, got {value}")
+        if value is not None and value < least:
+            parser.error(f"argument --{flag}: must be at least {least}, got {value}")
     for flag in ("s_min", "s_max"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):

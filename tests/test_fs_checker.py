@@ -9,6 +9,9 @@ small families (identity, quarter turn, triangular maps).
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +369,19 @@ class TestCandidateScan:
             assert verdict.kind is VerdictKind.FAIL and where in verdict.reason
             assert len(calls) == before + 1
 
+    def test_one_eigen_decomposition_per_closure(self, tmp_path, monkeypatch, capsys):
+        # the candidate pools of both grades read the family's cached eig
+        doc = {"d": 3, "bounds": {"sigma_lo": 0.01, "sigma_hi": 1.0},
+               "families": [{"label": "tp", "maps": [{"T": T} for T in TP_PAIR]}]}
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        shapes = []
+        real = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or real(a))
+        assert cli(["check-fs", str(system), "--depth", "9"]) == 0
+        assert capsys.readouterr().out.count("EmpiricalPass") == 2
+        assert shapes.count((1022, 3, 3)) == 1
+
     def test_structured_fail_counts_the_pool(self):
         # 2 coordinate blades plus the 2 real eigenvectors of each map
         verdict = check_cm(LinearFamily.from_matrices([UPPER_A, UPPER_B]), 1, samples=5000)
@@ -582,6 +598,131 @@ class TestReducedMargins:
                     a, b = getattr(got.witness, name), getattr(ref.witness, name)
                     assert (a is None and b is None) or a.tobytes() == b.tobytes()
         assert fails >= 150
+
+
+def verdict_key(verdict):
+    """Everything a verdict reports, bit for bit."""
+    key = [verdict.kind, verdict.samples, verdict.reason, verdict.margin.hex()]
+    wit = verdict.witness
+    if wit is not None:
+        for name in ("v", "w", "v_wedge", "w_wedge"):
+            x = getattr(wit, name)
+            key.append(None if x is None else x.coords.tobytes())
+        for name in ("v_factors", "w_factors"):
+            x = getattr(wit, name)
+            key.append(None if x is None else x.tobytes())
+        key.append(wit.w_decomposable)
+    return key
+
+
+class TestMarginScreen:
+    """The Gram-eigenvalue screen sends only the blades that could be least or
+    at most tol to the exact margins, and changes no verdict."""
+
+    @staticmethod
+    def screen_families():
+        rng = rng_for(8)
+        tp = LinearFamily.from_matrices(TP_PAIR)
+        upper = LinearFamily.from_matrices([UPPER_A, UPPER_B])
+        return (
+            [seeded_family(seed) for seed in range(40)]
+            + [tp] + [iterate_closure(tp, depth) for depth in range(2, 10)]
+            + [upper, iterate_closure(upper, 6)]
+            # the A / A @ A family of test_duplicate_candidates_tie
+            + [iterate_closure(LinearFamily.from_matrices([random_nonsingular(rng, 3) for _ in range(3)]), 2)]
+        )
+
+    def test_verdicts_match_the_unscreened_path(self, monkeypatch):
+        def unscreened(run):
+            with monkeypatch.context() as patch:
+                patch.setattr(fs_checker, "_screen", lambda reduced, vs, tol: np.arange(len(vs)))
+                return run()
+
+        compared = fails = 0
+        for fam in self.screen_families():
+            for m in range(1, fam.d):
+                least = unscreened(lambda: check_cm(fam, m, samples=200, tol=0.0)).margin
+                tols = [0.0, 1e-9, 0.5] + [least * f for f in (1 - 1e-6, 1 + 1e-6) if least > 0]
+                for tol in tols:
+                    run = lambda: check_cm(fam, m, samples=200, tol=tol)  # noqa: E731
+                    got, ref = run(), unscreened(run)
+                    assert verdict_key(got) == verdict_key(ref), (fam.d, len(fam), m, tol)
+                    compared += 1
+                    fails += got.kind is VerdictKind.FAIL
+            run = lambda: check_cs(fam, fam.d - 0.5, samples=200)  # noqa: E731
+            assert verdict_key(run()) == verdict_key(unscreened(run))
+        assert compared >= 500 and fails >= 300
+
+    def test_few_rows_reach_the_svd(self, monkeypatch):
+        scanned, checked = [], []
+        screen, exact = fs_checker._screen, fs_checker._rank_margins
+        monkeypatch.setattr(fs_checker, "_screen",
+                            lambda reduced, vs, tol: scanned.append(len(vs)) or screen(reduced, vs, tol))
+        monkeypatch.setattr(fs_checker, "_rank_margins",
+                            lambda CC, vs: checked.append(len(vs)) or exact(CC, vs))
+        # three Gaussian maps closed to depth 6: 1,092 maps.  A pool repeats a
+        # blade wherever words share an eigenvector (A, A @ A, ...), and every
+        # copy tied with the least goes to the SVD: 12 rows in the pool of
+        # TP_PAIR's depth-9 closure.  Here the least blade is not repeated
+        rng = rng_for(0)
+        fam = iterate_closure(LinearFamily.from_matrices([random_nonsingular(rng, 3) for _ in range(3)]), 6)
+        for m in (1, 2):
+            assert check_cm(fam, m, samples=3000).kind is VerdictKind.EMPIRICAL_PASS
+        # the pool of the maps' eigenvector blades, then three sampled batches, per grade
+        assert len(scanned) == len(checked) == 8 and min(scanned) > 900
+        assert max(checked) <= 8
+
+    def test_odd_screens_are_rechecked(self, monkeypatch):
+        rng = rng_for(5)
+        reduced = fs_checker._reduced_stack(fs_checker._normalized_compounds(generic_family(), 1))
+        vs = rng.standard_normal((8, 3))
+        vs /= np.linalg.norm(vs, axis=1)[:, None]
+        dropped = sorted(set(range(8)) - set(fs_checker._screen(reduced, vs, 0.0).tolist()))
+        assert len(dropped) >= 5
+        # a stack with a zero column gives the blade e3 no image: lambda_max = 0
+        # and the screened value 0 / 0; a NaN column gives a NaN Gram
+        for fill in (0.0, math.nan):
+            crafted = reduced.copy()
+            crafted[:, :, 2] = fill
+            assert 8 in fs_checker._screen(crafted, np.vstack([vs, np.eye(3)[2]]), 0.0)
+        # dropped blades are kept once their screened value is NaN or
+        # infinite, or their lambda_max is not positive
+        odd = [[math.nan, 1.0, 2.0], [1.0, 1.0, math.inf], [-math.inf, 1.0, 1.0],
+               [-2.0, -1.0, -1.0], [0.0, 0.0, 0.0]]
+        real = np.linalg.eigvalsh
+
+        def crafted_eigvalsh(G):
+            lam = real(G)
+            lam[dropped[:5]] = odd
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", crafted_eigvalsh)
+        assert set(dropped[:5]) <= set(fs_checker._screen(reduced, vs, 0.0).tolist())
+        # with every value odd there is no least to compare with: all are kept
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: np.full(G.shape[:2], math.nan))
+        assert fs_checker._screen(reduced, vs, 0.0).tolist() == list(range(8))
+
+    def test_margin_bits_do_not_depend_on_blas_threads(self):
+        # the screen's products go through BLAS; the margins it lets through
+        # must not change in the last bit
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import json, sys\n"
+            "from affdim import LinearFamily, check_cm, check_cs, iterate_closure\n"
+            "fam = iterate_closure(LinearFamily.from_matrices(json.loads(sys.argv[1])), 9)\n"
+            "print([check_cm(fam, m).margin.hex() for m in (1, 2)], check_cs(fam, 1.5).margin.hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(TP_PAIR)],
+                                  capture_output=True, env=env, timeout=120, cwd=root)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count(b"0x") == 3
 
 
 class TestWitnessPairingSlices:

@@ -1270,6 +1270,20 @@ class TestCli:
         assert captured.out == ""
         assert "--threads" in captured.err
 
+    @pytest.mark.parametrize("command", ["check-fs", "dim", "simulate", "points"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        # numpy refused -1 for simulate and points without naming the flag;
+        # dim ran and check-fs printed a verdict
+        system = doc_path(tmp_path, GRAPH_DOC if command == "simulate" else CORNER_DOC)
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as info:
+            cli([command, system, "--seed", "-1", "--out", str(out)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be at least 0, got -1" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("refused", [
         "check-fs --k 2", "certify --samples 5", "pressure --tol 1e-3", "dim --samples 10",
         "simulate --k 3", "points --tol 1", "boxdim --seed 1",
