@@ -87,7 +87,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .singular_values import _exponent, _log_phi, _piece, _slope, singular_values
+from .singular_values import (
+    _GRAM_I,
+    _GRAM_J,
+    _exponent,
+    _log_phi,
+    _minor,
+    _piece,
+    _slope,
+    _sum_products,
+    _top_eigenvalue,
+    singular_values,
+)
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -544,9 +555,6 @@ _CLOSED_FORM_GAP = 1e-3
 # form's temporaries in cache and a block's buffers small
 _SPECTRUM_CHUNK = 1 << 13
 _LN2 = math.log(2.0)
-# The rows of a symmetric 3×3 G in ``_gram``'s layout: entries (i, j), i <= j
-_GRAM_I = np.array([0, 1, 2, 0, 0, 1])
-_GRAM_J = np.array([0, 1, 2, 1, 2, 2])
 
 
 def _underflow(k):
@@ -562,23 +570,6 @@ def _scaled(x):
     return e
 
 
-def _sum_products(pairs, out, tmp):
-    """out = a_0 b_0 + a_1 b_1 + ... over the (a, b) ``pairs``, summed from the
-    left, with ``tmp`` as scratch."""
-    (a, b), *rest = pairs
-    np.multiply(a, b, out=out)
-    for a, b in rest:
-        out += np.multiply(a, b, out=tmp)
-    return out
-
-
-def _minor(a, b, c, e, out, tmp):
-    """out = a b - c e, with ``tmp`` as scratch."""
-    np.multiply(a, b, out=out)
-    out -= np.multiply(c, e, out=tmp)
-    return out
-
-
 def _gram(x, g, tmp):
     """The Gram matrix X Xᵀ of each column of ``x`` (9, n), the row-major
     entries of a 3×3 X, written into ``g`` (6, n) as its entries (i, j), i <= j,
@@ -588,49 +579,6 @@ def _gram(x, g, tmp):
     for out, i, j in zip(g, _GRAM_I, _GRAM_J):
         _sum_products(zip(rows[i], rows[j]), out, tmp)
     return g
-
-
-def _top_eigenvalue(g, top, gap, work):
-    """Largest eigenvalue of each symmetric 3×3 column of ``g`` (6, ...), laid
-    out as ``_gram`` writes it, written into ``top`` (...), and 1 + r into
-    ``gap`` (...), which is 0 where the top two eigenvalues meet; ``work`` is
-    (7, ...) scratch, and ``g`` is left as it is.  Elementwise, so the trailing
-    axes may be a stack of Grams, as ``_congruent_spectra`` hands them in.
-
-    Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,
-    p² = |G - qI|_F² / 6 and r = det(G - qI) / (2p³) in [-1, 1], the largest
-    eigenvalue is q + 2p cos(arccos(r) / 3).  A G within rounding of scalar
-    (p <= 64 eps q) takes r = 1: the computed and the true eigenvalue then both
-    lie in [q + p, q + 2p], so the error is at most p.
-    """
-    g00, g11, g22, g01, g02, g12 = g
-    a00, a11, a22, p, t, u, v = work
-    q = np.add(g00, g11, out=top)  # top holds q until the end
-    q += g22
-    q /= 3.0
-    np.subtract(g00, q, out=a00)
-    np.subtract(g11, q, out=a11)
-    np.subtract(g22, q, out=a22)
-    _sum_products(((a00, a00), (a11, a11), (a22, a22)), p, t)
-    _sum_products(((g01, g01), (g02, g02), (g12, g12)), u, t)
-    u *= 2.0
-    p += u
-    p /= 6.0
-    np.sqrt(p, out=p)
-    det = _minor(a11, a22, g12, g12, u, t)
-    det *= a00
-    det -= np.multiply(_minor(g01, a22, g12, g02, v, t), g01, out=v)
-    det += np.multiply(_minor(g01, g12, a11, g02, v, t), g02, out=v)
-    np.multiply(p, 2.0, out=v)
-    v *= p
-    v *= p
-    gap.fill(1.0)
-    r = np.divide(det, v, out=gap, where=p > np.multiply(q, 2.0**-46, out=t))
-    np.clip(r, -1.0, 1.0, out=r)
-    np.cos(np.divide(np.arccos(r, out=t), 3.0, out=t), out=u)
-    u *= np.multiply(p, 2.0, out=v)
-    top += u
-    gap += 1.0
 
 
 def _cofactors(x, out, tmp):

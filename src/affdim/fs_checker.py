@@ -32,17 +32,24 @@ r x n matrix per blade with r <= n^2 and the same singular values.  The cost
 of a margin therefore does not grow with k, which doubles with each level of
 a two-map closure.  Only the least margin and a margin at or below tol are
 ever reported, so each batch is screened first: ``_screen`` reads every
-blade's squared margin off the eigenvalues of its n x n image Gram, and only
-the blades whose screened value lies within a rounding band of the batch's
-least or of tol^2 get their exact margin, a LAPACK SVD of the r x n images.
-The band bounds the Gram's and ``eigvalsh``'s rounding (see ``_screen``), so
-no other blade can be the least or at most tol; it is scored +inf.  Verdicts,
-sample counts, margins and witnesses are those of exact margins on every
-blade, bit for bit.
+blade's squared margin off the extreme eigenvalues of its n x n image Gram,
+and only the blades whose screened value lies within a rounding band of the
+batch's least or of tol^2 get their exact margin, a LAPACK SVD of the r x n
+images.  For n = 3, every grade of d = 3, the eigenvalues come from Smith's
+closed form, ``singular_values._top_eigenvalue``, with no LAPACK call per
+blade: lambda_max of G and of (tr G) I - G in one call.  Each blade's band
+bounds the Gram's rounding and the closed form's, which grows as
+1 / sqrt(gap) where a pair of eigenvalues meets; the few blades the screen
+keeps are screened again by ``eigvalsh``, and other n use ``eigvalsh`` from
+the start (see ``_screen``).  So no other blade can be the least or at most
+tol; it is scored +inf.  Verdicts, sample counts, margins and witnesses are
+those of exact margins on every blade, bit for bit.
 
 All pass/fail thresholds are applied to scale-free quantities: compounds are
 normalized by their spectral norms, minors by sigma_max(A)^order, so scaling
-any map or eigenvector never flips a verdict.
+any map or eigenvector never flips a verdict.  The spectral norm of a grade-m
+compound is sigma_1 ... sigma_m of its map, and a family takes its maps'
+spectra from one batched SVD, once, for every grade.
 """
 
 from __future__ import annotations
@@ -63,7 +70,14 @@ from .exterior_algebra import (
     _wedge_batch,
     compound_matrix,
 )
-from .singular_values import _check_tol, _log_phi, _nonsingular_spectra
+from .singular_values import (
+    _GRAM_I,
+    _GRAM_J,
+    _check_tol,
+    _log_phi,
+    _nonsingular_spectra,
+    _top_eigenvalue,
+)
 
 __all__ = [
     "UnsupportedEigenstructure",
@@ -134,6 +148,12 @@ class LinearFamily:
         """``np.linalg.eig`` of the maps, taken once per family: the candidate
         pools of every grade read it."""
         return np.linalg.eig(self.maps)
+
+    @functools.cached_property
+    def _singular_values(self) -> np.ndarray:
+        """Singular spectra of the maps, from one batched SVD taken once per
+        family: every grade's compound norms read it."""
+        return np.linalg.svd(self.maps, compute_uv=False)
 
 
 class VerdictKind(enum.Enum):
@@ -216,9 +236,21 @@ def iterate_closure(fam: LinearFamily, depth: int) -> LinearFamily:
 
 
 def _normalized_compounds(fam: LinearFamily, m: int) -> np.ndarray:
-    """Stack of grade-m compounds, each divided by its spectral norm."""
-    C = _compounds(fam.maps, m)
-    return C / np.linalg.norm(C, 2, axis=(1, 2))[:, None, None]
+    """Stack of grade-m compounds, each divided by its spectral norm.
+
+    The spectral norm of the m-th compound of T is sigma_1 ... sigma_m of T,
+    so every grade divides by products of the one set of spectra the family
+    keeps.  A map whose product is 0 or not finite has a compound that
+    cannot be normalized: a closure's deep products have underflowed (or
+    overflowed), and that is refused.
+    """
+    norms = np.prod(fam._singular_values[:, :m], axis=1)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"the closure's products underflow or overflow at this depth: the "
+                         f"grade-{m} compound of map {i} has spectral norm {float(norms[i])!r}")
+    return _compounds(fam.maps, m) / norms[:, None, None]
 
 
 def _candidate_factors(fam: LinearFamily, m: int) -> np.ndarray:
@@ -272,7 +304,10 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """For each test vector v, sigma_n / sigma_1 of the stacked images S_i v.
 
     CC is (k, n, n), vs is (N, n); the margin is zero exactly when the images
-    fail to span, and is invariant under rescaling any single map.
+    fail to span.  On a raw stack it depends on the maps' relative scales:
+    scaling one map moves the other images' share of the stack.  It is scale
+    free because ``check_cm`` hands in ``_normalized_compounds``, each of
+    spectral norm 1, so rescaling any map leaves CC as it was.
     ``check_cm`` passes ``_reduced_stack(CC)``, at most n^2 rows and fewer
     than n exactly when k < n, in place of CC: the margins agree up to
     rounding, and their cost does not depend on k.
@@ -285,6 +320,65 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return sv[:, n - 1] / sv[:, 0]
 
 
+def _closed_form_extremes(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max, slack) of each positive semidefinite 3 x 3
+    Gram of G (N, 3, 3), from one ``_top_eigenvalue`` call on the (6, 2, N)
+    stack of G and H = (tr G) I - G: lambda_min(G) = tr G - lambda_max(H).
+
+    ``slack`` bounds, to first order, how far the screened squared margin
+    lambda_min / lambda_max lies from the one the exact eigenvalues of the
+    rounded G give, in units of lambda_max: (246 + 11 / sqrt(gap_G) + 22 /
+    sqrt(gap_H)) eps, with each Gram's gap = 1 + r of ``_top_eigenvalue``
+    (infinite where a gap is 0).  For a positive semidefinite X with q =
+    tr X / 3, so p <= q <= lambda_max(X), the closed form is within
+    (80 + 11 / sqrt(gap)) eps q of lambda_max(X):
+
+    - 64 eps q where X is within rounding of scalar and r is taken as 1;
+    - about 16 eps q from the roundings of q, of the shifted diagonal, of p
+      and of the last operations;
+    - 11 eps q / sqrt(gap) from r's rounding: the shifted diagonal keeps a
+      trace of at most 13 eps q, which moves det(X - qI) by 3 p^2 times a
+      third of it, so r by 6.5 eps q / p, and the determinant and 2 p^3 add
+      about 20 eps; lambda_max moves by d lambda / dr <= p / sqrt(6 gap)
+      times that, and the sum is at most 26.5 eps q / sqrt(6 gap).
+
+    lambda_max(G) has q = tr G / 3 <= lambda_max(G); H has q = 2 tr G / 3,
+    and forming H and subtracting its top eigenvalue from tr G add 6 eps q,
+    while tr G's own rounding cancels.  The squared margin moves by at most
+    the two errors' sum over lambda_max(G).  Where the top two eigenvalues of
+    G or of H nearly meet (gap -> 0), the slack grows as 1 / sqrt(gap): the
+    arccos argument r reaches -1, where arccos' slope is infinite.  H's top
+    two meet where G's bottom two do, lambda_2 = lambda_3 of G.
+    """
+    N = G.shape[0]
+    stack = np.empty((6, 2, N))
+    g, h = stack[:, 0], stack[:, 1]
+    g[...] = G[:, _GRAM_I, _GRAM_J].T
+    trace = g[0] + g[1] + g[2]
+    np.subtract(trace, g[:3], out=h[:3])
+    np.negative(g[3:], out=h[3:])
+    top, gap = np.empty((2, N)), np.empty((2, N))
+    _top_eigenvalue(stack, top, gap, np.empty((7, 2, N)))
+    with np.errstate(divide="ignore"):
+        slack = (246.0 + 11.0 / np.sqrt(gap[0]) + 22.0 / np.sqrt(gap[1])) * np.finfo(float).eps
+    return trace - top[1], top[0], slack
+
+
+def _ratio(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo / hi, and the mask of the odd ones: NaN or infinite, or with hi
+    not positive and finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = lo / hi
+    return sq, ~(np.isfinite(sq) & (hi > 0) & np.isfinite(hi))
+
+
+def _near_least(sq: np.ndarray, odd: np.ndarray, band: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the screened squared margins ``sq`` whose band (per value) can
+    reach the batch's least or tol^2, and of every ``odd`` one."""
+    least = np.min((sq + band)[~odd], initial=math.inf)
+    return odd | (sq - band <= least) | (np.abs(sq - tol * tol) <= 2 * band)
+
+
 def _screen(reduced: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the blades vs whose exact margin could be the least or at most tol.
 
@@ -292,33 +386,53 @@ def _screen(reduced: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
     G_v = W_v^T W_v of its images W_v in the (r, n, n) reduced stack, and one
     BLAS product forms every W_v of the batch.  Forming W_v and G_v rounds
     each Gram entry by at most gamma_{n r} sigma_1^2, so ||dG||_2 <= n^2 r eps
-    sigma_1^2 to first order, and ``eigvalsh`` adds a backward error of about
-    10 n eps ||G||_2: a screened value is within (n^2 r + 10 n) eps of the
-    exact squared margin.  Two screened values are compared, and the margins'
-    own SVD rounding comes on top, so the band is 8 (n^2 r + 10 n) eps.
+    sigma_1^2 to first order.  ``eigvalsh`` adds a backward error of about
+    10 n eps ||G||_2, so a screened value is within u = (n^2 r + 10 n) eps of
+    the exact squared margin.  For n = 3 the eigenvalues come from Smith's
+    closed form instead (``_closed_form_extremes``), whose error, its slack,
+    takes the place of 10 n eps in u, column by column.  Each value gets the
+    band 4 u: two screened values are compared, and the margins' own SVD
+    rounding comes on top.
 
-    A blade is kept when its screened value lies within the band of the
-    batch's least or of tol^2.  A blade that is not kept is not the least,
-    and lies clearly above or clearly below tol; below it, the least, which is
-    kept, is below tol too, so a Fail and its witness come from kept blades.
-    The band is wider than the tie floor (at most 2 _TIE_FLOOR on squared
-    margins), so every blade tied with the least is kept.  A screened value
-    that is NaN or infinite, or whose lambda_max is not positive, is always
-    kept, and so is every blade when r < n.
+    A blade is kept when its value less its band is at most the least value
+    plus band over the batch, or when it lies within twice its band of tol^2.
+    A blade that is not kept is not the least, and lies clearly above or
+    clearly below tol; below it, the least, which is kept, is below tol too,
+    so a Fail and its witness come from kept blades.  The band is wider than
+    the tie floor (at most 2 _TIE_FLOOR on squared margins), so every blade
+    tied with the least is kept.  The closed form's slack is never below
+    246 eps, and it grows without bound where a Gram's top or bottom two
+    eigenvalues meet, so every kept blade with a closed-form value is
+    screened again by ``eigvalsh``, and the kept set is taken again with
+    ``eigvalsh``'s band for them: it can only shrink.  So the fallback has no
+    fixed gap cut; each column's own bound decides, and ``eigvalsh`` sees only
+    the few columns that could matter.  A screened value that is NaN or
+    infinite, or whose lambda_max is not positive and finite, is always kept,
+    and so is every blade when r < n.
     """
     r, n = reduced.shape[:2]
     if r < n:
         return np.arange(vs.shape[0])
+    eps = np.finfo(float).eps
     W = (vs @ reduced.reshape(r * n, n).T).reshape(-1, r, n)
     G = W.transpose(0, 2, 1) @ W
     # a Gram with a NaN or inf entry is screened as zero, so it is kept
-    lam = np.linalg.eigvalsh(np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], G, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = lam[:, 0] / lam[:, -1]
-    odd = ~(np.isfinite(sq) & (lam[:, -1] > 0))
-    band = 8 * (n * n * r + 10 * n) * np.finfo(float).eps
-    least = np.min(sq[~odd], initial=math.inf)
-    return np.flatnonzero(odd | (sq <= least + band) | (np.abs(sq - tol * tol) <= band))
+    G = np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], G, 0.0)
+    if n == 3:
+        lo, hi, slack = _closed_form_extremes(G)
+    else:
+        lam = np.linalg.eigvalsh(G)
+        lo, hi, slack = lam[:, 0], lam[:, -1], np.full(len(G), 10 * n * eps)
+    sq, odd = _ratio(lo, hi)
+    band = 4 * (n * n * r * eps + slack)
+    kept = _near_least(sq, odd, band, tol)
+    again = np.flatnonzero(kept & ~odd & (slack > 10 * n * eps))
+    if again.size:
+        lam = np.linalg.eigvalsh(G[again])
+        sq[again], odd[again] = _ratio(lam[:, 0], lam[:, -1])
+        band[again] = 4 * (n * n * r + 10 * n) * eps
+        kept = _near_least(sq, odd, band, tol)
+    return np.flatnonzero(kept)
 
 
 def _rng_for(seed, index: int) -> np.random.Generator:

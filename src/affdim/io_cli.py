@@ -39,7 +39,9 @@ The CLI wraps the pipeline::
 
 Each subcommand takes only the flags it reads, plus ``--out PATH`` and
 ``--threads N``; ``--threads`` must be at least 1 and changes nothing.
-:func:`cli` reads the system document and writes the output, once each; the
+The counts ``--depth``, ``--grid``, ``--k``, ``--length`` and ``--thinning``
+must be at least 1 and ``--samples`` at least 0; the parser refuses any
+other value, naming the flag.  :func:`cli` reads the system document and writes the output, once each; the
 ``_cmd_*`` handlers only compute, so a refused run writes no stdout and no
 ``--out`` file.  Exit codes: 0 = success or passing verdict; 1 = Fail verdict or
 a hypothesis violated at run time; 2 = invalid input.  All randomized output is
@@ -592,7 +594,8 @@ def cli(argv=None) -> int:
     """Run one subcommand: read its document, compute, write the output; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for flag, least in (("threads", 1), ("depth", 1), ("grid", 1), ("k", 1), ("seed", 0)):
+    for flag, least in (("threads", 1), ("depth", 1), ("grid", 1), ("k", 1), ("seed", 0),
+                        ("samples", 0), ("length", 1), ("thinning", 1)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             parser.error(f"argument --{flag}: must be at least {least}, got {value}")

@@ -21,7 +21,9 @@ rows, scaled by s / d above s = d or plus a fraction of the next row
 between integers.  ``code_tree`` takes a block's spectra in this layout,
 so no transpose is copied on either side: for d = 3 from its suffix
 table's Grams (``code_tree._congruent_spectra``), and for any other d from
-the block's linear parts, laid out entry axes first, (d, d, n).
+the block's linear parts, laid out entry axes first, (d, d, n).  The d = 3
+Grams' largest eigenvalues come from Smith's closed form,
+``_top_eigenvalue``, which the spanning checks' margin screen shares.
 ``phi_from_singular_values`` moves its trailing spectrum axis to the front
 and exponentiates the kernel.  The word sums of
 ``code_tree`` reduce it in log form, where phi_s far below the smallest
@@ -175,3 +177,77 @@ def phi_from_singular_values(sigma, s: float):
     """
     return np.exp(_log_phi(np.moveaxis(np.log(np.asarray(sigma, dtype=float)), -1, 0), s))
 
+
+# Smith's closed form for the largest eigenvalue of symmetric 3×3 matrices,
+# with its layout and its two elementwise helpers: the one copy the d = 3
+# block spectra of ``code_tree`` and the d = 3 margin screen of ``fs_checker``
+# share.  The rows of a symmetric 3×3 G in that layout: entries (i, j), i <= j
+_GRAM_I = np.array([0, 1, 2, 0, 0, 1])
+_GRAM_J = np.array([0, 1, 2, 1, 2, 2])
+
+
+def _sum_products(pairs, out, tmp):
+    """out = a_0 b_0 + a_1 b_1 + ... over the (a, b) ``pairs``, summed from the
+    left, with ``tmp`` as scratch."""
+    (a, b), *rest = pairs
+    np.multiply(a, b, out=out)
+    for a, b in rest:
+        out += np.multiply(a, b, out=tmp)
+    return out
+
+
+def _minor(a, b, c, e, out, tmp):
+    """out = a b - c e, with ``tmp`` as scratch."""
+    np.multiply(a, b, out=out)
+    out -= np.multiply(c, e, out=tmp)
+    return out
+
+
+def _top_eigenvalue(g, top, gap, work):
+    """Largest eigenvalue of each symmetric 3×3 column of ``g`` (6, ...), its
+    entries (``_GRAM_I``, ``_GRAM_J``) in the order (0, 0), (1, 1), (2, 2),
+    (0, 1), (0, 2), (1, 2), written into ``top`` (...), and 1 + r into ``gap`` (...),
+    which is 0 where the top two eigenvalues meet; ``work`` is (7, ...)
+    scratch, and ``g`` is left as it is.  Elementwise, so the trailing axes
+    may be a stack of Grams.  It has two callers, and each keeps its own
+    ``eigvalsh`` fallback for the columns whose gap is near 0:
+    ``code_tree._congruent_spectra`` hands in a d = 3 block's Grams and
+    cofactor Grams, (6, 2, chunk), for sigma_1 and sigma_1 sigma_2 of its
+    words, and ``fs_checker._closed_form_extremes`` a screened batch's image
+    Grams G beside (tr G) I - G, (6, 2, N), for their largest and smallest
+    eigenvalues.
+
+    Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,
+    p² = |G - qI|_F² / 6 and r = det(G - qI) / (2p³) in [-1, 1], the largest
+    eigenvalue is q + 2p cos(arccos(r) / 3).  A G within rounding of scalar
+    (p <= 64 eps q) takes r = 1: the computed and the true eigenvalue then both
+    lie in [q + p, q + 2p], so the error is at most p.
+    """
+    g00, g11, g22, g01, g02, g12 = g
+    a00, a11, a22, p, t, u, v = work
+    q = np.add(g00, g11, out=top)  # top holds q until the end
+    q += g22
+    q /= 3.0
+    np.subtract(g00, q, out=a00)
+    np.subtract(g11, q, out=a11)
+    np.subtract(g22, q, out=a22)
+    _sum_products(((a00, a00), (a11, a11), (a22, a22)), p, t)
+    _sum_products(((g01, g01), (g02, g02), (g12, g12)), u, t)
+    u *= 2.0
+    p += u
+    p /= 6.0
+    np.sqrt(p, out=p)
+    det = _minor(a11, a22, g12, g12, u, t)
+    det *= a00
+    det -= np.multiply(_minor(g01, a22, g12, g02, v, t), g01, out=v)
+    det += np.multiply(_minor(g01, g12, a11, g02, v, t), g02, out=v)
+    np.multiply(p, 2.0, out=v)
+    v *= p
+    v *= p
+    gap.fill(1.0)
+    r = np.divide(det, v, out=gap, where=p > np.multiply(q, 2.0**-46, out=t))
+    np.clip(r, -1.0, 1.0, out=r)
+    np.cos(np.divide(np.arccos(r, out=t), 3.0, out=t), out=u)
+    u *= np.multiply(p, 2.0, out=v)
+    top += u
+    gap += 1.0

@@ -191,13 +191,23 @@ class TestIterateClosure:
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_normalized_compounds_match_the_per_map_form(d):
+    # ||C||_2 of the grade-m compound C of S is sigma_1 ... sigma_m of S: each
+    # compound is divided by that product from its own map's SVD, bit for bit.
+    # Against C / ||C||_2 the entries agree to within 2 m (1 + sigma_1 /
+    # sigma_m) ulps of the largest, as each sigma_i carries an absolute
+    # rounding of about eps sigma_1; the largest gap here is 59 ulps, at
+    # d = m = 2 with sigma_1 / sigma_2 = 189, and no other exceeds 13
     rng = rng_for(d)
     fam = LinearFamily.from_matrices([random_nonsingular(rng, d) for _ in range(7)])
     for m in range(d + 1):
         ref = []
         for S in fam.maps:
             C = compound_matrix(S, m).entries
-            ref.append(C / np.linalg.norm(C, 2))
+            sigma = np.linalg.svd(S, compute_uv=False)
+            ref.append(C / np.prod(sigma[:m]))
+            spectral = C / np.linalg.norm(C, 2)
+            ulps = np.max(np.abs(ref[-1] - spectral)) / np.spacing(np.max(np.abs(spectral)))
+            assert ulps <= 2 * m * (1 + sigma[0] / sigma[max(m, 1) - 1])
         got = fs_checker._normalized_compounds(fam, m)
         assert np.array_equal(got, np.stack(ref))
 
@@ -630,7 +640,22 @@ class TestMarginScreen:
             + [upper, iterate_closure(upper, 6)]
             # the A / A @ A family of test_duplicate_candidates_tie
             + [iterate_closure(LinearFamily.from_matrices([random_nonsingular(rng, 3) for _ in range(3)]), 2)]
+            + TestMarginScreen.meeting_families()
         )
+
+    @staticmethod
+    def meeting_families():
+        """Three maps of R^3 with sigma_1 = 1 that take e1 to s_k q_k, q_k
+        orthonormal, so the blade e1's Gram is Q diag(s^2) Q^T: for
+        s = (1, 1, 1/2) its top two eigenvalues meet (the closed form's r = -1
+        on G), and for s = (1, 1/2, 1/2) its bottom two (r = -1 on
+        (tr G) I - G).  Its squared margin is 1/4, tol^2 at tol = 0.5."""
+        q = np.linalg.qr(rng_for(9).standard_normal((3, 3)))[0]
+        return [
+            LinearFamily.from_matrices([q[:, np.roll(np.arange(3), -k)] @ np.diag([s[k], 1.0, 1.0])
+                                        for k in range(3)])
+            for s in ((1.0, 1.0, 0.5), (1.0, 0.5, 0.5))
+        ]
 
     def test_verdicts_match_the_unscreened_path(self, monkeypatch):
         def unscreened(run):
@@ -672,6 +697,59 @@ class TestMarginScreen:
         assert len(scanned) == len(checked) == 8 and min(scanned) > 900
         assert max(checked) <= 8
 
+    @staticmethod
+    def crafted_grams():
+        """Positive semidefinite 3 x 3 Grams at the closed form's edges, by
+        eigenvalues: scalar, top two equal, bottom two equal, rank one, zero,
+        and three within a relative range of 1e-16; each exactly diagonal and
+        rotated, at scales from 2^-20 to 2^20."""
+        rng = rng_for(11)
+        grams = []
+        for _ in range(40):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            a, b = np.sort(rng.uniform(0.1, 1.0, size=2))[::-1] * 2.0 ** int(rng.integers(-20, 21))
+            for lam in ([a, a, a], [a, a, b], [a, b, b], [a, 0.0, 0.0], [0.0, 0.0, 0.0],
+                        [a, a * (1 - 1e-16), a * (1 - 2e-16)]):
+                grams += [np.diag(lam), q @ np.diag(lam) @ q.T]
+        return np.array(grams)
+
+    def test_closed_form_is_within_its_slack_or_falls_back(self):
+        eps = np.finfo(float).eps
+        grams = self.crafted_grams()
+        lo, hi, slack = fs_checker._closed_form_extremes(grams)
+        lam = np.linalg.eigvalsh(grams)
+        zero = ~grams.any(axis=(1, 2))
+        assert np.all(hi[zero] == 0)  # screened as odd, so kept
+        # an infinite slack sends the blade to eigvalsh wherever it could matter;
+        # every other value lies within its slack plus eigvalsh's own 10 n eps
+        # on each of the two eigenvalues
+        bounded = ~zero & np.isfinite(slack)
+        err = (np.abs(lo - lam[:, 0]) + np.abs(hi - lam[:, -1]))[bounded] / lam[bounded, -1]
+        assert np.all(err <= slack[bounded] + 60 * eps)
+        # where a pair meets (top two, bottom two, or both of rank one) the
+        # slack is millions of eps wide, so such a blade is screened again by
+        # eigvalsh wherever it could be the least or tol; its error, up to 3e7
+        # eps, is then within the slack
+        meeting = np.isin(np.arange(len(grams)) % 12 // 2, [1, 2, 3])
+        assert np.all(slack[meeting] > 1e6 * eps)
+        assert np.all(slack >= 246 * eps)
+
+    def test_meeting_eigenvalues_reach_the_fallback(self, monkeypatch):
+        eps = np.finfo(float).eps
+        real = np.linalg.eigvalsh
+        for fam in self.meeting_families():
+            reduced = fs_checker._reduced_stack(fs_checker._normalized_compounds(fam, 1))
+            r, n = reduced.shape[:2]
+            W = (np.eye(3) @ reduced.reshape(r * n, n).T).reshape(-1, r, n)
+            slack = fs_checker._closed_form_extremes(W.transpose(0, 2, 1) @ W)[2]
+            assert slack[0] > 1e6 * eps
+            again = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: again.append(len(G)) or real(G))
+            # e1's squared margin is tol^2 = 1/4: kept, screened again, and kept
+            assert fs_checker._screen(reduced, np.eye(3), 0.5).tolist() == [0]
+            assert again and again[0] >= 1
+            monkeypatch.setattr(np.linalg, "eigvalsh", real)
+
     def test_odd_screens_are_rechecked(self, monkeypatch):
         rng = rng_for(5)
         reduced = fs_checker._reduced_stack(fs_checker._normalized_compounds(generic_family(), 1))
@@ -686,9 +764,37 @@ class TestMarginScreen:
             crafted[:, :, 2] = fill
             assert 8 in fs_checker._screen(crafted, np.vstack([vs, np.eye(3)[2]]), 0.0)
         # dropped blades are kept once their screened value is NaN or
-        # infinite, or their lambda_max is not positive
-        odd = [[math.nan, 1.0, 2.0], [1.0, 1.0, math.inf], [-math.inf, 1.0, 1.0],
-               [-2.0, -1.0, -1.0], [0.0, 0.0, 0.0]]
+        # infinite, or their lambda_max is not positive; the (lambda_min,
+        # lambda_2, lambda_max) below reach the screen through the closed form,
+        # which returns lambda_max of G and tr G - lambda_min of (tr G) I - G
+        odd = np.array([[math.nan, 1.0, 2.0], [1.0, 1.0, math.inf], [-math.inf, 1.0, 1.0],
+                        [-2.0, -1.0, -1.0], [0.0, 0.0, 0.0]])
+        real = fs_checker._top_eigenvalue
+
+        def crafted_top_eigenvalue(g, top, gap, work):
+            real(g, top, gap, work)
+            trace = g[0, 0] + g[1, 0] + g[2, 0]
+            top[0, dropped[:5]] = odd[:, -1]
+            top[1, dropped[:5]] = trace[dropped[:5]] - odd[:, 0]
+
+        monkeypatch.setattr(fs_checker, "_top_eigenvalue", crafted_top_eigenvalue)
+        assert set(dropped[:5]) <= set(fs_checker._screen(reduced, vs, 0.0).tolist())
+        # with every value odd there is no least to compare with: all are kept
+        monkeypatch.setattr(fs_checker, "_top_eigenvalue",
+                            lambda g, top, gap, work: real(g, top, gap, work) or top.fill(math.nan))
+        assert fs_checker._screen(reduced, vs, 0.0).tolist() == list(range(8))
+
+    def test_odd_screens_are_rechecked_beyond_three_blades(self, monkeypatch):
+        # n = C(4, 1) = 4 Grams keep eigvalsh; its odd values are kept as well
+        rng = rng_for(6)
+        fam = LinearFamily.from_matrices([random_nonsingular(rng, 4) for _ in range(5)])
+        reduced = fs_checker._reduced_stack(fs_checker._normalized_compounds(fam, 1))
+        vs = rng.standard_normal((10, 4))
+        vs /= np.linalg.norm(vs, axis=1)[:, None]
+        dropped = sorted(set(range(10)) - set(fs_checker._screen(reduced, vs, 0.0).tolist()))
+        assert len(dropped) >= 5
+        odd = [[math.nan, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, math.inf], [-math.inf, 1.0, 1.0, 1.0],
+               [-2.0, -1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 0.0]]
         real = np.linalg.eigvalsh
 
         def crafted_eigvalsh(G):
@@ -698,9 +804,8 @@ class TestMarginScreen:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", crafted_eigvalsh)
         assert set(dropped[:5]) <= set(fs_checker._screen(reduced, vs, 0.0).tolist())
-        # with every value odd there is no least to compare with: all are kept
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: np.full(G.shape[:2], math.nan))
-        assert fs_checker._screen(reduced, vs, 0.0).tolist() == list(range(8))
+        assert fs_checker._screen(reduced, vs, 0.0).tolist() == list(range(10))
 
     def test_margin_bits_do_not_depend_on_blas_threads(self):
         # the screen's products go through BLAS; the margins it lets through

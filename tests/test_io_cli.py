@@ -1284,6 +1284,34 @@ class TestCli:
         assert "argument --seed: must be at least 0, got -1" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, least", [
+        ("check-fs", "--samples", "-1", 0), ("simulate", "--length", "0", 1), ("simulate", "--thinning", "0", 1),
+    ])
+    def test_counts_below_their_least_exit_two(self, tmp_path, capsys, command, flag, value, least):
+        # the handlers refused these too, with messages that did not name the flag
+        system = doc_path(tmp_path, GRAPH_DOC if command == "simulate" else CORNER_DOC)
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as info:
+            cli([command, system, flag, value, "--out", str(out)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least {least}, got {value}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--s", "0.5"]])
+    def test_underflowing_closure_exits_two(self, tmp_path, capsys, extra):
+        # the products of depth 11 lie below the smallest subnormal: zero matrices
+        tiny = {"d": 2, "bounds": {"sigma_lo": 1e-30, "sigma_hi": 1e-30},
+                "families": [{"label": "tiny", "maps": [{"T": [[1e-30, 0.0], [0.0, 1e-30]]},
+                                                        {"T": [[0.0, 1e-30], [1e-30, 0.0]]}]}]}
+        rc = cli(["check-fs", doc_path(tmp_path, tiny), "--depth", "11", *extra])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: the closure's products underflow or overflow at this depth: "
+                                "the grade-1 compound of map 2046 has spectral norm 0.0\n")
+
     @pytest.mark.parametrize("refused", [
         "check-fs --k 2", "certify --samples 5", "pressure --tol 1e-3", "dim --samples 10",
         "simulate --k 3", "points --tol 1", "boxdim --seed 1",
@@ -1455,14 +1483,20 @@ class TestCli:
         pytest.param(SPIN_DOC, ["--s", "inf"], "s must lie in", id="inf"),
         pytest.param(SPIN_DOC, ["--s", "nan"], "s must lie in", id="nan"),
         # C(s) with no sampled quadruple: once a pass with margin inf, and on
-        # d = 1 a pass with samples=-1, since grades 0 and d returned first
+        # d = 1 a pass, since grades 0 and d returned first; a negative count
+        # is the parser's to refuse
         pytest.param(GENERIC_DOC, ["--s", "1.5", "--samples", "0"],
                      "at least one sampled quadruple, got samples = 0", id="no-samples"),
+        pytest.param(THIRDS_DOC, ["--s", "0.5", "--samples", "0"],
+                     "at least one sampled quadruple, got samples = 0", id="no-samples-d1"),
         pytest.param(THIRDS_DOC, ["--s", "0.5", "--samples", "-1"],
-                     "at least one sampled quadruple, got samples = -1", id="negative-samples"),
+                     "argument --samples: must be at least 0, got -1", id="negative-samples"),
     ])
     def test_non_finite_grade_exits_two(self, tmp_path, capsys, doc, argv, message):
-        rc = cli(["check-fs", doc_path(tmp_path, doc)] + argv)
+        try:
+            rc = cli(["check-fs", doc_path(tmp_path, doc)] + argv)
+        except SystemExit as exc:  # refused by the parser
+            rc = exc.code
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
