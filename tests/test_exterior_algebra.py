@@ -2,11 +2,13 @@
 
 Every identity here is checked against an independent computation built from
 ``itertools`` and raw determinants, so a sign or indexing slip in the package
-cannot cancel itself out.
+cannot cancel itself out.  The rounding of the blade coordinates is checked
+against exact rational minors.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affdim.exterior_algebra import (
+    _WEDGE_CHUNK,
     MAX_DIM,
     ExteriorVector,
+    _compounds,
     _rows_array,
     _wedge_batch,
     compound_matrix,
@@ -37,6 +41,30 @@ def minor_oracle(S, rows, cols) -> float:
     idx_c = [c - 1 for c in cols]
     sub = S[np.ix_(idx_r, idx_c)]
     return float(np.linalg.det(sub)) if len(rows) else 1.0
+
+
+def exact_minor(M, rows) -> Fraction:
+    """The minor of the float matrix M with the given 0-based rows and all its
+    columns, in exact rational arithmetic (cofactor expansion)."""
+    sub = [[Fraction(float(x)) for x in M[r]] for r in rows]
+
+    def det(A):
+        if not A:
+            return Fraction(1)
+        return sum((-1) ** c * A[0][c] * det([row[:c] + row[c + 1 :] for row in A[1:]])
+                   for c in range(len(A)) if A[0][c])
+
+    return det(sub)
+
+
+def recursion_bound(m: int) -> float:
+    """beta_m of ``_wedge_batch``'s docstring: the computed grade-m coordinates
+    lie within beta_m * eps * prod |v_i| of the exact ones in the 2-norm."""
+    u = np.finfo(float).eps / 2
+    e = 0.0
+    for g in range(2, m + 1):
+        e += math.sqrt(g) * (g * u / (1 - g * u)) * (1 + e)
+    return e / np.finfo(float).eps
 
 
 def wedge_oracle(vectors) -> np.ndarray:
@@ -105,6 +133,53 @@ def test_wedge_matches_minor_oracle(seed, d, _):
     assert np.allclose(got, want, atol=1e-10 * max(1.0, np.abs(want).max()))
 
 
+def test_grade_one_is_the_vectors_themselves():
+    rng = rng_for(81)
+    v = rng.standard_normal(7) * 10.0 ** rng.integers(-30, 30, size=7)
+    assert np.array_equal(wedge([v]).coords, v)
+    S = rng.standard_normal((5, 5))
+    assert np.array_equal(compound_matrix(S, 1).entries, S)
+    maps = rng.standard_normal((64, 3, 3))
+    assert np.array_equal(_compounds(maps, 1), maps)
+
+
+def near_rank_deficient(rng, d: int, m: int) -> np.ndarray:
+    """A d x m factor matrix whose last column is a combination of the others
+    plus a 1e-9 residue, its columns scaled over several decades."""
+    F = rng.standard_normal((d, m)) * 10.0 ** rng.integers(-3, 4, size=m)
+    if m >= 2:
+        F[:, -1] = F[:, :-1] @ rng.standard_normal(m - 1) + 1e-9 * rng.standard_normal(d)
+    return F
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_wedge_batch_within_its_rounding_bound(d):
+    rng = rng_for(1000 + d)
+    eps = np.finfo(float).eps
+    for m in range(d + 1):
+        stacks = [rng.standard_normal((d, m)) for _ in range(8)]
+        stacks += [near_rank_deficient(rng, d, m) for _ in range(8)]
+        got = _wedge_batch(np.array(stacks))
+        rows = _rows_array(d, m)
+        for F, w in zip(stacks, got):
+            err2 = sum((Fraction(float(x)) - exact_minor(F, J)) ** 2 for x, J in zip(w, rows))
+            scale = float(np.prod(np.linalg.norm(F, axis=0)))
+            assert math.sqrt(err2) <= recursion_bound(m) * eps * scale, (d, m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_permutation_stacks_give_exact_signs(d):
+    # every ordered choice of m basis vectors, repeats included (the C(s)
+    # lift's signs are of this kind)
+    eye = np.eye(d)
+    for m in range(1, d + 1):
+        picks = np.array(list(itertools.product(range(d), repeat=m)))
+        got = _wedge_batch(eye[:, picks].transpose(1, 0, 2))
+        want = [[exact_minor(eye[:, p], J) for J in _rows_array(d, m)] for p in picks]
+        assert np.array_equal(got, np.array(want, dtype=float)), (d, m)
+        assert set(np.unique(got)) <= {-1.0, 0.0, 1.0}
+
+
 def test_wedge_errors():
     with pytest.raises(ValueError):
         wedge([])
@@ -148,12 +223,15 @@ def test_compound_identity_and_scalars():
 
 
 def test_wedge_batch_chunks_match_single_wedges():
-    # d = 12, m = 6: each factor stack needs 924 * 36 scratch entries, so a
-    # batch of 200 splits into two chunks under the 2**22 bound
+    # d = 12, m = 6: the widest grade on the way is C(12, 6) = 924 blades, so
+    # a chunk holds _WEDGE_CHUNK // 924 = 70 stacks and a batch of 200 spans
+    # three chunks; rows on either side of a boundary equal lone wedges
+    step = _WEDGE_CHUNK // math.comb(12, 6)
+    assert 2 * step < 200
     factors = rng_for(12).standard_normal((200, 12, 6))
     got = _wedge_batch(factors)
     assert got.shape == (200, math.comb(12, 6))
-    for t in (0, 125, 126, 199):
+    for t in (0, step - 1, step, 2 * step, 199):
         assert np.array_equal(got[t], _wedge_batch(factors[t : t + 1])[0])
 
 

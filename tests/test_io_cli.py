@@ -772,6 +772,21 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"EmpiricalPass") == 2
 
+    def test_minors_take_no_lapack_determinant(self, tmp_path, capsys, monkeypatch):
+        # blade coordinates and compound entries come from the exterior-power
+        # recursion; a LAPACK det back in the minors ends these runs here
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.det was called")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        system = doc_path(tmp_path, TP_PAIR_DOC)
+        corner = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples" / "corner_system.json"
+        assert cli(["certify", system]) == 0
+        assert cli(["check-fs", system, "--depth", "4"]) == 0
+        assert cli(["check-fs", str(corner), "--s", "1.5"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("EmpiricalPass") == 2 and "C(1.5): Fail" in out
+
     @staticmethod
     def generic_system(tmp_path, d, seed):
         rng = np.random.default_rng(seed)
