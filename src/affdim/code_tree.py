@@ -88,14 +88,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .singular_values import (
+    _CLOSED_FORM_GAP,
     _GRAM_I,
     _GRAM_J,
     _exponent,
+    _gram,
     _log_phi,
     _minor,
     _piece,
+    _scaled,
     _slope,
-    _sum_products,
+    _symmetric,
     _top_eigenvalue,
     singular_values,
 )
@@ -547,10 +550,6 @@ def _expand_block(tree, level0, state0, k, *, mats=False, log_det=False, points=
     return end_states, word
 
 
-# Columns whose two largest Gram eigenvalues nearly meet (1 + r below this in
-# ``_top_eigenvalue``) take them from ``np.linalg.eigvalsh``: the closed form
-# loses half the digits where the arccos argument r reaches -1.
-_CLOSED_FORM_GAP = 1e-3
 # d = 3 Grams are taken this many columns at a time, which keeps the closed
 # form's temporaries in cache and a block's buffers small
 _SPECTRUM_CHUNK = 1 << 13
@@ -559,26 +558,6 @@ _LN2 = math.log(2.0)
 
 def _underflow(k):
     return ValueError(f"the linear part of a level-{k} word underflowed to a singular matrix")
-
-
-def _scaled(x):
-    """Columns of ``x`` scaled in place by powers of two (exactly) so that each
-    largest |entry| lies in [0.5, 1), and the exponents taken out; 0 for a zero
-    column."""
-    _, e = np.frexp(np.max(np.abs(x), axis=0))
-    np.ldexp(x, -e, out=x)
-    return e
-
-
-def _gram(x, g, tmp):
-    """The Gram matrix X Xᵀ of each column of ``x`` (9, n), the row-major
-    entries of a 3×3 X, written into ``g`` (6, n) as its entries (i, j), i <= j,
-    in the order (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2); ``tmp`` is
-    (n,) scratch."""
-    rows = x[0:3], x[3:6], x[6:9]
-    for out, i, j in zip(g, _GRAM_I, _GRAM_J):
-        _sum_products(zip(rows[i], rows[j]), out, tmp)
-    return g
 
 
 def _cofactors(x, out, tmp):
@@ -628,14 +607,6 @@ def _congruence(m):
     mi, mj = m[_GRAM_I], m[_GRAM_J]  # rows i and j of each output entry (i, j)
     cross = mi[:, _GRAM_I] * mj[:, _GRAM_J]
     return np.where(_GRAM_I == _GRAM_J, cross, cross + mi[:, _GRAM_J] * mj[:, _GRAM_I])
-
-
-def _symmetric(g):
-    """The symmetric 3×3 matrices (n, 3, 3) of the columns of ``g`` (6, n)."""
-    out = np.empty((g.shape[1], 3, 3))
-    out[:, _GRAM_I, _GRAM_J] = g.T
-    out[:, _GRAM_J, _GRAM_I] = g.T
-    return out
 
 
 def _congruent_spectra(m, table, log_det, k):

@@ -209,12 +209,37 @@ def pressure_zero(
 
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (N, d) integer array, sorted."""
-    keys = keys[np.lexsort(keys.T)]
-    fresh = np.empty(keys.shape[0], dtype=bool)
+    """The distinct rows of an (N, d) int64 array, in ``np.lexsort`` order
+    (the last column first).
+
+    Where the columns' spans fit in 63 bits together, each row is packed into
+    one int64: its offsets from the column minima, the last column in the
+    most significant bits, so that the packed order is the lexsort order.
+    One ``np.sort`` of the packed rows then replaces the lexsort, and the
+    distinct ones are unpacked.  Wider spans keep ``np.lexsort``.
+    """
+    lo = keys.min(axis=0)
+    widths = [(int(b) - int(a)).bit_length() for a, b in zip(lo, keys.max(axis=0))]
+    if sum(widths) > 63:
+        keys = keys[np.lexsort(keys.T)]
+        fresh = np.empty(keys.shape[0], dtype=bool)
+        fresh[0] = True
+        np.any(keys[1:] != keys[:-1], axis=1, out=fresh[1:])
+        return keys[fresh]
+    shifts = np.cumsum([0] + widths[:-1]).tolist()
+    packed = np.zeros(keys.shape[0], dtype=np.int64)
+    for column, a, s in zip(keys.T, lo, shifts):
+        packed |= (column - a) << s
+    packed.sort()
+    fresh = np.empty(packed.shape[0], dtype=bool)
     fresh[0] = True
-    np.any(keys[1:] != keys[:-1], axis=1, out=fresh[1:])
-    return keys[fresh]
+    np.not_equal(packed[1:], packed[:-1], out=fresh[1:])
+    packed = packed[fresh]
+    rows = np.empty((packed.shape[0], keys.shape[1]), dtype=np.int64)
+    for column, a, s, w in zip(rows.T, lo, shifts, widths):
+        np.bitwise_and(packed >> s, (1 << w) - 1, out=column)
+        column += a
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

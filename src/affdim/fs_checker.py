@@ -17,13 +17,14 @@ is scored by one rank-margin call; the first batch with a margin at or below
 tol gives the Fail verdict, whose annihilating partner w is sought in the same
 pool.  Margins within 1e-15 of the least count as equal, so the witness is the
 first of them in scan order.  A family with fewer maps than C(d, m) can never
-span, so its scan stops after the pool.  ``check_cs`` runs ``check_cm`` at
-grades m and m + 1 as prefilters, lifting a grade fail to a quadruple witness,
-and then samples quadruples.  The certifying route is ``criterion_cscm``: a
-pair (F, G) with distinct-product real eigenvalue tuples whose eigenbasis
-change matrix has every minor nonzero guarantees that the family of all
-compositions of F and G up to depth 2 * n0^2 satisfies C(s) for every
-0 <= s <= d, where n0 = max_m C(d, m).
+span: every margin is 0, so it fails at the first pool blade, with no margin
+taken.  ``check_cs`` runs ``check_cm`` at grades m and m + 1 as prefilters,
+lifting a grade fail to a quadruple witness, and then samples quadruples.
+The certifying route is ``criterion_cscm``: a pair (F, G) with
+distinct-product real eigenvalue tuples whose eigenbasis change matrix has
+every minor nonzero guarantees that the family of all compositions of F and
+G up to depth 2 * n0^2 satisfies C(s) for every 0 <= s <= d, where
+n0 = max_m C(d, m).
 
 A margin is sigma_n / sigma_1 of the k x n matrix of images C_i v of a blade
 v, n = C(d, m).  ``check_cm`` takes one QR factorization of the k maps'
@@ -35,21 +36,26 @@ ever reported, so each batch is screened first: ``_screen`` reads every
 blade's squared margin off the extreme eigenvalues of its n x n image Gram,
 and only the blades whose screened value lies within a rounding band of the
 batch's least or of tol^2 get their exact margin, a LAPACK SVD of the r x n
-images.  For n = 3, every grade of d = 3, the eigenvalues come from Smith's
-closed form, ``singular_values._top_eigenvalue``, with no LAPACK call per
-blade: lambda_max of G and of (tr G) I - G in one call.  Each blade's band
-bounds the Gram's rounding and the closed form's, which grows as
+images.  For n = 3, every grade of d = 3, the screen forms no image and no
+per-blade Gram: G_v is a quadratic form in v, so a batch's Gram entries are
+one (6, 6) @ (6, N) product with a matrix K formed from the stack, and the
+eigenvalues come from Smith's closed form, ``singular_values._top_eigenvalue``,
+with no LAPACK call per blade: lambda_max of G and of (tr G) I - G in one
+call.  Each blade's band bounds
+the quadratic form's rounding and the closed form's, which grows as
 1 / sqrt(gap) where a pair of eigenvalues meets; the few blades the screen
-keeps are screened again by ``eigvalsh``, and other n use ``eigvalsh`` from
-the start (see ``_screen``).  So no other blade can be the least or at most
-tol; it is scored +inf.  Verdicts, sample counts, margins and witnesses are
-those of exact margins on every blade, bit for bit.
+keeps are screened again by ``eigvalsh``, and other n form the Grams and use
+``eigvalsh`` from the start (see ``_screen``).  So no other blade can be the
+least or at most tol; it is scored +inf.  Verdicts, sample counts, margins
+and witnesses are those of exact margins on every blade, bit for bit.
 
 All pass/fail thresholds are applied to scale-free quantities: compounds are
 normalized by their spectral norms, minors by sigma_max(A)^order, so scaling
-any map or eigenvector never flips a verdict.  The spectral norm of a grade-m
-compound is sigma_1 ... sigma_m of its map, and a family takes its maps'
-spectra from one batched SVD, once, for every grade.
+any map or eigenvector never flips a verdict.  For n = 3 a compound's norm
+is read off the compound itself, sqrt(lambda_max(C C^T)) by the same closed
+form, so a d = 3 family takes no SVD of its maps.  For any other n the norm
+is sigma_1 ... sigma_m of the map, from one batched SVD of the maps taken
+once per family.
 """
 
 from __future__ import annotations
@@ -71,11 +77,15 @@ from .exterior_algebra import (
     compound_matrix,
 )
 from .singular_values import (
+    _CLOSED_FORM_GAP,
     _GRAM_I,
     _GRAM_J,
     _check_tol,
+    _gram,
     _log_phi,
     _nonsingular_spectra,
+    _scaled,
+    _symmetric,
     _top_eigenvalue,
 )
 
@@ -152,7 +162,8 @@ class LinearFamily:
     @functools.cached_property
     def _singular_values(self) -> np.ndarray:
         """Singular spectra of the maps, from one batched SVD taken once per
-        family: every grade's compound norms read it."""
+        family: the compound norms of every grade with C(d, m) != 3 read it
+        (``_normalized_compounds``)."""
         return np.linalg.svd(self.maps, compute_uv=False)
 
 
@@ -235,22 +246,58 @@ def iterate_closure(fam: LinearFamily, depth: int) -> LinearFamily:
 # normalized compounds and candidate test vectors
 
 
+def _closed_form_norms(C: np.ndarray) -> np.ndarray:
+    """Spectral norms of a (k, 3, 3) stack C, sqrt(lambda_max(C Cᵀ)), with no
+    SVD: each C is scaled by a power of two (exactly) so that its largest
+    |entry| lies in [0.5, 1), its Gram's 6 entries go through one
+    ``_top_eigenvalue`` call on the (6, k) stack, and the columns whose top
+    two eigenvalues nearly meet (gap below ``_CLOSED_FORM_GAP``) take
+    ``eigvalsh``.  The norm is scaled back by its power of two, so a zero
+    compound has norm 0 and a non-finite one a non-finite norm.
+
+    The Gram's entries are 3-term sums, so ||dG||_2 <= 3 gamma_3 lambda_max;
+    the closed form adds at most (80 + 11 / sqrt(gap)) eps q with
+    q = tr G / 3 <= lambda_max (``_closed_form_extremes``), so lambda_max is
+    known to about (85 + 11 / sqrt(gap)) eps relatively, at most 433 eps
+    above the cut (below it ``eigvalsh`` is within a few eps), and the norm
+    to half that.  Neither depends on the map's condition, where sigma_1 ...
+    sigma_m from an SVD is off by about eps sigma_1 / sigma_m.
+    """
+    k = C.shape[0]
+    x = np.ascontiguousarray(C.reshape(k, 9).T)  # row-major entries, one column per map
+    e = _scaled(x)
+    g = _gram(x, np.empty((6, k)), np.empty(k))
+    top, gap = np.empty(k), np.empty(k)
+    _top_eigenvalue(g, top, gap, np.empty((7, k)))
+    near = np.flatnonzero(gap < _CLOSED_FORM_GAP)
+    if near.size:
+        top[near] = np.linalg.eigvalsh(_symmetric(g[:, near]))[:, -1]
+    return np.ldexp(np.sqrt(top), e)
+
+
 def _normalized_compounds(fam: LinearFamily, m: int) -> np.ndarray:
     """Stack of grade-m compounds, each divided by its spectral norm.
 
-    The spectral norm of the m-th compound of T is sigma_1 ... sigma_m of T,
-    so every grade divides by products of the one set of spectra the family
-    keeps.  A map whose product is 0 or not finite has a compound that
-    cannot be normalized: a closure's deep products have underflowed (or
-    overflowed), and that is refused.
+    For n = C(d, m) = 3, every grade of d = 3, the norm is taken from the
+    compound itself (``_closed_form_norms``).  For any other n it is
+    sigma_1 ... sigma_m of the map, from the spectra the family keeps
+    (``LinearFamily._singular_values``), whose sigma_m carries an absolute
+    rounding of about eps sigma_1: that scale is off by about eps sigma_1 /
+    sigma_m, relatively.  A map whose norm is 0 or not finite has a compound
+    that cannot be normalized: a closure's deep products have underflowed
+    (or overflowed), and that is refused.
     """
-    norms = np.prod(fam._singular_values[:, :m], axis=1)
+    C = _compounds(fam.maps, m)
+    if C.shape[1] == 3:
+        norms = _closed_form_norms(C)
+    else:
+        norms = np.prod(fam._singular_values[:, :m], axis=1)
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"the closure's products underflow or overflow at this depth: the "
                          f"grade-{m} compound of map {i} has spectral norm {float(norms[i])!r}")
-    return _compounds(fam.maps, m) / norms[:, None, None]
+    return C / norms[:, None, None]
 
 
 def _candidate_factors(fam: LinearFamily, m: int) -> np.ndarray:
@@ -310,7 +357,8 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
     spectral norm 1, so rescaling any map leaves CC as it was.
     ``check_cm`` passes ``_reduced_stack(CC)``, at most n^2 rows and fewer
     than n exactly when k < n, in place of CC: the margins agree up to
-    rounding, and their cost does not depend on k.
+    rounding, and their cost does not depend on k.  It takes no margin with
+    k < n, where every one is 0.
     """
     k, n = CC.shape[:2]
     if k < n:  # fewer maps than the blade count: can never span
@@ -320,10 +368,11 @@ def _rank_margins(CC: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return sv[:, n - 1] / sv[:, 0]
 
 
-def _closed_form_extremes(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _closed_form_extremes(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max, slack) of each positive semidefinite 3 x 3
-    Gram of G (N, 3, 3), from one ``_top_eigenvalue`` call on the (6, 2, N)
-    stack of G and H = (tr G) I - G: lambda_min(G) = tr G - lambda_max(H).
+    Gram G whose 6 entries are a column of g (6, N), in ``_GRAM_I``/``_GRAM_J``
+    order, from one ``_top_eigenvalue`` call on the (6, 2, N) stack of G and
+    H = (tr G) I - G: lambda_min(G) = tr G - lambda_max(H).
 
     ``slack`` bounds, to first order, how far the screened squared margin
     lambda_min / lambda_max lies from the one the exact eigenvalues of the
@@ -350,18 +399,52 @@ def _closed_form_extremes(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     arccos argument r reaches -1, where arccos' slope is infinite.  H's top
     two meet where G's bottom two do, lambda_2 = lambda_3 of G.
     """
-    N = G.shape[0]
+    N = g.shape[1]
     stack = np.empty((6, 2, N))
-    g, h = stack[:, 0], stack[:, 1]
-    g[...] = G[:, _GRAM_I, _GRAM_J].T
-    trace = g[0] + g[1] + g[2]
-    np.subtract(trace, g[:3], out=h[:3])
-    np.negative(g[3:], out=h[3:])
+    G, h = stack[:, 0], stack[:, 1]
+    G[...] = g
+    trace = G[0] + G[1] + G[2]
+    np.subtract(trace, G[:3], out=h[:3])
+    np.negative(G[3:], out=h[3:])
     top, gap = np.empty((2, N)), np.empty((2, N))
     _top_eigenvalue(stack, top, gap, np.empty((7, 2, N)))
     with np.errstate(divide="ignore"):
         slack = (246.0 + 11.0 / np.sqrt(gap[0]) + 22.0 / np.sqrt(gap[1])) * np.finfo(float).eps
     return trace - top[1], top[0], slack
+
+
+def _quadratic_grams(reduced: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, bound) for the blades vs (N, 3) of an (r, 3, 3) reduced stack,
+    with no image formed: g (6, N) holds each image Gram G_v = W_v^T W_v in
+    ``_GRAM_I``/``_GRAM_J`` order, and bound (N,) is (r + 8) eps
+    tr(A_v^T A_v), with A_v = sum_j |v_j| |R_{:, :, j}| the images of |v|
+    under |R|.
+
+    G_v = sum_a R_a (v v^T) R_a^T is a quadratic form in v, so g = K P,
+    where P's columns hold the 6 products v_j v_j' and K (6, 6) sums the
+    congruences of the R_a: entry ((i, i'), (j, j')) is M[(i, j), (i', j')]
+    + M[(i, j'), (i', j)], or its first term where j = j', with M = X^T X
+    the 9 x 9 Gram of the stack's entries X (r, 9).  The same entries of
+    |X|^T |X| give the form of |R|, whose value at |v| is A_v^T A_v; its
+    trace is w @ |P| with w the sum of that form's three diagonal rows.
+
+    Each computed entry of g is within gamma_{r+8} (A_v^T A_v) of the exact
+    one, entry by entry, with gamma_k = k u / (1 - k u) and u = eps / 2:
+    gamma_r from M, one rounding where K adds two of M's entries, one in each
+    product v_j v_j', and gamma_6 from the 6-term sums of K P, whatever their
+    order.  A_v^T A_v is nonnegative, so ||dG||_2 <= gamma_{r+8}
+    ||A_v^T A_v||_2 <= gamma_{r+8} tr(A_v^T A_v), and ``bound``, twice that
+    to first order, covers the rounding of its own evaluation.
+    """
+    x = reduced.reshape(-1, 9)
+    pair = np.stack([x, np.abs(x)])
+    M = pair.transpose(0, 2, 1) @ pair
+    i, i2, j, j2 = _GRAM_I[:, None], _GRAM_J[:, None], _GRAM_I, _GRAM_J
+    K = M[:, 3 * i + j, 3 * i2 + j2]
+    K += np.where(j == j2, 0.0, M[:, 3 * i + j2, 3 * i2 + j])
+    P = vs[:, _GRAM_I] * vs[:, _GRAM_J]
+    bound = (x.shape[0] + 8) * np.finfo(float).eps * (np.abs(P) @ K[1, :3].sum(axis=0))
+    return K[0] @ P.T, bound
 
 
 def _ratio(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,16 +466,24 @@ def _screen(reduced: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the blades vs whose exact margin could be the least or at most tol.
 
     The squared margin of v is lambda_min / lambda_max of the n x n Gram
-    G_v = W_v^T W_v of its images W_v in the (r, n, n) reduced stack, and one
-    BLAS product forms every W_v of the batch.  Forming W_v and G_v rounds
-    each Gram entry by at most gamma_{n r} sigma_1^2, so ||dG||_2 <= n^2 r eps
-    sigma_1^2 to first order.  ``eigvalsh`` adds a backward error of about
-    10 n eps ||G||_2, so a screened value is within u = (n^2 r + 10 n) eps of
-    the exact squared margin.  For n = 3 the eigenvalues come from Smith's
-    closed form instead (``_closed_form_extremes``), whose error, its slack,
-    takes the place of 10 n eps in u, column by column.  Each value gets the
-    band 4 u: two screened values are compared, and the margins' own SVD
+    G_v = W_v^T W_v of its images W_v in the (r, n, n) reduced stack.  Each
+    value gets a band of 4 u, where u bounds, per column and in units of
+    lambda_max, how far the screened value lies from the exact squared
+    margin: two screened values are compared, and the margins' own SVD
     rounding comes on top.
+
+    For n = 3, every grade of d = 3, no W_v is formed: G_v is a quadratic
+    form in v, so the batch's Gram entries are one (6, 6) @ (6, N) product
+    (``_quadratic_grams``), each within gamma_{r+8} tr(A_v^T A_v) of the
+    exact one in the 2-norm, A_v the images of |v| under |R|.  Both
+    eigenvalues move by at most that, so the squared margin by at most twice
+    it over lambda_max: u = (r + 8) eps tr(A_v^T A_v) / lambda_max, to first
+    order, the bound it returns over lambda_max.  The eigenvalues come from
+    Smith's closed form (``_closed_form_extremes``), whose error, its slack,
+    is added.  Any other n forms every W_v and G_v by batched BLAS products,
+    which round each Gram entry by at most gamma_{n r} sigma_1^2, so
+    ||dG||_2 <= n^2 r eps sigma_1^2 to first order; ``eigvalsh`` adds a
+    backward error of about 10 n eps ||G||_2, and u = (n^2 r + 10 n) eps.
 
     A blade is kept when its value less its band is at most the least value
     plus band over the batch, or when it lies within twice its band of tol^2.
@@ -403,35 +494,41 @@ def _screen(reduced: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
     tied with the least is kept.  The closed form's slack is never below
     246 eps, and it grows without bound where a Gram's top or bottom two
     eigenvalues meet, so every kept blade with a closed-form value is
-    screened again by ``eigvalsh``, and the kept set is taken again with
-    ``eigvalsh``'s band for them: it can only shrink.  So the fallback has no
-    fixed gap cut; each column's own bound decides, and ``eigvalsh`` sees only
-    the few columns that could matter.  A screened value that is NaN or
-    infinite, or whose lambda_max is not positive and finite, is always kept,
-    and so is every blade when r < n.
+    screened again by ``eigvalsh``, of the 3 x 3 matrices of the kept
+    columns only, and the kept set is taken again with ``eigvalsh``'s band
+    for them: it can only shrink.  So the fallback has no fixed gap cut;
+    each column's own bound decides, and ``eigvalsh`` sees only the few
+    columns that could matter.  A screened value that is NaN or infinite,
+    or whose lambda_max is not positive and finite, or whose band is not
+    finite, is always kept.  ``check_cm`` screens only stacks with r >= n:
+    with fewer maps than n it takes no margin at all.
     """
     r, n = reduced.shape[:2]
-    if r < n:
-        return np.arange(vs.shape[0])
     eps = np.finfo(float).eps
-    W = (vs @ reduced.reshape(r * n, n).T).reshape(-1, r, n)
-    G = W.transpose(0, 2, 1) @ W
-    # a Gram with a NaN or inf entry is screened as zero, so it is kept
-    G = np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], G, 0.0)
-    if n == 3:
-        lo, hi, slack = _closed_form_extremes(G)
-    else:
+    if n != 3:
+        W = (vs @ reduced.reshape(r * n, n).T).reshape(-1, r, n)
+        G = W.transpose(0, 2, 1) @ W
+        # a Gram with a NaN or inf entry is screened as zero, so it is kept
+        G = np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], G, 0.0)
         lam = np.linalg.eigvalsh(G)
-        lo, hi, slack = lam[:, 0], lam[:, -1], np.full(len(G), 10 * n * eps)
+        sq, odd = _ratio(lam[:, 0], lam[:, -1])
+        return np.flatnonzero(_near_least(sq, odd, 4 * (n * n * r + 10 * n) * eps, tol))
+    # a power of two (exact) brings the stack's largest |entry| into [0.5, 1),
+    # so the closed form's cubes neither underflow nor overflow
+    g, bound = _quadratic_grams(np.ldexp(reduced, -np.frexp(np.max(np.abs(reduced)))[1]), vs)
+    g[:, ~np.isfinite(g).all(axis=0)] = 0.0  # screened as zero, so kept
+    lo, hi, slack = _closed_form_extremes(g)
     sq, odd = _ratio(lo, hi)
-    band = 4 * (n * n * r * eps + slack)
-    kept = _near_least(sq, odd, band, tol)
-    again = np.flatnonzero(kept & ~odd & (slack > 10 * n * eps))
+    u, loose = _ratio(bound, hi)
+    odd |= loose
+    kept = _near_least(sq, odd, 4 * (u + slack), tol)
+    again = np.flatnonzero(kept & ~odd)
     if again.size:
-        lam = np.linalg.eigvalsh(G[again])
+        lam = np.linalg.eigvalsh(_symmetric(g[:, again]))
         sq[again], odd[again] = _ratio(lam[:, 0], lam[:, -1])
-        band[again] = 4 * (n * n * r + 10 * n) * eps
-        kept = _near_least(sq, odd, band, tol)
+        u[again], loose = _ratio(bound[again], lam[:, -1])
+        odd[again] |= loose
+        kept = _near_least(sq, odd, 4 * (u + np.where(kept, 10 * n * eps, slack)), tol)
     return np.flatnonzero(kept)
 
 
@@ -525,16 +622,24 @@ def check_cm(
         )
     n = math.comb(d, m)
     CC = _normalized_compounds(fam, m)
-    reduced = _reduced_stack(CC)
     pool_coords, pool_factors = _coords_of_factors(_candidate_factors(fam, m))
     pool = pool_coords.shape[0]
-
+    if len(fam) < n:
+        # fewer maps than the blade count can never span: every margin is 0,
+        # so the first pool blade is the least, and no margin is taken
+        return Verdict(
+            kind=VerdictKind.FAIL,
+            m=m,
+            samples=pool,
+            margin=0.0,
+            witness=_annihilating_witness(CC, d, m, pool_coords[0], pool_factors[0],
+                                          pool_coords, pool_factors, tol),
+            reason=f"cardinality: {len(fam)} maps < C({d},{m}) = {n}, images cannot span",
+        )
+    reduced = _reduced_stack(CC)
     # one scan in a fixed order: the structured pool (drawn=None), then the
-    # sampled batches; with too few maps every margin is zero, so the pool
-    # alone decides
-    scan = [(None, pool_coords, pool_factors)]
-    if len(fam) >= n:
-        scan = itertools.chain(scan, _sampled_blades(d, m, samples, seed))
+    # sampled batches
+    scan = itertools.chain([(None, pool_coords, pool_factors)], _sampled_blades(d, m, samples, seed))
     worst = math.inf
     for drawn, coords, factors in scan:
         # exact margins only where the screen says they can matter; +inf elsewhere
@@ -546,9 +651,7 @@ def check_cm(
             worst = min(worst, float(np.min(margins, initial=math.inf)))
             continue
         t = int(bad[_first_least(margins[bad])])
-        if len(fam) < n:
-            reason = f"cardinality: {len(fam)} maps < C({d},{m}) = {n}, images cannot span"
-        elif drawn is None:
+        if drawn is None:
             reason = "rank deficiency at a structured candidate"
         else:
             reason = "rank deficiency at a sampled decomposable element"

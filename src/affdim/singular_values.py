@@ -23,7 +23,8 @@ so no transpose is copied on either side: for d = 3 from its suffix
 table's Grams (``code_tree._congruent_spectra``), and for any other d from
 the block's linear parts, laid out entry axes first, (d, d, n).  The d = 3
 Grams' largest eigenvalues come from Smith's closed form,
-``_top_eigenvalue``, which the spanning checks' margin screen shares.
+``_top_eigenvalue``, which the spanning checks' d = 3 compound norms and
+margin screen share.
 ``phi_from_singular_values`` moves its trailing spectrum axis to the front
 and exponentiates the kernel.  The word sums of
 ``code_tree`` reduce it in log form, where phi_s far below the smallest
@@ -179,11 +180,25 @@ def phi_from_singular_values(sigma, s: float):
 
 
 # Smith's closed form for the largest eigenvalue of symmetric 3×3 matrices,
-# with its layout and its two elementwise helpers: the one copy the d = 3
-# block spectra of ``code_tree`` and the d = 3 margin screen of ``fs_checker``
-# share.  The rows of a symmetric 3×3 G in that layout: entries (i, j), i <= j
+# with its layout, its fallback cut and its elementwise helpers: the one copy
+# the d = 3 block spectra of ``code_tree`` and the d = 3 compound norms and
+# margin screen of ``fs_checker`` share.  The rows of a symmetric 3×3 G in
+# that layout: entries (i, j), i <= j
 _GRAM_I = np.array([0, 1, 2, 0, 0, 1])
 _GRAM_J = np.array([0, 1, 2, 1, 2, 2])
+# Columns whose two largest Gram eigenvalues nearly meet (1 + r below this in
+# ``_top_eigenvalue``) take them from ``np.linalg.eigvalsh``: the closed form
+# loses half the digits where the arccos argument r reaches -1.
+_CLOSED_FORM_GAP = 1e-3
+
+
+def _scaled(x):
+    """Columns of ``x`` scaled in place by powers of two (exactly) so that each
+    largest |entry| lies in [0.5, 1), and the exponents taken out; 0 for a zero
+    column."""
+    _, e = np.frexp(np.max(np.abs(x), axis=0))
+    np.ldexp(x, -e, out=x)
+    return e
 
 
 def _sum_products(pairs, out, tmp):
@@ -203,18 +218,39 @@ def _minor(a, b, c, e, out, tmp):
     return out
 
 
+def _gram(x, g, tmp):
+    """The Gram matrix X Xᵀ of each column of ``x`` (9, n), the row-major
+    entries of a 3×3 X, written into ``g`` (6, n) as its entries (i, j), i <= j,
+    in the order (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2); ``tmp`` is
+    (n,) scratch."""
+    rows = x[0:3], x[3:6], x[6:9]
+    for out, i, j in zip(g, _GRAM_I, _GRAM_J):
+        _sum_products(zip(rows[i], rows[j]), out, tmp)
+    return g
+
+
+def _symmetric(g):
+    """The symmetric 3×3 matrices (n, 3, 3) of the columns of ``g`` (6, n)."""
+    out = np.empty((g.shape[1], 3, 3))
+    out[:, _GRAM_I, _GRAM_J] = g.T
+    out[:, _GRAM_J, _GRAM_I] = g.T
+    return out
+
+
 def _top_eigenvalue(g, top, gap, work):
     """Largest eigenvalue of each symmetric 3×3 column of ``g`` (6, ...), its
     entries (``_GRAM_I``, ``_GRAM_J``) in the order (0, 0), (1, 1), (2, 2),
     (0, 1), (0, 2), (1, 2), written into ``top`` (...), and 1 + r into ``gap`` (...),
     which is 0 where the top two eigenvalues meet; ``work`` is (7, ...)
     scratch, and ``g`` is left as it is.  Elementwise, so the trailing axes
-    may be a stack of Grams.  It has two callers, and each keeps its own
+    may be a stack of Grams.  It has three callers, and each keeps its own
     ``eigvalsh`` fallback for the columns whose gap is near 0:
     ``code_tree._congruent_spectra`` hands in a d = 3 block's Grams and
     cofactor Grams, (6, 2, chunk), for sigma_1 and sigma_1 sigma_2 of its
-    words, and ``fs_checker._closed_form_extremes`` a screened batch's image
-    Grams G beside (tr G) I - G, (6, 2, N), for their largest and smallest
+    words; ``fs_checker._closed_form_norms`` the Grams C Cᵀ of a family's
+    3×3 compounds, (6, k), for their spectral norms; and
+    ``fs_checker._closed_form_extremes`` a screened batch's image Grams G
+    beside (tr G) I - G, (6, 2, N), for their largest and smallest
     eigenvalues.
 
     Smith's trigonometric formula (1961) for a symmetric 3×3 G: with q = tr G / 3,

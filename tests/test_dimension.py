@@ -446,6 +446,41 @@ class TestBoxDimension:
         for j_min, j_max in ((1, 12), (2, 9), (7, 8)):
             assert_same_fit(box_dimension(points, j_min, j_max), per_scale_fit(points, j_min, j_max))
 
+    @staticmethod
+    def lexsort_rows(keys):
+        """The distinct rows by one np.lexsort, kept as the reference."""
+        keys = keys[np.lexsort(keys.T)]
+        return keys[np.concatenate([[True], np.any(keys[1:] != keys[:-1], axis=1)])]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_distinct_rows_match_the_lexsort_path(self, d, monkeypatch):
+        # rows packed into one int64 sort as np.lexsort sorts them, bit for
+        # bit; spans that need more than 63 bits together keep the lexsort
+        rng = np.random.default_rng(np.random.SeedSequence([37, d]))
+        top = 2**62
+        narrow = [
+            rng.integers(-40, 40, size=(3000, d)),
+            np.concatenate([rng.integers(0, 2 ** (60 // d), size=(500, d))] * 3),
+            np.column_stack([np.full(800, -7)] + [rng.integers(-5, 5, 800)] * (d - 1)),
+            # widths that sum to exactly 63 bits, the last column in the top bit
+            np.column_stack([rng.integers(0, 2 ** (63 // d), 1000) for _ in range(d - 1)]
+                            + [rng.integers(0, 2 ** (63 - (d - 1) * (63 // d)), 1000) - 2**40]),
+        ]
+        # one column of 64 bits, then (d > 1) spans of 63 and 34 bits a column
+        wide = [np.tile(np.array([[-top], [top - 1], [5], [-top], [0]]) * 2, (1, d))]
+        if d > 1:
+            wide += [rng.integers(-top, top, size=(1000, d)), rng.integers(0, 2**33, size=(1000, d))]
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda k: calls.append(len(k)) or lexsort(k))
+        for keys, path in [(k, "packed") for k in narrow] + [(k, "lexsort") for k in wide]:
+            keys = np.ascontiguousarray(keys, dtype=np.int64)
+            calls.clear()
+            got = dimension._distinct_rows(keys)
+            assert bool(calls) == (path == "lexsort")
+            want = self.lexsort_rows(keys)
+            assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
+
     def test_rejects_scales_that_overflow_int64_keys(self):
         # max |x| = 2.5 = 0.625 * 2^2, so x * 2^j fits in int64 up to j = 61
         points = np.random.default_rng(2).uniform(-2.0, 2.0, size=(2000, 2))

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from affdim import (
     wedge,
 )
 
-from affdim.singular_values import SINGULARITY_RTOL
+from affdim.singular_values import _GRAM_I as GRAM_I, _GRAM_J as GRAM_J, SINGULARITY_RTOL
 
 from conftest import random_nonsingular, rng_for
 
@@ -191,15 +192,30 @@ class TestIterateClosure:
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_normalized_compounds_match_the_per_map_form(d):
-    # ||C||_2 of the grade-m compound C of S is sigma_1 ... sigma_m of S: each
-    # compound is divided by that product from its own map's SVD, bit for bit.
-    # Against C / ||C||_2 the entries agree to within 2 m (1 + sigma_1 /
-    # sigma_m) ulps of the largest, as each sigma_i carries an absolute
-    # rounding of about eps sigma_1; the largest gap here is 59 ulps, at
-    # d = m = 2 with sigma_1 / sigma_2 = 189, and no other exceeds 13
+    # ||C||_2 of the grade-m compound C of S is sigma_1 ... sigma_m of S.
+    # Where C is 3 x 3 (every grade of d = 3) the norm is read off C itself,
+    # and each normalized compound has ||.||_2 within 4 ulps of 1; the maps
+    # after the seventh make the closed form's top two eigenvalues meet
+    # (sigma_1 = sigma_2 at grade 1, sigma_2 = sigma_3 at grade 2, a scalar
+    # multiple of an orthogonal map, a near-tie), so they reach its eigvalsh
+    # fallback.  Elsewhere each compound is divided by that product from its
+    # own map's SVD, bit for bit.  Against C / ||C||_2 the entries agree to
+    # within 2 m (1 + sigma_1 / sigma_m) ulps of the largest, as each sigma_i
+    # carries an absolute rounding of about eps sigma_1; the largest gap here
+    # is 59 ulps, at d = m = 2 with sigma_1 / sigma_2 = 189, and no other
+    # exceeds 13
     rng = rng_for(d)
-    fam = LinearFamily.from_matrices([random_nonsingular(rng, d) for _ in range(7)])
+    maps = [random_nonsingular(rng, d) for _ in range(7)]
+    if d == 3:
+        q = [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(6)]
+        maps += [q[0] @ np.diag(s) @ q[1 + k] for k, s in enumerate(
+            [(0.9, 0.9, 0.3), (0.9, 0.4, 0.4), (0.7, 0.7, 0.7), (0.5, 0.5 * (1 - 1e-9), 0.2)])]
+    fam = LinearFamily.from_matrices(maps)
     for m in range(d + 1):
+        if math.comb(d, m) == 3:
+            norms = np.linalg.norm(fs_checker._normalized_compounds(fam, m), 2, axis=(1, 2))
+            assert np.all(np.abs(norms - 1) <= 4 * np.spacing(np.minimum(norms, 1.0)))
+            continue
         ref = []
         for S in fam.maps:
             C = compound_matrix(S, m).entries
@@ -273,6 +289,21 @@ class TestCheckCm:
         assert verdict.samples == len(fs_checker._candidate_factors(fam, 2))
         assert verdict.margin == 0.0
         assert annihilation_residual(fam, verdict.witness) < 1e-12
+
+    def test_cardinality_fail_takes_no_margin(self, monkeypatch):
+        # with fewer maps than C(d, m) every margin is 0: the witness v is the
+        # first pool blade, and no stack is reduced, screened or scored
+        for name in ("_reduced_stack", "_screen", "_rank_margins"):
+            monkeypatch.setattr(fs_checker, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+        rng = rng_for(21)
+        for d, m, k in ((2, 1, 1), (3, 1, 2), (3, 2, 2), (4, 2, 5), (5, 2, 3)):
+            fam = LinearFamily.from_matrices([random_nonsingular(rng, d) for _ in range(k)])
+            coords, factors = fs_checker._coords_of_factors(fs_checker._candidate_factors(fam, m))
+            verdict = check_cm(fam, m)
+            assert verdict.kind is VerdictKind.FAIL and "cardinality" in verdict.reason
+            assert verdict.margin == 0.0 and verdict.samples == len(coords)
+            assert np.array_equal(verdict.witness.v_factors, factors[0])
+            assert annihilation_residual(fam, verdict.witness) < 1e-12
 
     def test_trivial_grades_certify(self):
         fam = LinearFamily.from_matrices([np.eye(3)])
@@ -563,7 +594,7 @@ class TestReducedMargins:
                 else:
                     np.testing.assert_allclose(got, image_margins(CC, vs), rtol=1e-12, atol=0)
 
-    def test_no_svd_sees_more_than_n_squared_rows(self, monkeypatch):
+    def test_no_svd_sees_more_than_n_squared_rows(self, tmp_path, monkeypatch, capsys):
         shapes = []
         real = np.linalg.svd
 
@@ -585,6 +616,21 @@ class TestReducedMargins:
                 assert check_cm(fam, m).kind is kind
             n = math.comb(fam.d, m)
             assert shapes and max(shape[-2] for shape in shapes) <= n * n
+            shapes.clear()
+        # check-fs on a d = 3 closure reads every compound norm off the
+        # compound itself: no SVD receives the closure's 1,022 maps, only the
+        # two generators' singularity gate and the rank margins' rows
+        doc = {"d": 3, "bounds": {"sigma_lo": 0.01, "sigma_hi": 1.0},
+               "families": [{"label": "tp", "maps": [{"T": T} for T in TP_PAIR]}]}
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc), encoding="utf-8")
+        for extra in ([], ["--s", "1.5"]):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", recording)
+                assert cli(["check-fs", str(system), "--depth", "9", *extra]) == 0
+            assert capsys.readouterr().out.count("EmpiricalPass") == (2 if not extra else 1)
+            assert (2, 3, 3) in shapes and (1022, 3, 3) not in shapes
+            assert max(shape[-2] for shape in shapes) <= 9
             shapes.clear()
 
     def test_verdicts_match_the_image_form(self, monkeypatch):
@@ -716,7 +762,7 @@ class TestMarginScreen:
     def test_closed_form_is_within_its_slack_or_falls_back(self):
         eps = np.finfo(float).eps
         grams = self.crafted_grams()
-        lo, hi, slack = fs_checker._closed_form_extremes(grams)
+        lo, hi, slack = fs_checker._closed_form_extremes(grams[:, GRAM_I, GRAM_J].T)
         lam = np.linalg.eigvalsh(grams)
         zero = ~grams.any(axis=(1, 2))
         assert np.all(hi[zero] == 0)  # screened as odd, so kept
@@ -734,6 +780,61 @@ class TestMarginScreen:
         assert np.all(slack[meeting] > 1e6 * eps)
         assert np.all(slack >= 246 * eps)
 
+    @staticmethod
+    def form_stacks():
+        """(r, 3, 3) stacks for the quadratic-form screen: a generic family's
+        reduced stack, the depth-9 TP_PAIR closure's at grade 2, an
+        ill-conditioned one (columns j scaled by 1, 1e-8, 1e-16, rows nearly
+        equal) and the generic one scaled by 3 * 2^-500 and by 1e100."""
+        rng = rng_for(13)
+        generic = fs_checker._reduced_stack(fs_checker._normalized_compounds(generic_family(), 1))
+        tp = iterate_closure(LinearFamily.from_matrices(TP_PAIR), 9)
+        closure = fs_checker._reduced_stack(fs_checker._normalized_compounds(tp, 2))
+        ill = (rng.standard_normal((1, 3, 3)) + 1e-12 * rng.standard_normal((7, 3, 3))) * [1.0, 1e-8, 1e-16]
+        return [generic, closure, ill, generic * (3 * 2.0**-500), generic * 1e100]
+
+    def test_quadratic_grams_are_within_their_bound(self):
+        # the (6, N) Gram entries of the quadratic form against exact rational
+        # ones, entry by entry: |g_e - G_e| <= gamma_{r+8} (A_v^T A_v)_e, with
+        # A_v the images of |v| under |R|; the screen's bound covers the trace
+        half = Fraction(1, 2**53)
+        for R in self.form_stacks():
+            r = R.shape[0]
+            gamma = (r + 8) * half / (1 - (r + 8) * half)
+            vs = rng_for(r).standard_normal((40, 3))
+            vs /= np.linalg.norm(vs, axis=1)[:, None]
+            g, bound = fs_checker._quadratic_grams(R, vs)
+            exact_R = [[[Fraction(x) for x in row] for row in Ra] for Ra in R]
+            for t, v in enumerate(vs):
+                v = [Fraction(x) for x in v]
+                W = [[sum(Ra[i][j] * v[j] for j in range(3)) for i in range(3)] for Ra in exact_R]
+                A = [[sum(abs(Ra[i][j] * v[j]) for j in range(3)) for i in range(3)] for Ra in exact_R]
+                for e, (i, i2) in enumerate(zip(GRAM_I, GRAM_J)):
+                    G = sum(Wa[i] * Wa[i2] for Wa in W)
+                    weight = sum(Aa[i] * Aa[i2] for Aa in A)
+                    assert abs(Fraction(g[e, t]) - G) <= gamma * weight
+                assert Fraction(bound[t]) >= gamma * sum(Aa[i] ** 2 for Aa in A for i in range(3))
+
+    def test_near_ties_and_tol_stay_kept(self):
+        # copies of the least blade and of a middle one, each moved by a few
+        # ulps, with tol at the middle one's margin: every blade within the
+        # tie floor of the least, and every copy at tol^2, is kept
+        eps = np.finfo(float).eps
+        rng = rng_for(14)
+        for R in self.form_stacks():
+            vs = rng.standard_normal((300, 3))
+            vs /= np.linalg.norm(vs, axis=1)[:, None]
+            margins = fs_checker._rank_margins(R, vs)
+            least, middle = np.argmin(margins), np.argsort(margins)[150]
+            moved = lambda v: v * (1 + eps * rng.integers(-4, 5, size=(20, 3)))  # noqa: E731
+            batch = np.vstack([vs, moved(vs[least]), moved(vs[middle])])
+            exact = fs_checker._rank_margins(R, batch)
+            kept = set(fs_checker._screen(R, batch, float(margins[middle])).tolist())
+            assert set(range(300, 340)) <= kept
+            assert set(np.flatnonzero(exact <= np.min(exact) + fs_checker._TIE_FLOOR).tolist()) <= kept
+            if np.min(exact) > 1e-6:  # margins at rounding level all tie with the least
+                assert len(kept) < 100
+
     def test_meeting_eigenvalues_reach_the_fallback(self, monkeypatch):
         eps = np.finfo(float).eps
         real = np.linalg.eigvalsh
@@ -741,7 +842,7 @@ class TestMarginScreen:
             reduced = fs_checker._reduced_stack(fs_checker._normalized_compounds(fam, 1))
             r, n = reduced.shape[:2]
             W = (np.eye(3) @ reduced.reshape(r * n, n).T).reshape(-1, r, n)
-            slack = fs_checker._closed_form_extremes(W.transpose(0, 2, 1) @ W)[2]
+            slack = fs_checker._closed_form_extremes((W.transpose(0, 2, 1) @ W)[:, GRAM_I, GRAM_J].T)[2]
             assert slack[0] > 1e6 * eps
             again = []
             monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: again.append(len(G)) or real(G))
